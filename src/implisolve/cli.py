@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -74,9 +75,22 @@ def load_spec(path: str) -> ProblemSpec:
         raise SpecError(f"cannot read spec file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SpecError("spec file must hold a JSON object")
     for key in ("functions", "variables", "seed"):
         if key not in raw:
             raise SpecError(f"spec file missing required field '{key}'")
+    for key in ("functions", "variables"):
+        if not isinstance(raw[key], list) or not all(isinstance(v, str) for v in raw[key]):
+            raise SpecError(f"spec field '{key}' must be a list of strings")
+    split_n = raw.get("split_n")
+    if split_n is not None and (isinstance(split_n, bool) or not isinstance(split_n, int)):
+        raise SpecError("spec field 'split_n' must be an integer")
+    seed = raw["seed"]
+    if not isinstance(seed, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in seed
+    ):
+        raise SpecError("spec field 'seed' must be a list of numbers")
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise SpecError("spec field 'options' must be an object")
@@ -86,10 +100,17 @@ def load_spec(path: str) -> ProblemSpec:
     return ProblemSpec(
         functions=tuple(raw["functions"]),
         variables=tuple(raw["variables"]),
-        split_n=raw.get("split_n"),
-        seed=tuple(float(v) for v in raw["seed"]),
+        split_n=split_n,
+        seed=_finite(seed, "spec field 'seed'"),
         options=options,
     )
+
+
+def _finite(values, what: str) -> tuple[float, ...]:
+    values = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in values):
+        raise SpecError(f"{what} must be finite, got {list(values)}")
+    return values
 
 
 def _solver_options(spec: ProblemSpec, args) -> SolverOptions:
@@ -116,9 +137,10 @@ def _solver_options(spec: ProblemSpec, args) -> SolverOptions:
 
 def _parse_point(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise SpecError(f"bad query '{text}': {exc}") from None
+    return _finite(values, f"query '{text}'")
 
 
 def _parse_grid_axis(text: str) -> list[float]:
@@ -129,6 +151,7 @@ def _parse_grid_axis(text: str) -> list[float]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SpecError(f"bad grid axis '{text}': {exc}") from None
+    lo, hi = _finite((lo, hi), f"grid axis '{text}'")
     if steps < 1:
         raise SpecError("grid steps must be at least 1")
     if steps == 1:
@@ -176,7 +199,9 @@ def _jsonable(obj):
 
 
 def _emit_json(doc: dict, out) -> None:
-    json.dump(_jsonable(doc), out, sort_keys=True, indent=2)
+    # serialize before writing: a non-finite value raises here and nothing
+    # partial reaches the output
+    out.write(json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False))
     out.write("\n")
 
 

@@ -28,13 +28,17 @@ class SolverOptions:
     max_depth: int = 6
 
     def __post_init__(self):
-        if self.h0 <= 0 or (self.h0_dep is not None and self.h0_dep <= 0):
+        # "not > 0" also rejects NaN
+        if not self.h0 > 0 or (self.h0_dep is not None and not self.h0_dep > 0):
             raise ValueError("box half-widths must be positive")
         if self.grid_density < 2:
             raise ValueError("grid_density must be at least 2")
         for name in ("tol_seed", "tol_root", "tol_sys"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name, least in (("max_iter", 1), ("max_shrink", 0), ("max_depth", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
     @property
     def dep_halfwidth(self) -> float:

@@ -5,9 +5,10 @@ dependent block so its Jacobian at the seed is the identity, solve the
 first normalized equation for its first dependent variable with the scalar
 machinery (all remaining variables treated as independent), substitute
 that scalar solution into the remaining equations, and recurse on the
-reduced system of size m - 1. Evaluation therefore nests one bisection per
-level; cost grows like iterations^m, which is fine at desk scale (m is
-capped by options.max_depth).
+reduced system of size m - 1. Evaluation therefore nests one ITP solve
+(bracketed, bisection worst case) per level; cost grows like
+iterations^m, which is fine at desk scale (m is capped by
+options.max_depth).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -26,6 +27,7 @@ from typing import Sequence
 from .config import SolverOptions
 from .errors import (
     BoxNotFound,
+    DegenerateDerivative,
     DimensionMismatch,
     NoConvergence,
     OutsideBox,
@@ -123,7 +125,11 @@ class _ComponentSlice:
 class _ReducedFunction:
     """Components 2..m of G with the first dependent variable replaced by the
     scalar implicit solution phi. Inputs are (x, z2..zm); every evaluation
-    triggers one inner bisection for z1 = phi(x, z')."""
+    triggers one inner ITP solve for z1 = phi(x, z').
+
+    phi solves component 0 of G for z1, so its gradient is
+    dphi/du_j = -G_0,u_j / G_0,z1, read off the same G partials that the
+    chain rule needs: one solve per call, no separate gradient pass."""
 
     def __init__(self, G, phi: ImplicitSolution, n: int):
         self.G = G
@@ -143,10 +149,10 @@ class _ReducedFunction:
         u = tuple(u)
         z1 = self.phi.solve_at(u)
         v = self._assemble(u, z1)
-        dphi = self.phi.gradient_known(u, z1)[j]
         col = j if j < self.n else j + 1
         direct = self.G.partial(v, col)
         through = self.G.partial(v, self.n)
+        dphi = -direct[0] / _nonzero_slope(through[0])
         return Vector(
             direct[i + 1] + through[i + 1] * dphi for i in range(self.n_outputs)
         )
@@ -155,16 +161,21 @@ class _ReducedFunction:
         u = tuple(u)
         z1 = self.phi.solve_at(u)
         v = self._assemble(u, z1)
-        grad = self.phi.gradient_known(u, z1)
         jg = self.G.jacobian(v)
+        cols = [j if j < self.n else j + 1 for j in range(self.n_inputs)]
+        fy = _nonzero_slope(jg.rows[0][self.n])
+        grad = [-jg.rows[0][col] / fy for col in cols]
         rows = []
         for i in range(1, self.G.n_outputs):
-            row = []
-            for j in range(self.n_inputs):
-                col = j if j < self.n else j + 1
-                row.append(jg.rows[i][col] + jg.rows[i][self.n] * grad[j])
-            rows.append(row)
+            row = jg.rows[i]
+            rows.append([row[col] + row[self.n] * g for col, g in zip(cols, grad)])
         return Matrix.from_rows(rows)
+
+
+def _nonzero_slope(fy: float) -> float:
+    if fy == 0.0:
+        raise DegenerateDerivative("dF/dy vanished inside the box")
+    return fy
 
 
 def _phi_variable_perm(n: int, m: int) -> list[int]:
@@ -230,7 +241,6 @@ class SystemSolution:
     depth: int
     scalar: ImplicitSolution
     normalizer: Matrix | None
-    normalized: object | None
     child: "SystemSolution | None"
 
     @property
@@ -345,15 +355,18 @@ class SystemSolution:
         tol = self.options.tol_sys
         rng = random.Random(rng_seed)
 
+        # keep only points under the running threshold; it never falls below
+        # the final max(tol, 10 * best_res), so no hit or candidate is lost
         best_res = float("inf")
         best_point: Vector | None = None
         points = []
         for _ in range(samples):
             y = self._sample_y(rng)
             res = max(abs(r) for r in self.F.eval(x + tuple(y)))
-            points.append((res, y))
             if res < best_res:
                 best_res, best_point = res, y
+            if res <= max(tol, 10 * best_res):
+                points.append((res, y))
 
         hits = [(res, y) for res, y in points if res <= tol]
         hit_dists = [vec_sub(y, y_star).norm() for _, y in hits]
@@ -439,7 +452,6 @@ def build_system(
             depth=_depth,
             scalar=scalar,
             normalizer=None,
-            normalized=None,
             child=None,
         )
 
@@ -473,6 +485,5 @@ def build_system(
         depth=_depth,
         scalar=phi,
         normalizer=j_inv,
-        normalized=G,
         child=child,
     )

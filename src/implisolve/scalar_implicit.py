@@ -3,8 +3,9 @@
 Given F(x, y) = 0 at a seed (a, b) with dF/dy(a, b) != 0, find_box grows a
 product box X x [y_lo, y_hi] around the seed on which (by grid sampling)
 dF/dy keeps one sign and F has opposite signs at the two y-faces. On such
-a box every x in X brackets exactly one root, so evaluation is plain
-bisection and is unconditionally convergent. The gradient comes from the
+a box every x in X brackets exactly one root, so evaluation is ITP
+(bracketed, bisection worst case; Oliveira & Takahashi, ACM TOMS 47(1),
+2020) and is unconditionally convergent. The gradient comes from the
 quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at (x, f(x)).
 
 The function argument is duck-typed: anything with n_inputs, n_outputs,
@@ -16,6 +17,7 @@ variable is always the last input.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +41,17 @@ DERIVATIVE_EPS = 1e-12
 # dependent half-width is configured, scale it by the slope at the seed,
 # with margin for curvature.
 SLOPE_MARGIN = 1.25
+
+# ITP constants (Oliveira & Takahashi 2020): the regula-falsi point is moved
+# toward the midpoint by kappa1 * width^2 with kappa1 = KAPPA1_ITP / (initial
+# width), and N0_ITP steps of slack are allowed over bisection's worst case.
+KAPPA1_ITP = 0.2
+N0_ITP = 1
+# The projection budget aims this fraction below tol_root. Rounding each
+# new endpoint adds up to an ulp to the bracket; without the margin a
+# bracket that spent its whole budget would end a few ulps above tol_root
+# and need one step beyond the guaranteed count.
+ITP_ROUNDING_MARGIN = 2.0**-6
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,15 @@ class ImplicitSolution:
     max_iter: int
 
     def solve_at(self, x: Sequence[float]) -> float:
-        """Unique root y of F(x, .) in the box interval, by bisection."""
+        """Unique root y of F(x, .) in the box interval, by ITP (bracketed,
+        bisection worst case).
+
+        Each step moves a regula-falsi point toward the midpoint by a
+        truncation, then projects it onto a ball around the midpoint that
+        shrinks as bisection would. The bracket therefore reaches tol_root
+        in at most bisection's step count plus N0_ITP, and faster on
+        smooth roots.
+        """
         x = tuple(x)
         if len(x) != self.seed.n:
             raise DimensionMismatch(f"expected {self.seed.n} coordinates, got {len(x)}")
@@ -218,18 +239,36 @@ class ImplicitSolution:
             )
         # width-based termination only: an |F| threshold could stop early
         # where the slope is small, costing root-location accuracy
-        for _ in range(self.max_iter):
-            mid = 0.5 * (lo + hi)
-            f_mid = s * self.F.eval(x + (mid,))[0]
-            if f_mid == 0.0:
-                return mid
-            if f_mid < 0.0:
-                lo = mid
+        tol = self.tol_root
+        kappa1 = KAPPA1_ITP / (hi - lo)
+        n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + N0_ITP
+        half_target = 0.5 * tol * (1.0 - ITP_ROUNDING_MARGIN)
+        for j in range(self.max_iter):
+            width = hi - lo
+            mid = lo + 0.5 * width
+            # a step at most r from the midpoint keeps the bracket on course
+            # to width tol within n_max steps
+            r = max(0.0, math.ldexp(half_target, n_max - j) - 0.5 * width)
+            x_f = lo - f_lo * width / (f_hi - f_lo)
+            delta = kappa1 * width * width
+            sigma = 1.0 if mid >= x_f else -1.0
+            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+            y = x_t if abs(x_t - mid) <= r else mid - sigma * r
+            if not lo < y < hi:
+                y = mid
+            f_y = s * self.F.eval(x + (y,))[0]
+            if f_y == 0.0:
+                return y
+            if f_y < 0.0:
+                lo, f_lo = y, f_y
             else:
-                hi = mid
-            if hi - lo <= self.tol_root:
+                hi, f_hi = y, f_y
+            if hi - lo <= tol:
                 return 0.5 * (lo + hi)
-        raise NoConvergence(f"bisection did not converge in {self.max_iter} iterations")
+        raise NoConvergence(
+            "ITP (bracketed, bisection worst case) did not converge in "
+            f"{self.max_iter} iterations"
+        )
 
     def gradient_at(self, x: Sequence[float]) -> Vector:
         """df/dx at x, via -(dF/dx_j)/(dF/dy) at (x, f(x))."""

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own evaluation paths: Jacobians are
 centered finite differences and the root finder is a damped Newton
-iteration on top of numpy. They exist to cross-check the bisection-based
+iteration on top of numpy. They exist to cross-check the bracketing
 solvers and are not part of the package API.
 """
 

@@ -4,6 +4,9 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from implisolve import cli
 from implisolve.cli import main
 
 CIRCLE_SPEC = {
@@ -109,6 +112,57 @@ def test_spec_errors_exit_1(tmp_path):
 
     code, _ = run_main(["implicit", "--spec", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+def assert_one_line_error(capsys, code):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("query", ["nan", "inf", "-inf", "0,nan"])
+def test_non_finite_query_exit_1(tmp_path, capsys, query):
+    spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
+    code, text = run_main(["implicit", "--spec", spec, f"--query={query}"])
+    assert text == ""
+    assert_one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize("axis", ["0:nan:3", "-inf:0.5:3", "0:inf:2"])
+def test_non_finite_grid_exit_1(tmp_path, capsys, axis):
+    spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
+    code, text = run_main(["implicit", "--spec", spec, f"--grid={axis}"])
+    assert text == ""
+    assert_one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("functions", 5),
+        ("functions", "x^2 + y^2 - 1"),
+        ("variables", ["x", 2]),
+        ("split_n", "1"),
+        ("split_n", True),
+        ("seed", 3),
+        ("seed", [0.0, "1"]),
+        ("seed", [0.0, math.nan]),
+    ],
+)
+def test_spec_field_types_exit_1(tmp_path, capsys, field, value):
+    spec = write_spec(tmp_path, "bad.json", dict(CIRCLE_SPEC, **{field: value}))
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0"])
+    assert text == ""
+    assert f"'{field}'" in assert_one_line_error(capsys, code)
+
+
+def test_json_output_never_holds_nan():
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        cli._emit_json({"value": [math.nan]}, out)
+    assert out.getvalue() == ""
 
 
 def test_invert_square_map(tmp_path):

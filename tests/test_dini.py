@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,11 +12,14 @@ from implisolve import (
     SingularMatrix,
     SolverOptions,
     SplitPoint,
+    Vector,
     build_implicit,
     build_system,
     normalize,
     parse,
 )
+from implisolve.dini import UniquenessReport
+from implisolve.linalg import hs_norm, inverse, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
 
@@ -256,6 +260,55 @@ def test_verify_uniqueness_report_is_deterministic(quad_system):
     a = quad_system.verify_uniqueness((1.0,), samples=2000, rng_seed=9)
     b = quad_system.verify_uniqueness((1.0,), samples=2000, rng_seed=9)
     assert a == b
+
+
+def two_pass_uniqueness(system, x, samples, rng_seed):
+    """Reference scan: store every sample, then filter twice."""
+    x = tuple(x)
+    y_star = system.solve_at(x)
+    tol = system.options.tol_sys
+    rng = random.Random(rng_seed)
+    points = []
+    for _ in range(samples):
+        y = system._sample_y(rng)
+        points.append((max(abs(r) for r in system.F.eval(x + tuple(y))), y))
+    best_res, best_point = min(points, key=lambda p: p[0])
+    hit_dists = [vec_sub(y, y_star).norm() for res, y in points if res <= tol]
+    threshold = max(tol, 10 * best_res)
+    cand_dists = [vec_sub(y, y_star).norm() for res, y in points if res <= threshold]
+    fy = split_columns(system.F.jacobian(x + tuple(y_star)), system.n)[1]
+    cluster_bound = 2.0 * hs_norm(inverse(fy)) * threshold
+    max_candidate_distance = max(cand_dists) if cand_dists else 0.0
+    return UniquenessReport(
+        x=Vector(x),
+        solution=y_star,
+        samples=samples,
+        rng_seed=rng_seed,
+        hits=len(hit_dists),
+        max_hit_distance=max(hit_dists) if hit_dists else None,
+        passed=all(d <= 10 * tol for d in hit_dists),
+        best_point=best_point,
+        best_residual=best_res,
+        threshold=threshold,
+        candidates=len(cand_dists),
+        cluster_bound=cluster_bound,
+        max_candidate_distance=max_candidate_distance,
+        single_cluster=bool(cand_dists) and max_candidate_distance <= cluster_bound,
+    )
+
+
+@pytest.mark.parametrize("x,rng_seed", [((1.0,), 9), ((1.1,), 4)])
+def test_verify_uniqueness_matches_two_pass_reference(quad_system, x, rng_seed):
+    report = quad_system.verify_uniqueness(x, samples=20000, rng_seed=rng_seed)
+    assert report == two_pass_uniqueness(quad_system, x, 20000, rng_seed)
+
+
+def test_verify_uniqueness_streaming_keeps_every_hit():
+    # a loose tol_sys puts many samples under tol, so the hit pass is exercised
+    system = build_system(QUAD, QUAD_SEED, SolverOptions(tol_sys=1e-2))
+    report = system.verify_uniqueness((1.0,), samples=5000, rng_seed=3)
+    assert report.hits > 1
+    assert report == two_pass_uniqueness(system, (1.0,), 5000, 3)
 
 
 def test_concurrent_evaluations_match_sequential(quad_system):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -183,3 +185,88 @@ def test_continuity_along_segment(circle):
     bound = 2 * max_slope * step
     for a, b in zip(values, values[1:]):
         assert abs(b - a) <= bound
+
+
+# --- ITP root finder ----------------------------------------------------------
+
+
+class CountingF:
+    """Wraps a function and counts its eval calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.n_inputs = fn.n_inputs
+        self.n_outputs = fn.n_outputs
+        self.evals = 0
+
+    def eval(self, p):
+        self.evals += 1
+        return self.fn.eval(p)
+
+    def partial(self, p, j):
+        return self.fn.partial(p, j)
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        # flat ninth-order root: regula falsi alone would stall on one side
+        "(y - 0.3 - x)^9 + 0.001*(y - 0.3 - x)",
+        # steep cubic sheet with a nearly vanishing linear term
+        "(y - 0.3 - x)^3 + 0.000000001*(y - 0.3 - x)",
+    ],
+)
+def test_itp_worst_case_is_bisection_plus_one(expression):
+    F = CountingF(parse([expression], ["x", "y"]))
+    sol = build_implicit(F, SplitPoint.of([0.0], [0.3]))
+    box = sol.box
+    bound = math.ceil(math.log2((box.y_hi - box.y_lo) / sol.tol_root)) + 1
+    for i in range(9):
+        x = box.x_lo[0] + (i + 0.5) * (box.x_hi[0] - box.x_lo[0]) / 9
+        F.evals = 0
+        y = sol.solve_at((x,))
+        assert F.evals - 2 <= bound  # two endpoint evaluations precede the loop
+        assert abs(y - (0.3 + x)) <= sol.tol_root
+
+
+def test_itp_circle_solve_eval_count():
+    F = CountingF(CIRCLE)
+    sol = build_implicit(F, SplitPoint.of([0.0], [1.0]), CIRCLE_OPTS)
+    for x in (-0.7, -0.3, 0.1, 0.3, 0.6, 0.75):
+        F.evals = 0
+        y = sol.solve_at((x,))
+        assert F.evals <= 15  # bisection took 43
+        assert abs(y - math.sqrt(1 - x * x)) <= sol.tol_root
+
+
+def test_itp_respects_max_iter(circle):
+    capped = dataclasses.replace(circle, max_iter=3)
+    with pytest.raises(NoConvergence):
+        capped.solve_at((0.3,))
+
+
+# --- options --------------------------------------------------------------------
+
+
+def test_options_reject_max_iter_below_one():
+    SolverOptions(max_iter=1)
+    with pytest.raises(ValueError):
+        SolverOptions(max_iter=0)
+
+
+def test_options_reject_negative_max_shrink():
+    SolverOptions(max_shrink=0)
+    with pytest.raises(ValueError):
+        SolverOptions(max_shrink=-1)
+
+
+def test_options_reject_max_depth_below_one():
+    SolverOptions(max_depth=1)
+    with pytest.raises(ValueError):
+        SolverOptions(max_depth=0)
+
+
+@pytest.mark.parametrize("field", ["h0", "h0_dep", "tol_seed", "tol_root", "tol_sys"])
+def test_options_reject_nan(field):
+    with pytest.raises(ValueError):
+        SolverOptions(**{field: math.nan})
