@@ -37,7 +37,7 @@ from .dini import build_system
 from .errors import ImpliSolveError
 from .expr import parse
 from .inverse import build_inverse
-from .linalg import Matrix, Vector, identity
+from .linalg import Matrix, Vector, identity, inverse as mat_inverse
 from .scalar_implicit import SplitPoint
 from . import verify as verify_mod
 
@@ -80,6 +80,8 @@ def load_spec(path: str) -> ProblemSpec:
     for key in ("functions", "variables", "seed"):
         if key not in raw:
             raise SpecError(f"spec file missing required field '{key}'")
+        if raw[key] == []:
+            raise SpecError(f"spec field '{key}' must not be empty")
     for key in ("functions", "variables"):
         if not isinstance(raw[key], list) or not all(isinstance(v, str) for v in raw[key]):
             raise SpecError(f"spec field '{key}' must be a list of strings")
@@ -228,6 +230,8 @@ def _emit_csv(results: list[dict], dims: tuple[int, int, int], out) -> None:
 
 
 def _evaluate_points(points, value_fn, jacobian_fn, residual_fn) -> tuple[list[dict], bool]:
+    """One row per point. jacobian_fn and residual_fn take the point and
+    the value value_fn returned, so each point is solved once."""
     results = []
     all_ok = True
     for point in points:
@@ -243,7 +247,7 @@ def _evaluate_points(points, value_fn, jacobian_fn, residual_fn) -> tuple[list[d
         try:
             value = value_fn(point)
             row["value"] = list(value)
-            row["jacobian"] = jacobian_fn(point).to_lists()
+            row["jacobian"] = jacobian_fn(point, value).to_lists()
             row["residual"] = residual_fn(point, value)
         except ImpliSolveError as exc:
             row["ok"] = False
@@ -268,9 +272,10 @@ def _cmd_implicit(args, out) -> int:
     def residual(point, value):
         return max(abs(r) for r in F.eval(tuple(point) + tuple(value)))
 
-    results, all_ok = _evaluate_points(
-        points, system.solve_at, system.jacobian_at, residual
-    )
+    def jacobian(point, value):
+        return system.jacobian_known(tuple(point), value)
+
+    results, all_ok = _evaluate_points(points, system.solve_at, jacobian, residual)
     if args.out == "csv":
         _emit_csv(results, (seed.n, seed.m, (seed.m, seed.n)), out)
     else:
@@ -302,9 +307,10 @@ def _cmd_invert(args, out) -> int:
         image = F.eval(value)
         return max(abs(a - b) for a, b in zip(image, point))
 
-    results, all_ok = _evaluate_points(
-        points, local.invert_at, local.inverse_jacobian_at, residual
-    )
+    def jacobian(point, value):
+        return mat_inverse(F.jacobian(value))
+
+    results, all_ok = _evaluate_points(points, local.invert_at, jacobian, residual)
     if args.out == "csv":
         _emit_csv(results, (n, n, (n, n)), out)
     else:

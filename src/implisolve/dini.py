@@ -12,7 +12,7 @@ options.max_depth).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
-objects that expose the same eval/partial/jacobian surface as parsed
+objects that expose the same eval/partial/jvp/jacobian surface as parsed
 expression functions. Their derivatives are exact chain-rule combinations
 of dual-number partials and the scalar gradient formula, not finite
 differences.
@@ -81,13 +81,14 @@ class _AffineReparam:
         v = self._map(p)
         if j < self.n:
             return self.fn.partial(v, j)
-        jz = j - self.n
-        m = len(self.b)
-        cols = [self.fn.partial(v, self.n + k) for k in range(m)]
-        return Vector(
-            sum(cols[k][i] * self.j_inv.rows[k][jz] for k in range(m))
-            for i in range(self.n_outputs)
-        )
+        # dG/dz_j = dF/dy J_inv[:, j]: one pass along that column
+        column = tuple(row[j - self.n] for row in self.j_inv.rows)
+        return self.fn.jvp(v, (0.0,) * self.n + column)
+
+    def jvp(self, p: Sequence[float], w: Sequence[float]) -> Vector:
+        """dG(p) w = dF(x, y) (w_x, J_inv w_z)."""
+        dy = matvec(self.j_inv, w[self.n :])
+        return self.fn.jvp(self._map(p), tuple(w[: self.n]) + tuple(dy))
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         v = self._map(p)
@@ -146,11 +147,18 @@ class _ReducedFunction:
         return Vector(self.G.eval(self._assemble(u, z1))[1:])
 
     def partial(self, u: Sequence[float], j: int) -> Vector:
+        return self._chain(u, self.G.partial, j if j < self.n else j + 1)
+
+    def jvp(self, u: Sequence[float], w: Sequence[float]) -> Vector:
+        return self._chain(u, self.G.jvp, self._assemble(w, 0.0))
+
+    def _chain(self, u: Sequence[float], derivative, direction) -> Vector:
+        """Derivative along direction of G's components 2..m with z1 = phi
+        following: derivative(v, direction) holds z1 fixed, and the
+        dG/dz1 column adds its share through dphi."""
         u = tuple(u)
-        z1 = self.phi.solve_at(u)
-        v = self._assemble(u, z1)
-        col = j if j < self.n else j + 1
-        direct = self.G.partial(v, col)
+        v = self._assemble(u, self.phi.solve_at(u))
+        direct = derivative(v, direction)
         through = self.G.partial(v, self.n)
         dphi = -direct[0] / _nonzero_slope(through[0])
         return Vector(
@@ -288,7 +296,10 @@ class SystemSolution:
     def jacobian_at(self, x: Sequence[float]) -> Matrix:
         """Jf(x) = -[dF/dy]^-1 [dF/dx] at (x, f(x)), blocks from exact partials."""
         x = tuple(float(v) for v in x)
-        y = self.solve_at(x)
+        return self.jacobian_known(x, self.solve_at(x))
+
+    def jacobian_known(self, x: tuple[float, ...], y: Sequence[float]) -> Matrix:
+        """Jacobian at a point whose solution value y = f(x) is already known."""
         full = self.F.jacobian(x + tuple(y))
         fx, fy = split_columns(full, self.n)
         return scale(matmul(inverse(fy), fx), -1.0)

@@ -1,31 +1,52 @@
 """First-order dual numbers and guarded arithmetic.
 
 A dual number value + derivative*eps carries one directional derivative
-through a computation. Seeding eps on one input variable makes the
-derivative part of the output an exact (to roundoff) partial derivative,
-not a finite-difference estimate.
+through a computation. Seeding eps along a direction makes the derivative
+part of the output an exact (to roundoff) directional derivative; a unit
+direction gives a partial derivative. Neither is a finite-difference
+estimate.
 
 The module-level functions (div, pow_, sin, ...) accept floats or Duals
 and enforce domain restrictions uniformly; they raise DomainViolation,
-which the expression evaluator converts into a located DomainError.
+which the expression evaluator converts into a located DomainError. The
+float-only helpers (_div_float, _pow_float, _sqrt_float) give the same
+results and checks on floats without the type tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class DomainViolation(Exception):
     """Internal: an arithmetic step left the domain of definition."""
 
 
-@dataclass(frozen=True, slots=True)
 class Dual:
-    """Dual number: value + derivative * eps, with eps^2 = 0."""
+    """Dual number: value + derivative * eps, with eps^2 = 0.
 
-    value: float
-    derivative: float
+    A plain slotted class rather than a frozen dataclass: one pass builds a
+    Dual per arithmetic step, and the dataclass costs about 2.5 times as
+    much per construction. Duals live inside one pass and are never shared,
+    so nothing changes one after it is built.
+    """
+
+    __slots__ = ("value", "derivative")
+
+    def __init__(self, value: float, derivative: float):
+        self.value = value
+        self.derivative = derivative
+
+    def __eq__(self, other):
+        if other.__class__ is not Dual:
+            return NotImplemented
+        return (self.value, self.derivative) == (other.value, other.derivative)
+
+    def __hash__(self):
+        return hash((self.value, self.derivative))
+
+    def __repr__(self):
+        return f"Dual(value={self.value!r}, derivative={self.derivative!r})"
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -66,20 +87,24 @@ def is_finite(v) -> bool:
     return math.isfinite(v)
 
 
-def div(a, b):
-    bv = _val(b)
-    if bv == 0.0:
+def _div_float(a: float, b: float) -> float:
+    if b == 0.0:
         raise DomainViolation("division by zero")
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        if not isinstance(a, Dual):
-            a = Dual(a, 0.0)
-        if not isinstance(b, Dual):
-            return Dual(a.value / b, a.derivative / b)
-        return Dual(
-            a.value / bv,
-            (a.derivative * bv - a.value * b.derivative) / (bv * bv),
-        )
     return a / b
+
+
+def div(a, b):
+    if not isinstance(b, Dual):
+        if not isinstance(a, Dual):
+            return _div_float(a, b)
+        return Dual(_div_float(a.value, b), a.derivative / b)
+    if not isinstance(a, Dual):
+        a = Dual(a, 0.0)
+    bv = b.value
+    # (a' - (a/b) b') / b rather than (a' b - a b') / b^2: b^2 underflows to
+    # zero (or overflows) long before b does
+    q = _div_float(a.value, bv)
+    return Dual(q, (a.derivative - q * b.derivative) / bv)
 
 
 def _pow_float(a: float, n: float) -> float:
@@ -161,17 +186,21 @@ def ln(v):
     return math.log(x)
 
 
+def _sqrt_float(x: float) -> float:
+    if x < 0.0:
+        raise DomainViolation("sqrt of a negative number")
+    return math.sqrt(x)
+
+
 def sqrt(v):
-    x = _val(v)
     if isinstance(v, Dual):
         # derivative of sqrt is unbounded at 0, so require strict positivity
+        x = v.value
         if x <= 0.0:
             raise DomainViolation("sqrt derivative needs a positive argument")
         s = math.sqrt(x)
         return Dual(s, v.derivative / (2.0 * s))
-    if x < 0.0:
-        raise DomainViolation("sqrt of a negative number")
-    return math.sqrt(x)
+    return _sqrt_float(v)
 
 
 def abs_(v):

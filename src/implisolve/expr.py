@@ -12,16 +12,20 @@ NUMBER is a decimal literal with optional fraction and exponent. NAME is a
 declared variable or one of sin, cos, exp, ln, sqrt, abs. Variable names
 start with a letter.
 
-Parsed functions are immutable; evaluation builds a fresh environment per
-call, so an ExprFunction may be shared freely across threads. Components
-are compiled to Python code objects once at construction. Derivatives come
-from a forward pass over dual numbers (one seeded pass per variable) and
-are exact to roundoff.
+Parsed functions are immutable and evaluation keeps no state between
+calls, so an ExprFunction may be shared freely across threads. At
+construction the components are compiled into one kernel: a positional
+Python function that returns every component and computes each repeated
+subtree once. eval runs it over floats. Derivatives run it over dual
+numbers: one forward pass seeded with a direction v gives the directional
+derivative (jvp), a partial is the pass along a unit vector, and both are
+exact to roundoff.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -248,9 +252,24 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: compiled fast path plus a tree walker that locates failures.
+# Evaluation: one compiled kernel per function, plus the tree walker that
+# defines the semantics and locates failures.
 
-_EVAL_GLOBALS = {
+# Helpers the kernel source calls. The float set gives the same results and
+# domain checks as the dual set does on floats, without its type tests.
+_FLOAT_HELPERS = {
+    "__builtins__": {},
+    "_div": dual._div_float,
+    "_pow": dual._pow_float,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": dual.exp,
+    "_ln": dual.ln,
+    "_sqrt": dual._sqrt_float,
+    "_abs": abs,
+}
+
+_DUAL_HELPERS = {
     "__builtins__": {},
     "_div": dual.div,
     "_pow": dual.pow_,
@@ -263,21 +282,102 @@ _EVAL_GLOBALS = {
 }
 
 
-def _py_source(node: Node) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
+def _children(node: Node) -> tuple:
     if isinstance(node, Neg):
-        return f"(-{_py_source(node.operand)})"
+        return (node.operand,)
     if isinstance(node, Call):
-        return f"_{node.fn}({_py_source(node.arg)})"
-    l, r = _py_source(node.left), _py_source(node.right)
-    if node.op == "/":
-        return f"_div({l}, {r})"
-    if node.op == "^":
-        return f"_pow({l}, {r})"
-    return f"({l} {node.op} {r})"
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return ()
+
+
+def _kernel_source(components: Sequence[Node], variables: Sequence[str]) -> str:
+    """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`.
+
+    Inputs are positional, so variable names never meet Python's. Every
+    non-leaf subtree that occurs more than once, within or across
+    components, is computed once into a local `_tk`.
+    """
+    # Number the structurally distinct subtrees bottom-up. Memoizing by
+    # object identity keeps this linear: substitution puts one object at
+    # every occurrence of a variable, and a dataclass hash would walk the
+    # whole subtree again at each one.
+    number_of: dict = {}
+    class_of: dict = {}
+
+    def classify(node) -> int:
+        c = class_of.get(id(node))
+        if c is None:
+            if isinstance(node, Const):
+                label = repr(node.value)  # keeps 0.0 and -0.0 apart
+            elif isinstance(node, Var):
+                label = node.name
+            elif isinstance(node, BinOp):
+                label = node.op
+            elif isinstance(node, Call):
+                label = node.fn
+            else:
+                label = None
+            key = (type(node), label, *map(classify, _children(node)))
+            c = class_of[id(node)] = number_of.setdefault(key, len(number_of))
+        return c
+
+    for component in components:
+        classify(component)
+
+    # occurrences, not descending into a subtree already counted
+    uses = [0] * len(number_of)
+
+    def count(node):
+        c = class_of[id(node)]
+        uses[c] += 1
+        if uses[c] == 1:
+            for child in _children(node):
+                count(child)
+
+    for component in components:
+        count(component)
+
+    params = [f"_a{k}" for k in range(len(variables))]
+    arg_of = dict(zip(variables, params))
+    local_of: dict = {}
+    lines = [f"def _k({', '.join(params)}):"]
+
+    def src(node) -> str:
+        if isinstance(node, Const):
+            text = repr(node.value)
+            return "1e999" if text == "inf" else text
+        if isinstance(node, Var):
+            return arg_of[node.name]
+        c = class_of[id(node)]
+        if c in local_of:
+            return local_of[c]
+        if isinstance(node, Neg):
+            text = f"(-{src(node.operand)})"
+        elif isinstance(node, Call):
+            text = f"_{node.fn}({src(node.arg)})"
+        elif node.op == "/":
+            text = f"_div({src(node.left)}, {src(node.right)})"
+        elif node.op == "^":
+            text = f"_pow({src(node.left)}, {src(node.right)})"
+        else:
+            text = f"({src(node.left)} {node.op} {src(node.right)})"
+        if uses[c] == 1:
+            return text
+        name = local_of[c] = f"_t{len(local_of)}"
+        lines.append(f"    {name} = {text}")
+        return name
+
+    outputs = "".join(f"{src(component)}, " for component in components)
+    lines.append(f"    return ({outputs})")
+    return "\n".join(lines)
+
+
+def _define(code, helpers: dict):
+    namespace: dict = {}
+    exec(code, helpers, namespace)
+    return namespace["_k"]
 
 
 class _Located(Exception):
@@ -295,38 +395,39 @@ _CALL_FNS = {
     "abs": dual.abs_,
 }
 
+_BIN_FNS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": dual.div,
+    "^": dual.pow_,
+}
 
-def _walk(node: Node, env: Mapping[str, object]):
-    """Reference evaluator; raises _Located at the first offending node.
-    Semantics match the compiled path (both route through the dual module)."""
+
+def _walk(node: Node, env: Mapping[str, object], locate: bool = True):
+    """Reference evaluator over floats or Duals, the semantics the kernels
+    compile. With locate, raises _Located at the first node that leaves the
+    domain or yields a non-finite value. Without, it computes exactly what
+    a kernel computes: a DomainViolation propagates, and a non-finite
+    intermediate passes on to be judged by the caller."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
-        return -_walk(node.operand, env)
+        return -_walk(node.operand, env, locate)
     if isinstance(node, Call):
-        arg = _walk(node.arg, env)
-        try:
-            out = _CALL_FNS[node.fn](arg)
-        except DomainViolation as exc:
-            raise _Located(node, str(exc)) from None
+        fn = _CALL_FNS[node.fn]
+        args = (_walk(node.arg, env, locate),)
     else:
-        left = _walk(node.left, env)
-        right = _walk(node.right, env)
-        try:
-            if node.op == "+":
-                out = left + right
-            elif node.op == "-":
-                out = left - right
-            elif node.op == "*":
-                out = left * right
-            elif node.op == "/":
-                out = dual.div(left, right)
-            else:
-                out = dual.pow_(left, right)
-        except DomainViolation as exc:
-            raise _Located(node, str(exc)) from None
+        fn = _BIN_FNS[node.op]
+        args = (_walk(node.left, env, locate), _walk(node.right, env, locate))
+    if not locate:
+        return fn(*args)
+    try:
+        out = fn(*args)
+    except DomainViolation as exc:
+        raise _Located(node, str(exc)) from None
     if not dual.is_finite(out):
         raise _Located(node, "non-finite result (overflow)")
     return out
@@ -339,10 +440,12 @@ class ExprFunction:
     """A parsed vector-valued function of named variables.
 
     `variables` fixes the input order; evaluation accepts exactly that many
-    real (or dual) values and returns one value per component.
+    real values and returns one value per component. The components are
+    compiled at construction into one kernel, run over floats by eval and
+    over dual numbers by jvp and partial.
     """
 
-    __slots__ = ("components", "variables", "source_text", "_codes")
+    __slots__ = ("components", "variables", "source_text", "_float_kernel", "_dual_kernel")
 
     def __init__(
         self,
@@ -355,10 +458,11 @@ class ExprFunction:
         if source_text is None:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
-        self._codes = tuple(
-            compile(_py_source(c), f"<component {i}>", "eval")
-            for i, c in enumerate(self.components)
+        code = compile(
+            _kernel_source(self.components, self.variables), "<kernel>", "exec"
         )
+        self._float_kernel = _define(code, _FLOAT_HELPERS)
+        self._dual_kernel = _define(code, _DUAL_HELPERS)
 
     @property
     def n_inputs(self) -> int:
@@ -382,62 +486,73 @@ class ExprFunction:
             return DomainError(loc.reason, i, format_node(loc.node))
         return DomainError(fallback, i, self.source_text[i])
 
-    def _values(self, p: Sequence) -> list:
-        if len(p) != self.n_inputs:
-            raise DimensionMismatch(
-                f"function of {self.n_inputs} variables called with {len(p)} values"
-            )
-        env = dict(zip(self.variables, p))
+    def _run(self, kernel, args: Sequence, finite) -> tuple:
+        n = len(self.variables)
+        if len(args) != n:
+            raise DimensionMismatch(f"function of {n} variables called with {len(args)} values")
+        try:
+            out = kernel(*args)
+        except (DomainViolation, ValueError):
+            # ValueError: math.sin and math.cos of an infinite intermediate
+            pass
+        else:
+            if all(map(finite, out)):
+                return out
+        return self._walk_components(args)
+
+    def _walk_components(self, args: Sequence) -> tuple:
+        """The kernel's values from the tree walker, one component at a time
+        in order; the first component that fails raises its located
+        DomainError. The kernel computes shared subtrees out of component
+        order, so only this walk says which component fails first."""
+        env = dict(zip(self.variables, args))
         out = []
-        for i, code in enumerate(self._codes):
+        for i, component in enumerate(self.components):
             try:
-                v = eval(code, _EVAL_GLOBALS, env)
+                v = _walk(component, env, locate=False)
             except DomainViolation as exc:
                 raise self._locate(i, env, str(exc)) from None
             if not dual.is_finite(v):
                 raise self._locate(i, env, "non-finite result (overflow)")
             out.append(v)
-        return out
+        return tuple(out)
 
     def eval(self, p: Sequence[float]) -> Vector:
-        return Vector._unchecked(tuple(self._values(p)))
+        return Vector._unchecked(self._run(self._float_kernel, p, math.isfinite))
 
-    def partial(self, p: Sequence[float], j: int) -> Vector:
-        """Exact jth partial derivative of every component at p (0-based j),
-        from one dual-number pass seeded on variable j."""
-        if not 0 <= j < self.n_inputs:
-            raise DimensionMismatch(f"variable index {j} out of range")
-        seeded = [Dual(float(v), 1.0 if k == j else 0.0) for k, v in enumerate(p)]
+    def jvp(self, p: Sequence[float], v: Sequence[float]) -> Vector:
+        """Exact directional derivative of every component at p along v,
+        from one forward pass over dual numbers seeded with v."""
+        n = len(self.variables)
+        if len(p) != n or len(v) != n:
+            raise DimensionMismatch(
+                f"function of {n} variables called with {len(p)} values "
+                f"and a direction of {len(v)}"
+            )
+        seeded = [Dual(float(a), float(d)) for a, d in zip(p, v)]
         # a component with no variable references evaluates to a plain float
         return Vector._unchecked(
             tuple(
                 d.derivative if isinstance(d, Dual) else 0.0
-                for d in self._values(seeded)
+                for d in self._run(self._dual_kernel, seeded, dual.is_finite)
             )
         )
+
+    def partial(self, p: Sequence[float], j: int) -> Vector:
+        """Exact jth partial derivative of every component at p (0-based j):
+        the directional derivative along the jth unit vector."""
+        n = len(self.variables)
+        if not 0 <= j < n:
+            raise DimensionMismatch(f"variable index {j} out of range")
+        direction = [0.0] * n
+        direction[j] = 1.0
+        return self.jvp(p, direction)
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         cols = [self.partial(p, j) for j in range(self.n_inputs)]
         return Matrix.from_rows(
             [[cols[j][i] for j in range(self.n_inputs)] for i in range(self.n_outputs)]
         )
-
-    def jacobian_split(self, point) -> tuple[Matrix, Matrix]:
-        """(dF/dx, dF/dy) at a split point: the first n and last m columns.
-        The component count must equal the dependent dimension m."""
-        n, m = point.n, point.m
-        if self.n_outputs != m:
-            raise DimensionMismatch(
-                f"{self.n_outputs} components but dependent block has dim {m}"
-            )
-        if self.n_inputs != n + m:
-            raise DimensionMismatch(
-                f"function of {self.n_inputs} variables, split point has dim {n + m}"
-            )
-        jac = self.jacobian(point.point())
-        from .linalg import split_columns
-
-        return split_columns(jac, n)
 
     def substituted(
         self, mapping: Mapping[str, Node], variables: Sequence[str]
@@ -446,12 +561,6 @@ class ExprFunction:
         new variable list."""
         comps = [substitute(c, mapping) for c in self.components]
         return ExprFunction(comps, variables)
-
-    def with_variables(self, variables: Sequence[str]) -> "ExprFunction":
-        """Same trees, reordered variable list (binding is by name)."""
-        if set(variables) != set(self.variables) or len(variables) != len(self.variables):
-            raise DimensionMismatch("reordered variable list must be a permutation")
-        return ExprFunction(self.components, variables, self.source_text)
 
     def component_function(self, i: int, variables: Sequence[str]) -> "ExprFunction":
         """Single component as a scalar function over a permuted variable list."""

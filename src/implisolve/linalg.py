@@ -48,10 +48,6 @@ def vec_sub(a: Sequence[float], b: Sequence[float]) -> Vector:
     return Vector(x - y for x, y in zip(a, b))
 
 
-def dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return vec_sub(a, b).norm()
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Row-major dense matrix; rectangular, finite entries."""
@@ -84,9 +80,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
-
-    def col(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.rows)
 
     def to_lists(self) -> list[list[float]]:
         return [list(row) for row in self.rows]

@@ -1,14 +1,17 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the library's own evaluation paths: Jacobians are
-centered finite differences and the root finder is a damped Newton
-iteration on top of numpy. They exist to cross-check the bracketing
+These deliberately avoid the library's own evaluation paths: residuals
+come from the reference tree walker (expr._walk), not the compiled kernel,
+Jacobians are centered finite differences and the root finder is a damped
+Newton iteration on top of numpy. They exist to cross-check the bracketing
 solvers and are not part of the package API.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from implisolve.expr import _walk
 
 
 def fd_jacobian(f, x, h=1e-7):
@@ -53,6 +56,7 @@ def newton_solve_system(expr_fn, x, y0, tol=1e-13):
     x = tuple(float(v) for v in x)
 
     def residual(y):
-        return list(expr_fn.eval(x + tuple(y)))
+        env = dict(zip(expr_fn.variables, x + tuple(float(v) for v in y)))
+        return [_walk(component, env) for component in expr_fn.components]
 
     return damped_newton(residual, y0, tol=tol)

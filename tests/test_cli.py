@@ -149,6 +149,9 @@ def test_non_finite_grid_exit_1(tmp_path, capsys, axis):
         ("seed", 3),
         ("seed", [0.0, "1"]),
         ("seed", [0.0, math.nan]),
+        ("functions", []),
+        ("variables", []),
+        ("seed", []),
     ],
 )
 def test_spec_field_types_exit_1(tmp_path, capsys, field, value):
@@ -156,6 +159,33 @@ def test_spec_field_types_exit_1(tmp_path, capsys, field, value):
     code, text = run_main(["implicit", "--spec", spec, "--query", "0"])
     assert text == ""
     assert f"'{field}'" in assert_one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "command,spec,queries",
+    [
+        ("implicit", QUAD_SPEC, ["1.0", "1.1", "0.9"]),
+        ("invert", SQUARE_MAP_SPEC, ["0,2", "0.1,1.9"]),
+    ],
+)
+def test_each_row_solves_once(tmp_path, monkeypatch, command, spec, queries):
+    from implisolve.dini import SystemSolution
+
+    solved = []
+    solve_at = SystemSolution.solve_at
+
+    def counting_solve_at(self, x):
+        solved.append(tuple(x))
+        return solve_at(self, x)
+
+    monkeypatch.setattr(SystemSolution, "solve_at", counting_solve_at)
+    argv = [command, "--spec", write_spec(tmp_path, "spec.json", spec)]
+    for q in queries:
+        argv += ["--query", q]
+    code, text = run_main(argv)
+    assert code == 0
+    assert [row["ok"] for row in json.loads(text)["results"]] == [True] * len(queries)
+    assert len(solved) == len(queries)
 
 
 def test_json_output_never_holds_nan():

@@ -18,7 +18,7 @@ from implisolve import (
     normalize,
     parse,
 )
-from implisolve.dini import UniquenessReport
+from implisolve.dini import UniquenessReport, _AffineReparam
 from implisolve.linalg import hs_norm, inverse, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
@@ -170,6 +170,43 @@ def test_jacobian_matches_finite_differences(quad_system):
         for i in range(2):
             fd = (plus[i] - minus[i]) / (2 * h)
             assert abs(jac.rows[i][0] - fd) <= 1e-5
+
+
+def test_composed_jvp_matches_partials(corpus_systems):
+    """The composed functions of the m = 3 stack: jvp is the partials
+    combined along the direction, and a dependent column of the affine
+    reparameterization is dF/dy J_inv[:, j], taken in one pass."""
+    system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
+    reduced1, reduced2 = system.child.F, system.child.child.F
+    # inner normalizers come out as the identity, so take a sheared one
+    shear = Matrix(((1.0, 0.5), (-0.25, 1.0)))
+    affine = _AffineReparam(reduced1, 1, system.child.seed.y, shear)
+    rng = random.Random(3)
+
+    def close(a, b, scale):
+        return abs(a - b) <= 1e-12 * max(1.0, scale)
+
+    for fn, seed in (
+        (reduced1, system.child.seed),
+        (affine, system.child.seed),
+        (reduced2, system.child.child.seed),
+    ):
+        p = tuple(c + rng.uniform(-0.003, 0.003) for c in seed.point())
+        v = [rng.uniform(-1.0, 1.0) for _ in range(fn.n_inputs)]
+        partials = [fn.partial(p, j) for j in range(fn.n_inputs)]
+        got = fn.jvp(p, v)
+        for i in range(fn.n_outputs):
+            terms = [v[j] * partials[j][i] for j in range(fn.n_inputs)]
+            assert close(got[i], sum(terms), sum(abs(t) for t in terms))
+
+    n, m = affine.n, len(affine.b)
+    p = tuple(c + 0.002 for c in system.child.seed.point())
+    y_cols = [affine.fn.partial(affine._map(p), n + k) for k in range(m)]
+    for jz in range(m):
+        got = affine.partial(p, n + jz)
+        for i in range(affine.n_outputs):
+            terms = [y_cols[k][i] * affine.j_inv.rows[k][jz] for k in range(m)]
+            assert close(got[i], sum(terms), sum(abs(t) for t in terms))
 
 
 def test_seed_fidelity_across_corpus(corpus_systems):

@@ -1,26 +1,30 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from implisolve import (
     DimensionMismatch,
     DomainError,
     ExprSyntaxError,
-    SplitPoint,
     UnknownIdentifier,
     parse,
 )
-from implisolve.dual import Dual
+from implisolve.dual import DomainViolation, Dual, is_finite
 from implisolve.expr import (
     BinOp,
     Call,
     Const,
+    ExprFunction,
     Neg,
     Var,
+    _children,
+    _Located,
     _walk,
     const,
     format_node,
+    linear_combination,
+    substitute,
 )
 from implisolve.expr import _Parser
 
@@ -83,6 +87,8 @@ def test_precedence_and_literals(text, value):
 def test_eval_identity_and_arity():
     F = parse(["x", "y"], ["x", "y"])
     assert tuple(F.eval((3.0, 4.0))) == (3.0, 4.0)
+    # inputs are positional, so Python keywords are ordinary variable names
+    assert tuple(parse(["if - lambda"], ["if", "lambda"]).eval((3.0, 1.0))) == (2.0,)
     with pytest.raises(DimensionMismatch):
         F.eval((1.0,))
 
@@ -123,21 +129,6 @@ def test_jacobian_examples():
         (0.0, 1.0, 0.0),
         (0.0, 0.0, 1.0),
     )
-
-
-def test_jacobian_split():
-    F = parse(["x + 2*y"], ["x", "y"])
-    mx, my = F.jacobian_split(SplitPoint.of([0.3], [0.7]))
-    assert mx.rows == ((1.0,),)
-    assert my.rows == ((2.0,),)
-
-    pair = parse(["y1^2 + y2 - x - 1", "y1 + y2^2 - x - 1"], ["x", "y1", "y2"])
-    mx, my = pair.jacobian_split(SplitPoint.of([1.0], [1.0, 1.0]))
-    assert mx.rows == ((-1.0,), (-1.0,))
-    assert my.rows == ((2.0, 1.0), (1.0, 2.0))
-
-    with pytest.raises(DimensionMismatch):
-        pair.jacobian_split(SplitPoint.of([], [1.0, 1.0, 1.0]))
 
 
 def test_jacobian_columns_equal_partials_bitwise():
@@ -224,8 +215,6 @@ def poly_trees(draw):
 
 @given(poly_trees(), st.floats(-1, 1), st.floats(-1, 1), st.integers(0, 1))
 def test_partial_matches_central_differences(tree, u, v, j):
-    from implisolve.expr import ExprFunction
-
     F = ExprFunction([tree], _VARS)
     h = 1e-5
     p = (u, v)
@@ -269,17 +258,109 @@ def test_print_parse_round_trip(tree):
     assert format_node(reparsed) == text
 
 
-@given(general_trees, st.floats(-2, 2), st.floats(-2, 2))
-def test_compiled_eval_matches_tree_walker(tree, u, v):
-    from implisolve.expr import ExprFunction
+def _derivative(d):
+    return d.derivative if isinstance(d, Dual) else 0.0
 
-    F = ExprFunction([tree], _VARS)
-    env = {"u": u, "v": v}
+
+def _walked(F, env, part=lambda value: value):
+    """Each component walked in order, as the kernel computes it (only the
+    result must be finite): the values, or the first failure located by the
+    checking walk."""
+    out = []
+    for i, component in enumerate(F.components):
+        try:
+            value = _walk(component, env, locate=False)
+            reason = None if is_finite(value) else "non-finite result (overflow)"
+        except DomainViolation as exc:
+            reason = str(exc)
+        if reason is None:
+            out.append(part(value))
+            continue
+        try:
+            _walk(component, env)
+        except _Located as loc:
+            return ("error", loc.reason, i, format_node(loc.node))
+        return ("error", reason, i, F.source_text[i])
+    return ("ok", tuple(out))
+
+
+def _outcome(call):
     try:
-        compiled = F.eval((u, v))[0]
-    except DomainError:
-        with pytest.raises(Exception):
-            _walk(tree, env)
+        return ("ok", tuple(call()))
+    except DomainError as err:
+        return ("error", err.reason, err.component, err.subexpr)
+
+
+def _largest_partial(component, env, j):
+    """max |d s / d var_j| over the subtrees s of component: the scale of
+    the rounding a pass along any direction picks up on the way."""
+    seeded = {
+        name: Dual(value, 1.0 if k == j else 0.0)
+        for k, (name, value) in enumerate(env.items())
+    }
+    stack, largest = [component], 0.0
+    while stack:
+        node = stack.pop()
+        stack.extend(_children(node))
+        largest = max(largest, abs(_derivative(_walk(node, seeded, locate=False))))
+    return largest
+
+
+@st.composite
+def _functions(draw):
+    """One to three components over (u, v). Half of them have u and v
+    replaced by affine combinations of u and v, as normalize substitutes,
+    so that components share subtrees."""
+    trees = draw(st.lists(general_trees, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        coef = st.floats(-2, 2, allow_nan=False, width=32)
+        mapping = {
+            name: linear_combination(
+                draw(coef),
+                [(draw(coef), BinOp("-", Var(w), const(draw(coef)))) for w in _VARS],
+            )
+            for name in _VARS
+        }
+        trees = [substitute(t, mapping) for t in trees]
+    return ExprFunction(trees, _VARS)
+
+
+_SHARED_OVERFLOW = parse(
+    ["exp(exp(v + 4)) * exp(exp(v + 4))", "ln(u) + exp(exp(v + 4))"], _VARS
+)
+
+
+# directions stay clear of the subnormal range, where a pass along v loses
+# relative precision that the unit-vector passes keep
+_directions = st.one_of(st.just(0.0), st.floats(1e-3, 2), st.floats(-2, -1e-3))
+
+
+# component 0 overflows to inf, and component 1, which shares its exp
+# subtree, raises: the error must still name component 0
+@example(_SHARED_OVERFLOW, -1.0, 1.9, 1.0, 1.0)
+@given(_functions(), st.floats(-2, 2), st.floats(-2, 2), _directions, _directions)
+def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
+    env = {"u": u, "v": v}
+    p = (u, v)
+    assert _outcome(lambda: F.eval(p)) == _walked(F, env)
+
+    partials = []
+    for j in range(2):
+        seeded = {"u": Dual(u, 1.0 if j == 0 else 0.0), "v": Dual(v, 1.0 if j == 1 else 0.0)}
+        partial = _outcome(lambda: F.partial(p, j))
+        assert partial == _walked(F, seeded, _derivative)
+        partials.append(partial)
+
+    seeded = {"u": Dual(u, du), "v": Dual(v, dv)}
+    jvp = _outcome(lambda: F.jvp(p, (du, dv)))
+    assert jvp == _walked(F, seeded, _derivative)
+    if jvp[0] != "ok" or any(partial[0] != "ok" for partial in partials):
         return
-    walked = _walk(tree, env)
-    assert compiled == walked
+    for i, component in enumerate(F.components):
+        combined = du * partials[0][1][i] + dv * partials[1][1][i]
+        scale = sum(
+            abs(d) * _largest_partial(component, env, j)
+            for j, d in enumerate((du, dv))
+            if d
+        )
+        assert abs(jvp[1][i] - combined) <= 1e-12 * scale
