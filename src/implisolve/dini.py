@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     Vector,
     hs_norm,
+    identity,
     inverse,
     matvec,
     scale,
@@ -195,9 +196,11 @@ def normalize(F, seed: SplitPoint):
     """Reparameterize the dependent block so dG/dz at the seed is the
     identity: G(x, z) = F(x, b + J_inv (z - b)) with J = dF/dy(a, b).
 
-    Expression-backed functions get the substitution performed on their
-    trees; composed functions are wrapped with the equivalent affine map.
-    Returns (G, J_inv).
+    Where J_inv is exactly the identity, as at inner levels whose level
+    above already normalized, G is F itself. Otherwise expression-backed
+    functions get the substitution performed on their trees, and composed
+    functions are wrapped with the equivalent affine map. Returns
+    (G, J_inv).
     """
     n, m = seed.n, seed.m
     p = seed.point()
@@ -205,7 +208,9 @@ def normalize(F, seed: SplitPoint):
     _, jy = split_columns(full, n)
     j_inv = inverse(jy)
 
-    if isinstance(F, ExprFunction):
+    if j_inv == identity(m):
+        G = F
+    elif isinstance(F, ExprFunction):
         x_names = list(F.variables[:n])
         y_names = list(F.variables[n:])
         z_names = fresh_names("z", m, F.variables)

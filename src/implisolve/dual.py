@@ -6,11 +6,19 @@ part of the output an exact (to roundoff) directional derivative; a unit
 direction gives a partial derivative. Neither is a finite-difference
 estimate.
 
-The module-level functions (div, pow_, sin, ...) accept floats or Duals
-and enforce domain restrictions uniformly; they raise DomainViolation,
-which the expression evaluator converts into a located DomainError. The
-float-only helpers (_div_float, _pow_float, _sqrt_float) give the same
-results and checks on floats without the type tests.
+Dual's operators and the module-level functions (div, pow_, sin, ...)
+accept floats or Duals and enforce domain restrictions uniformly; they
+raise DomainViolation, which the expression evaluator converts into a located
+DomainError. They are the reference semantics of derivatives: the
+expression tree walker runs them, the compiled tangent kernel performs
+the same float operations in the same order, and when the kernel fails
+the walker over Duals locates the failing node. The rules that branch or
+raise are written once, in pair form ((value, derivative) in, (value,
+derivative) out: pow_pair, pow_const_pair, exp_pair, ln_pair, sqrt_pair,
+abs_pair), called by both the Dual functions and the tangent kernel. The
+float-only helpers (_div_float, _pow_float, _exp_float, _ln_float,
+_sqrt_float) give the same results and checks on floats without the type
+tests.
 """
 
 from __future__ import annotations
@@ -77,8 +85,8 @@ class Dual:
         return Dual(-self.value, -self.derivative)
 
 
-def _val(v) -> float:
-    return v.value if isinstance(v, Dual) else v
+def _parts(v) -> tuple[float, float]:
+    return (v.value, v.derivative) if isinstance(v, Dual) else (v, 0.0)
 
 
 def is_finite(v) -> bool:
@@ -119,8 +127,9 @@ def _pow_float(a: float, n: float) -> float:
         if n < 0.0:
             raise DomainViolation("zero raised to a nonpositive power")
         return 0.0
-    # negative base: only integer exponents are defined over the reals
-    if n != math.floor(n):
+    # negative base: only integer exponents are defined over the reals (an
+    # infinite or NaN exponent is none, and math.floor would raise on it)
+    if not math.isfinite(n) or n != math.floor(n):
         raise DomainViolation("negative base with non-integer exponent")
     try:
         return math.pow(a, n)
@@ -128,30 +137,36 @@ def _pow_float(a: float, n: float) -> float:
         raise DomainViolation("overflow in power") from None
 
 
-def pow_(a, b):
-    """a ^ b. Exponents with a nonzero derivative part require a > 0;
-    constant exponents follow the real power rule, including negative
-    bases with integer exponents."""
-    if not isinstance(a, Dual) and not isinstance(b, Dual):
-        return _pow_float(a, b)
-    if isinstance(b, Dual) and b.derivative != 0.0:
-        av, ad = (a.value, a.derivative) if isinstance(a, Dual) else (a, 0.0)
+def pow_pair(av: float, ad: float, bv: float, bd: float) -> tuple[float, float]:
+    """(a, a') ^ (b, b'). An exponent with a nonzero derivative part
+    requires a > 0; otherwise the constant-exponent rule applies."""
+    if bd != 0.0:
         if av <= 0.0:
             raise DomainViolation("power with varying exponent needs positive base")
-        v = _pow_float(av, b.value)
-        return Dual(v, v * (b.derivative * math.log(av) + b.value * ad / av))
-    n = _val(b)
-    av, ad = (a.value, a.derivative) if isinstance(a, Dual) else (a, 0.0)
+        v = _pow_float(av, bv)
+        return v, v * (bd * math.log(av) + bv * ad / av)
+    return pow_const_pair(av, ad, bv)
+
+
+def pow_const_pair(av: float, ad: float, n: float) -> tuple[float, float]:
+    """(a, a') ^ n for a constant exponent: the real power rule, including
+    negative bases with integer exponents."""
     v = _pow_float(av, n)
     if n == 0.0:
-        return Dual(1.0, 0.0)
+        return 1.0, 0.0
     if av == 0.0:
         if n == 1.0:
-            return Dual(0.0, ad)
+            return 0.0, ad
         if n > 1.0:
-            return Dual(0.0, 0.0)
+            return 0.0, 0.0
         raise DomainViolation("power rule derivative undefined at zero base")
-    return Dual(v, n * _pow_float(av, n - 1.0) * ad)
+    return v, n * _pow_float(av, n - 1.0) * ad
+
+
+def pow_(a, b):
+    if not isinstance(a, Dual) and not isinstance(b, Dual):
+        return _pow_float(a, b)
+    return Dual(*pow_pair(*_parts(a), *_parts(b)))
 
 
 def sin(v):
@@ -166,24 +181,38 @@ def cos(v):
     return math.cos(v)
 
 
-def exp(v):
-    x = _val(v)
+def _exp_float(x: float) -> float:
     try:
-        ev = math.exp(x)
+        return math.exp(x)
     except OverflowError:
         raise DomainViolation("overflow in exp") from None
+
+
+def exp_pair(x: float, d: float) -> tuple[float, float]:
+    ev = _exp_float(x)
+    return ev, ev * d
+
+
+def exp(v):
     if isinstance(v, Dual):
-        return Dual(ev, ev * v.derivative)
-    return ev
+        return Dual(*exp_pair(v.value, v.derivative))
+    return _exp_float(v)
+
+
+def _ln_float(x: float) -> float:
+    if x <= 0.0:
+        raise DomainViolation("logarithm of a nonpositive number")
+    return math.log(x)
+
+
+def ln_pair(x: float, d: float) -> tuple[float, float]:
+    return _ln_float(x), d / x
 
 
 def ln(v):
-    x = _val(v)
-    if x <= 0.0:
-        raise DomainViolation("logarithm of a nonpositive number")
     if isinstance(v, Dual):
-        return Dual(math.log(x), v.derivative / x)
-    return math.log(x)
+        return Dual(*ln_pair(v.value, v.derivative))
+    return _ln_float(v)
 
 
 def _sqrt_float(x: float) -> float:
@@ -192,20 +221,27 @@ def _sqrt_float(x: float) -> float:
     return math.sqrt(x)
 
 
+def sqrt_pair(x: float, d: float) -> tuple[float, float]:
+    # derivative of sqrt is unbounded at 0, so require strict positivity
+    if x <= 0.0:
+        raise DomainViolation("sqrt derivative needs a positive argument")
+    s = math.sqrt(x)
+    return s, d / (2.0 * s)
+
+
 def sqrt(v):
     if isinstance(v, Dual):
-        # derivative of sqrt is unbounded at 0, so require strict positivity
-        x = v.value
-        if x <= 0.0:
-            raise DomainViolation("sqrt derivative needs a positive argument")
-        s = math.sqrt(x)
-        return Dual(s, v.derivative / (2.0 * s))
+        return Dual(*sqrt_pair(v.value, v.derivative))
     return _sqrt_float(v)
 
 
-def abs_(v):
+def abs_pair(x: float, d: float) -> tuple[float, float]:
     # convention: abs'(0) = 0
+    s = 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
+    return abs(x), s * d
+
+
+def abs_(v):
     if isinstance(v, Dual):
-        s = 1.0 if v.value > 0.0 else (-1.0 if v.value < 0.0 else 0.0)
-        return Dual(abs(v.value), s * v.derivative)
+        return Dual(*abs_pair(v.value, v.derivative))
     return abs(v)

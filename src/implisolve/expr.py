@@ -14,12 +14,15 @@ start with a letter.
 
 Parsed functions are immutable and evaluation keeps no state between
 calls, so an ExprFunction may be shared freely across threads. At
-construction the components are compiled into one kernel: a positional
-Python function that returns every component and computes each repeated
-subtree once. eval runs it over floats. Derivatives run it over dual
-numbers: one forward pass seeded with a direction v gives the directional
-derivative (jvp), a partial is the pass along a unit vector, and both are
-exact to roundoff.
+construction the components are compiled into two positional Python
+functions, each computing every component and each repeated subtree once.
+eval runs the float kernel. Derivatives run the tangent kernel, forward
+mode by source transformation: beside each value statement it computes
+that value's derivative as a plain float, performing the same operations
+as a pass over dual numbers. One pass along a direction v gives the
+directional derivative (jvp), a partial is the pass along a unit vector,
+and both are exact to roundoff. The tree walker over dual numbers stays as
+the reference semantics and locates failures.
 """
 
 from __future__ import annotations
@@ -252,34 +255,43 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one compiled kernel per function, plus the tree walker that
+# Evaluation: two compiled kernels per function, plus the tree walker that
 # defines the semantics and locates failures.
 
-# Helpers the kernel source calls. The float set gives the same results and
-# domain checks as the dual set does on floats, without its type tests.
+# Helpers the kernel source calls. On floats they give the same results and
+# domain checks as the dual functions, without their type tests. Quotients
+# are Python's `/`, whose ZeroDivisionError stands for a zero denominator.
 _FLOAT_HELPERS = {
     "__builtins__": {},
-    "_div": dual._div_float,
     "_pow": dual._pow_float,
     "_sin": math.sin,
     "_cos": math.cos,
-    "_exp": dual.exp,
-    "_ln": dual.ln,
+    "_exp": dual._exp_float,
+    "_ln": dual._ln_float,
     "_sqrt": dual._sqrt_float,
     "_abs": abs,
 }
 
-_DUAL_HELPERS = {
-    "__builtins__": {},
-    "_div": dual.div,
-    "_pow": dual.pow_,
-    "_sin": dual.sin,
-    "_cos": dual.cos,
-    "_exp": dual.exp,
-    "_ln": dual.ln,
-    "_sqrt": dual.sqrt,
-    "_abs": dual.abs_,
+_TANGENT_HELPERS = {
+    **_FLOAT_HELPERS,
+    "_pow_pair": dual.pow_pair,
+    "_pow_const_pair": dual.pow_const_pair,
+    "_exp_pair": dual.exp_pair,
+    "_ln_pair": dual.ln_pair,
+    "_sqrt_pair": dual.sqrt_pair,
+    "_abs_pair": dual.abs_pair,
 }
+
+# What a kernel raises where the tree walker raises DomainViolation:
+# ValueError is math.sin and math.cos of an infinite intermediate, and
+# ZeroDivisionError a quotient by zero.
+_KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError)
+
+# CPython's tokenizer rejects source nesting parentheses more than 200 deep
+# ("too many nested parentheses"). Each operation the float kernel inlines
+# adds one level, so a subtree whose text would nest this deep is computed
+# into a local of its own.
+_MAX_NESTING = 100
 
 
 def _children(node: Node) -> tuple:
@@ -292,19 +304,20 @@ def _children(node: Node) -> tuple:
     return ()
 
 
-def _kernel_source(components: Sequence[Node], variables: Sequence[str]) -> str:
-    """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`.
+def _number(components: Sequence[Node]) -> tuple[dict, list, list]:
+    """Number the structurally distinct subtrees of the components.
 
-    Inputs are positional, so variable names never meet Python's. Every
-    non-leaf subtree that occurs more than once, within or across
-    components, is computed once into a local `_tk`.
+    Returns class_of (id of a node -> its class), uses (occurrences of each
+    class, not descending into a subtree already counted) and varying
+    (whether each class contains a variable).
     """
-    # Number the structurally distinct subtrees bottom-up. Memoizing by
-    # object identity keeps this linear: substitution puts one object at
-    # every occurrence of a variable, and a dataclass hash would walk the
-    # whole subtree again at each one.
+    # Classes are numbered bottom-up. Memoizing by object identity keeps
+    # this linear: substitution puts one object at every occurrence of a
+    # variable, and a dataclass hash would walk the whole subtree again at
+    # each one.
     number_of: dict = {}
     class_of: dict = {}
+    varying: list = []
 
     def classify(node) -> int:
         c = class_of.get(id(node))
@@ -319,14 +332,18 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str]) -> str:
                 label = node.fn
             else:
                 label = None
-            key = (type(node), label, *map(classify, _children(node)))
-            c = class_of[id(node)] = number_of.setdefault(key, len(number_of))
+            children = tuple(map(classify, _children(node)))
+            key = (type(node), label, *children)
+            c = number_of.get(key)
+            if c is None:
+                c = number_of[key] = len(number_of)
+                varying.append(isinstance(node, Var) or any(varying[k] for k in children))
+            class_of[id(node)] = c
         return c
 
     for component in components:
         classify(component)
 
-    # occurrences, not descending into a subtree already counted
     uses = [0] * len(number_of)
 
     def count(node):
@@ -338,45 +355,156 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str]) -> str:
 
     for component in components:
         count(component)
+    return class_of, uses, varying
 
+
+def _literal(node: Const) -> str:
+    text = repr(node.value)
+    return "1e999" if text == "inf" else text
+
+
+def _float_op(node: Node, operands: Sequence[str]) -> str:
+    """Text of node's own float operation on its operands' texts."""
+    if isinstance(node, Neg):
+        return f"(-{operands[0]})"
+    if isinstance(node, Call):
+        return f"_{node.fn}({operands[0]})"
+    left, right = operands
+    if node.op == "^":
+        return f"_pow({left}, {right})"
+    return f"({left} {node.op} {right})"
+
+
+def _float_source(components: Sequence[Node], variables: Sequence[str]) -> str:
+    """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`.
+
+    Inputs are positional, so variable names never meet Python's. Every
+    non-leaf subtree that occurs more than once, within or across
+    components, is computed once into a local `_tc`, c its class.
+    """
+    class_of, uses, _ = _number(components)
     params = [f"_a{k}" for k in range(len(variables))]
     arg_of = dict(zip(variables, params))
     local_of: dict = {}
     lines = [f"def _k({', '.join(params)}):"]
 
-    def src(node) -> str:
+    def src(node) -> tuple[str, int]:
+        """node's text and how deep its operations nest."""
         if isinstance(node, Const):
-            text = repr(node.value)
-            return "1e999" if text == "inf" else text
+            return _literal(node), 0
         if isinstance(node, Var):
-            return arg_of[node.name]
+            return arg_of[node.name], 0
         c = class_of[id(node)]
         if c in local_of:
-            return local_of[c]
-        if isinstance(node, Neg):
-            text = f"(-{src(node.operand)})"
-        elif isinstance(node, Call):
-            text = f"_{node.fn}({src(node.arg)})"
-        elif node.op == "/":
-            text = f"_div({src(node.left)}, {src(node.right)})"
-        elif node.op == "^":
-            text = f"_pow({src(node.left)}, {src(node.right)})"
-        else:
-            text = f"({src(node.left)} {node.op} {src(node.right)})"
-        if uses[c] == 1:
-            return text
-        name = local_of[c] = f"_t{len(local_of)}"
+            return local_of[c], 0
+        operands = [src(child) for child in _children(node)]
+        text = _float_op(node, [t for t, _ in operands])
+        depth = 1 + max(d for _, d in operands)
+        if uses[c] == 1 and depth < _MAX_NESTING:
+            return text, depth
+        name = local_of[c] = f"_t{c}"
         lines.append(f"    {name} = {text}")
-        return name
+        return name, 0
 
-    outputs = "".join(f"{src(component)}, " for component in components)
+    outputs = "".join(f"{src(component)[0]}, " for component in components)
     lines.append(f"    return ({outputs})")
     return "\n".join(lines)
 
 
-def _define(code, helpers: dict):
+def _tangent_op(node: Node, v: str, d: str, operands: Sequence[tuple]) -> tuple[list, str]:
+    """Statements giving a node that contains a variable its value v and
+    tangent d, from its operands' (value, tangent) texts; a tangent is None
+    where the operand contains no variable. They perform the float
+    operations of the Dual method or dual function for this mix of
+    operands, in the same order. Returns the statements and the name that
+    holds the tangent, which is an operand's where the tangent passes
+    through unchanged."""
+    if isinstance(node, Neg):
+        ((x, dx),) = operands
+        return [f"{v}, {d} = -{x}, -{dx}"], d
+    if isinstance(node, Call):
+        ((x, dx),) = operands
+        if node.fn == "sin":
+            return [f"{v}, {d} = _sin({x}), _cos({x}) * {dx}"], d
+        if node.fn == "cos":
+            return [f"{v}, {d} = _cos({x}), -_sin({x}) * {dx}"], d
+        return [f"{v}, {d} = _{node.fn}_pair({x}, {dx})"], d
+    (a, da), (b, db) = operands
+    op = node.op
+    if op == "^":
+        if db is None:
+            return [f"{v}, {d} = _pow_const_pair({a}, {da}, {b})"], d
+        return [f"{v}, {d} = _pow_pair({a}, {da or '0.0'}, {b}, {db})"], d
+    value = f"{a} {op} {b}"
+    if op == "/":
+        if db is None:
+            return [f"{v}, {d} = {value}, {da} / {b}"], d
+        # a constant numerator is Dual(a, 0.0)
+        return [f"{v} = {value}", f"{d} = ({da or '0.0'} - {v} * {db}) / {b}"], d
+    if op == "*":
+        if da is None:
+            tangent = f"{db} * {a}"  # Dual.__rmul__
+        elif db is None:
+            tangent = f"{da} * {b}"
+        else:
+            tangent = f"{a} * {db} + {da} * {b}"
+    elif da is not None and db is not None:
+        tangent = f"{da} {op} {db}"
+    elif op == "-" and da is None:
+        tangent = f"-{db}"  # Dual.__rsub__
+    else:
+        return [f"{v} = {value}"], da or db
+    return [f"{v}, {d} = {value}, {tangent}"], d
+
+
+def _tangent_source(components: Sequence[Node], variables: Sequence[str]) -> str:
+    """Source of `def _k(_a0, ..., _an, _b0, ..., _bn): ...; return (c0, ...,
+    d0, ...)`: every component's value at _a and its derivative along the
+    direction _b, computed on floats only.
+
+    Subtrees are numbered as for the float kernel, so each repeated one is
+    computed once. Every non-leaf node gets its own statement (a quotient
+    by a varying denominator two), so no expression nests. A subtree with
+    no variable carries no tangent, as a Dual pass leaves it a float; a
+    component with none has tangent 0.0. Each statement performs the float
+    operations a Dual pass does, in the same order, so the results equal
+    it bit for bit.
+    """
+    class_of, _, varying = _number(components)
+    n = len(variables)
+    params = [f"_a{k}" for k in range(n)] + [f"_b{k}" for k in range(n)]
+    leaf_of = {name: (params[k], params[n + k]) for k, name in enumerate(variables)}
+    pair_of: dict = {}
+    lines = [f"def _k({', '.join(params)}):"]
+
+    def emit(node) -> tuple:
+        """node's value and tangent texts."""
+        if isinstance(node, Const):
+            return _literal(node), None
+        if isinstance(node, Var):
+            return leaf_of[node.name]
+        c = class_of[id(node)]
+        if c in pair_of:
+            return pair_of[c]
+        operands = [emit(child) for child in _children(node)]
+        v = f"_t{c}"
+        if varying[c]:
+            statements, d = _tangent_op(node, v, f"_d{c}", operands)
+        else:
+            statements, d = [f"{v} = {_float_op(node, [t for t, _ in operands])}"], None
+        lines.extend(f"    {statement}" for statement in statements)
+        pair = pair_of[c] = (v, d)
+        return pair
+
+    pairs = [emit(component) for component in components]
+    outputs = [v for v, _ in pairs] + [d or "0.0" for _, d in pairs]
+    lines.append(f"    return ({''.join(f'{t}, ' for t in outputs)})")
+    return "\n".join(lines)
+
+
+def _define(source: str, helpers: dict):
     namespace: dict = {}
-    exec(code, helpers, namespace)
+    exec(compile(source, "<kernel>", "exec"), helpers, namespace)
     return namespace["_k"]
 
 
@@ -441,11 +569,12 @@ class ExprFunction:
 
     `variables` fixes the input order; evaluation accepts exactly that many
     real values and returns one value per component. The components are
-    compiled at construction into one kernel, run over floats by eval and
-    over dual numbers by jvp and partial.
+    compiled at construction into two kernels: a float kernel for eval and
+    a tangent kernel, which carries derivatives as plain floats beside the
+    values, for jvp and partial.
     """
 
-    __slots__ = ("components", "variables", "source_text", "_float_kernel", "_dual_kernel")
+    __slots__ = ("components", "variables", "source_text", "_float_kernel", "_tangent_kernel")
 
     def __init__(
         self,
@@ -458,11 +587,12 @@ class ExprFunction:
         if source_text is None:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
-        code = compile(
-            _kernel_source(self.components, self.variables), "<kernel>", "exec"
+        self._float_kernel = _define(
+            _float_source(self.components, self.variables), _FLOAT_HELPERS
         )
-        self._float_kernel = _define(code, _FLOAT_HELPERS)
-        self._dual_kernel = _define(code, _DUAL_HELPERS)
+        self._tangent_kernel = _define(
+            _tangent_source(self.components, self.variables), _TANGENT_HELPERS
+        )
 
     @property
     def n_inputs(self) -> int:
@@ -486,20 +616,6 @@ class ExprFunction:
             return DomainError(loc.reason, i, format_node(loc.node))
         return DomainError(fallback, i, self.source_text[i])
 
-    def _run(self, kernel, args: Sequence, finite) -> tuple:
-        n = len(self.variables)
-        if len(args) != n:
-            raise DimensionMismatch(f"function of {n} variables called with {len(args)} values")
-        try:
-            out = kernel(*args)
-        except (DomainViolation, ValueError):
-            # ValueError: math.sin and math.cos of an infinite intermediate
-            pass
-        else:
-            if all(map(finite, out)):
-                return out
-        return self._walk_components(args)
-
     def _walk_components(self, args: Sequence) -> tuple:
         """The kernel's values from the tree walker, one component at a time
         in order; the first component that fails raises its located
@@ -510,7 +626,9 @@ class ExprFunction:
         for i, component in enumerate(self.components):
             try:
                 v = _walk(component, env, locate=False)
-            except DomainViolation as exc:
+            except (DomainViolation, ValueError) as exc:
+                # ValueError: math.sin and math.cos of an infinite
+                # intermediate, which the checking walk locates
                 raise self._locate(i, env, str(exc)) from None
             if not dual.is_finite(v):
                 raise self._locate(i, env, "non-finite result (overflow)")
@@ -518,25 +636,49 @@ class ExprFunction:
         return tuple(out)
 
     def eval(self, p: Sequence[float]) -> Vector:
-        return Vector._unchecked(self._run(self._float_kernel, p, math.isfinite))
+        n = len(self.variables)
+        if len(p) != n:
+            raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
+        try:
+            out = self._float_kernel(*p)
+        except _KERNEL_ERRORS:
+            pass
+        else:
+            if all(map(math.isfinite, out)):
+                return Vector._unchecked(out)
+        return Vector._unchecked(self._walk_components(p))
+
+    def _tangent_pass(self, args: list) -> Vector:
+        """Derivatives from the tangent kernel at args = (point, direction),
+        all floats; where it fails, from the walker over Duals, which
+        computes the same numbers and locates the failure."""
+        try:
+            out = self._tangent_kernel(*args)
+        except _KERNEL_ERRORS:
+            pass
+        else:
+            if all(map(math.isfinite, out)):
+                return Vector._unchecked(out[len(self.components) :])
+        n = len(self.variables)
+        seeded = [Dual(a, d) for a, d in zip(args[:n], args[n:])]
+        # a component with no variable references evaluates to a plain float
+        return Vector._unchecked(
+            tuple(
+                d.derivative if isinstance(d, Dual) else 0.0
+                for d in self._walk_components(seeded)
+            )
+        )
 
     def jvp(self, p: Sequence[float], v: Sequence[float]) -> Vector:
         """Exact directional derivative of every component at p along v,
-        from one forward pass over dual numbers seeded with v."""
+        from one pass of the tangent kernel."""
         n = len(self.variables)
         if len(p) != n or len(v) != n:
             raise DimensionMismatch(
                 f"function of {n} variables called with {len(p)} values "
                 f"and a direction of {len(v)}"
             )
-        seeded = [Dual(float(a), float(d)) for a, d in zip(p, v)]
-        # a component with no variable references evaluates to a plain float
-        return Vector._unchecked(
-            tuple(
-                d.derivative if isinstance(d, Dual) else 0.0
-                for d in self._run(self._dual_kernel, seeded, dual.is_finite)
-            )
-        )
+        return self._tangent_pass([*map(float, p), *map(float, v)])
 
     def partial(self, p: Sequence[float], j: int) -> Vector:
         """Exact jth partial derivative of every component at p (0-based j):
@@ -544,9 +686,11 @@ class ExprFunction:
         n = len(self.variables)
         if not 0 <= j < n:
             raise DimensionMismatch(f"variable index {j} out of range")
-        direction = [0.0] * n
-        direction[j] = 1.0
-        return self.jvp(p, direction)
+        if len(p) != n:
+            raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
+        args = list(map(float, p)) + [0.0] * n
+        args[n + j] = 1.0
+        return self._tangent_pass(args)
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         cols = [self.partial(p, j) for j in range(self.n_inputs)]

@@ -76,6 +76,25 @@ def test_implicit_quad_pair_query(tmp_path):
     assert abs(row["jacobian"][1][0] - 1 / 3) < 1e-8
 
 
+def test_implicit_deeply_nested_sum(tmp_path):
+    # 250 terms nest 250 deep, beyond what CPython compiles as one expression
+    spec = write_spec(
+        tmp_path,
+        "deep.json",
+        {
+            "functions": [" + ".join(["y"] * 250) + " - 250"],
+            "variables": ["x", "y"],
+            "split_n": 1,
+            "seed": [0.0, 1.0],
+        },
+    )
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0.25"])
+    assert code == 0
+    row = json.loads(text)["results"][0]
+    assert row["value"] == [1.0]
+    assert row["jacobian"] == [[0.0]]
+
+
 def test_implicit_grid_and_csv(tmp_path):
     spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
     # leading '-' needs the '=' form so argparse does not read it as a flag

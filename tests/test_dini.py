@@ -172,6 +172,18 @@ def test_jacobian_matches_finite_differences(quad_system):
             assert abs(jac.rows[i][0] - fd) <= 1e-5
 
 
+def test_identity_normalizer_leaves_inner_function_unwrapped(corpus_systems):
+    """The m = 3 stack's inner normalizers are exactly the identity, so L2
+    solves its reduced function directly, not through _AffineReparam."""
+    system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
+    level2 = system.child
+    assert level2.normalizer.rows == ((1.0, 0.0), (0.0, 1.0))
+    G = level2.scalar.F.fn
+    assert G is level2.F
+    assert not isinstance(G, _AffineReparam)
+    assert level2.child.F.G is G
+
+
 def test_composed_jvp_matches_partials(corpus_systems):
     """The composed functions of the m = 3 stack: jvp is the partials
     combined along the direction, and a dependent column of the affine

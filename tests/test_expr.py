@@ -109,6 +109,20 @@ def test_domain_error_reports_component_and_subexpression():
     with pytest.raises(DomainError):
         parse(["exp(x)"], ["x"]).eval((1000.0,))
 
+    # an infinite intermediate that sin or a negative base's power meets
+    # is reported where it arises
+    # (in a derivative pass, 1/x already overflows its tangent)
+    for text in ("sin(1/x * (1/x))", "(-2)^(1/x * (1/x))"):
+        F = parse([text], ["x"])
+        for call, subexpr in (
+            (F.eval, "1.0 / x * (1.0 / x)"),
+            (lambda p: F.partial(p, 0), "1.0 / x"),
+        ):
+            with pytest.raises(DomainError) as err:
+                call((1e-200,))
+            assert err.value.reason == "non-finite result (overflow)"
+            assert err.value.subexpr == subexpr
+
 
 def test_partial_examples():
     F = parse(["x^2 + y^2 - 1"], ["x", "y"])
@@ -141,6 +155,22 @@ def test_jacobian_columns_equal_partials_bitwise():
         col = F.partial(p, j)
         for i in range(2):
             assert jac.rows[i][j] == col[i]
+
+
+def test_deeply_nested_sum_compiles():
+    # the float kernel inlines nested operations; 250 would exceed CPython's
+    # nesting limit of 200 parentheses
+    F = parse([" + ".join(["y"] * 250) + " - 250"], ["x", "y"])
+    assert tuple(F.eval((0.5, 1.0))) == (0.0,)
+    assert tuple(F.eval((0.5, 1.5))) == (125.0,)
+    assert tuple(F.jvp((0.5, 1.5), (2.0, 1.0))) == (250.0,)
+    assert tuple(F.partial((0.5, 1.5), 0)) == (0.0,)
+
+
+def test_jvp_int_inputs_equal_float_inputs():
+    F = parse(["x^y + 1/x - 2^y", "sqrt(x)*ln(y)", "abs(y - x)^3"], ["x", "y"])
+    assert tuple(F.jvp((2, 3), (1, -1))) == tuple(F.jvp((2.0, 3.0), (1.0, -1.0)))
+    assert tuple(F.partial((2, 3), 1)) == tuple(F.partial((2.0, 3.0), 1))
 
 
 def test_substituted_matches_manual_composition():
@@ -242,8 +272,11 @@ def _extend(children):
             Call, st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "abs"]), children
         ),
         st.builds(
-            lambda b, e: BinOp("^", b, Const(float(e))), children, st.integers(0, 3)
+            lambda b, e: BinOp("^", b, const(e)),
+            children,
+            st.one_of(st.integers(0, 3).map(float), st.sampled_from([0.5, -1.0, -1.5, 2.5])),
         ),
+        st.builds(lambda b, e: BinOp("^", b, e), children, children),
     )
 
 
@@ -271,7 +304,8 @@ def _walked(F, env, part=lambda value: value):
         try:
             value = _walk(component, env, locate=False)
             reason = None if is_finite(value) else "non-finite result (overflow)"
-        except DomainViolation as exc:
+        except (DomainViolation, ValueError) as exc:
+            # ValueError: math.sin or math.cos of an infinite intermediate
             reason = str(exc)
         if reason is None:
             out.append(part(value))
@@ -335,25 +369,43 @@ _SHARED_OVERFLOW = parse(
 _directions = st.one_of(st.just(0.0), st.floats(1e-3, 2), st.floats(-2, -1e-3))
 
 
+def _mix(text):
+    return parse([text], _VARS)
+
+
 # component 0 overflows to inf, and component 1, which shares its exp
 # subtree, raises: the error must still name component 0
 @example(_SHARED_OVERFLOW, -1.0, 1.9, 1.0, 1.0)
+# each mix of variable and constant operands of -, / and ^; 0/u has a zero
+# quotient, where (0.0 - q*b')/b and -(q*b')/b differ in sign
+@example(_mix("u - v"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("u - 2"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("2 - u"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("u / v"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("u / 7"), 0.7, -1.2, 0.3, -0.5)
+@example(_mix("0 / u"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("u ^ v"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("u ^ -1.5"), 0.7, -1.2, 1.0, -0.5)
+@example(_mix("2 ^ u"), 0.7, -1.2, 1.0, -0.5)
+# a varying exponent whose direction is 0 takes the constant-exponent rule
+@example(_mix("(-2) ^ v"), 0.7, 3.0, 1.0, 0.0)
 @given(_functions(), st.floats(-2, 2), st.floats(-2, 2), _directions, _directions)
 def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
+    # compared by repr, which tells 0.0 from -0.0
     env = {"u": u, "v": v}
     p = (u, v)
-    assert _outcome(lambda: F.eval(p)) == _walked(F, env)
+    assert repr(_outcome(lambda: F.eval(p))) == repr(_walked(F, env))
 
     partials = []
     for j in range(2):
         seeded = {"u": Dual(u, 1.0 if j == 0 else 0.0), "v": Dual(v, 1.0 if j == 1 else 0.0)}
         partial = _outcome(lambda: F.partial(p, j))
-        assert partial == _walked(F, seeded, _derivative)
+        assert repr(partial) == repr(_walked(F, seeded, _derivative))
         partials.append(partial)
 
     seeded = {"u": Dual(u, du), "v": Dual(v, dv)}
     jvp = _outcome(lambda: F.jvp(p, (du, dv)))
-    assert jvp == _walked(F, seeded, _derivative)
+    assert repr(jvp) == repr(_walked(F, seeded, _derivative))
     if jvp[0] != "ok" or any(partial[0] != "ok" for partial in partials):
         return
     for i, component in enumerate(F.components):
