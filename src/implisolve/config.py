@@ -39,7 +39,3 @@ class SolverOptions:
         for name, least in (("max_iter", 1), ("max_shrink", 0), ("max_depth", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-
-    @property
-    def dep_halfwidth(self) -> float:
-        return self.h0 if self.h0_dep is None else self.h0_dep

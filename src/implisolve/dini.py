@@ -1,21 +1,23 @@
 """System implicit functions by induction on the dependent dimension.
 
 The construction mirrors the inductive proof it implements: normalize the
-dependent block so its Jacobian at the seed is the identity, solve the
-first normalized equation for its first dependent variable with the scalar
-machinery (all remaining variables treated as independent), substitute
-that scalar solution into the remaining equations, and recurse on the
-reduced system of size m - 1. Evaluation therefore nests one ITP solve
-(bracketed, bisection worst case) per level; cost grows like
-iterations^m, which is fine at desk scale (m is capped by
+dependent block once, at level 1, so its Jacobian at the seed is the
+identity; solve the first equation for its first dependent variable with
+the scalar machinery (all remaining variables treated as independent),
+substitute that scalar solution into the remaining equations, and recurse
+on the reduced system of size m - 1. With G_z = I, dphi/dz' =
+-G_0,z' / G_0,z1 = 0 at the seed, so the reduced system's dependent
+Jacobian there is already I_{m-1}; inner levels only check it. Evaluation
+nests one ITP solve (bracketed, bisection worst case) per level; cost
+grows like iterations^m, which is fine at desk scale (m is capped by
 options.max_depth).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
-objects that expose the same eval/partial/jvp/jacobian surface as parsed
-expression functions. Their derivatives are exact chain-rule combinations
-of dual-number partials and the scalar gradient formula, not finite
-differences.
+objects that expose the eval/partial/jacobian surface of parsed
+expression functions, with exact chain-rule derivatives, not finite
+differences. A level-1 F that is not an ExprFunction gets an affine
+wrapper in place of the tree substitution, and must also provide jvp.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .linalg import (
     Matrix,
     Vector,
     hs_norm,
-    identity,
     inverse,
     matvec,
     scale,
@@ -85,11 +86,6 @@ class _AffineReparam:
         # dG/dz_j = dF/dy J_inv[:, j]: one pass along that column
         column = tuple(row[j - self.n] for row in self.j_inv.rows)
         return self.fn.jvp(v, (0.0,) * self.n + column)
-
-    def jvp(self, p: Sequence[float], w: Sequence[float]) -> Vector:
-        """dG(p) w = dF(x, y) (w_x, J_inv w_z)."""
-        dy = matvec(self.j_inv, w[self.n :])
-        return self.fn.jvp(self._map(p), tuple(w[: self.n]) + tuple(dy))
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         v = self._map(p)
@@ -148,18 +144,11 @@ class _ReducedFunction:
         return Vector(self.G.eval(self._assemble(u, z1))[1:])
 
     def partial(self, u: Sequence[float], j: int) -> Vector:
-        return self._chain(u, self.G.partial, j if j < self.n else j + 1)
-
-    def jvp(self, u: Sequence[float], w: Sequence[float]) -> Vector:
-        return self._chain(u, self.G.jvp, self._assemble(w, 0.0))
-
-    def _chain(self, u: Sequence[float], derivative, direction) -> Vector:
-        """Derivative along direction of G's components 2..m with z1 = phi
-        following: derivative(v, direction) holds z1 fixed, and the
-        dG/dz1 column adds its share through dphi."""
+        """d/du_j of G's components 2..m with z1 = phi following: the
+        partial holding z1 fixed, plus the dG/dz1 column times dphi/du_j."""
         u = tuple(u)
         v = self._assemble(u, self.phi.solve_at(u))
-        direct = derivative(v, direction)
+        direct = self.G.partial(v, j if j < self.n else j + 1)
         through = self.G.partial(v, self.n)
         dphi = -direct[0] / _nonzero_slope(through[0])
         return Vector(
@@ -196,21 +185,14 @@ def normalize(F, seed: SplitPoint):
     """Reparameterize the dependent block so dG/dz at the seed is the
     identity: G(x, z) = F(x, b + J_inv (z - b)) with J = dF/dy(a, b).
 
-    Where J_inv is exactly the identity, as at inner levels whose level
-    above already normalized, G is F itself. Otherwise expression-backed
-    functions get the substitution performed on their trees, and composed
-    functions are wrapped with the equivalent affine map. Returns
-    (G, J_inv).
+    Expression-backed functions get the substitution performed on their
+    trees; other functions are wrapped with the equivalent affine map.
+    Returns (G, J_inv).
     """
     n, m = seed.n, seed.m
-    p = seed.point()
-    full = F.jacobian(p)
-    _, jy = split_columns(full, n)
-    j_inv = inverse(jy)
+    j_inv = inverse(split_columns(F.jacobian(seed.point()), n)[1])
 
-    if j_inv == identity(m):
-        G = F
-    elif isinstance(F, ExprFunction):
+    if isinstance(F, ExprFunction):
         x_names = list(F.variables[:n])
         y_names = list(F.variables[n:])
         z_names = fresh_names("z", m, F.variables)
@@ -225,17 +207,21 @@ def normalize(F, seed: SplitPoint):
         G = F.substituted(mapping, x_names + z_names)
     else:
         G = _AffineReparam(F, n, seed.y, j_inv)
+    _check_identity_block(G, seed)
+    return G, j_inv
 
-    gy = split_columns(G.jacobian(p), n)[1]
-    for i in range(m):
-        for j in range(m):
-            target = 1.0 if i == j else 0.0
-            if abs(gy.rows[i][j] - target) > _NORMALIZE_TOL:
+
+def _check_identity_block(G, seed: SplitPoint) -> None:
+    """Raise SingularMatrix unless dG/dz at the seed is the identity within
+    _NORMALIZE_TOL."""
+    gy = split_columns(G.jacobian(seed.point()), seed.n)[1]
+    for i, row in enumerate(gy.rows):
+        for j, entry in enumerate(row):
+            if abs(entry - (1.0 if i == j else 0.0)) > _NORMALIZE_TOL:
                 raise SingularMatrix(
                     "normalization failed: dependent-block Jacobian too "
-                    f"ill-conditioned (entry ({i},{j}) = {gy.rows[i][j]!r})"
+                    f"ill-conditioned (entry ({i},{j}) = {entry!r})"
                 )
-    return G, j_inv
 
 
 @dataclass(frozen=True)
@@ -243,9 +229,11 @@ class SystemSolution:
     """Solution stack for F(x, f(x)) = 0 with vector-valued f.
 
     For m = 1 this wraps a scalar solution of F directly. For m > 1 it
-    holds the normalizer J_inv, the scalar solution of the first normalized
-    equation, and a SystemSolution of size m - 1 for the reduced system.
-    Immutable; evaluations at distinct points may run concurrently.
+    holds the scalar solution of the first dependent variable and a
+    SystemSolution of size m - 1 for the reduced system. normalizer is the
+    J_inv of y = b + J_inv (z - b) at level 1 when m > 1, and None at every
+    other level, which solves its F as it is. Immutable; evaluations at
+    distinct points may run concurrently.
     """
 
     F: object
@@ -266,7 +254,7 @@ class SystemSolution:
 
     def solve_at(self, x: Sequence[float]) -> Vector:
         """y with F(x, y) = 0, assembled from the recursion and mapped back
-        through the normalizer."""
+        through the level-1 normalizer."""
         x = tuple(float(v) for v in x)
         if len(x) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinates, got {len(x)}")
@@ -293,7 +281,13 @@ class SystemSolution:
         except (OutsideBox, NoConvergence) as exc:
             exc.level = exc.level if exc.level is not None else self.depth
             raise
-        z = (z1,) + tuple(z_rest)
+        return self._to_y((z1,) + tuple(z_rest))
+
+    def _to_y(self, z: tuple[float, ...]) -> Vector:
+        """This level's solved coordinates z as F's dependent variables:
+        b + J_inv (z - b) where the level normalized, z itself elsewhere."""
+        if self.normalizer is None:
+            return Vector(z)
         b = tuple(self.seed.y)
         dy = matvec(self.normalizer, vec_sub(z, b))
         return Vector(bv + dv for bv, dv in zip(b, dy))
@@ -339,7 +333,7 @@ class SystemSolution:
 
     def _sample_y(self, rng: random.Random) -> Vector:
         """Random point of the stack's dependent region: per-level scalar
-        intervals mapped through the normalizers."""
+        intervals mapped through the level-1 normalizer."""
         if self.child is None:
             return Vector((rng.uniform(self.scalar.box.y_lo, self.scalar.box.y_hi),))
         zlo = self.scalar.box.x_lo[self.n :]
@@ -350,10 +344,7 @@ class SystemSolution:
                 break
             z_rest = tuple(self.child._sample_y(rng))
         z1 = rng.uniform(self.scalar.box.y_lo, self.scalar.box.y_hi)
-        z = (z1,) + z_rest
-        b = tuple(self.seed.y)
-        dy = matvec(self.normalizer, vec_sub(z, b))
-        return Vector(bv + dv for bv, dv in zip(b, dy))
+        return self._to_y((z1,) + z_rest)
 
     def verify_uniqueness(
         self, x: Sequence[float], samples: int = 100000, rng_seed: int = 0
@@ -438,8 +429,9 @@ def build_system(
     """Build the recursion stack for F(x, f(x)) = 0 at the seed (a, b).
 
     The base case m = 1 delegates to the scalar solver on F directly. For
-    m > 1 the function is normalized at entry, the first equation is solved
-    for its first dependent variable, and the reduced system recurses.
+    m > 1 the function is normalized at level 1 (below, its dependent block
+    is only checked to be the identity), the first equation is solved for
+    its first dependent variable, and the reduced system recurses.
     """
     n, m = seed.n, seed.m
     if F.n_outputs != m or F.n_inputs != n + m:
@@ -471,7 +463,12 @@ def build_system(
             child=None,
         )
 
-    G, j_inv = normalize(F, seed)
+    if _depth == 1:
+        G, j_inv = normalize(F, seed)
+    else:
+        # the level above normalized, so F's dependent block is already I
+        _check_identity_block(F, seed)
+        G, j_inv = F, None
     perm = _phi_variable_perm(n, m)
     if isinstance(G, ExprFunction):
         phi_vars = [G.variables[i] for i in perm]

@@ -48,6 +48,15 @@ FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
+# Deepest nesting parse accepts, counted two ways: parenthesized groups,
+# function arguments, minuses and exponents enclosing one another, and the
+# depth of the tree that comes out. Every pass over a tree recurses once per
+# level and the parser at most three times, so both stay well inside
+# CPython's default recursion limit of 1000, with room for the m + 3 levels
+# normalize's substitution adds at dependent dimension m.
+MAX_DEPTH = 256
+_TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
+
 
 # ---------------------------------------------------------------------------
 # Syntax trees
@@ -168,10 +177,16 @@ def format_node(node: Node) -> str:
 
 
 class _Parser:
+    """Recursive descent over the grammar above. expr and term share one
+    method, as do unary and power, so a parenthesized group or a function
+    argument costs three frames of recursion and a minus or an exponent
+    one; `nesting` counts them against MAX_DEPTH."""
+
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
         self.pos = 0
         self.variables = set(variables)
+        self.nesting = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -188,36 +203,40 @@ class _Parser:
             raise ExprSyntaxError(
                 f"unexpected trailing input '{self.text[self.pos:]}'", self.pos
             )
+        if _depth(node) > MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, 0)
         return node
 
     def _expr(self) -> Node:
-        node = self._term()
-        while self._peek() in "+-":
-            op = self.text[self.pos]
+        """expr and term: a sum of products, both left-associative."""
+        total = None
+        while True:
+            product = self._unary()
+            while self._peek() in "*/":
+                op = self.text[self.pos]
+                self.pos += 1
+                product = BinOp(op, product, self._unary())
+            total = product if total is None else BinOp(add, total, product)
+            if self._peek() not in "+-":
+                return total
+            add = self.text[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self._term())
-        return node
-
-    def _term(self) -> Node:
-        node = self._unary()
-        while self._peek() in "*/":
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self._unary())
-        return node
 
     def _unary(self) -> Node:
+        """unary and power."""
+        if self.nesting == MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, self.pos)
+        self.nesting += 1
         if self._peek() == "-":
             self.pos += 1
-            return Neg(self._unary())
-        return self._power()
-
-    def _power(self) -> Node:
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            return BinOp("^", base, self._unary())
-        return base
+            node = Neg(self._unary())
+        else:
+            node = self._atom()
+            if self._peek() == "^":
+                self.pos += 1
+                node = BinOp("^", node, self._unary())
+        self.nesting -= 1
+        return node
 
     def _atom(self) -> Node:
         ch = self._peek()
@@ -302,6 +321,17 @@ def _children(node: Node) -> tuple:
     if isinstance(node, BinOp):
         return (node.left, node.right)
     return ()
+
+
+def _depth(node: Node) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest = 0
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return deepest
 
 
 def _number(components: Sequence[Node]) -> tuple[dict, list, list]:
@@ -397,7 +427,7 @@ def _float_source(components: Sequence[Node], variables: Sequence[str]) -> str:
         c = class_of[id(node)]
         if c in local_of:
             return local_of[c], 0
-        operands = [src(child) for child in _children(node)]
+        operands = list(map(src, _children(node)))
         text = _float_op(node, [t for t, _ in operands])
         depth = 1 + max(d for _, d in operands)
         if uses[c] == 1 and depth < _MAX_NESTING:
@@ -486,7 +516,7 @@ def _tangent_source(components: Sequence[Node], variables: Sequence[str]) -> str
         c = class_of[id(node)]
         if c in pair_of:
             return pair_of[c]
-        operands = [emit(child) for child in _children(node)]
+        operands = list(map(emit, _children(node)))
         v = f"_t{c}"
         if varying[c]:
             statements, d = _tangent_op(node, v, f"_d{c}", operands)
@@ -693,10 +723,10 @@ class ExprFunction:
         return self._tangent_pass(args)
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
+        """Rows are components, columns the partials, already floats. With
+        no variables every row is empty."""
         cols = [self.partial(p, j) for j in range(self.n_inputs)]
-        return Matrix.from_rows(
-            [[cols[j][i] for j in range(self.n_inputs)] for i in range(self.n_outputs)]
-        )
+        return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
 
     def substituted(
         self, mapping: Mapping[str, Node], variables: Sequence[str]

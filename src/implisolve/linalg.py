@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, NotSquare, SingularMatrix
 # relative pivot threshold: a pivot below PIVOT_EPS_FACTOR * hs_norm(M)
 # is treated as zero by solve/inverse
 PIVOT_EPS_FACTOR = 1e-12
-TOL_LINEAR = 1e-10
 
 
 class Vector(tuple):

@@ -137,21 +137,22 @@ def mvt_witness(
         c = Vector(av + 0.5 * dv for av, dv in zip(a, direction))
         return WitnessReport(True, 0.5, c, abs(g(0.5)), grid)
 
+    # (lo, hi, g(lo)), the grid's value carried forward
     bracket = None
     for i in range(grid - 1):
         if values[i] == 0.0:
-            bracket = (ts[i], ts[i])
+            bracket = (ts[i], ts[i], values[i])
             break
         if values[i] * values[i + 1] < 0.0:
-            bracket = (ts[i], ts[i + 1])
+            bracket = (ts[i], ts[i + 1], values[i])
             break
     if values[-1] == 0.0 and bracket is None:
-        bracket = (ts[-1], ts[-1])
+        bracket = (ts[-1], ts[-1], values[-1])
     if bracket is None:
         raise NoSignChange(min(abs(v) for v in values))
 
-    lo, hi = bracket
-    t_best, g_best = lo, g(lo)
+    lo, hi, g_lo = bracket
+    t_best, g_best = lo, g_lo
     used = grid
     for _ in range(200):
         if abs(g_best) <= _WITNESS_TOL:
@@ -163,10 +164,10 @@ def mvt_witness(
             t_best, g_best = mid, g_mid
         if g_mid == 0.0:
             break
-        if g(lo) * g_mid < 0.0:
+        if g_lo * g_mid < 0.0:
             hi = mid
         else:
-            lo = mid
+            lo, g_lo = mid, g_mid
     if abs(g_best) > _WITNESS_TOL:
         raise NoSignChange(abs(g_best))
     c = Vector(av + t_best * dv for av, dv in zip(a, direction))

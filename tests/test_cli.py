@@ -95,6 +95,26 @@ def test_implicit_deeply_nested_sum(tmp_path):
     assert row["jacobian"] == [[0.0]]
 
 
+@pytest.mark.parametrize(
+    "function",
+    [
+        " + ".join(["y"] * 1200) + " - 1200",
+        "(" * 300 + "y - 1" + ")" * 300,
+        "-" * 600 + "y",
+    ],
+    ids=["sum_1200_terms", "parentheses_300", "minus_600"],
+)
+def test_implicit_rejects_deep_nesting(tmp_path, capsys, function):
+    spec = write_spec(
+        tmp_path,
+        "deep.json",
+        {"functions": [function], "variables": ["x", "y"], "split_n": 1, "seed": [0.0, 1.0]},
+    )
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0.25"])
+    assert text == ""
+    assert "nested more than 256 levels deep" in assert_one_line_error(capsys, code)
+
+
 def test_implicit_grid_and_csv(tmp_path):
     spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
     # leading '-' needs the '=' form so argparse does not read it as a flag

@@ -3,6 +3,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from implisolve import (
     DimensionMismatch,
@@ -18,7 +19,7 @@ from implisolve import (
     normalize,
     parse,
 )
-from implisolve.dini import UniquenessReport, _AffineReparam
+from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam, _ComponentSlice
 from implisolve.linalg import hs_norm, inverse, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
@@ -172,53 +173,192 @@ def test_jacobian_matches_finite_differences(quad_system):
             assert abs(jac.rows[i][0] - fd) <= 1e-5
 
 
-def test_identity_normalizer_leaves_inner_function_unwrapped(corpus_systems):
-    """The m = 3 stack's inner normalizers are exactly the identity, so L2
-    solves its reduced function directly, not through _AffineReparam."""
+def test_inner_levels_are_not_normalized(corpus_systems):
+    """Only level 1 normalizes. Below it the reduced function is solved as
+    it is, with no normalizer and no _AffineReparam around it."""
     system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
-    level2 = system.child
-    assert level2.normalizer.rows == ((1.0, 0.0), (0.0, 1.0))
-    G = level2.scalar.F.fn
-    assert G is level2.F
-    assert not isinstance(G, _AffineReparam)
-    assert level2.child.F.G is G
+    assert system.normalizer is not None
+    level2, level3 = system.child, system.child.child
+    assert level2.normalizer is None and level3.normalizer is None
+    assert level2.scalar.F.fn is level2.F
+    assert level3.F.G is level2.F
+    meta = system.box_metadata()
+    assert [entry["normalizer"] is None for entry in meta] == [False, True, True]
+
+
+def test_reduced_partials_match_finite_differences(corpus_systems):
+    """The reduced functions of the m = 3 stack: each partial (z1 = phi
+    following) matches central differences of eval and the jacobian's
+    column."""
+    system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
+    h = 1e-6
+    for level in (system.child, system.child.child):
+        fn = level.F
+        p = tuple(c + 0.004 * (k + 1) for k, c in enumerate(level.seed.point()))
+        jac = fn.jacobian(p)
+        for j in range(fn.n_inputs):
+            plus = fn.eval(tuple(c + h * (k == j) for k, c in enumerate(p)))
+            minus = fn.eval(tuple(c - h * (k == j) for k, c in enumerate(p)))
+            got = fn.partial(p, j)
+            for i in range(fn.n_outputs):
+                assert abs(got[i] - (plus[i] - minus[i]) / (2 * h)) <= 1e-6
+                assert abs(got[i] - jac.rows[i][j]) <= 1e-12
+
+
+def test_inner_level_checks_identity_block():
+    # below level 1 a dependent block that is not I is refused, not
+    # normalized again
+    F = parse(["2*y1 + y2 - x", "y1 + 2*y2"], ["x", "y1", "y2"])
+    with pytest.raises(SingularMatrix, match="normalization failed"):
+        build_system(F, SplitPoint.of([0.0], [0.0, 0.0]), _depth=2)
 
 
 def test_composed_jvp_matches_partials(corpus_systems):
-    """The composed functions of the m = 3 stack: jvp is the partials
-    combined along the direction, and a dependent column of the affine
-    reparameterization is dF/dy J_inv[:, j], taken in one pass."""
-    system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
-    reduced1, reduced2 = system.child.F, system.child.child.F
-    # inner normalizers come out as the identity, so take a sheared one
-    shear = Matrix(((1.0, 0.5), (-0.25, 1.0)))
-    affine = _AffineReparam(reduced1, 1, system.child.seed.y, shear)
-    rng = random.Random(3)
+    """A dependent column of the affine reparameterization is
+    dF/dy J_inv[:, j], taken in one jvp pass of F: it must equal F's
+    dependent partials combined through J_inv. An independent column is
+    F's own partial at the mapped point."""
+    problem = {p.name: p for p, _ in corpus_systems}["cubic_triple"]
+    F, seed = problem.F, problem.seed
+    shear = Matrix(((1.0, 0.5, 0.0), (-0.25, 1.0, 0.125), (0.0, 0.75, 1.0)))
+    affine = _AffineReparam(F, seed.n, seed.y, shear)
+    n, m = seed.n, seed.m
 
     def close(a, b, scale):
         return abs(a - b) <= 1e-12 * max(1.0, scale)
 
-    for fn, seed in (
-        (reduced1, system.child.seed),
-        (affine, system.child.seed),
-        (reduced2, system.child.child.seed),
-    ):
-        p = tuple(c + rng.uniform(-0.003, 0.003) for c in seed.point())
-        v = [rng.uniform(-1.0, 1.0) for _ in range(fn.n_inputs)]
-        partials = [fn.partial(p, j) for j in range(fn.n_inputs)]
-        got = fn.jvp(p, v)
-        for i in range(fn.n_outputs):
-            terms = [v[j] * partials[j][i] for j in range(fn.n_inputs)]
-            assert close(got[i], sum(terms), sum(abs(t) for t in terms))
-
-    n, m = affine.n, len(affine.b)
-    p = tuple(c + 0.002 for c in system.child.seed.point())
-    y_cols = [affine.fn.partial(affine._map(p), n + k) for k in range(m)]
+    p = tuple(c + 0.002 * (k + 1) for k, c in enumerate(seed.point()))
+    mapped = affine._map(p)
+    assert tuple(affine.partial(p, 0)) == tuple(F.partial(mapped, 0))
+    y_cols = [F.partial(mapped, n + k) for k in range(m)]
     for jz in range(m):
         got = affine.partial(p, n + jz)
         for i in range(affine.n_outputs):
-            terms = [y_cols[k][i] * affine.j_inv.rows[k][jz] for k in range(m)]
+            terms = [y_cols[k][i] * shear.rows[k][jz] for k in range(m)]
             assert close(got[i], sum(terms), sum(abs(t) for t in terms))
+
+
+class _Opaque:
+    """A level-1 F that is not an ExprFunction: it forwards the function
+    protocol (eval, partial, jvp, jacobian) and nothing else."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.n_inputs = fn.n_inputs
+        self.n_outputs = fn.n_outputs
+
+    def eval(self, p):
+        return self.fn.eval(p)
+
+    def partial(self, p, j):
+        return self.fn.partial(p, j)
+
+    def jvp(self, p, v):
+        return self.fn.jvp(p, v)
+
+    def jacobian(self, p):
+        return self.fn.jacobian(p)
+
+
+@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
+def test_composed_level1_matches_expression_build(corpus_systems, name):
+    problem, expr_system = {p.name: (p, s) for p, s in corpus_systems}[name]
+    opaque = _Opaque(problem.F)
+    system = build_system(opaque, problem.seed, problem.options)
+    g1 = system.scalar.F
+    assert isinstance(g1, _ComponentSlice)
+    assert isinstance(g1.fn, _AffineReparam) and g1.fn.fn is opaque
+    assert system.child.normalizer is None
+
+    lo = [max(a, b) for a, b in zip(system.x_box()[0], expr_system.x_box()[0])]
+    hi = [min(a, b) for a, b in zip(system.x_box()[1], expr_system.x_box()[1])]
+    tol = problem.options.tol_sys
+    for t in (0.2, 0.5, 0.8):
+        x = tuple(a + t * (b - a) for a, b in zip(lo, hi))
+        got, want = system.solve_at(x), expr_system.solve_at(x)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= tol
+        jac, jac_want = system.jacobian_at(x), expr_system.jacobian_at(x)
+        for r1, r2 in zip(jac.rows, jac_want.rows):
+            assert max(abs(a - b) for a, b in zip(r1, r2)) <= tol
+
+
+# --- well-posed systems: identity plus a small nonlinear perturbation --------
+
+
+def well_posed_system(m, uniform):
+    """F_i = v_i + sum_j L_ij v_j + k_i u + q_i v_j^2 + s_i sin(u) v_k + c_i u^2
+    with u = x - a and v = y - b, so F(a, b) = 0 and dF/dy(a, b) = I + L.
+    uniform(lo, hi) draws each number; j and k cycle with i."""
+    a = uniform(-1.0, 1.0)
+    b = [uniform(-1.0, 1.0) for _ in range(m)]
+    u = f"(x - ({a!r}))"
+    v = [f"(y{j + 1} - ({b[j]!r}))" for j in range(m)]
+    components = []
+    for i in range(m):
+        terms = [v[i]]
+        terms += [f"({uniform(-0.2, 0.2)!r})*{v[j]}" for j in range(m)]
+        terms.append(f"({uniform(-1.0, 1.0)!r})*{u}")
+        terms.append(f"({uniform(-0.5, 0.5)!r})*{v[(i + 1) % m]}^2")
+        terms.append(f"({uniform(-0.5, 0.5)!r})*sin({u})*{v[(i + 2) % m]}")
+        terms.append(f"({uniform(-0.5, 0.5)!r})*{u}^2")
+        components.append(" + ".join(terms))
+    F = parse(components, ["x"] + [f"y{j + 1}" for j in range(m)])
+    return F, SplitPoint.of([a], b)
+
+
+WELL_POSED_OPTIONS = SolverOptions(h0=0.3)
+
+
+def identity_gap(level):
+    """Largest entry of |dF/dy - I| for a level's F at its seed."""
+    gy = split_columns(level.F.jacobian(level.seed.point()), level.n)[1]
+    return max(
+        abs(e - (1.0 if i == j else 0.0))
+        for i, row in enumerate(gy.rows)
+        for j, e in enumerate(row)
+    )
+
+
+def check_against_newton(F, seed, system):
+    """solve_at within 1e-7 of the Newton oracle and jacobian_at within
+    1e-5 of its central differences, at interior points of the box."""
+    h = 1e-6
+    for x in interior_grid(system, 3):
+        got = system.solve_at(x)
+        oracle = newton_solve_system(F, x, seed.y)
+        assert max(abs(a - b) for a, b in zip(got, oracle)) < 1e-7
+        plus = newton_solve_system(F, (x[0] + h,), seed.y)
+        minus = newton_solve_system(F, (x[0] - h,), seed.y)
+        jac = system.jacobian_at(x)
+        for i in range(seed.m):
+            fd = (plus[i] - minus[i]) / (2 * h)
+            assert abs(jac.rows[i][0] - fd) <= 1e-5
+
+
+@pytest.mark.parametrize("m,examples", [(1, 25), (2, 15), (3, 10)])
+def test_well_posed_systems_match_newton(m, examples):
+    @settings(max_examples=examples)
+    @given(st.data())
+    def check(data):
+        F, seed = well_posed_system(m, lambda lo, hi: data.draw(st.floats(lo, hi)))
+        system = build_system(F, seed, WELL_POSED_OPTIONS)
+        check_against_newton(F, seed, system)
+        if m == 3:
+            assert system.child.normalizer is None
+            assert identity_gap(system.child) <= _NORMALIZE_TOL
+
+    check()
+
+
+def test_inner_block_near_identity_is_not_renormalized():
+    """A generated m = 3 system whose level-2 dependent block is I only up
+    to roundoff: level 2 still solves the reduced function directly."""
+    F, seed = well_posed_system(3, random.Random(0).uniform)
+    system = build_system(F, seed, WELL_POSED_OPTIONS)
+    level2 = system.child
+    assert 0.0 < identity_gap(level2) <= _NORMALIZE_TOL
+    assert level2.normalizer is None and level2.scalar.F.fn is level2.F
+    check_against_newton(F, seed, system)
 
 
 def test_seed_fidelity_across_corpus(corpus_systems):

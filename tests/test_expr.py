@@ -26,7 +26,7 @@ from implisolve.expr import (
     linear_combination,
     substitute,
 )
-from implisolve.expr import _Parser
+from implisolve.expr import MAX_DEPTH, _Parser
 
 
 def test_parse_eval_circle_points():
@@ -165,6 +165,22 @@ def test_deeply_nested_sum_compiles():
     assert tuple(F.eval((0.5, 1.5))) == (125.0,)
     assert tuple(F.jvp((0.5, 1.5), (2.0, 1.0))) == (250.0,)
     assert tuple(F.partial((0.5, 1.5), 0)) == (0.0,)
+
+
+def test_parse_rejects_nesting_beyond_max_depth():
+    # a tree of MAX_DEPTH levels parses; one more is refused by the tree check
+    F = parse([" + ".join(["y"] * (MAX_DEPTH - 1)) + " - 1"], ["y"])
+    assert tuple(F.eval((2.0,))) == (2.0 * (MAX_DEPTH - 1) - 1,)
+    with pytest.raises(ExprSyntaxError, match="nested more than"):
+        parse([" + ".join(["y"] * MAX_DEPTH) + " - 1"], ["y"])
+    # nesting that adds no tree depth is refused before the parser recurses
+    # past the limit, at the operand one level too deep
+    deepest = MAX_DEPTH - 1
+    assert parse(["(" * deepest + "y" + ")" * deepest], ["y"]).texts() == ("y",)
+    for text in ("(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH, "-" * MAX_DEPTH + "y"):
+        with pytest.raises(ExprSyntaxError, match="nested more than") as err:
+            parse([text], ["y"])
+        assert err.value.position == MAX_DEPTH
 
 
 def test_jvp_int_inputs_equal_float_inputs():

@@ -84,6 +84,28 @@ def test_mvt_witness_cubic():
     assert report.residual <= 1e-10
 
 
+def test_mvt_witness_evaluates_g_once_per_sample():
+    # g(t) takes one partial per coordinate; the scan and each bisection
+    # step count one sample, and nothing else evaluates g
+    F = parse(["x^3 + y^2 - x*y"], ["x", "y"])
+    calls = []
+
+    class Counting:
+        n_inputs, n_outputs = F.n_inputs, F.n_outputs
+
+        def eval(self, p):
+            return F.eval(p)
+
+        def partial(self, p, j):
+            calls.append(j)
+            return F.partial(p, j)
+
+    report = mvt_witness(Counting(), (0.0, 0.0), (1.0, 2.0), grid=64)
+    assert report == mvt_witness(F, (0.0, 0.0), (1.0, 2.0), grid=64)
+    assert report.samples_used > 64
+    assert len(calls) == 2 * report.samples_used
+
+
 def test_mvt_witness_no_sign_change_at_coarse_grid():
     # g(t) = 2*pi*cos(2*pi*t) is positive at both endpoints; a two-point
     # grid cannot see the interior dip
