@@ -127,12 +127,17 @@ class _ReducedFunction:
 
     phi solves component 0 of G for z1, so its gradient is
     dphi/du_j = -G_0,u_j / G_0,z1, read off the same G partials that the
-    chain rule needs: one solve per call, no separate gradient pass."""
+    chain rule needs: one solve per call, no separate gradient pass.
 
-    def __init__(self, G, phi: ImplicitSolution, n: int):
+    seed_jacobian is its Jacobian at the seed (a, b'), eliminated from G's
+    at z1 = b1 exactly: jacobian() takes z1 from phi, whose root misses b1
+    by up to tol_root plus the seed residual, times G's curvature."""
+
+    def __init__(self, G, phi: ImplicitSolution, n: int, seed_jacobian: Matrix):
         self.G = G
         self.phi = phi
         self.n = n
+        self.seed_jacobian = seed_jacobian
         self.n_inputs = G.n_inputs - 1
         self.n_outputs = G.n_outputs - 1
 
@@ -157,17 +162,19 @@ class _ReducedFunction:
 
     def jacobian(self, u: Sequence[float]) -> Matrix:
         u = tuple(u)
-        z1 = self.phi.solve_at(u)
-        v = self._assemble(u, z1)
-        jg = self.G.jacobian(v)
-        cols = [j if j < self.n else j + 1 for j in range(self.n_inputs)]
-        fy = _nonzero_slope(jg.rows[0][self.n])
-        grad = [-jg.rows[0][col] / fy for col in cols]
-        rows = []
-        for i in range(1, self.G.n_outputs):
-            row = jg.rows[i]
-            rows.append([row[col] + row[self.n] * g for col, g in zip(cols, grad)])
-        return Matrix.from_rows(rows)
+        v = self._assemble(u, self.phi.solve_at(u))
+        return _eliminate_z1(self.G.jacobian(v), self.n)
+
+
+def _eliminate_z1(jg: Matrix, n: int) -> Matrix:
+    """The reduced function's Jacobian from G's at (u, z1): rows 2..m plus
+    their z1 column times dphi/du = -G_0,u / G_0,z1, that column dropped."""
+    first = jg.rows[0]
+    fy = _nonzero_slope(first[n])
+    cols = [j for j in range(len(first)) if j != n]
+    grad = [-first[col] / fy for col in cols]
+    rows = jg.rows[1:]
+    return Matrix.from_rows([r[c] + r[n] * g for c, g in zip(cols, grad)] for r in rows)
 
 
 def _nonzero_slope(fy: float) -> float:
@@ -207,14 +214,14 @@ def normalize(F, seed: SplitPoint):
         G = F.substituted(mapping, x_names + z_names)
     else:
         G = _AffineReparam(F, n, seed.y, j_inv)
-    _check_identity_block(G, seed)
+    _check_identity_block(G.jacobian(seed.point()), n)
     return G, j_inv
 
 
-def _check_identity_block(G, seed: SplitPoint) -> None:
-    """Raise SingularMatrix unless dG/dz at the seed is the identity within
-    _NORMALIZE_TOL."""
-    gy = split_columns(G.jacobian(seed.point()), seed.n)[1]
+def _check_identity_block(jac: Matrix, n: int) -> None:
+    """Raise SingularMatrix unless the dependent block of jac (columns n
+    onward) is the identity within _NORMALIZE_TOL."""
+    gy = split_columns(jac, n)[1]
     for i, row in enumerate(gy.rows):
         for j, entry in enumerate(row):
             if abs(entry - (1.0 if i == j else 0.0)) > _NORMALIZE_TOL:
@@ -269,19 +276,13 @@ class SystemSolution:
         return y
 
     def _solve(self, x: tuple[float, ...]) -> Vector:
-        if self.child is None:
-            try:
-                return Vector((self.scalar.solve_at(x),))
-            except (OutsideBox, NoConvergence) as exc:
-                exc.level = exc.level if exc.level is not None else self.depth
-                raise
-        z_rest = self.child._solve(x)
+        z_rest = () if self.child is None else tuple(self.child._solve(x))
         try:
-            z1 = self.scalar.solve_at(x + tuple(z_rest))
+            z1 = self.scalar.solve_at(x + z_rest)
         except (OutsideBox, NoConvergence) as exc:
             exc.level = exc.level if exc.level is not None else self.depth
             raise
-        return self._to_y((z1,) + tuple(z_rest))
+        return self._to_y((z1,) + z_rest)
 
     def _to_y(self, z: tuple[float, ...]) -> Vector:
         """This level's solved coordinates z as F's dependent variables:
@@ -465,10 +466,11 @@ def build_system(
 
     if _depth == 1:
         G, j_inv = normalize(F, seed)
+        seed_jacobian = G.jacobian(seed.point())
     else:
         # the level above normalized, so F's dependent block is already I
-        _check_identity_block(F, seed)
-        G, j_inv = F, None
+        G, j_inv, seed_jacobian = F, None, F.seed_jacobian
+        _check_identity_block(seed_jacobian, n)
     perm = _phi_variable_perm(n, m)
     if isinstance(G, ExprFunction):
         phi_vars = [G.variables[i] for i in perm]
@@ -484,7 +486,7 @@ def build_system(
         exc.level = exc.level if exc.level is not None else _depth
         raise
 
-    reduced = _ReducedFunction(G, phi, n)
+    reduced = _ReducedFunction(G, phi, n, _eliminate_z1(seed_jacobian, n))
     inner_options = replace(
         options,
         h0=options.h0 * _INNER_H0_INSET,
