@@ -34,8 +34,8 @@ from typing import Sequence
 
 from .config import SolverOptions
 from .dini import build_system
-from .errors import ImpliSolveError
-from .expr import parse
+from .errors import ExprSyntaxError, ImpliSolveError, UnknownIdentifier
+from .expr import ExprFunction, parse
 from .inverse import build_inverse
 from .linalg import Matrix, Vector, identity, inverse as mat_inverse
 from .scalar_implicit import SplitPoint
@@ -106,6 +106,15 @@ def load_spec(path: str) -> ProblemSpec:
         seed=_finite(seed, "spec field 'seed'"),
         options=options,
     )
+
+
+def _parse_functions(spec: ProblemSpec) -> ExprFunction:
+    """The spec's functions over its variables; a parse error names the
+    function it is in, as functions[i]."""
+    try:
+        return parse(list(spec.functions), list(spec.variables))
+    except (ExprSyntaxError, UnknownIdentifier) as exc:
+        raise SpecError(f"functions[{exc.component}]: {exc}") from None
 
 
 def _finite(values, what: str) -> tuple[float, ...]:
@@ -264,7 +273,7 @@ def _cmd_implicit(args, out) -> int:
     if spec.split_n is None:
         raise SpecError("implicit command needs 'split_n' in the spec file")
     options = _solver_options(spec, args)
-    F = parse(list(spec.functions), list(spec.variables))
+    F = _parse_functions(spec)
     seed = SplitPoint.from_flat(spec.seed, spec.split_n)
     system = build_system(F, seed, options)
     points = _collect_queries(args, seed.n)
@@ -298,7 +307,7 @@ def _cmd_implicit(args, out) -> int:
 def _cmd_invert(args, out) -> int:
     spec = load_spec(args.spec)
     options = _solver_options(spec, args)
-    F = parse(list(spec.functions), list(spec.variables))
+    F = _parse_functions(spec)
     local = build_inverse(F, spec.seed, options)
     n = F.n_inputs
     points = _collect_queries(args, n)
@@ -345,7 +354,7 @@ def _cmd_verify(args, out) -> int:
         if args.spec is None:
             raise SpecError("lemma2 needs --spec")
         spec = load_spec(args.spec)
-        F = parse(list(spec.functions), list(spec.variables))
+        F = _parse_functions(spec)
         n = F.n_inputs
         if len(spec.seed) != n:
             raise SpecError(f"lemma2 seed must have dim {n}")
@@ -361,7 +370,7 @@ def _cmd_verify(args, out) -> int:
         if args.spec is None:
             raise SpecError("lemma3 needs --spec")
         spec = load_spec(args.spec)
-        F = parse(list(spec.functions), list(spec.variables))
+        F = _parse_functions(spec)
         queries = [_parse_point(q) for q in args.query or []]
         if len(queries) != 2:
             raise SpecError("lemma3 needs exactly two --query points (a and b)")
@@ -371,7 +380,7 @@ def _cmd_verify(args, out) -> int:
         if args.spec is None:
             raise SpecError("lemma4 needs --spec")
         spec = load_spec(args.spec)
-        F = parse(list(spec.functions), list(spec.variables))
+        F = _parse_functions(spec)
         _, report = verify_mod.injectivity_radius(
             F,
             spec.seed,

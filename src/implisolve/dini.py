@@ -7,10 +7,17 @@ the scalar machinery (all remaining variables treated as independent),
 substitute that scalar solution into the remaining equations, and recurse
 on the reduced system of size m - 1. With G_z = I, dphi/dz' =
 -G_0,z' / G_0,z1 = 0 at the seed, so the reduced system's dependent
-Jacobian there is already I_{m-1}; inner levels only check it. Evaluation
-nests one ITP solve (bracketed, bisection worst case) per level; cost
-grows like iterations^m, which is fine at desk scale (m is capped by
-options.max_depth).
+Jacobian there is already I_{m-1}; inner levels only check it.
+
+The stack proves existence and uniqueness: on its validated region, the
+product of each level's scalar box, F(x, .) has exactly one zero. It is not
+the evaluator. For m > 1 a query runs plain Newton on F(x, .) from the seed
+(Ortega & Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+Variables, ch. 10) and accepts the iterate when its residual is within
+tol_sys and it lies in that region, which a walk down the stack checks
+without root solves. Otherwise the query falls back to the nested solve, one
+ITP solve (bracketed, bisection worst case) per level, whose cost grows
+like iterations^m (m is capped by options.max_depth).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -31,6 +38,7 @@ from .errors import (
     BoxNotFound,
     DegenerateDerivative,
     DimensionMismatch,
+    ImpliSolveError,
     NoConvergence,
     OutsideBox,
     SeedNotOnZeroSet,
@@ -45,12 +53,18 @@ from .linalg import (
     matvec,
     scale,
     matmul,
+    solve,
     split_columns,
     vec_sub,
 )
 from .scalar_implicit import ImplicitSolution, SplitPoint, build_implicit
 
 _NORMALIZE_TOL = 1e-10
+
+# Newton from the seed settles in a few steps anywhere in the validated
+# region of a well-posed system; a query that needs more than this falls
+# back to the nested solve.
+_NEWTON_MAX_ITER = 8
 
 # Inner recursion levels start from slightly smaller initial half-widths.
 # Reduced functions are only evaluable strictly inside the enclosing scalar
@@ -237,7 +251,9 @@ class SystemSolution:
 
     For m = 1 this wraps a scalar solution of F directly. For m > 1 it
     holds the scalar solution of the first dependent variable and a
-    SystemSolution of size m - 1 for the reduced system. normalizer is the
+    SystemSolution of size m - 1 for the reduced system. The stack's boxes
+    define the region where the zero is unique; Newton evaluates queries
+    and the nested solve is the fallback (see solve_at). normalizer is the
     J_inv of y = b + J_inv (z - b) at level 1 when m > 1, and None at every
     other level, which solves its F as it is. Immutable; evaluations at
     distinct points may run concurrently.
@@ -260,11 +276,19 @@ class SystemSolution:
         return self.seed.m
 
     def solve_at(self, x: Sequence[float]) -> Vector:
-        """y with F(x, y) = 0, assembled from the recursion and mapped back
-        through the level-1 normalizer."""
+        """y with F(x, y) = 0: the unique zero in the stack's validated region.
+
+        For m > 1, Newton's answer where _newton accepts it; otherwise the
+        nested solve, assembled from the recursion and mapped back through
+        the level-1 normalizer, which raises OutsideBox or NoConvergence
+        with the failing level."""
         x = tuple(float(v) for v in x)
         if len(x) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinates, got {len(x)}")
+        if self.depth == 1 and self.child is not None:
+            y = self._newton(x)
+            if y is not None:
+                return y
         y = self._solve(x)
         if self.depth == 1:
             residual = max(abs(r) for r in self.F.eval(x + tuple(y)))
@@ -274,6 +298,49 @@ class SystemSolution:
                     f"{self.options.tol_sys:g}"
                 )
         return y
+
+    def _newton(self, x: tuple[float, ...]) -> Vector | None:
+        """Newton's zero of F(x, .) from the seed b, or None when it is not
+        accepted: when it does not settle (step <= tol_root) within
+        _NEWTON_MAX_ITER steps, its residual exceeds tol_sys, it lies
+        outside the validated region, or a step fails to evaluate."""
+        n, m = self.n, self.m
+        y = tuple(self.seed.y)
+        try:
+            for _ in range(_NEWTON_MAX_ITER):
+                p = x + y
+                cols = [self.F.partial(p, n + j) for j in range(m)]
+                step = solve(Matrix(tuple(zip(*cols))), self.F.eval(p))
+                y = tuple(yv - sv for yv, sv in zip(y, step))
+                if max(map(abs, step)) <= self.options.tol_root:
+                    break
+            else:
+                return None
+            y = Vector(y)
+            residual = max(abs(r) for r in self.F.eval(x + y))
+            if residual <= self.options.tol_sys and self._in_region(x, y):
+                return y
+        # ValueError: a step that overflows to a non-finite vector
+        except (ImpliSolveError, ValueError):
+            pass
+        return None
+
+    def _in_region(self, x: tuple[float, ...], y: Vector) -> bool:
+        """Whether y lies in the region the stack validates at x: with
+        z = b + J (y - b), the inverse of the level-1 map, each level k has
+        z_k strictly inside its scalar interval and (x, z_{k+1..m}) inside
+        its scalar box. F(x, .) has exactly one zero there, the one the
+        nested solve finds."""
+        b = tuple(self.seed.y)
+        dz = solve(self.normalizer, vec_sub(y, b))
+        z = tuple(bv + dv for bv, dv in zip(b, dz))
+        level, k = self, 0
+        while level is not None:
+            box = level.scalar.box
+            if not (box.y_lo < z[k] < box.y_hi and box.contains_x(x + z[k + 1 :])):
+                return False
+            level, k = level.child, k + 1
+        return True
 
     def _solve(self, x: tuple[float, ...]) -> Vector:
         z_rest = () if self.child is None else tuple(self.child._solve(x))

@@ -8,21 +8,25 @@ class ImpliSolveError(Exception):
 
 
 class ExprSyntaxError(ImpliSolveError):
-    """Malformed expression text. Carries the 0-based character position."""
+    """Malformed expression text. Carries the 0-based character position,
+    and parse sets component to the index of the text it was reading."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
+        self.component: int | None = None
 
 
 class UnknownIdentifier(ImpliSolveError):
     """An expression references a name that is neither a declared variable
-    nor a supported function."""
+    nor a supported function. Carries position and component as
+    ExprSyntaxError does."""
 
     def __init__(self, name: str, position: int):
         super().__init__(f"unknown identifier '{name}' (position {position})")
         self.name = name
         self.position = position
+        self.component: int | None = None
 
 
 class DomainError(ImpliSolveError):

@@ -742,7 +742,8 @@ class ExprFunction:
 
 
 def parse(text: Sequence[str] | str, variables: Sequence[str]) -> ExprFunction:
-    """Parse expression strings over the declared, ordered variables."""
+    """Parse expression strings over the declared, ordered variables. A
+    parse error carries the index of the failing string as .component."""
     texts = [text] if isinstance(text, str) else list(text)
     names = list(variables)
     seen = set()
@@ -754,7 +755,13 @@ def parse(text: Sequence[str] | str, variables: Sequence[str]) -> ExprFunction:
         if name in seen:
             raise ValueError(f"duplicate variable name {name!r}")
         seen.add(name)
-    components = [_Parser(t, names).parse() for t in texts]
+    components = []
+    for i, t in enumerate(texts):
+        try:
+            components.append(_Parser(t, names).parse())
+        except (ExprSyntaxError, UnknownIdentifier) as exc:
+            exc.component = i
+            raise
     return ExprFunction(components, names, texts)
 
 

@@ -161,6 +161,24 @@ def assert_one_line_error(capsys, code):
     return err
 
 
+@pytest.mark.parametrize(
+    "command,spec,message",
+    [
+        ("implicit", dict(QUAD_SPEC, functions=["y1 - x", "y2 + ) - x"]),
+         "functions[1]: unexpected character ')' (position 5)"),
+        ("implicit", dict(QUAD_SPEC, functions=["y1 - q", "y2 - x"]),
+         "functions[0]: unknown identifier 'q' (position 5)"),
+        ("invert", dict(SQUARE_MAP_SPEC, functions=["x1", "x2 *"]),
+         "functions[1]: "),
+    ],
+)
+def test_parse_error_names_the_function(tmp_path, capsys, command, spec, message):
+    path = write_spec(tmp_path, "bad.json", spec)
+    code, text = run_main([command, "--spec", path, "--query", "1"])
+    assert text == ""
+    assert assert_one_line_error(capsys, code).startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("query", ["nan", "inf", "-inf", "0,nan"])
 def test_non_finite_query_exit_1(tmp_path, capsys, query):
     spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)

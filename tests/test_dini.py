@@ -15,6 +15,7 @@ from implisolve import (
     SplitPoint,
     Vector,
     build_implicit,
+    build_inverse,
     build_system,
     normalize,
     parse,
@@ -357,13 +358,14 @@ def identity_gap(level):
 
 
 def check_against_newton(F, seed, system):
-    """solve_at within 1e-7 of the Newton oracle and jacobian_at within
-    1e-5 of its central differences, at interior points of the box."""
+    """solve_at and the nested solve it falls back to within 1e-7 of the
+    Newton oracle, and jacobian_at within 1e-5 of its central differences,
+    at interior points of the box."""
     h = 1e-6
     for x in interior_grid(system, 3):
-        got = system.solve_at(x)
         oracle = newton_solve_system(F, x, seed.y)
-        assert max(abs(a - b) for a, b in zip(got, oracle)) < 1e-7
+        for got in (system.solve_at(x), system._solve(x)):
+            assert max(abs(a - b) for a, b in zip(got, oracle)) < 1e-7
         plus = newton_solve_system(F, (x[0] + h,), seed.y)
         minus = newton_solve_system(F, (x[0] - h,), seed.y)
         jac = system.jacobian_at(x)
@@ -447,6 +449,137 @@ def test_dimension_checks():
         build_system(QUAD, SplitPoint.of([1.0, 1.0], [1.0]))
     with pytest.raises(ValueError):
         build_system(QUAD, QUAD_SEED, SolverOptions(max_depth=1))
+
+
+# --- Newton evaluation inside the validated region ---------------------------
+
+
+def count_nested_solves(monkeypatch):
+    """Count level-1 calls of the nested solve, the fallback of solve_at."""
+    calls = []
+    nested = dini.SystemSolution._solve
+
+    def counted(self, x):
+        if self.depth == 1:
+            calls.append(x)
+        return nested(self, x)
+
+    monkeypatch.setattr(dini.SystemSolution, "_solve", counted)
+    return calls
+
+
+def test_region_walk_refuses_uncertified_zero(corpus_systems, monkeypatch):
+    """x = 1.05 lies in cubic_triple's level-1 x-range but outside x_box():
+    Newton finds the true zero there, and the walk refuses it because
+    level 3 certifies nothing at that x. The nested solve then raises
+    OutsideBox at level 3."""
+    system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
+    x = (1.05,)
+    box1 = system.scalar.box
+    assert box1.x_lo[0] < x[0] < box1.x_hi[0]
+    assert not system.x_box()[0][0] < x[0] < system.x_box()[1][0]
+    with pytest.raises(OutsideBox) as err:
+        system.solve_at(x)
+    assert err.value.level == 3
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dini.SystemSolution, "_in_region", lambda self, x, y: True)
+        unchecked = system._newton(x)
+    oracle = newton_solve_system(system.F, x, system.seed.y)
+    assert max(abs(a - b) for a, b in zip(unchecked, oracle)) < 1e-12
+    assert not system._in_region(x, unchecked)
+
+
+def test_region_walk_checks_every_level(corpus_systems):
+    """On cubic_triple, z just inside and just outside each level's
+    y-interval, mapped to y through the level-1 normalizer, and x just
+    inside and outside x_box() at the seed's z: the walk must map y back
+    to z and check every level's interval and x-range."""
+    system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
+    a, b = tuple(system.seed.x), tuple(system.seed.y)
+    level, k = system, 0
+    while level is not None:
+        box = level.scalar.box
+        for face, outward in ((box.y_lo, -1e-9), (box.y_hi, 1e-9)):
+            for offset, inside in ((-outward, True), (outward, False)):
+                z = list(b)
+                z[k] = face + offset
+                assert system._in_region(a, system._to_y(z)) is inside
+        level, k = level.child, k + 1
+    hi = system.x_box()[1][0]
+    assert hi < system.child.scalar.box.x_hi[0]
+    assert system._in_region((hi - 1e-9,), system._to_y(b))
+    assert not system._in_region((hi + 1e-9,), system._to_y(b))
+
+
+def test_returned_zeros_lie_in_region(corpus_systems):
+    """Across the level-1 x-range, wider than x_box(), every answer maps
+    into the validated region and every other query raises OutsideBox."""
+    for problem, system in corpus_systems:
+        if problem.seed.m == 1:
+            continue
+        lo, hi = system.scalar.box.x_lo[0], system.scalar.box.x_hi[0]
+        answered = 0
+        for i in range(1, 40):
+            x = (lo + i * (hi - lo) / 40,)
+            try:
+                y = system.solve_at(x)
+            except OutsideBox:
+                continue
+            answered += 1
+            assert system._in_region(x, y)
+        assert 0 < answered < 39
+
+
+EXP_SHEET = parse(["exp(y1) - exp(x)", "y2 - y1"], ["x", "y1", "y2"])
+
+
+@pytest.mark.parametrize(
+    "x,fallbacks",
+    [
+        # from y1 = 0 Newton moves about -1 per step toward y1 = -8
+        (-8.0, 1),
+        # the first step overshoots to y1 = e^8 - 1, where exp overflows
+        (8.0, 1),
+        (0.5, 0),
+    ],
+)
+def test_newton_fallback_gives_nested_answer(monkeypatch, x, fallbacks):
+    """y1 = y2 = x on a wide validated box, where Newton from the seed does
+    not settle in _NEWTON_MAX_ITER steps far from it: solve_at falls back
+    to the nested solve and returns its answer bit for bit."""
+    system = build_system(EXP_SHEET, SplitPoint.of([0.0], [0.0, 0.0]), SolverOptions(h0=10.0))
+    lo, hi = system.x_box()
+    assert lo[0] < x < hi[0]
+    calls = count_nested_solves(monkeypatch)
+    y = system.solve_at((x,))
+    assert len(calls) == fallbacks
+    assert max(abs(v - x) for v in y) < 1e-9
+    if fallbacks:
+        assert y == system._solve((x,))
+
+
+SQUARE_MAP = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+
+
+@pytest.mark.parametrize("name", ["cubic_triple", "quad_pair", "square_map_inverse"])
+def test_newton_agrees_with_nested_solve(corpus_systems, monkeypatch, name):
+    """At seeded interior points Newton's accepted answer and the nested
+    solve agree within 1e-11."""
+    if name == "square_map_inverse":
+        system = build_inverse(SQUARE_MAP, [1.0, 1.0]).system
+    else:
+        system = {p.name: s for p, s in corpus_systems}[name]
+    rng = random.Random(11)
+    lo, hi = system.x_box()
+    calls = count_nested_solves(monkeypatch)
+    for _ in range(40):
+        x = tuple(a + (0.05 + 0.9 * rng.random()) * (b - a) for a, b in zip(lo, hi))
+        fast = system.solve_at(x)
+        assert not calls
+        nested = system._solve(x)
+        calls.clear()
+        assert max(abs(a - b) for a, b in zip(fast, nested)) <= 1e-11
 
 
 # --- uniqueness -------------------------------------------------------------
