@@ -37,21 +37,11 @@ from .dini import build_system
 from .errors import ExprSyntaxError, ImpliSolveError, UnknownIdentifier
 from .expr import ExprFunction, parse
 from .inverse import build_inverse
-from .linalg import Matrix, Vector, identity, inverse as mat_inverse
+from .linalg import Matrix, identity, inverse as mat_inverse
 from .scalar_implicit import SplitPoint
 from . import verify as verify_mod
 
-_OPTION_KEYS = (
-    "tol_seed",
-    "tol_root",
-    "tol_sys",
-    "max_iter",
-    "h0",
-    "h0_dep",
-    "grid_density",
-    "max_shrink",
-    "max_depth",
-)
+_OPTION_KEYS = tuple(f.name for f in dataclasses.fields(SolverOptions))
 
 
 class SpecError(Exception):
@@ -195,33 +185,29 @@ def _parse_matrix(text: str) -> Matrix:
         raise SpecError(f"bad matrix '{text}': {exc}") from None
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What json cannot write itself: a Matrix as its rows, a report
+    dataclass as its fields. Vector is a tuple, so it is written as a list."""
     if isinstance(obj, Matrix):
         return obj.to_lists()
-    if isinstance(obj, Vector):
-        return list(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(doc: dict, out) -> None:
     # serialize before writing: a non-finite value raises here and nothing
     # partial reaches the output
-    out.write(json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False))
+    out.write(json.dumps(doc, default=_json_default, sort_keys=True, indent=2, allow_nan=False))
     out.write("\n")
 
 
-def _emit_csv(results: list[dict], dims: tuple[int, int, int], out) -> None:
-    qdim, vdim, (jrows, jcols) = dims[0], dims[1], dims[2]
+def _emit_csv(results: list[dict], n: int, m: int, out) -> None:
+    """One row per point: n query columns, m values, the m x n Jacobian."""
     header = (
-        [f"query_{i}" for i in range(qdim)]
-        + [f"value_{i}" for i in range(vdim)]
-        + [f"jac_{i}_{j}" for i in range(jrows) for j in range(jcols)]
+        [f"query_{i}" for i in range(n)]
+        + [f"value_{i}" for i in range(m)]
+        + [f"jac_{i}_{j}" for i in range(m) for j in range(n)]
         + ["residual", "ok", "error"]
     )
     writer = csv.writer(out, lineterminator="\n")
@@ -233,7 +219,7 @@ def _emit_csv(results: list[dict], dims: tuple[int, int, int], out) -> None:
             flat += [v for r in row["jacobian"] for v in r]
             flat += [row["residual"]]
         else:
-            flat += [""] * (vdim + jrows * jcols + 1)
+            flat += [""] * (m + m * n + 1)
         flat += [row["ok"], row["error"] or ""]
         writer.writerow(flat)
 
@@ -268,70 +254,53 @@ def _evaluate_points(points, value_fn, jacobian_fn, residual_fn) -> tuple[list[d
     return results, all_ok
 
 
-def _cmd_implicit(args, out) -> int:
+def _cmd_points(args, out) -> int:
+    """implicit and invert: build once, then one row per query point."""
     spec = load_spec(args.spec)
-    if spec.split_n is None:
+    if args.command == "implicit" and spec.split_n is None:
         raise SpecError("implicit command needs 'split_n' in the spec file")
     options = _solver_options(spec, args)
     F = _parse_functions(spec)
-    seed = SplitPoint.from_flat(spec.seed, spec.split_n)
-    system = build_system(F, seed, options)
-    points = _collect_queries(args, seed.n)
+    problem = {
+        "functions": list(spec.functions),
+        "variables": list(spec.variables),
+        "seed": list(spec.seed),
+    }
+    if args.command == "implicit":
+        seed = SplitPoint.from_flat(spec.seed, spec.split_n)
+        system = build_system(F, seed, options)
+        n, m = seed.n, seed.m
+        problem["split_n"] = n
+        solve = system.solve_at
 
-    def residual(point, value):
-        return max(abs(r) for r in F.eval(tuple(point) + tuple(value)))
+        def jacobian(point, value):
+            return system.jacobian_known(tuple(point), value)
 
-    def jacobian(point, value):
-        return system.jacobian_known(tuple(point), value)
+        def residual(point, value):
+            return max(abs(r) for r in F.eval(tuple(point) + tuple(value)))
 
-    results, all_ok = _evaluate_points(points, system.solve_at, jacobian, residual)
-    if args.out == "csv":
-        _emit_csv(results, (seed.n, seed.m, (seed.m, seed.n)), out)
     else:
-        doc = {
-            "command": "implicit",
-            "problem": {
-                "functions": list(spec.functions),
-                "variables": list(spec.variables),
-                "split_n": seed.n,
-                "seed": list(spec.seed),
-            },
-            "box": system.box_metadata(),
-            "results": results,
-            "passed": all_ok,
-        }
-        _emit_json(doc, out)
-    return 0 if all_ok else 2
+        local = build_inverse(F, spec.seed, options)
+        system = local.system
+        n = m = F.n_inputs
+        problem["image_seed"] = list(local.q)
+        solve = local.invert_at
 
+        def jacobian(point, value):
+            return mat_inverse(F.jacobian(value))
 
-def _cmd_invert(args, out) -> int:
-    spec = load_spec(args.spec)
-    options = _solver_options(spec, args)
-    F = _parse_functions(spec)
-    local = build_inverse(F, spec.seed, options)
-    n = F.n_inputs
+        def residual(point, value):
+            return max(abs(a - b) for a, b in zip(F.eval(value), point))
+
     points = _collect_queries(args, n)
-
-    def residual(point, value):
-        image = F.eval(value)
-        return max(abs(a - b) for a, b in zip(image, point))
-
-    def jacobian(point, value):
-        return mat_inverse(F.jacobian(value))
-
-    results, all_ok = _evaluate_points(points, local.invert_at, jacobian, residual)
+    results, all_ok = _evaluate_points(points, solve, jacobian, residual)
     if args.out == "csv":
-        _emit_csv(results, (n, n, (n, n)), out)
+        _emit_csv(results, n, m, out)
     else:
         doc = {
-            "command": "invert",
-            "problem": {
-                "functions": list(spec.functions),
-                "variables": list(spec.variables),
-                "seed": list(spec.seed),
-                "image_seed": list(local.q),
-            },
-            "box": local.system.box_metadata(),
+            "command": args.command,
+            "problem": problem,
+            "box": system.box_metadata(),
             "results": results,
             "passed": all_ok,
         }
@@ -350,46 +319,39 @@ def _cmd_verify(args, out) -> int:
             m, trials=args.trials, rng_seed=rng_seed
         )
         passed = report.passed
-    elif lemma == "lemma2":
-        if args.spec is None:
-            raise SpecError("lemma2 needs --spec")
-        spec = load_spec(args.spec)
-        F = _parse_functions(spec)
-        n = F.n_inputs
-        if len(spec.seed) != n:
-            raise SpecError(f"lemma2 seed must have dim {n}")
-        m = _parse_matrix(args.matrix) if args.matrix else identity(n)
-        rng = random.Random(rng_seed)
-        samples = [
-            tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_cols))
-            for _ in range(args.samples)
-        ]
-        report = verify_mod.check_chain_rule(F, m, spec.seed, samples)
-        passed = report.passed
-    elif lemma == "lemma3":
-        if args.spec is None:
-            raise SpecError("lemma3 needs --spec")
-        spec = load_spec(args.spec)
-        F = _parse_functions(spec)
-        queries = [_parse_point(q) for q in args.query or []]
-        if len(queries) != 2:
-            raise SpecError("lemma3 needs exactly two --query points (a and b)")
-        report = verify_mod.mvt_witness(F, queries[0], queries[1])
-        passed = report.found
     else:
         if args.spec is None:
-            raise SpecError("lemma4 needs --spec")
+            raise SpecError(f"{lemma} needs --spec")
         spec = load_spec(args.spec)
         F = _parse_functions(spec)
-        _, report = verify_mod.injectivity_radius(
-            F,
-            spec.seed,
-            r0=args.radius,
-            tuple_samples=args.samples,
-            pair_samples=args.samples,
-            rng_seed=rng_seed,
-        )
-        passed = report.passed
+        if lemma == "lemma2":
+            n = F.n_inputs
+            if len(spec.seed) != n:
+                raise SpecError(f"lemma2 seed must have dim {n}")
+            m = _parse_matrix(args.matrix) if args.matrix else identity(n)
+            rng = random.Random(rng_seed)
+            samples = [
+                tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_cols))
+                for _ in range(args.samples)
+            ]
+            report = verify_mod.check_chain_rule(F, m, spec.seed, samples)
+            passed = report.passed
+        elif lemma == "lemma3":
+            queries = [_parse_point(q) for q in args.query or []]
+            if len(queries) != 2:
+                raise SpecError("lemma3 needs exactly two --query points (a and b)")
+            report = verify_mod.mvt_witness(F, queries[0], queries[1])
+            passed = report.found
+        else:
+            _, report = verify_mod.injectivity_radius(
+                F,
+                spec.seed,
+                r0=args.radius,
+                tuple_samples=args.samples,
+                pair_samples=args.samples,
+                rng_seed=rng_seed,
+            )
+            passed = report.passed
     doc = {
         "command": "verify",
         "lemma": lemma,
@@ -441,11 +403,9 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
-        if args.command == "implicit":
-            return _cmd_implicit(args, out)
-        if args.command == "invert":
-            return _cmd_invert(args, out)
-        return _cmd_verify(args, out)
+        if args.command == "verify":
+            return _cmd_verify(args, out)
+        return _cmd_points(args, out)
     except (SpecError, ImpliSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,15 +9,16 @@ on the reduced system of size m - 1. With G_z = I, dphi/dz' =
 -G_0,z' / G_0,z1 = 0 at the seed, so the reduced system's dependent
 Jacobian there is already I_{m-1}; inner levels only check it.
 
-The stack proves existence and uniqueness: on its validated region, the
-product of each level's scalar box, F(x, .) has exactly one zero. It is not
-the evaluator. For m > 1 a query runs plain Newton on F(x, .) from the seed
-(Ortega & Rheinboldt, Iterative Solution of Nonlinear Equations in Several
-Variables, ch. 10) and accepts the iterate when its residual is within
-tol_sys and it lies in that region, which a walk down the stack checks
-without root solves. Otherwise the query falls back to the nested solve, one
-ITP solve (bracketed, bisection worst case) per level, whose cost grows
-like iterations^m (m is capped by options.max_depth).
+The stack proves existence and uniqueness: on its validated region, one
+box over (x, z) where every level's scalar box holds, F(x, .) has exactly
+one zero. build_system computes that box once per level and stores it on
+the solution. The stack is not the evaluator. For m > 1 a query runs plain
+Newton on F(x, .) from the seed (Ortega & Rheinboldt, Iterative Solution of
+Nonlinear Equations in Several Variables, ch. 10) and accepts the iterate
+when its residual is within tol_sys and it lies in the stored region, a
+comparison without root solves. Otherwise the query falls back to the
+nested solve, one ITP solve (bracketed, bisection worst case) per level,
+whose cost grows like iterations^m (m is capped by options.max_depth).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -57,7 +58,7 @@ from .linalg import (
     split_columns,
     vec_sub,
 )
-from .scalar_implicit import ImplicitSolution, SplitPoint, build_implicit
+from .scalar_implicit import ImplicitSolution, SolutionBox, SplitPoint, build_implicit
 
 _NORMALIZE_TOL = 1e-10
 
@@ -251,12 +252,14 @@ class SystemSolution:
 
     For m = 1 this wraps a scalar solution of F directly. For m > 1 it
     holds the scalar solution of the first dependent variable and a
-    SystemSolution of size m - 1 for the reduced system. The stack's boxes
-    define the region where the zero is unique; Newton evaluates queries
-    and the nested solve is the fallback (see solve_at). normalizer is the
-    J_inv of y = b + J_inv (z - b) at level 1 when m > 1, and None at every
-    other level, which solves its F as it is. Immutable; evaluations at
-    distinct points may run concurrently.
+    SystemSolution of size m - 1 for the reduced system. region is the open
+    box (lo, hi) over this level's (x, z) where the zero is unique: the
+    scalar box with z_1's interval at position n, intersected with the
+    child's region. Newton evaluates queries inside it and the nested solve
+    is the fallback (see solve_at). normalizer is the J_inv of
+    y = b + J_inv (z - b) at level 1 when m > 1, and None at every other
+    level, which solves its F as it is. Immutable; evaluations at distinct
+    points may run concurrently.
     """
 
     F: object
@@ -266,6 +269,7 @@ class SystemSolution:
     scalar: ImplicitSolution
     normalizer: Matrix | None
     child: "SystemSolution | None"
+    region: tuple[Vector, Vector]
 
     @property
     def n(self) -> int:
@@ -326,21 +330,14 @@ class SystemSolution:
         return None
 
     def _in_region(self, x: tuple[float, ...], y: Vector) -> bool:
-        """Whether y lies in the region the stack validates at x: with
-        z = b + J (y - b), the inverse of the level-1 map, each level k has
-        z_k strictly inside its scalar interval and (x, z_{k+1..m}) inside
-        its scalar box. F(x, .) has exactly one zero there, the one the
-        nested solve finds."""
+        """Whether (x, z), with z = b + J (y - b) the inverse of the level-1
+        map, lies strictly inside the stored region. F(x, .) has exactly one
+        zero there, the one the nested solve finds."""
         b = tuple(self.seed.y)
         dz = solve(self.normalizer, vec_sub(y, b))
-        z = tuple(bv + dv for bv, dv in zip(b, dz))
-        level, k = self, 0
-        while level is not None:
-            box = level.scalar.box
-            if not (box.y_lo < z[k] < box.y_hi and box.contains_x(x + z[k + 1 :])):
-                return False
-            level, k = level.child, k + 1
-        return True
+        p = x + tuple(bv + dv for bv, dv in zip(b, dz))
+        lo, hi = self.region
+        return all(low < v < high for low, v, high in zip(lo, p, hi))
 
     def _solve(self, x: tuple[float, ...]) -> Vector:
         z_rest = () if self.child is None else tuple(self.child._solve(x))
@@ -374,14 +371,9 @@ class SystemSolution:
     # -- box geometry ------------------------------------------------------
 
     def x_box(self) -> tuple[Vector, Vector]:
-        """Intersection over all stack levels of the independent-box parts."""
-        lo = list(self.scalar.box.x_lo[: self.n])
-        hi = list(self.scalar.box.x_hi[: self.n])
-        if self.child is not None:
-            clo, chi = self.child.x_box()
-            lo = [max(a, b) for a, b in zip(lo, clo)]
-            hi = [min(a, b) for a, b in zip(hi, chi)]
-        return Vector(lo), Vector(hi)
+        """The region's independent part: its first n coordinates."""
+        lo, hi = self.region
+        return Vector(lo[: self.n]), Vector(hi[: self.n])
 
     def box_metadata(self) -> list[dict]:
         """Per-level box summary (JSON-friendly)."""
@@ -400,19 +392,14 @@ class SystemSolution:
         return [entry] + rest
 
     def _sample_y(self, rng: random.Random) -> Vector:
-        """Random point of the stack's dependent region: per-level scalar
-        intervals mapped through the level-1 normalizer."""
-        if self.child is None:
-            return Vector((rng.uniform(self.scalar.box.y_lo, self.scalar.box.y_hi),))
-        zlo = self.scalar.box.x_lo[self.n :]
-        zhi = self.scalar.box.x_hi[self.n :]
-        z_rest = tuple(self.child._sample_y(rng))
-        for _ in range(1000):
-            if all(lo < v < hi for lo, v, hi in zip(zlo, z_rest, zhi)):
-                break
-            z_rest = tuple(self.child._sample_y(rng))
-        z1 = rng.uniform(self.scalar.box.y_lo, self.scalar.box.y_hi)
-        return self._to_y((z1,) + z_rest)
+        """Random point of the region's dependent part: each z_k uniform on
+        its interval, deepest level first, mapped through the level-1
+        normalizer."""
+        lo, hi = self.region
+        z = [0.0] * self.m
+        for k in reversed(range(self.m)):
+            z[k] = rng.uniform(lo[self.n + k], hi[self.n + k])
+        return self._to_y(tuple(z))
 
     def verify_uniqueness(
         self, x: Sequence[float], samples: int = 100000, rng_seed: int = 0
@@ -516,56 +503,64 @@ def build_system(
         raise SeedNotOnZeroSet(residual, options.tol_seed)
 
     if m == 1:
-        try:
-            scalar = build_implicit(F, seed, options)
-        except BoxNotFound as exc:
-            exc.level = exc.level if exc.level is not None else _depth
-            raise
-        return SystemSolution(
-            F=F,
-            seed=seed,
-            options=options,
-            depth=_depth,
-            scalar=scalar,
-            normalizer=None,
-            child=None,
+        scalar = _build_scalar(F, seed, options, _depth)
+        j_inv = child = None
+    else:
+        if _depth == 1:
+            G, j_inv = normalize(F, seed)
+            seed_jacobian = G.jacobian(seed.point())
+        else:
+            # the level above normalized, so F's dependent block is already I
+            G, j_inv, seed_jacobian = F, None, F.seed_jacobian
+            _check_identity_block(seed_jacobian, n)
+        perm = _phi_variable_perm(n, m)
+        if isinstance(G, ExprFunction):
+            phi_vars = [G.variables[i] for i in perm]
+            g1 = G.component_function(0, phi_vars)
+        else:
+            g1 = _ComponentSlice(G, 0, perm)
+        a = tuple(seed.x)
+        b = tuple(seed.y)
+        scalar = _build_scalar(g1, SplitPoint.of(a + b[1:], (b[0],)), options, _depth)
+
+        reduced = _ReducedFunction(G, scalar, n, _eliminate_z1(seed_jacobian, n))
+        inner_options = replace(
+            options,
+            h0=options.h0 * _INNER_H0_INSET,
+            h0_dep=None if options.h0_dep is None else options.h0_dep * _INNER_H0_INSET,
         )
-
-    if _depth == 1:
-        G, j_inv = normalize(F, seed)
-        seed_jacobian = G.jacobian(seed.point())
-    else:
-        # the level above normalized, so F's dependent block is already I
-        G, j_inv, seed_jacobian = F, None, F.seed_jacobian
-        _check_identity_block(seed_jacobian, n)
-    perm = _phi_variable_perm(n, m)
-    if isinstance(G, ExprFunction):
-        phi_vars = [G.variables[i] for i in perm]
-        g1 = G.component_function(0, phi_vars)
-    else:
-        g1 = _ComponentSlice(G, 0, perm)
-    a = tuple(seed.x)
-    b = tuple(seed.y)
-    phi_seed = SplitPoint.of(a + b[1:], (b[0],))
-    try:
-        phi = build_implicit(g1, phi_seed, options)
-    except BoxNotFound as exc:
-        exc.level = exc.level if exc.level is not None else _depth
-        raise
-
-    reduced = _ReducedFunction(G, phi, n, _eliminate_z1(seed_jacobian, n))
-    inner_options = replace(
-        options,
-        h0=options.h0 * _INNER_H0_INSET,
-        h0_dep=None if options.h0_dep is None else options.h0_dep * _INNER_H0_INSET,
-    )
-    child = build_system(reduced, SplitPoint.of(a, b[1:]), inner_options, _depth + 1)
+        child = build_system(reduced, SplitPoint.of(a, b[1:]), inner_options, _depth + 1)
     return SystemSolution(
         F=F,
         seed=seed,
         options=options,
         depth=_depth,
-        scalar=phi,
+        scalar=scalar,
         normalizer=j_inv,
         child=child,
+        region=_region(scalar.box, n, child),
     )
+
+
+def _build_scalar(F, seed: SplitPoint, options: SolverOptions, depth: int) -> ImplicitSolution:
+    """build_implicit; a BoxNotFound it raises without a level gets this one."""
+    try:
+        return build_implicit(F, seed, options)
+    except BoxNotFound as exc:
+        exc.level = exc.level if exc.level is not None else depth
+        raise
+
+
+def _region(
+    box: SolutionBox, n: int, child: SystemSolution | None
+) -> tuple[Vector, Vector]:
+    """A level's region over (x, z_1, z_2..): its scalar box, which orders
+    coordinates (x, z_2.., z_1), with z_1 moved to position n, intersected
+    with the child's region over (x, z_2..)."""
+    lo = box.x_lo[:n] + (box.y_lo,) + box.x_lo[n:]
+    hi = box.x_hi[:n] + (box.y_hi,) + box.x_hi[n:]
+    if child is not None:
+        clo, chi = child.region
+        lo = [max(a, b) for a, b in zip(lo, clo[:n] + (lo[n],) + clo[n:])]
+        hi = [min(a, b) for a, b in zip(hi, chi[:n] + (hi[n],) + chi[n:])]
+    return Vector(lo), Vector(hi)

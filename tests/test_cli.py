@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from implisolve import cli
+from implisolve import SolverOptions, cli
 from implisolve.cli import main
 
 CIRCLE_SPEC = {
@@ -179,6 +180,41 @@ def test_parse_error_names_the_function(tmp_path, capsys, command, spec, message
     assert assert_one_line_error(capsys, code).startswith(f"error: {message}")
 
 
+def test_every_solver_option_is_accepted_by_name(tmp_path, monkeypatch):
+    options = {
+        "tol_seed": 1e-9,
+        "tol_root": 1e-11,
+        "tol_sys": 1e-8,
+        "max_iter": 150,
+        "h0": 0.8,
+        "h0_dep": 0.7,
+        "grid_density": 7,
+        "max_shrink": 30,
+        "max_depth": 5,
+    }
+    assert set(options) == {f.name for f in dataclasses.fields(SolverOptions)}
+    built = []
+    build_system = cli.build_system
+
+    def recording_build_system(F, seed, opts):
+        built.append(opts)
+        return build_system(F, seed, opts)
+
+    monkeypatch.setattr(cli, "build_system", recording_build_system)
+    spec = write_spec(tmp_path, "circle.json", dict(CIRCLE_SPEC, options=options))
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0.3"])
+    assert code == 0
+    assert json.loads(text)["passed"] is True
+    assert built == [SolverOptions(**options)]
+
+
+def test_unknown_option_key_exit_1(tmp_path, capsys):
+    spec = write_spec(tmp_path, "bad.json", dict(CIRCLE_SPEC, options={"h0": 0.8, "bogus": 1}))
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0"])
+    assert text == ""
+    assert assert_one_line_error(capsys, code) == "error: unknown option keys: ['bogus']\n"
+
+
 @pytest.mark.parametrize("query", ["nan", "inf", "-inf", "0,nan"])
 def test_non_finite_query_exit_1(tmp_path, capsys, query):
     spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
@@ -290,6 +326,24 @@ def test_invert_exp_with_halfwidth_flag(tmp_path):
     assert abs(doc["results"][1]["value"][0] - 0.3) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "command,spec,query,header",
+    [
+        ("invert", SQUARE_MAP_SPEC, "0,2",
+         "query_0,query_1,value_0,value_1,jac_0_0,jac_0_1,jac_1_0,jac_1_1,residual,ok,error"),
+        # the Jacobian is m x n: one row per dependent variable
+        ("implicit", QUAD_SPEC, "1", "query_0,value_0,value_1,jac_0_0,jac_1_0,residual,ok,error"),
+    ],
+)
+def test_csv_header(tmp_path, command, spec, query, header):
+    path = write_spec(tmp_path, "spec.json", spec)
+    code, text = run_main([command, "--spec", path, "--query", query, "--out", "csv"])
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert lines[0] == header
+    assert len(lines) == 2
+
+
 def test_invert_outside_box_exit_2(tmp_path):
     spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
     code, _ = run_main(["invert", "--spec", spec, "--query", "50,50"])
@@ -302,6 +356,16 @@ def test_verify_lemma1(tmp_path):
     doc = json.loads(text)
     assert doc["passed"] is True
     assert doc["report"]["trials"] == 1000
+
+
+@pytest.mark.parametrize(
+    "lemma,missing",
+    [("lemma1", "--matrix"), ("lemma2", "--spec"), ("lemma3", "--spec"), ("lemma4", "--spec")],
+)
+def test_verify_missing_input_exit_1(capsys, lemma, missing):
+    code, text = run_main(["verify", "--lemma", lemma])
+    assert text == ""
+    assert assert_one_line_error(capsys, code) == f"error: {lemma} needs {missing}\n"
 
 
 def test_verify_lemma2(tmp_path):

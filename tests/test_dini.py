@@ -510,6 +510,34 @@ def test_region_walk_checks_every_level(corpus_systems):
     assert hi < system.child.scalar.box.x_hi[0]
     assert system._in_region((hi - 1e-9,), system._to_y(b))
     assert not system._in_region((hi + 1e-9,), system._to_y(b))
+    # the uniqueness scan draws only points of the region
+    rng = random.Random(1)
+    assert all(system._in_region(a, system._sample_y(rng)) for _ in range(1000))
+
+
+def stack_box_intersection(system):
+    """Every level's scalar box intersected over (x, z_1..z_m). Level k
+    (from 0) orders its box's coordinates (x, z_{k+2}..z_m, z_{k+1})."""
+    n, m = system.n, system.m
+    lo, hi = [-math.inf] * (n + m), [math.inf] * (n + m)
+    level, k = system, 0
+    while level is not None:
+        box = level.scalar.box
+        positions = [*range(n), *range(n + k + 1, n + m), n + k]
+        for i, a, b in zip(positions, box.x_lo + (box.y_lo,), box.x_hi + (box.y_hi,)):
+            lo[i], hi[i] = max(lo[i], a), min(hi[i], b)
+        level, k = level.child, k + 1
+    return lo, hi
+
+
+def test_region_is_every_level_box_intersected(corpus_systems):
+    """The stored region is exactly the intersection of the stack's boxes,
+    and x_box() is its first n coordinates."""
+    systems = [s for _, s in corpus_systems] + [build_inverse(SQUARE_MAP, [1.0, 1.0]).system]
+    for system in systems:
+        lo, hi = system.region
+        assert (list(lo), list(hi)) == stack_box_intersection(system)
+        assert system.x_box() == (lo[: system.n], hi[: system.n])
 
 
 def test_returned_zeros_lie_in_region(corpus_systems):
