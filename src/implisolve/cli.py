@@ -309,6 +309,12 @@ def _cmd_points(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    # a check of nothing would report that it passed
+    for flag in ("trials", "samples"):
+        if getattr(args, flag) < 1:
+            raise SpecError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if not 0 < args.radius < math.inf:
+        raise SpecError(f"--radius must be finite and positive, got {args.radius}")
     lemma = args.lemma
     rng_seed = args.seed
     if lemma == "lemma1":

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def _finite_positive(v: float) -> bool:
+    # False for NaN too
+    return 0 < v < math.inf
 
 
 @dataclass(frozen=True)
@@ -28,14 +34,15 @@ class SolverOptions:
     max_depth: int = 6
 
     def __post_init__(self):
-        # "not > 0" also rejects NaN
-        if not self.h0 > 0 or (self.h0_dep is not None and not self.h0_dep > 0):
-            raise ValueError("box half-widths must be positive")
+        if not _finite_positive(self.h0) or (
+            self.h0_dep is not None and not _finite_positive(self.h0_dep)
+        ):
+            raise ValueError("box half-widths must be finite and positive")
         if self.grid_density < 2:
             raise ValueError("grid_density must be at least 2")
         for name in ("tol_seed", "tol_root", "tol_sys"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive")
         for name, least in (("max_iter", 1), ("max_shrink", 0), ("max_depth", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")

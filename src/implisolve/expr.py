@@ -14,15 +14,17 @@ start with a letter.
 
 Parsed functions are immutable and evaluation keeps no state between
 calls, so an ExprFunction may be shared freely across threads. At
-construction the components are compiled into two positional Python
-functions, each computing every component and each repeated subtree once.
-eval runs the float kernel. Derivatives run the tangent kernel, forward
-mode by source transformation: beside each value statement it computes
-that value's derivative as a plain float, performing the same operations
-as a pass over dual numbers. One pass along a direction v gives the
-directional derivative (jvp), a partial is the pass along a unit vector,
-and both are exact to roundoff. The tree walker over dual numbers stays as
-the reference semantics and locates failures.
+construction one emitter compiles the components into two positional
+Python functions, each computing every component and each repeated subtree
+once, one statement per operation. eval runs the value kernel.
+Derivatives run the tangent kernel, the same emitter's forward mode by
+source transformation: in place of each value statement that depends on
+a variable it emits one that also computes the value's derivative as a
+plain float, performing the same operations as a pass over dual numbers.
+One pass along a direction v gives the directional derivative (jvp), a
+partial is the pass along a unit vector, and both are exact to roundoff.
+The tree walker over dual numbers stays as the reference semantics and
+locates failures.
 """
 
 from __future__ import annotations
@@ -274,13 +276,13 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: two compiled kernels per function, plus the tree walker that
-# defines the semantics and locates failures.
+# Evaluation: two kernels per function from one emitter, plus the tree
+# walker that defines the semantics and locates failures.
 
 # Helpers the kernel source calls. On floats they give the same results and
 # domain checks as the dual functions, without their type tests. Quotients
 # are Python's `/`, whose ZeroDivisionError stands for a zero denominator.
-_FLOAT_HELPERS = {
+_HELPERS = {
     "__builtins__": {},
     "_pow": dual._pow_float,
     "_sin": math.sin,
@@ -289,10 +291,6 @@ _FLOAT_HELPERS = {
     "_ln": dual._ln_float,
     "_sqrt": dual._sqrt_float,
     "_abs": abs,
-}
-
-_TANGENT_HELPERS = {
-    **_FLOAT_HELPERS,
     "_pow_pair": dual.pow_pair,
     "_pow_const_pair": dual.pow_const_pair,
     "_exp_pair": dual.exp_pair,
@@ -305,12 +303,6 @@ _TANGENT_HELPERS = {
 # ValueError is math.sin and math.cos of an infinite intermediate, and
 # ZeroDivisionError a quotient by zero.
 _KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError)
-
-# CPython's tokenizer rejects source nesting parentheses more than 200 deep
-# ("too many nested parentheses"). Each operation the float kernel inlines
-# adds one level, so a subtree whose text would nest this deep is computed
-# into a local of its own.
-_MAX_NESTING = 100
 
 
 def _children(node: Node) -> tuple:
@@ -334,20 +326,15 @@ def _depth(node: Node) -> int:
     return deepest
 
 
-def _number(components: Sequence[Node]) -> tuple[dict, list, list]:
-    """Number the structurally distinct subtrees of the components.
-
-    Returns class_of (id of a node -> its class), uses (occurrences of each
-    class, not descending into a subtree already counted) and varying
-    (whether each class contains a variable).
-    """
+def _number(components: Sequence[Node]) -> dict:
+    """Number the structurally distinct subtrees of the components: maps
+    the id of each node to its class."""
     # Classes are numbered bottom-up. Memoizing by object identity keeps
     # this linear: substitution puts one object at every occurrence of a
     # variable, and a dataclass hash would walk the whole subtree again at
     # each one.
     number_of: dict = {}
     class_of: dict = {}
-    varying: list = []
 
     def classify(node) -> int:
         c = class_of.get(id(node))
@@ -362,30 +349,13 @@ def _number(components: Sequence[Node]) -> tuple[dict, list, list]:
                 label = node.fn
             else:
                 label = None
-            children = tuple(map(classify, _children(node)))
-            key = (type(node), label, *children)
-            c = number_of.get(key)
-            if c is None:
-                c = number_of[key] = len(number_of)
-                varying.append(isinstance(node, Var) or any(varying[k] for k in children))
-            class_of[id(node)] = c
+            key = (type(node), label, *map(classify, _children(node)))
+            c = class_of[id(node)] = number_of.setdefault(key, len(number_of))
         return c
 
     for component in components:
         classify(component)
-
-    uses = [0] * len(number_of)
-
-    def count(node):
-        c = class_of[id(node)]
-        uses[c] += 1
-        if uses[c] == 1:
-            for child in _children(node):
-                count(child)
-
-    for component in components:
-        count(component)
-    return class_of, uses, varying
+    return class_of
 
 
 def _literal(node: Const) -> str:
@@ -396,49 +366,13 @@ def _literal(node: Const) -> str:
 def _float_op(node: Node, operands: Sequence[str]) -> str:
     """Text of node's own float operation on its operands' texts."""
     if isinstance(node, Neg):
-        return f"(-{operands[0]})"
+        return f"-{operands[0]}"
     if isinstance(node, Call):
         return f"_{node.fn}({operands[0]})"
     left, right = operands
     if node.op == "^":
         return f"_pow({left}, {right})"
-    return f"({left} {node.op} {right})"
-
-
-def _float_source(components: Sequence[Node], variables: Sequence[str]) -> str:
-    """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`.
-
-    Inputs are positional, so variable names never meet Python's. Every
-    non-leaf subtree that occurs more than once, within or across
-    components, is computed once into a local `_tc`, c its class.
-    """
-    class_of, uses, _ = _number(components)
-    params = [f"_a{k}" for k in range(len(variables))]
-    arg_of = dict(zip(variables, params))
-    local_of: dict = {}
-    lines = [f"def _k({', '.join(params)}):"]
-
-    def src(node) -> tuple[str, int]:
-        """node's text and how deep its operations nest."""
-        if isinstance(node, Const):
-            return _literal(node), 0
-        if isinstance(node, Var):
-            return arg_of[node.name], 0
-        c = class_of[id(node)]
-        if c in local_of:
-            return local_of[c], 0
-        operands = list(map(src, _children(node)))
-        text = _float_op(node, [t for t, _ in operands])
-        depth = 1 + max(d for _, d in operands)
-        if uses[c] == 1 and depth < _MAX_NESTING:
-            return text, depth
-        name = local_of[c] = f"_t{c}"
-        lines.append(f"    {name} = {text}")
-        return name, 0
-
-    outputs = "".join(f"{src(component)[0]}, " for component in components)
-    lines.append(f"    return ({outputs})")
-    return "\n".join(lines)
+    return f"{left} {node.op} {right}"
 
 
 def _tangent_op(node: Node, v: str, d: str, operands: Sequence[tuple]) -> tuple[list, str]:
@@ -487,23 +421,29 @@ def _tangent_op(node: Node, v: str, d: str, operands: Sequence[tuple]) -> tuple[
     return [f"{v}, {d} = {value}, {tangent}"], d
 
 
-def _tangent_source(components: Sequence[Node], variables: Sequence[str]) -> str:
-    """Source of `def _k(_a0, ..., _an, _b0, ..., _bn): ...; return (c0, ...,
-    d0, ...)`: every component's value at _a and its derivative along the
-    direction _b, computed on floats only.
+def _kernel_source(components: Sequence[Node], variables: Sequence[str], tangent: bool) -> str:
+    """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`, every
+    component's value at _a. With tangent, the kernel also takes a direction
+    _b0, ..., _bn and returns the derivatives along it after the values,
+    `return (c0, ..., d0, ...)`, computed on floats only.
 
-    Subtrees are numbered as for the float kernel, so each repeated one is
-    computed once. Every non-leaf node gets its own statement (a quotient
-    by a varying denominator two), so no expression nests. A subtree with
-    no variable carries no tangent, as a Dual pass leaves it a float; a
-    component with none has tangent 0.0. Each statement performs the float
-    operations a Dual pass does, in the same order, so the results equal
-    it bit for bit.
+    Inputs are positional, so variable names never meet Python's. Subtrees
+    are numbered, so each repeated one, within or across components, is
+    computed once. Every non-leaf node gets its own statement, a float
+    operation into a local `_tc`, c its class, so no expression nests. With
+    tangent, a node that contains a variable gets its `_tangent_op`
+    statements instead (a quotient by a varying denominator two). A subtree
+    with no variable carries no tangent, as a Dual pass leaves it a float;
+    a component with none has tangent 0.0. Each statement performs the
+    float operations a float or Dual pass does, in the same order, so the
+    results equal it bit for bit.
     """
-    class_of, _, varying = _number(components)
+    class_of = _number(components)
     n = len(variables)
-    params = [f"_a{k}" for k in range(n)] + [f"_b{k}" for k in range(n)]
-    leaf_of = {name: (params[k], params[n + k]) for k, name in enumerate(variables)}
+    params = [f"_a{k}" for k in range(n)] + [f"_b{k}" for k in range(n) if tangent]
+    leaf_of = {
+        name: (f"_a{k}", f"_b{k}" if tangent else None) for k, name in enumerate(variables)
+    }
     pair_of: dict = {}
     lines = [f"def _k({', '.join(params)}):"]
 
@@ -518,7 +458,8 @@ def _tangent_source(components: Sequence[Node], variables: Sequence[str]) -> str
             return pair_of[c]
         operands = list(map(emit, _children(node)))
         v = f"_t{c}"
-        if varying[c]:
+        # only with tangent does an operand that contains a variable carry one
+        if any(d is not None for _, d in operands):
             statements, d = _tangent_op(node, v, f"_d{c}", operands)
         else:
             statements, d = [f"{v} = {_float_op(node, [t for t, _ in operands])}"], None
@@ -527,14 +468,16 @@ def _tangent_source(components: Sequence[Node], variables: Sequence[str]) -> str
         return pair
 
     pairs = [emit(component) for component in components]
-    outputs = [v for v, _ in pairs] + [d or "0.0" for _, d in pairs]
+    outputs = [v for v, _ in pairs]
+    if tangent:
+        outputs += [d or "0.0" for _, d in pairs]
     lines.append(f"    return ({''.join(f'{t}, ' for t in outputs)})")
     return "\n".join(lines)
 
 
-def _define(source: str, helpers: dict):
+def _define(source: str):
     namespace: dict = {}
-    exec(compile(source, "<kernel>", "exec"), helpers, namespace)
+    exec(compile(source, "<kernel>", "exec"), _HELPERS, namespace)
     return namespace["_k"]
 
 
@@ -598,13 +541,13 @@ class ExprFunction:
     """A parsed vector-valued function of named variables.
 
     `variables` fixes the input order; evaluation accepts exactly that many
-    real values and returns one value per component. The components are
-    compiled at construction into two kernels: a float kernel for eval and
-    a tangent kernel, which carries derivatives as plain floats beside the
-    values, for jvp and partial.
+    real values and returns one value per component. At construction
+    `_kernel_source` compiles the components twice, into a value kernel
+    for eval and a tangent kernel, which carries derivatives as plain
+    floats beside the values, for jvp and partial.
     """
 
-    __slots__ = ("components", "variables", "source_text", "_float_kernel", "_tangent_kernel")
+    __slots__ = ("components", "variables", "source_text", "_value_kernel", "_tangent_kernel")
 
     def __init__(
         self,
@@ -617,12 +560,8 @@ class ExprFunction:
         if source_text is None:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
-        self._float_kernel = _define(
-            _float_source(self.components, self.variables), _FLOAT_HELPERS
-        )
-        self._tangent_kernel = _define(
-            _tangent_source(self.components, self.variables), _TANGENT_HELPERS
-        )
+        self._value_kernel = _define(_kernel_source(self.components, self.variables, False))
+        self._tangent_kernel = _define(_kernel_source(self.components, self.variables, True))
 
     @property
     def n_inputs(self) -> int:
@@ -670,7 +609,7 @@ class ExprFunction:
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
         try:
-            out = self._float_kernel(*p)
+            out = self._value_kernel(*p)
         except _KERNEL_ERRORS:
             pass
         else:

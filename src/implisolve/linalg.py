@@ -33,10 +33,6 @@ class Vector(tuple):
     def _unchecked(cls, vals: tuple) -> "Vector":
         return tuple.__new__(cls, vals)
 
-    @property
-    def dim(self) -> int:
-        return len(self)
-
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for v in self))
 

@@ -87,8 +87,8 @@ class SplitPoint:
 class SolutionBox:
     """Open box X times [y_lo, y_hi] with validation metadata.
 
-    sign is the recorded orientation of dF/dy; validated means the grid
-    checks passed: sign * dF/dy > 0 on the closed box and
+    sign is the recorded orientation of dF/dy. find_box returns a box only
+    when its grid checks passed: sign * dF/dy > 0 on the closed box and
     sign * F(x, y_lo) < 0 < sign * F(x, y_hi) at the sampled interior x.
     """
 
@@ -98,7 +98,6 @@ class SolutionBox:
     y_hi: float
     sign: int
     grid_density: int
-    validated: bool
     shrinks: int = 0
 
     def contains_x(self, x: Sequence[float]) -> bool:
@@ -190,7 +189,6 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
                 y_hi=y_hi,
                 sign=sign,
                 grid_density=g,
-                validated=True,
                 shrinks=attempt,
             )
         last_failure = failure

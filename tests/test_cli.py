@@ -215,6 +215,22 @@ def test_unknown_option_key_exit_1(tmp_path, capsys):
     assert assert_one_line_error(capsys, code) == "error: unknown option keys: ['bogus']\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--tol-root", "inf", "tol_root must be finite and positive"),
+        ("--box-halfwidth", "inf", "box half-widths must be finite and positive"),
+        ("--box-halfwidth", "0.5,inf", "box half-widths must be finite and positive"),
+    ],
+)
+def test_infinite_option_flag_exit_1(tmp_path, capsys, flag, value, message):
+    # an m = 1 spec, whose queries size their ITP iteration count by log2(tol_root)
+    spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0.3", flag, value])
+    assert text == ""
+    assert assert_one_line_error(capsys, code) == f"error: bad solver options: {message}\n"
+
+
 @pytest.mark.parametrize("query", ["nan", "inf", "-inf", "0,nan"])
 def test_non_finite_query_exit_1(tmp_path, capsys, query):
     spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
@@ -366,6 +382,27 @@ def test_verify_missing_input_exit_1(capsys, lemma, missing):
     code, text = run_main(["verify", "--lemma", lemma])
     assert text == ""
     assert assert_one_line_error(capsys, code) == f"error: {lemma} needs {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "lemma,flag,value,message",
+    [
+        ("lemma1", "--trials", "0", "--trials must be at least 1, got 0"),
+        ("lemma4", "--samples", "0", "--samples must be at least 1, got 0"),
+        ("lemma2", "--samples", "-3", "--samples must be at least 1, got -3"),
+        ("lemma4", "--radius", "inf", "--radius must be finite and positive, got inf"),
+        ("lemma4", "--radius", "nan", "--radius must be finite and positive, got nan"),
+        ("lemma4", "--radius", "0", "--radius must be finite and positive, got 0.0"),
+    ],
+)
+def test_verify_that_checks_nothing_exit_1(tmp_path, capsys, lemma, flag, value, message):
+    # with no trials or samples every lemma check would report passed
+    spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
+    code, text = run_main(
+        ["verify", "--lemma", lemma, "--matrix", "1,0;0,1", "--spec", spec, f"{flag}={value}"]
+    )
+    assert text == ""
+    assert assert_one_line_error(capsys, code) == f"error: {message}\n"
 
 
 def test_verify_lemma2(tmp_path):

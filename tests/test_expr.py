@@ -158,13 +158,41 @@ def test_jacobian_columns_equal_partials_bitwise():
 
 
 def test_deeply_nested_sum_compiles():
-    # the float kernel inlines nested operations; 250 would exceed CPython's
-    # nesting limit of 200 parentheses
-    F = parse([" + ".join(["y"] * 250) + " - 250"], ["x", "y"])
+    # the kernels give every operation a statement of its own, so no source
+    # line nests; written as one expression, 250 nested operations would
+    # exceed CPython's limit of 200 nested parentheses
+    sum_text = " + ".join(["y"] * 250) + " - 250"
+    F = parse([sum_text], ["x", "y"])
     assert tuple(F.eval((0.5, 1.0))) == (0.0,)
     assert tuple(F.eval((0.5, 1.5))) == (125.0,)
     assert tuple(F.jvp((0.5, 1.5), (2.0, 1.0))) == (250.0,)
     assert tuple(F.partial((0.5, 1.5), 0)) == (0.0,)
+
+    # a chain of each other node kind, one level short of MAX_DEPTH in the
+    # tree and in the parser's nesting, computes what the tree walker does
+    deepest = MAX_DEPTH - 1
+    chains = [
+        sum_text,
+        " * ".join(["y"] * deepest),
+        "sin(" * deepest + "y" + ")" * deepest,
+        "-" * deepest + "y",
+        "^".join(["y"] * deepest),
+    ]
+    p, direction = (0.5, 1.001), (2.0, -1.5)
+    env = {"x": p[0], "y": p[1]}
+    for text in chains:
+        G = parse([text], ["x", "y"])
+        value = _outcome(lambda: G.eval(p))
+        assert value[0] == "ok"
+        assert repr(value) == repr(_walked(G, env))
+        for j in range(2):
+            seeded = {name: Dual(v, float(k == j)) for k, (name, v) in enumerate(env.items())}
+            partial = _outcome(lambda: G.partial(p, j))
+            assert repr(partial) == repr(_walked(G, seeded, _derivative))
+        seeded = {name: Dual(v, d) for (name, v), d in zip(env.items(), direction)}
+        jvp = _outcome(lambda: G.jvp(p, direction))
+        assert jvp[0] == "ok" and jvp[1][0] != 0.0
+        assert repr(jvp) == repr(_walked(G, seeded, _derivative))
 
 
 def test_parse_rejects_nesting_beyond_max_depth():

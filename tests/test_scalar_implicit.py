@@ -31,7 +31,6 @@ def circle():
 
 def test_find_box_circle_validates_and_survives_dense_scan(circle):
     box = circle.box
-    assert box.validated
     assert box.x_lo[0] < 0.0 < box.x_hi[0]
     assert 0.0 < box.y_lo < 1.0 < box.y_hi < 2.0
 
@@ -60,7 +59,6 @@ def test_find_box_seed_not_on_zero_set():
 def test_find_box_linear_first_attempt():
     F = parse(["y - x"], ["x", "y"])
     box = find_box(F, SplitPoint.of([0.0], [0.0]))
-    assert box.validated
     assert box.shrinks == 0
 
 
@@ -113,7 +111,6 @@ def test_solve_at_detects_fooled_box():
         y_hi=0.5,
         sign=1,
         grid_density=9,
-        validated=True,
     )
     sol = ImplicitSolution(F=F, box=bad, seed=SplitPoint.of([0.0], [0.0]),
                            tol_root=1e-12, max_iter=200)
@@ -268,5 +265,6 @@ def test_options_reject_max_depth_below_one():
 
 @pytest.mark.parametrize("field", ["h0", "h0_dep", "tol_seed", "tol_root", "tol_sys"])
 def test_options_reject_nan(field):
-    with pytest.raises(ValueError):
-        SolverOptions(**{field: math.nan})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverOptions(**{field: value})
