@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -37,11 +38,14 @@ from .dini import build_system
 from .errors import ExprSyntaxError, ImpliSolveError, UnknownIdentifier
 from .expr import ExprFunction, parse
 from .inverse import build_inverse
-from .linalg import Matrix, identity, inverse as mat_inverse
+from .linalg import Matrix, identity
 from .scalar_implicit import SplitPoint
 from . import verify as verify_mod
 
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(SolverOptions))
+
+# Most query points one run evaluates, --query and --grid together.
+_MAX_POINTS = 100000
 
 
 class SpecError(Exception):
@@ -144,7 +148,7 @@ def _parse_point(text: str) -> tuple[float, ...]:
     return _finite(values, f"query '{text}'")
 
 
-def _parse_grid_axis(text: str) -> list[float]:
+def _parse_grid_axis(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise SpecError(f"grid axis '{text}' is not 'lo:hi:steps'")
@@ -155,6 +159,10 @@ def _parse_grid_axis(text: str) -> list[float]:
     lo, hi = _finite((lo, hi), f"grid axis '{text}'")
     if steps < 1:
         raise SpecError("grid steps must be at least 1")
+    return lo, hi, steps
+
+
+def _grid_axis_values(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
@@ -171,9 +179,10 @@ def _collect_queries(args, dim: int) -> list[tuple[float, ...]]:
                 f"--grid given {len(args.grid)} axes, need exactly {dim}"
             )
         axes = [_parse_grid_axis(g) for g in args.grid]
-        import itertools
-
-        points.extend(itertools.product(*axes))
+        count = len(points) + math.prod(steps for _, _, steps in axes)
+        if count > _MAX_POINTS:
+            raise SpecError(f"{count} query points requested, at most {_MAX_POINTS} allowed")
+        points.extend(itertools.product(*(_grid_axis_values(*axis) for axis in axes)))
     return points
 
 
@@ -224,9 +233,11 @@ def _emit_csv(results: list[dict], n: int, m: int, out) -> None:
         writer.writerow(flat)
 
 
-def _evaluate_points(points, value_fn, jacobian_fn, residual_fn) -> tuple[list[dict], bool]:
-    """One row per point. jacobian_fn and residual_fn take the point and
-    the value value_fn returned, so each point is solved once."""
+def _evaluate_points(points, system) -> tuple[list[dict], bool]:
+    """One row per point, each solved once: the value, the Jacobian at it,
+    and the largest |component| of the system's F there. For invert, F is
+    Phi(y; x) = F(x) - y, so the residual is |F(x) - y| and the Jacobian is
+    JF(x)^-1."""
     results = []
     all_ok = True
     for point in points:
@@ -240,10 +251,10 @@ def _evaluate_points(points, value_fn, jacobian_fn, residual_fn) -> tuple[list[d
             "diagnostics": None,
         }
         try:
-            value = value_fn(point)
+            value = system.solve_at(point)
             row["value"] = list(value)
-            row["jacobian"] = jacobian_fn(point, value).to_lists()
-            row["residual"] = residual_fn(point, value)
+            row["jacobian"] = system.jacobian_known(tuple(point), value).to_lists()
+            row["residual"] = max(abs(r) for r in system.F.eval(tuple(point) + tuple(value)))
         except ImpliSolveError as exc:
             row["ok"] = False
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -269,31 +280,15 @@ def _cmd_points(args, out) -> int:
     if args.command == "implicit":
         seed = SplitPoint.from_flat(spec.seed, spec.split_n)
         system = build_system(F, seed, options)
-        n, m = seed.n, seed.m
-        problem["split_n"] = n
-        solve = system.solve_at
-
-        def jacobian(point, value):
-            return system.jacobian_known(tuple(point), value)
-
-        def residual(point, value):
-            return max(abs(r) for r in F.eval(tuple(point) + tuple(value)))
-
+        problem["split_n"] = seed.n
     else:
         local = build_inverse(F, spec.seed, options)
         system = local.system
-        n = m = F.n_inputs
         problem["image_seed"] = list(local.q)
-        solve = local.invert_at
-
-        def jacobian(point, value):
-            return mat_inverse(F.jacobian(value))
-
-        def residual(point, value):
-            return max(abs(a - b) for a, b in zip(F.eval(value), point))
+    n, m = system.n, system.m
 
     points = _collect_queries(args, n)
-    results, all_ok = _evaluate_points(points, solve, jacobian, residual)
+    results, all_ok = _evaluate_points(points, system)
     if args.out == "csv":
         _emit_csv(results, n, m, out)
     else:

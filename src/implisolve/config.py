@@ -21,17 +21,20 @@ class SolverOptions:
     used in box validation: the monotonicity check samples the closed box
     including its corners, the endpoint-sign check samples strictly
     interior points of the open independent box.
+
+    The root finders need no iteration budget: ITP ends within its own
+    step bound and Newton within a fixed few steps, both also stopping
+    where floats cannot resolve tol_root. The box-halving cap and the cap
+    on the dependent dimension are the constants
+    scalar_implicit.MAX_SHRINK and dini.MAX_DEPTH.
     """
 
     tol_seed: float = 1e-10
     tol_root: float = 1e-12
     tol_sys: float = 1e-9
-    max_iter: int = 200
     h0: float = 0.5
     h0_dep: float | None = None
     grid_density: int = 9
-    max_shrink: int = 40
-    max_depth: int = 6
 
     def __post_init__(self):
         if not _finite_positive(self.h0) or (
@@ -43,6 +46,3 @@ class SolverOptions:
         for name in ("tol_seed", "tol_root", "tol_sys"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and positive")
-        for name, least in (("max_iter", 1), ("max_shrink", 0), ("max_depth", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}")

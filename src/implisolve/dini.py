@@ -18,7 +18,7 @@ Nonlinear Equations in Several Variables, ch. 10) and accepts the iterate
 when its residual is within tol_sys and it lies in the stored region, a
 comparison without root solves. Otherwise the query falls back to the
 nested solve, one ITP solve (bracketed, bisection worst case) per level,
-whose cost grows like iterations^m (m is capped by options.max_depth).
+whose cost grows like iterations^m (m is capped by MAX_DEPTH).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -62,9 +62,14 @@ from .scalar_implicit import ImplicitSolution, SolutionBox, SplitPoint, build_im
 
 _NORMALIZE_TOL = 1e-10
 
+# Largest dependent dimension build_system accepts: the nested solve's cost
+# grows like (iterations per level)^m.
+MAX_DEPTH = 6
+
 # Newton from the seed settles in a few steps anywhere in the validated
 # region of a well-posed system; a query that needs more than this falls
-# back to the nested solve.
+# back to the nested solve. A step that leaves y unchanged also settles it:
+# far from 0, tol_root can be below the spacing of floats.
 _NEWTON_MAX_ITER = 8
 
 # Inner recursion levels start from slightly smaller initial half-widths.
@@ -305,9 +310,10 @@ class SystemSolution:
 
     def _newton(self, x: tuple[float, ...]) -> Vector | None:
         """Newton's zero of F(x, .) from the seed b, or None when it is not
-        accepted: when it does not settle (step <= tol_root) within
-        _NEWTON_MAX_ITER steps, its residual exceeds tol_sys, it lies
-        outside the validated region, or a step fails to evaluate."""
+        accepted: when it does not settle (step <= tol_root, or a step that
+        leaves y unchanged) within _NEWTON_MAX_ITER steps, its residual
+        exceeds tol_sys, it lies outside the validated region, or a step
+        fails to evaluate."""
         n, m = self.n, self.m
         y = tuple(self.seed.y)
         try:
@@ -315,8 +321,8 @@ class SystemSolution:
                 p = x + y
                 cols = [self.F.partial(p, n + j) for j in range(m)]
                 step = solve(Matrix(tuple(zip(*cols))), self.F.eval(p))
-                y = tuple(yv - sv for yv, sv in zip(y, step))
-                if max(map(abs, step)) <= self.options.tol_root:
+                prev, y = y, tuple(yv - sv for yv, sv in zip(y, step))
+                if y == prev or max(map(abs, step)) <= self.options.tol_root:
                     break
             else:
                 return None
@@ -494,10 +500,8 @@ def build_system(
             f"need {m} components in {n + m} variables, got "
             f"{F.n_outputs} in {F.n_inputs}"
         )
-    if _depth == 1 and m > options.max_depth:
-        raise ValueError(
-            f"dependent dimension {m} exceeds configured cap {options.max_depth}"
-        )
+    if _depth == 1 and m > MAX_DEPTH:
+        raise ValueError(f"dependent dimension {m} exceeds the cap {MAX_DEPTH}")
     residual = max(abs(r) for r in F.eval(seed.point()))
     if residual > options.tol_seed:
         raise SeedNotOnZeroSet(residual, options.tol_seed)

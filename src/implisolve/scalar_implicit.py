@@ -53,6 +53,10 @@ N0_ITP = 1
 # and need one step beyond the guaranteed count.
 ITP_ROUNDING_MARGIN = 2.0**-6
 
+# find_box halves the starting box at most this many times; 40 halvings take
+# a half-width of 0.5 below 1e-12.
+MAX_SHRINK = 40
+
 
 @dataclass(frozen=True)
 class SplitPoint:
@@ -116,7 +120,7 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     """Grow a validated monotonicity box around the seed.
 
     Starts from half-widths h0 (independent axes) and h0_dep (dependent
-    axis) and halves all of them on any failed sample, up to max_shrink
+    axis) and halves all of them on any failed sample, up to MAX_SHRINK
     times. Failures include domain errors and, for nested functions,
     stepping outside an inner validated box.
     """
@@ -150,7 +154,7 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         hy = options.h0 * max(1.0, SLOPE_MARGIN * reach)
     last_failure = ("derivative", p0)
 
-    for attempt in range(options.max_shrink + 1):
+    for attempt in range(MAX_SHRINK + 1):
         x_lo = [a[i] - hx[i] for i in range(n)]
         x_hi = [a[i] + hx[i] for i in range(n)]
         y_lo, y_hi = b - hy, b + hy
@@ -206,7 +210,6 @@ class ImplicitSolution:
     box: SolutionBox
     seed: SplitPoint
     tol_root: float
-    max_iter: int
 
     def solve_at(self, x: Sequence[float]) -> float:
         """Unique root y of F(x, .) in the box interval, by ITP (bracketed,
@@ -215,8 +218,12 @@ class ImplicitSolution:
         Each step moves a regula-falsi point toward the midpoint by a
         truncation, then projects it onto a ball around the midpoint that
         shrinks as bisection would. The bracket therefore reaches tol_root
-        in at most bisection's step count plus N0_ITP, and faster on
-        smooth roots.
+        in at most n_max steps, bisection's step count plus N0_ITP, and
+        faster on smooth roots. Where tol_root is below the spacing of
+        floats near the root, it stops once no float lies strictly between
+        the endpoints, which also comes within n_max steps. The loop allows
+        one step more, and raises NoConvergence if even that does not end
+        it.
         """
         x = tuple(x)
         if len(x) != self.seed.n:
@@ -241,7 +248,7 @@ class ImplicitSolution:
         kappa1 = KAPPA1_ITP / (hi - lo)
         n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + N0_ITP
         half_target = 0.5 * tol * (1.0 - ITP_ROUNDING_MARGIN)
-        for j in range(self.max_iter):
+        for j in range(n_max + 1):
             width = hi - lo
             mid = lo + 0.5 * width
             # a step at most r from the midpoint keeps the bracket on course
@@ -253,6 +260,9 @@ class ImplicitSolution:
             x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
             y = x_t if abs(x_t - mid) <= r else mid - sigma * r
             if not lo < y < hi:
+                if not lo < mid < hi:
+                    # adjacent floats: the bracket cannot shrink further
+                    return 0.5 * (lo + hi)
                 y = mid
             f_y = s * self.F.eval(x + (y,))[0]
             if f_y == 0.0:
@@ -265,7 +275,7 @@ class ImplicitSolution:
                 return 0.5 * (lo + hi)
         raise NoConvergence(
             "ITP (bracketed, bisection worst case) did not converge in "
-            f"{self.max_iter} iterations"
+            f"{n_max + 1} iterations"
         )
 
     def gradient_at(self, x: Sequence[float]) -> Vector:
@@ -287,6 +297,4 @@ def build_implicit(
 ) -> ImplicitSolution:
     """Validate a box around the seed and wrap it as an evaluable solution."""
     box = find_box(F, seed, options)
-    return ImplicitSolution(
-        F=F, box=box, seed=seed, tol_root=options.tol_root, max_iter=options.max_iter
-    )
+    return ImplicitSolution(F=F, box=box, seed=seed, tol_root=options.tol_root)

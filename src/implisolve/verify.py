@@ -38,7 +38,14 @@ def check_operator_bound(
 ) -> OperatorBoundReport:
     """Sample |Mv| / (hs_norm(M) |v|) over random v; the ratio never exceeds
     1 because the Hilbert-Schmidt norm dominates the operator norm. The
-    0/0 case (zero matrix or zero vector) counts as ratio 0."""
+    0/0 case (zero matrix or zero vector) counts as ratio 0.
+
+    M is first scaled by the power of two that brings its largest |entry|
+    into [0.5, 1): the ratio does not change, the scaling is exact for every
+    entry it keeps out of the subnormal range, and the norms can then
+    neither overflow nor underflow to 0."""
+    _, e = math.frexp(max((abs(v) for row in m.rows for v in row), default=0.0))
+    m = Matrix.from_rows([[math.ldexp(v, -e) for v in row] for row in m.rows])
     rng = random.Random(rng_seed)
     norm_m = hs_norm(m)
     worst = 0.0

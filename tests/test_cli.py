@@ -185,12 +185,9 @@ def test_every_solver_option_is_accepted_by_name(tmp_path, monkeypatch):
         "tol_seed": 1e-9,
         "tol_root": 1e-11,
         "tol_sys": 1e-8,
-        "max_iter": 150,
         "h0": 0.8,
         "h0_dep": 0.7,
         "grid_density": 7,
-        "max_shrink": 30,
-        "max_depth": 5,
     }
     assert set(options) == {f.name for f in dataclasses.fields(SolverOptions)}
     built = []
@@ -209,10 +206,15 @@ def test_every_solver_option_is_accepted_by_name(tmp_path, monkeypatch):
 
 
 def test_unknown_option_key_exit_1(tmp_path, capsys):
-    spec = write_spec(tmp_path, "bad.json", dict(CIRCLE_SPEC, options={"h0": 0.8, "bogus": 1}))
+    # max_iter, max_shrink and max_depth were options once; their limits are
+    # now built into the solvers
+    options = {"h0": 0.8, "bogus": 1, "max_iter": 200, "max_shrink": 40, "max_depth": 6}
+    spec = write_spec(tmp_path, "bad.json", dict(CIRCLE_SPEC, options=options))
     code, text = run_main(["implicit", "--spec", spec, "--query", "0"])
     assert text == ""
-    assert assert_one_line_error(capsys, code) == "error: unknown option keys: ['bogus']\n"
+    assert assert_one_line_error(capsys, code) == (
+        "error: unknown option keys: ['bogus', 'max_depth', 'max_iter', 'max_shrink']\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -245,6 +247,25 @@ def test_non_finite_grid_exit_1(tmp_path, capsys, axis):
     code, text = run_main(["implicit", "--spec", spec, f"--grid={axis}"])
     assert text == ""
     assert_one_line_error(capsys, code)
+
+
+def test_grid_too_large_exit_1(tmp_path):
+    # 10^8 points: refused before any axis is expanded. The child caps its
+    # own address space, so a regression fails with MemoryError instead of
+    # holding them all.
+    capped_cli = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from implisolve.cli import main; sys.exit(main())"
+    )
+    spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
+    cmd = [sys.executable, "-c", capped_cli, "implicit", "--spec", spec,
+           "--query", "0.1", "--grid", "0:0.1:100000000"]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == (
+        "error: 100000001 query points requested, at most 100000 allowed\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -372,6 +393,14 @@ def test_verify_lemma1(tmp_path):
     doc = json.loads(text)
     assert doc["passed"] is True
     assert doc["report"]["trials"] == 1000
+
+
+def test_verify_lemma1_huge_entries(tmp_path):
+    # hs_norm of this matrix overflows to inf; the check must still sample
+    code, text = run_main(["verify", "--lemma", "lemma1", "--matrix", "1e308,1e308;1e308,1e308"])
+    assert code == 0
+    report = json.loads(text)["report"]
+    assert 0.0 < report["max_ratio"] <= 1.0
 
 
 @pytest.mark.parametrize(

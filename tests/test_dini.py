@@ -447,8 +447,12 @@ def test_singular_dependent_block():
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         build_system(QUAD, SplitPoint.of([1.0, 1.0], [1.0]))
-    with pytest.raises(ValueError):
-        build_system(QUAD, QUAD_SEED, SolverOptions(max_depth=1))
+    # m = 7 is one past MAX_DEPTH; the cap is checked before any work
+    assert dini.MAX_DEPTH == 6
+    names = ["x"] + [f"y{i}" for i in range(1, 8)]
+    seven = parse([f"{y} - x" for y in names[1:]], names)
+    with pytest.raises(ValueError, match="dependent dimension 7 exceeds the cap 6"):
+        build_system(seven, SplitPoint.of([0.0], [0.0] * 7))
 
 
 # --- Newton evaluation inside the validated region ---------------------------
@@ -608,6 +612,33 @@ def test_newton_agrees_with_nested_solve(corpus_systems, monkeypatch, name):
         nested = system._solve(x)
         calls.clear()
         assert max(abs(a - b) for a, b in zip(fast, nested)) <= 1e-11
+
+
+def test_system_far_from_zero_builds_and_matches_newton(monkeypatch):
+    """A pair centred at y1 = y2 = 20000, where floats are 3.6e-12 apart,
+    wider than tol_root: the level-2 box is validated through level-1 ITP
+    solves that end on adjacent floats, and Newton settles at a step that
+    leaves y unchanged, so no query falls back."""
+    c = 20000.0
+    d1, d2 = f"(y1 - {c!r})", f"(y2 - {c!r})"
+    F = parse(
+        [f"{d1}^2 + 0.5*{d2} - (x - 1) + {d1}", f"0.5*{d1} + {d2}^2 - (x - 1) + {d2}"],
+        ["x", "y1", "y2"],
+    )
+    seed = SplitPoint.of([1.0], [c, c])
+    system = build_system(F, seed)
+    calls = count_nested_solves(monkeypatch)
+    h = 1e-4
+    for x in interior_grid(system, 9):
+        # the oracle's residual cannot reach 1e-13 on floats this coarse
+        oracle = newton_solve_system(F, x, seed.y, tol=1e-11)
+        assert max(abs(a - b) for a, b in zip(system.solve_at(x), oracle)) <= 1e-10
+        plus = newton_solve_system(F, (x[0] + h,), seed.y, tol=1e-11)
+        minus = newton_solve_system(F, (x[0] - h,), seed.y, tol=1e-11)
+        jac = system.jacobian_at(x)
+        for i in range(2):
+            assert abs(jac.rows[i][0] - (plus[i] - minus[i]) / (2 * h)) <= 1e-6
+    assert not calls
 
 
 # --- uniqueness -------------------------------------------------------------

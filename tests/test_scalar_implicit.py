@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -18,7 +17,7 @@ from implisolve import (
     parse,
 )
 from implisolve.errors import BoxNotFound
-from implisolve.scalar_implicit import ImplicitSolution, SolutionBox
+from implisolve.scalar_implicit import MAX_SHRINK, ImplicitSolution, SolutionBox
 
 CIRCLE = parse(["x^2 + y^2 - 1"], ["x", "y"])
 CIRCLE_OPTS = SolverOptions(h0=0.8)
@@ -71,11 +70,18 @@ def test_find_box_negative_slope_orientation():
 
 
 def test_find_box_exhausts_shrinks():
-    # the zero set y = 1e6 x^2 needs ~21 halvings before the top face clears
-    F = parse(["y - 1000000*x^2"], ["x", "y"])
+    # the zero set y = 1e30 x^2 needs ~100 halvings before the top face clears
+    F = parse(["y - 1e30*x^2"], ["x", "y"])
     with pytest.raises(BoxNotFound) as err:
-        find_box(F, SplitPoint.of([0.0], [0.0]), SolverOptions(max_shrink=3))
+        find_box(F, SplitPoint.of([0.0], [0.0]))
     assert err.value.condition == "endpoint-sign"
+
+
+def test_find_box_shrinks_up_to_the_cap():
+    # y = 1e10 x^2 clears its top face after ~33 halvings, inside MAX_SHRINK
+    F = parse(["y - 1e10*x^2"], ["x", "y"])
+    box = find_box(F, SplitPoint.of([0.0], [0.0]))
+    assert 30 < box.shrinks <= MAX_SHRINK
 
 
 def test_find_box_zero_independent_dims():
@@ -112,8 +118,7 @@ def test_solve_at_detects_fooled_box():
         sign=1,
         grid_density=9,
     )
-    sol = ImplicitSolution(F=F, box=bad, seed=SplitPoint.of([0.0], [0.0]),
-                           tol_root=1e-12, max_iter=200)
+    sol = ImplicitSolution(F=F, box=bad, seed=SplitPoint.of([0.0], [0.0]), tol_root=1e-12)
     with pytest.raises(NoConvergence):
         sol.solve_at((2.5,))
 
@@ -236,31 +241,45 @@ def test_itp_circle_solve_eval_count():
         assert abs(y - math.sqrt(1 - x * x)) <= sol.tol_root
 
 
-def test_itp_respects_max_iter(circle):
-    capped = dataclasses.replace(circle, max_iter=3)
-    with pytest.raises(NoConvergence):
-        capped.solve_at((0.3,))
+def itp_step_bound(sol):
+    """ITP's n_max for a solution's box: bisection's count plus one."""
+    width = sol.box.y_hi - sol.box.y_lo
+    return max(0, math.ceil(math.log2(width) - math.log2(sol.tol_root))) + 1
+
+
+def test_itp_stops_at_float_resolution_on_circle():
+    # no bracket of floats near 1 is as narrow as 1e-320: where F hits no
+    # exact zero, ITP must stop at adjacent endpoints, within its step bound
+    F = CountingF(CIRCLE)
+    sol = build_implicit(F, SplitPoint.of([0.0], [1.0]), SolverOptions(h0=0.8, tol_root=1e-320))
+    for i in range(-75, 76):
+        x = i / 100
+        F.evals = 0
+        y = sol.solve_at((x,))
+        assert F.evals - 2 <= itp_step_bound(sol) + 1
+        assert abs(y - math.sqrt(1 - x * x)) <= 4 * math.ulp(1.0)
+
+
+def shifted_cubic_root(x):
+    """The real root t of t^3 + t = x, by Cardano."""
+    d = math.sqrt(x * x / 4 + 1 / 27)
+    return math.copysign(abs(x / 2 + d) ** (1 / 3), x / 2 + d) - (d - x / 2) ** (1 / 3)
+
+
+@pytest.mark.parametrize("center", [1e4, 1e6])
+def test_itp_solves_far_from_zero(center):
+    # floats near center are spaced wider than tol_root = 1e-12, so the
+    # bracket ends on adjacent floats before it is tol_root wide
+    F = parse([f"(y - {center!r})^3 + (y - {center!r}) - x"], ["x", "y"])
+    sol = build_implicit(F, SplitPoint.of([0.0], [center]))
+    assert math.ulp(center) > sol.tol_root
+    for i in range(-49, 50):
+        x = i / 100
+        y = sol.solve_at((x,))
+        assert abs(y - (center + shifted_cubic_root(x))) <= 2 * math.ulp(center)
 
 
 # --- options --------------------------------------------------------------------
-
-
-def test_options_reject_max_iter_below_one():
-    SolverOptions(max_iter=1)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=0)
-
-
-def test_options_reject_negative_max_shrink():
-    SolverOptions(max_shrink=0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_shrink=-1)
-
-
-def test_options_reject_max_depth_below_one():
-    SolverOptions(max_depth=1)
-    with pytest.raises(ValueError):
-        SolverOptions(max_depth=0)
 
 
 @pytest.mark.parametrize("field", ["h0", "h0_dep", "tol_seed", "tol_root", "tol_sys"])

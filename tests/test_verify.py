@@ -43,6 +43,18 @@ def test_operator_bound_deterministic():
     assert check_operator_bound(m, rng_seed=4) == check_operator_bound(m, rng_seed=4)
 
 
+def test_operator_bound_is_scale_free():
+    # at 2^600 the Hilbert-Schmidt norm overflows and at 2^-600 its square
+    # underflows; scaling by a power of two must not change the report
+    rows = [[0.3, -1.2], [0.8, 0.1]]
+    reports = [
+        check_operator_bound(Matrix.from_rows([[math.ldexp(v, k) for v in r] for r in rows]))
+        for k in (-600, 0, 600)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert 0.0 < reports[1].max_ratio <= 1.0
+
+
 def test_chain_rule_identity_composition():
     F = parse(["x1^2 - x2", "x1*x2"], ["x1", "x2"])
     report = check_chain_rule(F, identity(2), (0.0, 0.0), [(0.3, -0.4), (1.1, 0.2)])
