@@ -17,7 +17,8 @@ Output is a single JSON document (or CSV rows with a header via --out csv
 for the point-evaluating commands). Field names are pinned by
 docs/output_schema.json. Runs are deterministic: identical spec and seed
 produce byte-identical output. Exit codes: 0 full success, 1 spec error
-(parse, seed, singularity), 2 per-point failures (itemized in the rows).
+(parse, seed, singularity) or usage error, such as a flag the command or
+lemma does not read, on one line; 2 per-point failures (itemized in rows).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .config import SolverOptions
@@ -52,16 +52,18 @@ class SpecError(Exception):
     """Bad spec file or flag combination; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    functions: tuple[str, ...]
-    variables: tuple[str, ...]
-    split_n: int | None
-    seed: tuple[float, ...]
-    options: dict
+class _ArgParser(argparse.ArgumentParser):
+    """A usage error exits 1 with one line, as every other rejected input
+    does, instead of argparse's exit 2 and usage dump."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
-def load_spec(path: str) -> ProblemSpec:
+def load_spec(path: str) -> tuple[ExprFunction, tuple[float, ...], int | None, dict]:
+    """The spec's functions parsed over its variables, its seed, its
+    split_n (None when absent) and its solver options. A parse error names
+    the function it is in, as functions[i]."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -93,22 +95,12 @@ def load_spec(path: str) -> ProblemSpec:
     unknown = set(options) - set(_OPTION_KEYS)
     if unknown:
         raise SpecError(f"unknown option keys: {sorted(unknown)}")
-    return ProblemSpec(
-        functions=tuple(raw["functions"]),
-        variables=tuple(raw["variables"]),
-        split_n=split_n,
-        seed=_finite(seed, "spec field 'seed'"),
-        options=options,
-    )
-
-
-def _parse_functions(spec: ProblemSpec) -> ExprFunction:
-    """The spec's functions over its variables; a parse error names the
-    function it is in, as functions[i]."""
+    seed = _finite(seed, "spec field 'seed'")
     try:
-        return parse(list(spec.functions), list(spec.variables))
+        F = parse(raw["functions"], raw["variables"])
     except (ExprSyntaxError, UnknownIdentifier) as exc:
         raise SpecError(f"functions[{exc.component}]: {exc}") from None
+    return F, seed, split_n, options
 
 
 def _finite(values, what: str) -> tuple[float, ...]:
@@ -118,22 +110,24 @@ def _finite(values, what: str) -> tuple[float, ...]:
     return values
 
 
-def _solver_options(spec: ProblemSpec, args) -> SolverOptions:
-    merged = dict(spec.options)
-    if args.tol_root is not None:
-        merged["tol_root"] = args.tol_root
-    if args.tol_sys is not None:
-        merged["tol_sys"] = args.tol_sys
+def _halfwidths(text: str) -> tuple[float, ...]:
+    """--box-halfwidth: 'h', or 'h_indep,h_dep'."""
+    try:
+        parts = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"takes 'h' or 'h_indep,h_dep', got '{text}'")
+    return parts
+
+
+def _solver_options(options: dict, args) -> SolverOptions:
+    merged = dict(options)
+    for key in ("tol_root", "tol_sys", "grid_density"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if args.box_halfwidth is not None:
-        parts = [float(v) for v in args.box_halfwidth.split(",")]
-        if len(parts) == 1:
-            merged["h0"] = parts[0]
-        elif len(parts) == 2:
-            merged["h0"], merged["h0_dep"] = parts
-        else:
-            raise SpecError("--box-halfwidth takes 'h' or 'h_indep,h_dep'")
-    if args.grid_density is not None:
-        merged["grid_density"] = args.grid_density
+        merged.update(zip(("h0", "h0_dep"), args.box_halfwidth))
     try:
         return SolverOptions(**merged)
     except (TypeError, ValueError) as exc:
@@ -195,10 +189,8 @@ def _parse_matrix(text: str) -> Matrix:
 
 
 def _json_default(obj):
-    """What json cannot write itself: a Matrix as its rows, a report
-    dataclass as its fields. Vector is a tuple, so it is written as a list."""
-    if isinstance(obj, Matrix):
-        return obj.to_lists()
+    """What json cannot write itself: a report dataclass as its fields.
+    Vector is a tuple, so it is written as a list."""
     if dataclasses.is_dataclass(obj):
         return dataclasses.asdict(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -267,22 +259,21 @@ def _evaluate_points(points, system) -> tuple[list[dict], bool]:
 
 def _cmd_points(args, out) -> int:
     """implicit and invert: build once, then one row per query point."""
-    spec = load_spec(args.spec)
-    if args.command == "implicit" and spec.split_n is None:
+    F, seed, split_n, options = load_spec(args.spec)
+    if args.command == "implicit" and split_n is None:
         raise SpecError("implicit command needs 'split_n' in the spec file")
-    options = _solver_options(spec, args)
-    F = _parse_functions(spec)
+    options = _solver_options(options, args)
     problem = {
-        "functions": list(spec.functions),
-        "variables": list(spec.variables),
-        "seed": list(spec.seed),
+        "functions": list(F.source_text),
+        "variables": list(F.variables),
+        "seed": list(seed),
     }
     if args.command == "implicit":
-        seed = SplitPoint.from_flat(spec.seed, spec.split_n)
-        system = build_system(F, seed, options)
-        problem["split_n"] = seed.n
+        point = SplitPoint.from_flat(seed, split_n)
+        system = build_system(F, point, options)
+        problem["split_n"] = point.n
     else:
-        local = build_inverse(F, spec.seed, options)
+        local = build_inverse(F, seed, options)
         system = local.system
         problem["image_seed"] = list(local.q)
     n, m = system.n, system.m
@@ -303,15 +294,31 @@ def _cmd_points(args, out) -> int:
     return 0 if all_ok else 2
 
 
+# The verify flags each lemma reads. --seed is accepted by every lemma,
+# since the output echoes it as rng_seed; any other flag is refused.
+_LEMMA_FLAGS = {
+    "lemma1": ("matrix", "trials"),
+    "lemma2": ("spec", "matrix", "samples"),
+    "lemma3": ("spec", "query"),
+    "lemma4": ("spec", "samples", "radius"),
+}
+_VERIFY_DEFAULTS = {"trials": 1000, "samples": 2000, "radius": 0.5}
+
+
 def _cmd_verify(args, out) -> int:
+    lemma = args.lemma
+    rng_seed = args.seed
+    for flag in ("spec", "query", "matrix", "trials", "samples", "radius"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, _VERIFY_DEFAULTS.get(flag))
+        elif flag not in _LEMMA_FLAGS[lemma]:
+            raise SpecError(f"{lemma} does not read --{flag}")
     # a check of nothing would report that it passed
     for flag in ("trials", "samples"):
         if getattr(args, flag) < 1:
             raise SpecError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if not 0 < args.radius < math.inf:
         raise SpecError(f"--radius must be finite and positive, got {args.radius}")
-    lemma = args.lemma
-    rng_seed = args.seed
     if lemma == "lemma1":
         if args.matrix is None:
             raise SpecError("lemma1 needs --matrix")
@@ -323,11 +330,10 @@ def _cmd_verify(args, out) -> int:
     else:
         if args.spec is None:
             raise SpecError(f"{lemma} needs --spec")
-        spec = load_spec(args.spec)
-        F = _parse_functions(spec)
+        F, seed, _, _ = load_spec(args.spec)
         if lemma == "lemma2":
             n = F.n_inputs
-            if len(spec.seed) != n:
+            if len(seed) != n:
                 raise SpecError(f"lemma2 seed must have dim {n}")
             m = _parse_matrix(args.matrix) if args.matrix else identity(n)
             rng = random.Random(rng_seed)
@@ -335,7 +341,7 @@ def _cmd_verify(args, out) -> int:
                 tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_cols))
                 for _ in range(args.samples)
             ]
-            report = verify_mod.check_chain_rule(F, m, spec.seed, samples)
+            report = verify_mod.check_chain_rule(F, m, seed, samples)
             passed = report.passed
         elif lemma == "lemma3":
             queries = [_parse_point(q) for q in args.query or []]
@@ -346,7 +352,7 @@ def _cmd_verify(args, out) -> int:
         else:
             _, report = verify_mod.injectivity_radius(
                 F,
-                spec.seed,
+                seed,
                 r0=args.radius,
                 tuple_samples=args.samples,
                 pair_samples=args.samples,
@@ -365,45 +371,39 @@ def _cmd_verify(args, out) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="implisolve",
         description="Implicit- and inverse-function solver on validated boxes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
-        p.add_argument("--spec", required=spec_required, help="JSON problem file")
+    for command, text in (("implicit", "an implicit function"), ("invert", "a local inverse")):
+        p = sub.add_parser(command, help=f"evaluate {text}")
+        p.add_argument("--spec", required=True, help="JSON problem file")
         p.add_argument("--query", action="append", help="point 'v1,v2,...' (repeatable)")
         p.add_argument("--grid", action="append", help="axis 'lo:hi:steps' (one per independent axis)")
         p.add_argument("--out", choices=("json", "csv"), default="json")
-        p.add_argument("--tol-root", type=float, dest="tol_root")
-        p.add_argument("--tol-sys", type=float, dest="tol_sys")
-        p.add_argument("--seed", type=int, default=0, help="random seed for sampling checks")
-        p.add_argument("--box-halfwidth", dest="box_halfwidth", help="'h' or 'h_indep,h_dep'")
-        p.add_argument("--grid-density", type=int, dest="grid_density")
+        p.add_argument("--tol-root", type=float)
+        p.add_argument("--tol-sys", type=float)
+        p.add_argument("--box-halfwidth", type=_halfwidths, help="'h' or 'h_indep,h_dep'")
+        p.add_argument("--grid-density", type=int)
 
-    p_impl = sub.add_parser("implicit", help="evaluate an implicit function")
-    common(p_impl)
-    p_inv = sub.add_parser("invert", help="evaluate a local inverse")
-    common(p_inv)
     p_ver = sub.add_parser("verify", help="run a lemma check")
-    common(p_ver, spec_required=False)
-    p_ver.add_argument(
-        "--lemma",
-        required=True,
-        choices=("lemma1", "lemma2", "lemma3", "lemma4"),
-    )
+    p_ver.add_argument("--lemma", required=True, choices=tuple(_LEMMA_FLAGS))
+    p_ver.add_argument("--seed", type=int, default=0, help="random seed for sampling checks")
+    p_ver.add_argument("--spec", help="JSON problem file")
+    p_ver.add_argument("--query", action="append", help="point 'v1,v2,...' (lemma3: a, then b)")
     p_ver.add_argument("--matrix", help="rows 'a,b;c,d'")
-    p_ver.add_argument("--trials", type=int, default=1000)
-    p_ver.add_argument("--samples", type=int, default=2000)
-    p_ver.add_argument("--radius", type=float, default=0.5)
+    p_ver.add_argument("--trials", type=int)
+    p_ver.add_argument("--samples", type=int)
+    p_ver.add_argument("--radius", type=float)
     return parser
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
-    args = _build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args, out)
         return _cmd_points(args, out)

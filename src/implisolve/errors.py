@@ -66,37 +66,37 @@ class DegenerateDerivative(ImpliSolveError):
     """The dependent-variable derivative vanishes at the seed."""
 
 
-class BoxNotFound(ImpliSolveError):
+class _LevelError(ImpliSolveError):
+    """A failure the system solver tags with the recursion level it came
+    from, after it is raised; once set, the level ends the message."""
+
+    level: int | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.level is None else f"{text} (recursion level {self.level})"
+
+
+class BoxNotFound(_LevelError):
     """Box search exhausted its shrink budget. Carries the failing sample."""
 
-    def __init__(self, condition: str, sample, level: int | None = None):
+    def __init__(self, condition: str, sample):
         self.condition = condition
         self.sample = sample
-        self.level = level
-        at = f" at recursion level {level}" if level is not None else ""
-        super().__init__(
-            f"no validated box{at}: {condition} failed at sample {sample}"
-        )
+        super().__init__(f"no validated box: {condition} failed at sample {sample}")
 
 
-class OutsideBox(ImpliSolveError):
+class OutsideBox(_LevelError):
     """A query point lies outside the validated box."""
 
-    def __init__(self, point, level: int | None = None):
+    def __init__(self, point):
         self.point = tuple(point)
-        self.level = level
-        at = f" (recursion level {level})" if level is not None else ""
-        super().__init__(f"point {self.point} outside validated box{at}")
+        super().__init__(f"point {self.point} outside validated box")
 
 
-class NoConvergence(ImpliSolveError):
+class NoConvergence(_LevelError):
     """The root search failed inside a supposedly validated box, which means
     grid sampling was fooled."""
-
-    def __init__(self, detail: str, level: int | None = None):
-        self.level = level
-        at = f" (recursion level {level})" if level is not None else ""
-        super().__init__(f"{detail}{at}")
 
 
 class NoSignChange(ImpliSolveError):

@@ -245,7 +245,7 @@ def test_criterion_8_cli_determinism(tmp_path):
             [
                 sys.executable, "-m", "implisolve.cli",
                 "implicit", "--spec", str(spec), "--query", "1",
-                "--grid", "0.99:1.01:3", "--seed", "7",
+                "--grid", "0.99:1.01:3",
             ],
             [
                 sys.executable, "-m", "implisolve.cli",

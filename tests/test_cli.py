@@ -37,6 +37,14 @@ CUBIC_SPEC = {
     "seed": [0.0],
 }
 
+# level 2 solves y2 = 1e30 x^2, whose root leaves every box the search tries
+STEEP_SPEC = {
+    "functions": ["y1 - x", "y2 - 1e30*x^2"],
+    "variables": ["x", "y1", "y2"],
+    "split_n": 1,
+    "seed": [0.0, 0.0, 0.0],
+}
+
 
 def write_spec(tmp_path, name, spec):
     path = tmp_path / name
@@ -136,7 +144,10 @@ def test_implicit_outside_box_exit_2(tmp_path):
     assert doc["passed"] is False
     assert doc["results"][0]["ok"] is True
     assert doc["results"][1]["ok"] is False
-    assert "OutsideBox" in doc["results"][1]["error"]
+    assert doc["results"][1]["error"] == (
+        "OutsideBox: point (5.0,) outside validated box (recursion level 1)"
+    )
+    assert doc["results"][1]["diagnostics"] == {"level": 1}
 
 
 def test_spec_errors_exit_1(tmp_path):
@@ -160,6 +171,93 @@ def assert_one_line_error(capsys, code):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     return err
+
+
+SPEC = "<spec>"  # stands for the case's spec file in an argv below
+ON_SPEC = ["implicit", "--spec", SPEC]
+IMPLICIT = ON_SPEC + ["--query", "0"]
+LEMMA1 = ["verify", "--lemma", "lemma1", "--matrix", "1,0;0,1"]
+# flags of another command, each appended to an argv that is otherwise valid
+DROPPED_FLAGS = [
+    (IMPLICIT, "--seed", "7"),
+    (["invert", "--spec", SPEC, "--query", "0,2"], "--seed", "7"),
+    (LEMMA1, "--grid", "0:1:2"),
+    (LEMMA1, "--out", "json"),
+    (LEMMA1, "--tol-root", "1e-9"),
+    (LEMMA1, "--tol-sys", "1e-9"),
+    (LEMMA1, "--box-halfwidth", "0.5"),
+    (LEMMA1, "--grid-density", "5"),
+]
+HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
+
+
+@pytest.mark.parametrize(
+    "spec,argv,message",
+    [
+        pytest.param("{functions", IMPLICIT, "spec file is not valid JSON", id="spec_not_json"),
+        pytest.param([1, 2], IMPLICIT, "spec file must hold a JSON object", id="spec_not_object"),
+        pytest.param({k: v for k, v in CIRCLE_SPEC.items() if k != "seed"}, IMPLICIT,
+                     "spec file missing required field 'seed'", id="spec_without_seed"),
+        pytest.param(dict(CIRCLE_SPEC, options=[1]), IMPLICIT,
+                     "spec field 'options' must be an object", id="options_not_object"),
+        pytest.param(CIRCLE_SPEC, IMPLICIT + ["--box-halfwidth", "1,2,3"], HALFWIDTH + "'1,2,3'",
+                     id="halfwidth_three_parts"),
+        pytest.param(CIRCLE_SPEC, IMPLICIT + ["--box-halfwidth", "abc"], HALFWIDTH + "'abc'",
+                     id="halfwidth_not_a_number"),
+        pytest.param(CIRCLE_SPEC, ON_SPEC + ["--query", "1,abc"], "bad query '1,abc'",
+                     id="query_not_a_number"),
+        pytest.param(CIRCLE_SPEC, ON_SPEC + ["--grid", "0:1"],
+                     "grid axis '0:1' is not 'lo:hi:steps'", id="grid_two_parts"),
+        pytest.param(CIRCLE_SPEC, ON_SPEC + ["--grid", "0:1:0"],
+                     "grid steps must be at least 1", id="grid_zero_steps"),
+        pytest.param(CIRCLE_SPEC, ON_SPEC + ["--query", "0,1"],
+                     "query (0.0, 1.0) has dim 2, expected 1", id="query_wrong_dim"),
+        pytest.param(CIRCLE_SPEC, ON_SPEC + ["--grid", "0:1:2", "--grid", "0:1:2"],
+                     "--grid given 2 axes, need exactly 1", id="grid_wrong_axis_count"),
+        pytest.param(CIRCLE_SPEC, ["verify", "--lemma", "lemma1", "--matrix", "1,2;3"],
+                     "bad matrix '1,2;3'", id="matrix_ragged"),
+        pytest.param(SQUARE_MAP_SPEC, IMPLICIT,
+                     "implicit command needs 'split_n' in the spec file",
+                     id="implicit_without_split_n"),
+        pytest.param(STEEP_SPEC, IMPLICIT, " (recursion level 2)\n",
+                     id="box_not_found_names_level"),
+        pytest.param(dict(SQUARE_MAP_SPEC, seed=[1.0]),
+                     ["verify", "--lemma", "lemma2", "--spec", SPEC],
+                     "lemma2 seed must have dim 2", id="lemma2_seed_wrong_dim"),
+        pytest.param(CUBIC_SPEC, ["verify", "--lemma", "lemma3", "--spec", SPEC, "--query", "0"],
+                     "lemma3 needs exactly two --query points", id="lemma3_one_query"),
+        pytest.param(CIRCLE_SPEC, ["implicit", "--query", "0"],
+                     "the following arguments are required: --spec", id="spec_flag_missing"),
+        pytest.param(CIRCLE_SPEC, IMPLICIT + ["--grid-density", "x"],
+                     "argument --grid-density: invalid int value: 'x'",
+                     id="grid_density_not_an_int"),
+        pytest.param(CIRCLE_SPEC, IMPLICIT + ["--bogus", "1"],
+                     "unrecognized arguments: --bogus 1", id="unknown_flag"),
+        *[
+            pytest.param(SQUARE_MAP_SPEC if argv[0] == "invert" else CIRCLE_SPEC,
+                         argv + [flag, value], f"unrecognized arguments: {flag} {value}",
+                         id=f"{argv[0]}{flag}")
+            for argv, flag, value in DROPPED_FLAGS
+        ],
+        pytest.param(SQUARE_MAP_SPEC,
+                     ["verify", "--lemma", "lemma4", "--spec", SPEC, "--matrix", "1,0;0,1"],
+                     "lemma4 does not read --matrix", id="lemma4_matrix"),
+    ],
+)
+def test_rejected_argv_exit_1(tmp_path, capsys, spec, argv, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    code, text = run_main([str(path) if arg == SPEC else arg for arg in argv])
+    assert text == ""
+    assert message in assert_one_line_error(capsys, code)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["implicit", "--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: implisolve")
 
 
 @pytest.mark.parametrize(
@@ -427,9 +525,8 @@ def test_verify_missing_input_exit_1(capsys, lemma, missing):
 def test_verify_that_checks_nothing_exit_1(tmp_path, capsys, lemma, flag, value, message):
     # with no trials or samples every lemma check would report passed
     spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
-    code, text = run_main(
-        ["verify", "--lemma", lemma, "--matrix", "1,0;0,1", "--spec", spec, f"{flag}={value}"]
-    )
+    inputs = ["--matrix", "1,0;0,1"] if lemma == "lemma1" else ["--spec", spec]
+    code, text = run_main(["verify", "--lemma", lemma, *inputs, f"{flag}={value}"])
     assert text == ""
     assert assert_one_line_error(capsys, code) == f"error: {message}\n"
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from implisolve import (
+    BoxNotFound,
     DimensionMismatch,
     Matrix,
     OutsideBox,
@@ -431,6 +432,17 @@ def test_outside_box_reports_level(quad_system):
     with pytest.raises(OutsideBox) as err:
         quad_system.solve_at((2.0,))
     assert err.value.level is not None
+    assert str(err.value).endswith(f"(recursion level {err.value.level})")
+
+
+def test_box_not_found_message_names_level():
+    # level 2 solves y2 = 1e30 x^2, whose root leaves every box the search tries
+    F = parse(["y1 - x", "y2 - 1e30*x^2"], ["x", "y1", "y2"])
+    with pytest.raises(BoxNotFound) as err:
+        build_system(F, SplitPoint.of([0.0], [0.0, 0.0]))
+    assert err.value.level == 2
+    assert str(err.value).startswith("no validated box: endpoint-sign failed at sample")
+    assert str(err.value).endswith(" (recursion level 2)")
 
 
 def test_seed_not_on_zero_set():
