@@ -31,8 +31,7 @@ def main():
     print("mvt witness:  ", mvt_witness(cubic, (0.0,), (1.0,)))
 
     square_map = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
-    radius, report = injectivity_radius(square_map, (1.0, 1.0), rng_seed=seed)
-    print("injectivity:  ", report)
+    print("injectivity:  ", injectivity_radius(square_map, (1.0, 1.0), rng_seed=seed))
 
 
 if __name__ == "__main__":

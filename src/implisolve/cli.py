@@ -17,8 +17,9 @@ Output is a single JSON document (or CSV rows with a header via --out csv
 for the point-evaluating commands). Field names are pinned by
 docs/output_schema.json. Runs are deterministic: identical spec and seed
 produce byte-identical output. Exit codes: 0 full success, 1 spec error
-(parse, seed, singularity) or usage error, such as a flag the command or
-lemma does not read, on one line; 2 per-point failures (itemized in rows).
+(parse, seed, singularity) or usage error, such as a flag or spec field the
+command or lemma does not read, on one line; 2 per-point failures
+(itemized in rows).
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(SolverOptions))
 # Most query points one run evaluates, --query and --grid together.
 _MAX_POINTS = 100000
 
+# The spec fields each command reads; any other field exits 1.
+_SPEC_FIELDS = {
+    "implicit": ("functions", "variables", "split_n", "seed", "options"),
+    "invert": ("functions", "variables", "seed", "options"),
+    "verify": ("functions", "variables", "seed"),
+}
+
 
 class SpecError(Exception):
     """Bad spec file or flag combination; maps to exit code 1."""
@@ -60,10 +68,11 @@ class _ArgParser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def load_spec(path: str) -> tuple[ExprFunction, tuple[float, ...], int | None, dict]:
+def load_spec(path: str, command: str) -> tuple[ExprFunction, tuple[float, ...], int | None, dict]:
     """The spec's functions parsed over its variables, its seed, its
     split_n (None when absent) and its solver options. A parse error names
-    the function it is in, as functions[i]."""
+    the function it is in, as functions[i]; a field the command does not
+    read is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -73,6 +82,9 @@ def load_spec(path: str) -> tuple[ExprFunction, tuple[float, ...], int | None, d
         raise SpecError(f"spec file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecError("spec file must hold a JSON object")
+    for key in raw:
+        if key not in _SPEC_FIELDS[command]:
+            raise SpecError(f"{command} does not read spec field '{key}'")
     for key in ("functions", "variables", "seed"):
         if key not in raw:
             raise SpecError(f"spec file missing required field '{key}'")
@@ -259,7 +271,7 @@ def _evaluate_points(points, system) -> tuple[list[dict], bool]:
 
 def _cmd_points(args, out) -> int:
     """implicit and invert: build once, then one row per query point."""
-    F, seed, split_n, options = load_spec(args.spec)
+    F, seed, split_n, options = load_spec(args.spec, args.command)
     if args.command == "implicit" and split_n is None:
         raise SpecError("implicit command needs 'split_n' in the spec file")
     options = _solver_options(options, args)
@@ -326,11 +338,10 @@ def _cmd_verify(args, out) -> int:
         report = verify_mod.check_operator_bound(
             m, trials=args.trials, rng_seed=rng_seed
         )
-        passed = report.passed
     else:
         if args.spec is None:
             raise SpecError(f"{lemma} needs --spec")
-        F, seed, _, _ = load_spec(args.spec)
+        F, seed, _, _ = load_spec(args.spec, "verify")
         if lemma == "lemma2":
             n = F.n_inputs
             if len(seed) != n:
@@ -342,32 +353,24 @@ def _cmd_verify(args, out) -> int:
                 for _ in range(args.samples)
             ]
             report = verify_mod.check_chain_rule(F, m, seed, samples)
-            passed = report.passed
         elif lemma == "lemma3":
             queries = [_parse_point(q) for q in args.query or []]
             if len(queries) != 2:
                 raise SpecError("lemma3 needs exactly two --query points (a and b)")
             report = verify_mod.mvt_witness(F, queries[0], queries[1])
-            passed = report.found
         else:
-            _, report = verify_mod.injectivity_radius(
-                F,
-                seed,
-                r0=args.radius,
-                tuple_samples=args.samples,
-                pair_samples=args.samples,
-                rng_seed=rng_seed,
+            report = verify_mod.injectivity_radius(
+                F, seed, r0=args.radius, samples=args.samples, rng_seed=rng_seed
             )
-            passed = report.passed
     doc = {
         "command": "verify",
         "lemma": lemma,
         "rng_seed": rng_seed,
         "report": report,
-        "passed": passed,
+        "passed": report.passed,
     }
     _emit_json(doc, out)
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -100,7 +100,8 @@ class NoConvergence(_LevelError):
 
 
 class NoSignChange(ImpliSolveError):
-    """The mean-value witness scan found no sign change at grid resolution."""
+    """No sign change of g on the mean-value witness scan grid (min_abs: its
+    least |g|), or |g| = min_abs at the root found exceeds the tolerance."""
 
     def __init__(self, min_abs: float):
         super().__init__(

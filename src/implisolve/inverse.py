@@ -23,7 +23,6 @@ class LocalInverse:
     """Evaluable local inverse G with G(F(x)) = x near p and F(G(y)) = y."""
 
     F: ExprFunction
-    p: Vector
     q: Vector
     system: SystemSolution
 
@@ -65,4 +64,4 @@ def build_inverse(
     ]
     phi = ExprFunction(components, y_names + list(F.variables))
     system = build_system(phi, SplitPoint(x=q, y=p), options)
-    return LocalInverse(F=F, p=p, q=q, system=system)
+    return LocalInverse(F=F, q=q, system=system)

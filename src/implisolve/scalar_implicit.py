@@ -202,6 +202,60 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     raise BoxNotFound(last_failure[0], last_failure[1])
 
 
+def itp(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """Root of f in [lo, hi] by ITP (bracketed, bisection worst case), given
+    f_lo = f(lo) and f_hi = f(hi) with f_lo <= 0 <= f_hi.
+
+    Each step moves a regula-falsi point toward the midpoint by a
+    truncation, then projects it onto a ball around the midpoint that
+    shrinks as bisection would. The bracket therefore reaches width tol in
+    at most n_max steps, bisection's step count plus N0_ITP, and faster on
+    smooth roots; the midpoint is returned. Where tol is below the spacing
+    of floats near the root, it stops once no float lies strictly between
+    the endpoints, which also comes within n_max steps. The loop allows one
+    step more, and raises NoConvergence if even that does not end it.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    # width-based termination only: an |f| threshold could stop early
+    # where the slope is small, costing root-location accuracy
+    kappa1 = KAPPA1_ITP / (hi - lo)
+    n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + N0_ITP
+    half_target = 0.5 * tol * (1.0 - ITP_ROUNDING_MARGIN)
+    for j in range(n_max + 1):
+        width = hi - lo
+        mid = lo + 0.5 * width
+        # a step at most r from the midpoint keeps the bracket on course
+        # to width tol within n_max steps
+        r = math.ldexp(half_target, n_max - j) - 0.5 * width
+        r = r if r > 0.0 else 0.0  # max(0.0, r) without the cost of a call
+        x_f = lo - f_lo * width / (f_hi - f_lo)
+        delta = kappa1 * width * width
+        sigma = 1.0 if mid >= x_f else -1.0
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        y = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        if not lo < y < hi:
+            if not lo < mid < hi:
+                # adjacent floats: the bracket cannot shrink further
+                return 0.5 * (lo + hi)
+            y = mid
+        f_y = f(y)
+        if f_y == 0.0:
+            return y
+        if f_y < 0.0:
+            lo, f_lo = y, f_y
+        else:
+            hi, f_hi = y, f_y
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+    raise NoConvergence(
+        "ITP (bracketed, bisection worst case) did not converge in "
+        f"{n_max + 1} iterations"
+    )
+
+
 @dataclass(frozen=True)
 class ImplicitSolution:
     """Evaluable handle for the implicit function defined on a validated box."""
@@ -212,71 +266,25 @@ class ImplicitSolution:
     tol_root: float
 
     def solve_at(self, x: Sequence[float]) -> float:
-        """Unique root y of F(x, .) in the box interval, by ITP (bracketed,
-        bisection worst case).
-
-        Each step moves a regula-falsi point toward the midpoint by a
-        truncation, then projects it onto a ball around the midpoint that
-        shrinks as bisection would. The bracket therefore reaches tol_root
-        in at most n_max steps, bisection's step count plus N0_ITP, and
-        faster on smooth roots. Where tol_root is below the spacing of
-        floats near the root, it stops once no float lies strictly between
-        the endpoints, which also comes within n_max steps. The loop allows
-        one step more, and raises NoConvergence if even that does not end
-        it.
-        """
+        """Unique root y of F(x, .) in the box interval, by itp."""
         x = tuple(x)
         if len(x) != self.seed.n:
             raise DimensionMismatch(f"expected {self.seed.n} coordinates, got {len(x)}")
         if not self.box.contains_x(x):
             raise OutsideBox(x)
         s = self.box.sign
+        F_eval = self.F.eval
+
+        def f(y: float) -> float:
+            return s * F_eval(x + (y,))[0]
+
         lo, hi = self.box.y_lo, self.box.y_hi
-        f_lo = s * self.F.eval(x + (lo,))[0]
-        f_hi = s * self.F.eval(x + (hi,))[0]
-        if f_lo == 0.0:
-            return lo
-        if f_hi == 0.0:
-            return hi
-        if f_lo > 0.0 or f_hi < 0.0:
+        f_lo, f_hi = f(lo), f(hi)
+        if 0.0 not in (f_lo, f_hi) and (f_lo > 0.0 or f_hi < 0.0):
             raise NoConvergence(
                 "endpoint signs wrong at query point; box validation was fooled by sampling"
             )
-        # width-based termination only: an |F| threshold could stop early
-        # where the slope is small, costing root-location accuracy
-        tol = self.tol_root
-        kappa1 = KAPPA1_ITP / (hi - lo)
-        n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + N0_ITP
-        half_target = 0.5 * tol * (1.0 - ITP_ROUNDING_MARGIN)
-        for j in range(n_max + 1):
-            width = hi - lo
-            mid = lo + 0.5 * width
-            # a step at most r from the midpoint keeps the bracket on course
-            # to width tol within n_max steps
-            r = max(0.0, math.ldexp(half_target, n_max - j) - 0.5 * width)
-            x_f = lo - f_lo * width / (f_hi - f_lo)
-            delta = kappa1 * width * width
-            sigma = 1.0 if mid >= x_f else -1.0
-            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-            y = x_t if abs(x_t - mid) <= r else mid - sigma * r
-            if not lo < y < hi:
-                if not lo < mid < hi:
-                    # adjacent floats: the bracket cannot shrink further
-                    return 0.5 * (lo + hi)
-                y = mid
-            f_y = s * self.F.eval(x + (y,))[0]
-            if f_y == 0.0:
-                return y
-            if f_y < 0.0:
-                lo, f_lo = y, f_y
-            else:
-                hi, f_hi = y, f_y
-            if hi - lo <= tol:
-                return 0.5 * (lo + hi)
-        raise NoConvergence(
-            "ITP (bracketed, bisection worst case) did not converge in "
-            f"{n_max + 1} iterations"
-        )
+        return itp(f, lo, hi, f_lo, f_hi, self.tol_root)
 
     def gradient_at(self, x: Sequence[float]) -> Vector:
         """df/dx at x, via -(dF/dx_j)/(dF/dy) at (x, f(x))."""

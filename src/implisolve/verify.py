@@ -2,10 +2,11 @@
 
 Each check is a runnable, seeded experiment: the operator-norm bound on
 random vectors, the chain rule for affine precompositions computed two
-ways, a mean-value witness found by scan-and-bisect, and an injectivity
-radius estimated by sampling mixed-row Jacobians and direct point pairs.
-The radius estimate is sampling-based, not a certificate; reports carry
-the seed and sample counts so runs are reproducible.
+ways, a mean-value witness found by a grid scan and the solver's ITP root
+finder, and an injectivity radius estimated by sampling mixed-row
+Jacobians and direct point pairs. The radius estimate is sampling-based,
+not a certificate; reports carry the seed and sample count so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .expr import ExprFunction, Var, fresh_names, linear_combination
 from .linalg import Matrix, Vector, det, hs_norm, matvec, matmul, vec_sub
+from .scalar_implicit import itp
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def check_chain_rule(
 
 @dataclass(frozen=True)
 class WitnessReport:
-    found: bool
+    passed: bool
     t: float
     witness: Vector
     residual: float
@@ -114,6 +116,9 @@ class WitnessReport:
 
 _IDENTICAL_ZERO = 1e-12
 _WITNESS_TOL = 1e-10
+# below the spacing of floats at every t >= 2^-969, so itp stops on
+# adjacent floats
+_T_TOL = 2.0**-1022
 
 
 def mvt_witness(
@@ -122,7 +127,10 @@ def mvt_witness(
     """Point c on the segment [a, b] where the directional derivative equals
     the average rate of change: g(t) = <grad F(a + t(b-a)), b-a> - (F(b)-F(a))
     has a zero on [0, 1]. Scans a uniform grid for a sign change, then
-    bisects. Affine F (g identically zero on the grid) reports t = 0.5."""
+    solves the first bracket with scalar_implicit.itp; each g(t) is one
+    tangent pass, F.jvp, and samples_used counts them all. Passes when
+    |g(t)| <= 1e-10 max(1, |F(b) - F(a)|), relative to the size of g's
+    terms. Affine F (g identically zero on the grid) reports t = 0.5."""
     if F.n_outputs != 1:
         raise DimensionMismatch("mean-value witness needs a scalar function")
     a = Vector(a)
@@ -131,61 +139,43 @@ def mvt_witness(
         raise ValueError("segment endpoints coincide")
     direction = vec_sub(b, a)
     gap = F.eval(b)[0] - F.eval(a)[0]
+    used = 0
 
     def g(t: float) -> float:
+        nonlocal used
+        used += 1
         p = tuple(av + t * dv for av, dv in zip(a, direction))
-        return (
-            math.fsum(F.partial(p, j)[0] * direction[j] for j in range(len(a))) - gap
-        )
+        return F.jvp(p, direction)[0] - gap
 
     ts = [i / (grid - 1) for i in range(grid)]
     values = [g(t) for t in ts]
     if all(abs(v) <= _IDENTICAL_ZERO for v in values):
-        c = Vector(av + 0.5 * dv for av, dv in zip(a, direction))
-        return WitnessReport(True, 0.5, c, abs(g(0.5)), grid)
-
-    # (lo, hi, g(lo)), the grid's value carried forward
-    bracket = None
-    for i in range(grid - 1):
-        if values[i] == 0.0:
-            bracket = (ts[i], ts[i], values[i])
-            break
-        if values[i] * values[i + 1] < 0.0:
-            bracket = (ts[i], ts[i + 1], values[i])
-            break
-    if values[-1] == 0.0 and bracket is None:
-        bracket = (ts[-1], ts[-1], values[-1])
-    if bracket is None:
-        raise NoSignChange(min(abs(v) for v in values))
-
-    lo, hi, g_lo = bracket
-    t_best, g_best = lo, g_lo
-    used = grid
-    for _ in range(200):
-        if abs(g_best) <= _WITNESS_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        used += 1
-        if abs(g_mid) < abs(g_best):
-            t_best, g_best = mid, g_mid
-        if g_mid == 0.0:
-            break
-        if g_lo * g_mid < 0.0:
-            hi = mid
+        t = 0.5
+    else:
+        for i in range(grid - 1):
+            g_lo, g_hi = values[i], values[i + 1]
+            if min(g_lo, g_hi) <= 0.0 <= max(g_lo, g_hi):
+                break
         else:
-            lo, g_lo = mid, g_mid
-    if abs(g_best) > _WITNESS_TOL:
-        raise NoSignChange(abs(g_best))
-    c = Vector(av + t_best * dv for av, dv in zip(a, direction))
-    return WitnessReport(True, t_best, c, abs(g_best), used)
+            raise NoSignChange(min(abs(v) for v in values))
+        # itp takes the bracket rising through zero
+        s = 1.0 if g_lo <= g_hi else -1.0
+        t = itp(lambda u: s * g(u), ts[i], ts[i + 1], s * g_lo, s * g_hi, _T_TOL)
+    residual = abs(g(t))
+    if residual > _WITNESS_TOL * max(1.0, abs(gap)):
+        raise NoSignChange(residual)
+    c = Vector(av + t * dv for av, dv in zip(a, direction))
+    return WitnessReport(True, t, c, residual, used)
+
+
+# injectivity_radius gives up once halving takes r below this
+MIN_RADIUS = 1e-8
 
 
 @dataclass(frozen=True)
 class InjectivityReport:
     radius: float
-    tuple_samples: int
-    pair_samples: int
+    samples: int
     min_det_magnitude: float
     halvings: int
     rng_seed: int
@@ -208,19 +198,18 @@ def injectivity_radius(
     F: ExprFunction,
     p: Sequence[float],
     r0: float = 0.5,
-    tuple_samples: int = 2000,
-    pair_samples: int = 2000,
+    samples: int = 2000,
     rng_seed: int = 0,
-    min_radius: float = 1e-8,
-) -> tuple[float, InjectivityReport]:
+) -> InjectivityReport:
     """Estimate a radius on which F is injective, by sampling.
 
-    At radius r, draw tuples of independent points in B(p; r); the test
-    matrix takes row i as the gradient of component i at its own point.
-    Every sampled determinant must keep the sign of det JF(p) with
+    At radius r, draw `samples` tuples of independent points in B(p; r);
+    the test matrix takes row i as the gradient of component i at its own
+    point. Every sampled determinant must keep the sign of det JF(p) with
     magnitude >= 1e-12. A direct check then requires F(a) != F(b) for
-    random pairs, with separation > 1e-12 |a - b|. Halve r until both
-    pass. The result is evidence, not a certificate.
+    `samples` random pairs, with separation > 1e-12 |a - b|. Halve r until
+    both pass, down to MIN_RADIUS. The result is evidence, not a
+    certificate.
     """
     n = F.n_inputs
     if F.n_outputs != n:
@@ -234,10 +223,10 @@ def injectivity_radius(
     rng = random.Random(rng_seed)
     r = r0
     halvings = 0
-    while r >= min_radius:
+    while r >= MIN_RADIUS:
         ok = True
         min_det = abs(d0)
-        for _ in range(tuple_samples):
+        for _ in range(samples):
             rows = []
             for i in range(n):
                 xi = _ball_point(rng, p, r)
@@ -248,7 +237,7 @@ def injectivity_radius(
                 break
             min_det = min(min_det, abs(d))
         if ok:
-            for _ in range(pair_samples):
+            for _ in range(samples):
                 a = _ball_point(rng, p, r)
                 b = _ball_point(rng, p, r)
                 gap = vec_sub(a, b).norm()
@@ -258,16 +247,14 @@ def injectivity_radius(
                     ok = False
                     break
         if ok:
-            report = InjectivityReport(
+            return InjectivityReport(
                 radius=r,
-                tuple_samples=tuple_samples,
-                pair_samples=pair_samples,
+                samples=samples,
                 min_det_magnitude=min_det,
                 halvings=halvings,
                 rng_seed=rng_seed,
                 passed=True,
             )
-            return r, report
         r /= 2
         halvings += 1
     raise RadiusUnderflow(r)

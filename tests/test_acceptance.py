@@ -193,12 +193,10 @@ def test_criterion_6_lemma_suite():
         witness = mvt_witness(parse(["x^3"], ["x"]), (0.0,), (1.0,))
         assert abs(witness.t - 1 / math.sqrt(3)) <= 1e-8
 
-        r, inj = injectivity_radius(
-            SQUARE_MAP, (1.0, 1.0), tuple_samples=2000, pair_samples=2000
-        )
-        assert r > 0.0
+        inj = injectivity_radius(SQUARE_MAP, (1.0, 1.0), samples=2000)
+        assert inj.radius > 0.0
         assert inj.passed
-        assert inj.pair_samples == 2000
+        assert inj.samples == 2000
 
 
 def test_criterion_7_newton_oracle_equivalence():

@@ -242,6 +242,14 @@ HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
         pytest.param(SQUARE_MAP_SPEC,
                      ["verify", "--lemma", "lemma4", "--spec", SPEC, "--matrix", "1,0;0,1"],
                      "lemma4 does not read --matrix", id="lemma4_matrix"),
+        pytest.param({**QUAD_SPEC, "optoins": {"h0": 0.8}}, IMPLICIT,
+                     "implicit does not read spec field 'optoins'", id="spec_field_misspelled"),
+        pytest.param(dict(SQUARE_MAP_SPEC, split_n=1),
+                     ["invert", "--spec", SPEC, "--query", "0,2"],
+                     "invert does not read spec field 'split_n'", id="invert_split_n"),
+        pytest.param(dict(SQUARE_MAP_SPEC, options={"h0": 7.0}),
+                     ["verify", "--lemma", "lemma4", "--spec", SPEC],
+                     "verify does not read spec field 'options'", id="verify_options"),
     ],
 )
 def test_rejected_argv_exit_1(tmp_path, capsys, spec, argv, message):
@@ -551,7 +559,21 @@ def test_verify_lemma3(tmp_path):
     )
     assert code == 0
     doc = json.loads(text)
+    assert doc["report"]["passed"] is True
     assert abs(doc["report"]["t"] - 1 / math.sqrt(3)) < 1e-8
+
+
+def test_verify_lemma3_large_gap(tmp_path):
+    # |F(b) - F(a)| is about 1e13: the witness tolerance scales with it
+    spec = write_spec(
+        tmp_path, "exp.json", {"functions": ["exp(10*x)"], "variables": ["x"], "seed": [0.0]}
+    )
+    code, text = run_main(
+        ["verify", "--lemma", "lemma3", "--spec", spec, "--query", "0", "--query", "3"]
+    )
+    assert code == 0
+    t = json.loads(text)["report"]["t"]
+    assert abs(t - math.log((math.exp(30.0) - 1.0) / 30.0) / 30.0) < 1e-12
 
 
 def test_verify_lemma4_pass_and_degenerate(tmp_path):

@@ -79,7 +79,7 @@ def test_chain_rule_dimension_mismatch():
 
 def test_mvt_witness_quadratic_midpoint():
     report = mvt_witness(parse(["x^2"], ["x"]), (0.0,), (1.0,))
-    assert report.found
+    assert report.passed
     assert abs(report.t - 0.5) < 1e-10
 
 
@@ -97,8 +97,8 @@ def test_mvt_witness_cubic():
 
 
 def test_mvt_witness_evaluates_g_once_per_sample():
-    # g(t) takes one partial per coordinate; the scan and each bisection
-    # step count one sample, and nothing else evaluates g
+    # g(t) takes one tangent pass; the scan, each ITP step and the final
+    # residual count one sample, and nothing else evaluates g
     F = parse(["x^3 + y^2 - x*y"], ["x", "y"])
     calls = []
 
@@ -108,14 +108,14 @@ def test_mvt_witness_evaluates_g_once_per_sample():
         def eval(self, p):
             return F.eval(p)
 
-        def partial(self, p, j):
-            calls.append(j)
-            return F.partial(p, j)
+        def jvp(self, p, v):
+            calls.append(p)
+            return F.jvp(p, v)
 
     report = mvt_witness(Counting(), (0.0, 0.0), (1.0, 2.0), grid=64)
     assert report == mvt_witness(F, (0.0, 0.0), (1.0, 2.0), grid=64)
     assert report.samples_used > 64
-    assert len(calls) == 2 * report.samples_used
+    assert len(calls) == report.samples_used
 
 
 def test_mvt_witness_no_sign_change_at_coarse_grid():
@@ -125,7 +125,16 @@ def test_mvt_witness_no_sign_change_at_coarse_grid():
     with pytest.raises(NoSignChange):
         mvt_witness(F, (0.0,), (2 * math.pi,), grid=2)
     report = mvt_witness(F, (0.0,), (2 * math.pi,), grid=1024)
-    assert report.found
+    assert report.passed
+
+
+def test_mvt_witness_tolerance_scales_with_gap():
+    # g's terms are about 1e13 here, too large for an absolute 1e-10 bound
+    F = parse(["exp(10*x)"], ["x"])
+    report = mvt_witness(F, (0.0,), (3.0,))
+    assert report.passed
+    assert abs(report.t - math.log((math.exp(30.0) - 1.0) / 30.0) / 30.0) < 1e-12
+    assert report.residual <= 1e-10 * (math.exp(30.0) - 1.0)
 
 
 def test_mvt_witness_rejects_equal_endpoints():
@@ -135,8 +144,8 @@ def test_mvt_witness_rejects_equal_endpoints():
 
 def test_injectivity_linear_returns_initial_radius():
     F = parse(["2*x1 + x2", "x1 - x2"], ["x1", "x2"])
-    r, report = injectivity_radius(F, (0.0, 0.0), tuple_samples=200, pair_samples=200)
-    assert r == 0.5
+    report = injectivity_radius(F, (0.0, 0.0), samples=200)
+    assert report.radius == 0.5
     assert report.passed
     assert not report.certified
 
@@ -144,15 +153,15 @@ def test_injectivity_linear_returns_initial_radius():
 def test_injectivity_square_function_one_dim():
     # derivative 2 xi keeps one sign only for radii below 1 around p = 1
     F = parse(["x1^2"], ["x1"])
-    r, report = injectivity_radius(F, (1.0,), tuple_samples=500, pair_samples=500)
-    assert 0 < r < 1.0
+    report = injectivity_radius(F, (1.0,), samples=500)
+    assert 0 < report.radius < 1.0
     assert report.passed
 
 
 def test_injectivity_complex_square_map():
     F = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
-    r, report = injectivity_radius(F, (1.0, 1.0), tuple_samples=500, pair_samples=500)
-    assert r > 0.0
+    report = injectivity_radius(F, (1.0, 1.0), samples=500)
+    assert report.radius > 0.0
     assert report.passed
 
 
@@ -166,11 +175,11 @@ def test_injectivity_radius_underflow():
     # near-degenerate point: every radius above the floor still straddles 0
     F = parse(["x1^2"], ["x1"])
     with pytest.raises(RadiusUnderflow):
-        injectivity_radius(F, (1e-9,), tuple_samples=200, pair_samples=200)
+        injectivity_radius(F, (1e-9,), samples=200)
 
 
 def test_injectivity_deterministic():
     F = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
-    a = injectivity_radius(F, (1.0, 1.0), tuple_samples=100, pair_samples=100, rng_seed=3)
-    b = injectivity_radius(F, (1.0, 1.0), tuple_samples=100, pair_samples=100, rng_seed=3)
+    a = injectivity_radius(F, (1.0, 1.0), samples=100, rng_seed=3)
+    b = injectivity_radius(F, (1.0, 1.0), samples=100, rng_seed=3)
     assert a == b
