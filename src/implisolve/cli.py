@@ -68,11 +68,13 @@ class _ArgParser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def load_spec(path: str, command: str) -> tuple[ExprFunction, tuple[float, ...], int | None, dict]:
-    """The spec's functions parsed over its variables, its seed, its
-    split_n (None when absent) and its solver options. A parse error names
-    the function it is in, as functions[i]; a field the command does not
-    read is refused."""
+def load_spec(
+    path: str, command: str, needs_seed: bool = True
+) -> tuple[ExprFunction, tuple[float, ...] | None, int | None, dict]:
+    """The spec's functions parsed over its variables, its seed (None when
+    absent and not needed), its split_n (None when absent) and its solver
+    options. A parse error names the function it is in, as functions[i]; a
+    field the command does not read is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -86,9 +88,9 @@ def load_spec(path: str, command: str) -> tuple[ExprFunction, tuple[float, ...],
         if key not in _SPEC_FIELDS[command]:
             raise SpecError(f"{command} does not read spec field '{key}'")
     for key in ("functions", "variables", "seed"):
-        if key not in raw:
+        if key not in raw and (needs_seed or key != "seed"):
             raise SpecError(f"spec file missing required field '{key}'")
-        if raw[key] == []:
+        if raw.get(key) == []:
             raise SpecError(f"spec field '{key}' must not be empty")
     for key in ("functions", "variables"):
         if not isinstance(raw[key], list) or not all(isinstance(v, str) for v in raw[key]):
@@ -96,7 +98,7 @@ def load_spec(path: str, command: str) -> tuple[ExprFunction, tuple[float, ...],
     split_n = raw.get("split_n")
     if split_n is not None and (isinstance(split_n, bool) or not isinstance(split_n, int)):
         raise SpecError("spec field 'split_n' must be an integer")
-    seed = raw["seed"]
+    seed = raw.get("seed", [])
     if not isinstance(seed, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in seed
     ):
@@ -107,7 +109,7 @@ def load_spec(path: str, command: str) -> tuple[ExprFunction, tuple[float, ...],
     unknown = set(options) - set(_OPTION_KEYS)
     if unknown:
         raise SpecError(f"unknown option keys: {sorted(unknown)}")
-    seed = _finite(seed, "spec field 'seed'")
+    seed = _finite(seed, "spec field 'seed'") if "seed" in raw else None
     try:
         F = parse(raw["functions"], raw["variables"])
     except (ExprSyntaxError, UnknownIdentifier) as exc:
@@ -115,8 +117,16 @@ def load_spec(path: str, command: str) -> tuple[ExprFunction, tuple[float, ...],
     return F, seed, split_n, options
 
 
+def _float(v) -> float:
+    """v as a float, an integer beyond the float range as an infinity."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _finite(values, what: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in values)
+    values = tuple(_float(v) for v in values)
     if not all(math.isfinite(v) for v in values):
         raise SpecError(f"{what} must be finite, got {list(values)}")
     return values
@@ -142,7 +152,7 @@ def _solver_options(options: dict, args) -> SolverOptions:
         merged.update(zip(("h0", "h0_dep"), args.box_halfwidth))
     try:
         return SolverOptions(**merged)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecError(f"bad solver options: {exc}") from None
 
 
@@ -341,7 +351,7 @@ def _cmd_verify(args, out) -> int:
     else:
         if args.spec is None:
             raise SpecError(f"{lemma} needs --spec")
-        F, seed, _, _ = load_spec(args.spec, "verify")
+        F, seed, _, _ = load_spec(args.spec, "verify", needs_seed=lemma != "lemma3")
         if lemma == "lemma2":
             n = F.n_inputs
             if len(seed) != n:

@@ -503,8 +503,8 @@ def build_system(
     if _depth == 1 and m > MAX_DEPTH:
         raise ValueError(f"dependent dimension {m} exceeds the cap {MAX_DEPTH}")
     residual = max(abs(r) for r in F.eval(seed.point()))
-    if residual > options.tol_seed:
-        raise SeedNotOnZeroSet(residual, options.tol_seed)
+    if residual > options.tol_sys:
+        raise SeedNotOnZeroSet(residual, options.tol_sys)
 
     if m == 1:
         scalar = _build_scalar(F, seed, options, _depth)

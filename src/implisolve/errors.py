@@ -101,11 +101,14 @@ class NoConvergence(_LevelError):
 
 class NoSignChange(ImpliSolveError):
     """No sign change of g on the mean-value witness scan grid (min_abs: its
-    least |g|), or |g| = min_abs at the root found exceeds the tolerance."""
+    least |g|), or |g| = min_abs at the root t found exceeds tol (g jumps
+    across 0 where F is not differentiable)."""
 
-    def __init__(self, min_abs: float):
+    def __init__(self, min_abs: float, t: float | None = None, tol: float = 0.0):
         super().__init__(
             f"no sign change on the scan grid; min |g| attained {min_abs:g}"
+            if t is None
+            else f"|g| = {min_abs:g} at the root found, t = {t!r}, exceeds tolerance {tol:g}"
         )
         self.min_abs = min_abs
 

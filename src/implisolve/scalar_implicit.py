@@ -134,8 +134,8 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         )
     p0 = seed.point()
     r0 = F.eval(p0)[0]
-    if abs(r0) > options.tol_seed:
-        raise SeedNotOnZeroSet(abs(r0), options.tol_seed)
+    if abs(r0) > options.tol_sys:
+        raise SeedNotOnZeroSet(abs(r0), options.tol_sys)
     slope = F.partial(p0, n)[0]
     if abs(slope) <= DERIVATIVE_EPS:
         raise DegenerateDerivative(

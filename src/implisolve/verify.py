@@ -162,8 +162,9 @@ def mvt_witness(
         s = 1.0 if g_lo <= g_hi else -1.0
         t = itp(lambda u: s * g(u), ts[i], ts[i + 1], s * g_lo, s * g_hi, _T_TOL)
     residual = abs(g(t))
-    if residual > _WITNESS_TOL * max(1.0, abs(gap)):
-        raise NoSignChange(residual)
+    tol = _WITNESS_TOL * max(1.0, abs(gap))
+    if residual > tol:
+        raise NoSignChange(residual, t, tol)
     c = Vector(av + t * dv for av, dv in zip(a, direction))
     return WitnessReport(True, t, c, residual, used)
 

@@ -198,6 +198,16 @@ HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
         pytest.param([1, 2], IMPLICIT, "spec file must hold a JSON object", id="spec_not_object"),
         pytest.param({k: v for k, v in CIRCLE_SPEC.items() if k != "seed"}, IMPLICIT,
                      "spec file missing required field 'seed'", id="spec_without_seed"),
+        *[
+            pytest.param({k: v for k, v in SQUARE_MAP_SPEC.items() if k != "seed"},
+                         argv[:1] + ["--spec", SPEC] + argv[1:],
+                         "spec file missing required field 'seed'", id=f"{name}_without_seed")
+            for name, argv in [
+                ("invert", ["invert", "--query", "0,2"]),
+                ("lemma2", ["verify", "--lemma", "lemma2"]),
+                ("lemma4", ["verify", "--lemma", "lemma4"]),
+            ]
+        ],
         pytest.param(dict(CIRCLE_SPEC, options=[1]), IMPLICIT,
                      "spec field 'options' must be an object", id="options_not_object"),
         pytest.param(CIRCLE_SPEC, IMPLICIT + ["--box-halfwidth", "1,2,3"], HALFWIDTH + "'1,2,3'",
@@ -250,6 +260,24 @@ HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
         pytest.param(dict(SQUARE_MAP_SPEC, options={"h0": 7.0}),
                      ["verify", "--lemma", "lemma4", "--spec", SPEC],
                      "verify does not read spec field 'options'", id="verify_options"),
+        *[
+            pytest.param(dict(CIRCLE_SPEC, options={field: value}), IMPLICIT,
+                         f"bad solver options: {message}", id=f"option_{case}")
+            for case, field, value, message in [
+                ("tol_root_str", "tol_root", "abc", "tol_root must be an int or a float, got str"),
+                ("h0_list", "h0", [1], "h0 must be an int or a float, got list"),
+                ("tol_root_bool", "tol_root", True, "tol_root must be an int or a float, got bool"),
+                ("grid_density_float", "grid_density", 2.5, "grid_density must be an int, got float"),
+                ("h0_beyond_float_range", "h0", 10**400, "h0 must be finite and positive"),
+            ]
+        ],
+        pytest.param(dict(CIRCLE_SPEC, seed=[0, 10**400]), IMPLICIT,
+                     "spec field 'seed' must be finite, got [0.0, inf]",
+                     id="implicit_seed_beyond_float_range"),
+        pytest.param(dict(SQUARE_MAP_SPEC, seed=[0, -10**400]),
+                     ["verify", "--lemma", "lemma4", "--spec", SPEC],
+                     "spec field 'seed' must be finite, got [0.0, -inf]",
+                     id="lemma4_seed_beyond_float_range"),
     ],
 )
 def test_rejected_argv_exit_1(tmp_path, capsys, spec, argv, message):
@@ -288,7 +316,6 @@ def test_parse_error_names_the_function(tmp_path, capsys, command, spec, message
 
 def test_every_solver_option_is_accepted_by_name(tmp_path, monkeypatch):
     options = {
-        "tol_seed": 1e-9,
         "tol_root": 1e-11,
         "tol_sys": 1e-8,
         "h0": 0.8,
@@ -313,13 +340,18 @@ def test_every_solver_option_is_accepted_by_name(tmp_path, monkeypatch):
 
 def test_unknown_option_key_exit_1(tmp_path, capsys):
     # max_iter, max_shrink and max_depth were options once; their limits are
-    # now built into the solvers
-    options = {"h0": 0.8, "bogus": 1, "max_iter": 200, "max_shrink": 40, "max_depth": 6}
+    # now built into the solvers. tol_seed was too; seeds are checked
+    # against tol_sys.
+    options = {
+        "h0": 0.8, "bogus": 1, "max_iter": 200, "max_shrink": 40, "max_depth": 6,
+        "tol_seed": 1e-9,
+    }
     spec = write_spec(tmp_path, "bad.json", dict(CIRCLE_SPEC, options=options))
     code, text = run_main(["implicit", "--spec", spec, "--query", "0"])
     assert text == ""
     assert assert_one_line_error(capsys, code) == (
-        "error: unknown option keys: ['bogus', 'max_depth', 'max_iter', 'max_shrink']\n"
+        "error: unknown option keys: "
+        "['bogus', 'max_depth', 'max_iter', 'max_shrink', 'tol_seed']\n"
     )
 
 
@@ -327,8 +359,8 @@ def test_unknown_option_key_exit_1(tmp_path, capsys):
     "flag,value,message",
     [
         ("--tol-root", "inf", "tol_root must be finite and positive"),
-        ("--box-halfwidth", "inf", "box half-widths must be finite and positive"),
-        ("--box-halfwidth", "0.5,inf", "box half-widths must be finite and positive"),
+        ("--box-halfwidth", "inf", "h0 must be finite and positive"),
+        ("--box-halfwidth", "0.5,inf", "h0_dep must be finite and positive"),
     ],
 )
 def test_infinite_option_flag_exit_1(tmp_path, capsys, flag, value, message):
@@ -561,6 +593,17 @@ def test_verify_lemma3(tmp_path):
     doc = json.loads(text)
     assert doc["report"]["passed"] is True
     assert abs(doc["report"]["t"] - 1 / math.sqrt(3)) < 1e-8
+
+
+def test_verify_lemma3_needs_no_seed(tmp_path):
+    # lemma3 reads only its two queries; a seed, when given, is ignored
+    argv = ["verify", "--lemma", "lemma3", "--query", "0", "--query", "1", "--spec"]
+    unseeded = {"functions": ["x^3"], "variables": ["x"]}
+    code, text = run_main(argv + [write_spec(tmp_path, "unseeded.json", unseeded)])
+    assert code == 0
+    assert json.loads(text)["passed"] is True
+    seeded = dict(unseeded, seed=[0.0])
+    assert run_main(argv + [write_spec(tmp_path, "seeded.json", seeded)]) == (0, text)
 
 
 def test_verify_lemma3_large_gap(tmp_path):

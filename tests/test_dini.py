@@ -227,7 +227,7 @@ CUBIC_TRIPLE = parse(
 @pytest.mark.parametrize(
     "t,dy1,options",
     [
-        # y1 moved 4e-11 off the zero set: seed residual 5.6e-11 < tol_seed
+        # y1 moved 4e-11 off the zero set: seed residual 5.6e-11 < tol_sys
         (0.7, 4e-11, SolverOptions()),
         (0.7, -4e-11, SolverOptions()),
         # exact seed, but phi's root may miss b1 by up to tol_root / 2
@@ -241,12 +241,42 @@ def test_inner_check_ignores_inner_root_miss(t, dy1, options):
     eliminated at z1 = b1, which is I up to roundoff, so the build
     succeeds."""
     seed = SplitPoint.of([t * t + 2 * t - 2], [t + dy1, t, t])
-    assert max(abs(r) for r in CUBIC_TRIPLE.eval(seed.point())) <= options.tol_seed
+    assert max(abs(r) for r in CUBIC_TRIPLE.eval(seed.point())) <= options.tol_sys
     system = build_system(CUBIC_TRIPLE, seed, options)
     assert identity_gap(system.child) > _NORMALIZE_TOL
     y = system.solve_at(tuple(seed.x))
     assert max(abs(a - b) for a, b in zip(y, seed.y)) <= 10 * options.tol_sys
     check_against_newton(CUBIC_TRIPLE, seed, system)
+
+
+STEEP_CURVE = parse(["1000*(y^3 + y - x) + sin(y) - sin(x)"], ["x", "y"])
+
+
+@pytest.mark.parametrize(
+    "F,seed,queries",
+    [
+        (STEEP_CURVE, SplitPoint.of([0.0], [0.0]), 300),
+        (QUAD, QUAD_SEED, 40),
+        (CUBIC_TRIPLE, SplitPoint.of([1.0], [1.0, 1.0, 1.0]), 8),
+    ],
+    ids=["steep_curve", "quad_pair", "cubic_triple"],
+)
+def test_every_answer_seeds_a_new_build(F, seed, queries):
+    """solve_at's answers and the seeds a build accepts share the residual
+    bound tol_sys, so a build re-seeded at any answer succeeds. On the steep
+    curve the factor 1000 leaves many answers with a residual above 1e-10."""
+    system = build_system(F, seed)
+    lo, hi = system.x_box()
+    rng = random.Random(1)
+    residuals = []
+    for _ in range(queries):
+        x = tuple(rng.uniform(0.95 * a + 0.05 * b, 0.05 * a + 0.95 * b) for a, b in zip(lo, hi))
+        y = system.solve_at(x)
+        residuals.append(max(abs(r) for r in F.eval(x + tuple(y))))
+        build_system(F, SplitPoint.of(x, y))
+    assert max(residuals) <= system.options.tol_sys
+    if F is STEEP_CURVE:
+        assert sum(r > 1e-10 for r in residuals) > queries / 2
 
 
 def test_composed_jvp_matches_partials(corpus_systems):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -282,8 +283,34 @@ def test_itp_solves_far_from_zero(center):
 # --- options --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("field", ["h0", "h0_dep", "tol_seed", "tol_root", "tol_sys"])
+@pytest.mark.parametrize("field", ["h0", "h0_dep", "tol_root", "tol_sys"])
 def test_options_reject_nan(field):
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverOptions(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("tol_root", "abc", "tol_root must be an int or a float, got str"),
+        ("tol_sys", True, "tol_sys must be an int or a float, got bool"),
+        ("h0", [1], "h0 must be an int or a float, got list"),
+        ("h0", 10**400, "h0 must be finite and positive"),
+        ("h0_dep", -1.0, "h0_dep must be finite and positive"),
+        ("tol_root", 0, "tol_root must be finite and positive"),
+        ("grid_density", 2.5, "grid_density must be an int, got float"),
+        ("grid_density", True, "grid_density must be an int, got bool"),
+        ("grid_density", "9", "grid_density must be an int, got str"),
+        ("grid_density", 1, "grid_density must be at least 2"),
+    ],
+)
+def test_options_reject_ill_typed_values(field, value, message):
+    with pytest.raises(ValueError) as excinfo:
+        SolverOptions(**{field: value})
+    assert str(excinfo.value) == message
+
+
+def test_options_accept_ints_and_the_largest_float():
+    options = SolverOptions(tol_root=1, tol_sys=sys.float_info.max, h0=2, grid_density=2)
+    assert options.tol_sys == sys.float_info.max

@@ -122,10 +122,22 @@ def test_mvt_witness_no_sign_change_at_coarse_grid():
     # g(t) = 2*pi*cos(2*pi*t) is positive at both endpoints; a two-point
     # grid cannot see the interior dip
     F = parse(["sin(x)"], ["x"])
-    with pytest.raises(NoSignChange):
+    with pytest.raises(NoSignChange, match="^no sign change on the scan grid"):
         mvt_witness(F, (0.0,), (2 * math.pi,), grid=2)
     report = mvt_witness(F, (0.0,), (2 * math.pi,), grid=1024)
     assert report.passed
+
+
+def test_mvt_witness_jump_names_the_residual():
+    # g = 3 sign(x) - 1 on x = -1 + 3t jumps across 0 at t = 1/3: the grid
+    # changes sign, but no t makes g vanish
+    F = parse(["abs(x)"], ["x"])
+    with pytest.raises(NoSignChange) as excinfo:
+        mvt_witness(F, (-1.0,), (2.0,))
+    assert str(excinfo.value) == (
+        "|g| = 1 at the root found, t = 0.33333333333333337, exceeds tolerance 1e-10"
+    )
+    assert excinfo.value.min_abs > 1e-10
 
 
 def test_mvt_witness_tolerance_scales_with_gap():
