@@ -110,6 +110,11 @@ def load_spec(
     if unknown:
         raise SpecError(f"unknown option keys: {sorted(unknown)}")
     seed = _finite(seed, "spec field 'seed'") if "seed" in raw else None
+    if seed is not None and len(seed) != len(raw["variables"]):
+        raise SpecError(
+            f"spec field 'seed' must have one value per variable "
+            f"({len(raw['variables'])}), got {len(seed)}"
+        )
     try:
         F = parse(raw["functions"], raw["variables"])
     except (ExprSyntaxError, UnknownIdentifier) as exc:
@@ -353,10 +358,7 @@ def _cmd_verify(args, out) -> int:
             raise SpecError(f"{lemma} needs --spec")
         F, seed, _, _ = load_spec(args.spec, "verify", needs_seed=lemma != "lemma3")
         if lemma == "lemma2":
-            n = F.n_inputs
-            if len(seed) != n:
-                raise SpecError(f"lemma2 seed must have dim {n}")
-            m = _parse_matrix(args.matrix) if args.matrix else identity(n)
+            m = _parse_matrix(args.matrix) if args.matrix else identity(F.n_inputs)
             rng = random.Random(rng_seed)
             samples = [
                 tuple(rng.uniform(-1.0, 1.0) for _ in range(m.n_cols))

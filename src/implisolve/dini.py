@@ -14,11 +14,14 @@ box over (x, z) where every level's scalar box holds, F(x, .) has exactly
 one zero. build_system computes that box once per level and stores it on
 the solution. The stack is not the evaluator. For m > 1 a query runs plain
 Newton on F(x, .) from the seed (Ortega & Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, ch. 10) and accepts the iterate
-when its residual is within tol_sys and it lies in the stored region, a
-comparison without root solves. Otherwise the query falls back to the
-nested solve, one ITP solve (bracketed, bisection worst case) per level,
-whose cost grows like iterations^m (m is capped by MAX_DEPTH).
+Nonlinear Equations in Several Variables, ch. 10). Each step takes the
+dependent block of F's Jacobian from one jacobian pass and makes one LU
+solve. The query accepts the iterate when its residual is within tol_sys
+and it lies in the stored region: z = b + J (y - b), with J = dF/dy at the
+seed, is one matrix-vector product, compared without root solves.
+Otherwise the query falls back to the nested solve, one ITP solve
+(bracketed, bisection worst case) per level, whose cost grows like
+iterations^m (m is capped by MAX_DEPTH).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -214,10 +217,13 @@ def normalize(F, seed: SplitPoint):
 
     Expression-backed functions get the substitution performed on their
     trees; other functions are wrapped with the equivalent affine map.
-    Returns (G, J_inv).
+    Returns (G, J, J_inv, JG), where JG is G's Jacobian at the seed, whose
+    dependent block is checked to be the identity. Each of F's and G's
+    Jacobians is read once.
     """
     n, m = seed.n, seed.m
-    j_inv = inverse(split_columns(F.jacobian(seed.point()), n)[1])
+    fy = split_columns(F.jacobian(seed.point()), n)[1]
+    j_inv = inverse(fy)
 
     if isinstance(F, ExprFunction):
         x_names = list(F.variables[:n])
@@ -234,8 +240,9 @@ def normalize(F, seed: SplitPoint):
         G = F.substituted(mapping, x_names + z_names)
     else:
         G = _AffineReparam(F, n, seed.y, j_inv)
-    _check_identity_block(G.jacobian(seed.point()), n)
-    return G, j_inv
+    jg = G.jacobian(seed.point())
+    _check_identity_block(jg, n)
+    return G, fy, j_inv, jg
 
 
 def _check_identity_block(jac: Matrix, n: int) -> None:
@@ -263,8 +270,10 @@ class SystemSolution:
     child's region. Newton evaluates queries inside it and the nested solve
     is the fallback (see solve_at). normalizer is the J_inv of
     y = b + J_inv (z - b) at level 1 when m > 1, and None at every other
-    level, which solves its F as it is. Immutable; evaluations at distinct
-    points may run concurrently.
+    level, which solves its F as it is. seed_fy is J = dF/dy at the seed
+    where normalizer is set, else None: z = b + J (y - b) maps an answer
+    back to z. Immutable; evaluations at distinct points may run
+    concurrently.
     """
 
     F: object
@@ -273,6 +282,7 @@ class SystemSolution:
     depth: int
     scalar: ImplicitSolution
     normalizer: Matrix | None
+    seed_fy: Matrix | None
     child: "SystemSolution | None"
     region: tuple[Vector, Vector]
 
@@ -314,13 +324,14 @@ class SystemSolution:
         leaves y unchanged) within _NEWTON_MAX_ITER steps, its residual
         exceeds tol_sys, it lies outside the validated region, or a step
         fails to evaluate."""
-        n, m = self.n, self.m
+        n = self.n
         y = tuple(self.seed.y)
         try:
             for _ in range(_NEWTON_MAX_ITER):
                 p = x + y
-                cols = [self.F.partial(p, n + j) for j in range(m)]
-                step = solve(Matrix(tuple(zip(*cols))), self.F.eval(p))
+                # the dependent block of a Matrix, whose entries are finite
+                fy = Matrix._unchecked(tuple(row[n:] for row in self.F.jacobian(p).rows))
+                step = solve(fy, self.F.eval(p))
                 prev, y = y, tuple(yv - sv for yv, sv in zip(y, step))
                 if y == prev or max(map(abs, step)) <= self.options.tol_root:
                     break
@@ -340,7 +351,7 @@ class SystemSolution:
         map, lies strictly inside the stored region. F(x, .) has exactly one
         zero there, the one the nested solve finds."""
         b = tuple(self.seed.y)
-        dz = solve(self.normalizer, vec_sub(y, b))
+        dz = matvec(self.seed_fy, vec_sub(y, b))
         p = x + tuple(bv + dv for bv, dv in zip(b, dz))
         lo, hi = self.region
         return all(low < v < high for low, v, high in zip(lo, p, hi))
@@ -508,14 +519,13 @@ def build_system(
 
     if m == 1:
         scalar = _build_scalar(F, seed, options, _depth)
-        j_inv = child = None
+        fy = j_inv = child = None
     else:
         if _depth == 1:
-            G, j_inv = normalize(F, seed)
-            seed_jacobian = G.jacobian(seed.point())
+            G, fy, j_inv, seed_jacobian = normalize(F, seed)
         else:
             # the level above normalized, so F's dependent block is already I
-            G, j_inv, seed_jacobian = F, None, F.seed_jacobian
+            G, fy, j_inv, seed_jacobian = F, None, None, F.seed_jacobian
             _check_identity_block(seed_jacobian, n)
         perm = _phi_variable_perm(n, m)
         if isinstance(G, ExprFunction):
@@ -541,6 +551,7 @@ def build_system(
         depth=_depth,
         scalar=scalar,
         normalizer=j_inv,
+        seed_fy=fy,
         child=child,
         region=_region(scalar.box, n, child),
     )

@@ -10,15 +10,17 @@ Dual's operators and the module-level functions (div, pow_, sin, ...)
 accept floats or Duals and enforce domain restrictions uniformly; they
 raise DomainViolation, which the expression evaluator converts into a located
 DomainError. They are the reference semantics of derivatives: the
-expression tree walker runs them, the compiled tangent kernel performs
-the same float operations in the same order, and when the kernel fails
+expression tree walker runs them, the compiled tangent kernels perform
+the same float operations in the same order, and when a kernel fails
 the walker over Duals locates the failing node. The rules that branch or
-raise are written once, in pair form ((value, derivative) in, (value,
-derivative) out: pow_pair, pow_const_pair, exp_pair, ln_pair, sqrt_pair,
-abs_pair), called by both the Dual functions and the tangent kernel. The
-float-only helpers (_div_float, _pow_float, _exp_float, _ln_float,
-_sqrt_float) give the same results and checks on floats without the type
-tests.
+raise are written once and called by both the Dual functions and the
+kernels. Most are in factor form, value in, (value, derivative factor)
+out (pow_const_factor, sqrt_factor, abs_factor), so that a kernel carrying
+several tangents computes them once per node and shares them across
+directions; pow_pair, whose rule branches on the exponent's derivative,
+is in pair form. The float-only helpers (_div_float, _pow_float,
+_exp_float, _ln_float, _sqrt_float) give the same results and checks on
+floats without the type tests.
 """
 
 from __future__ import annotations
@@ -145,22 +147,24 @@ def pow_pair(av: float, ad: float, bv: float, bd: float) -> tuple[float, float]:
             raise DomainViolation("power with varying exponent needs positive base")
         v = _pow_float(av, bv)
         return v, v * (bd * math.log(av) + bv * ad / av)
-    return pow_const_pair(av, ad, bv)
+    v, f = pow_const_factor(av, bv)
+    return v, 0.0 if f is None else f * ad
 
 
-def pow_const_pair(av: float, ad: float, n: float) -> tuple[float, float]:
-    """(a, a') ^ n for a constant exponent: the real power rule, including
-    negative bases with integer exponents."""
+def pow_const_factor(av: float, n: float) -> tuple[float, float | None]:
+    """a ^ n for a constant exponent and the factor f with d(a^n) = f * a':
+    the real power rule, including negative bases with integer exponents.
+    f is None where the derivative is exactly 0.0 whatever a' is."""
     v = _pow_float(av, n)
     if n == 0.0:
-        return 1.0, 0.0
+        return 1.0, None
     if av == 0.0:
         if n == 1.0:
-            return 0.0, ad
+            return 0.0, 1.0
         if n > 1.0:
-            return 0.0, 0.0
+            return 0.0, None
         raise DomainViolation("power rule derivative undefined at zero base")
-    return v, n * _pow_float(av, n - 1.0) * ad
+    return v, n * _pow_float(av, n - 1.0)
 
 
 def pow_(a, b):
@@ -188,14 +192,10 @@ def _exp_float(x: float) -> float:
         raise DomainViolation("overflow in exp") from None
 
 
-def exp_pair(x: float, d: float) -> tuple[float, float]:
-    ev = _exp_float(x)
-    return ev, ev * d
-
-
 def exp(v):
     if isinstance(v, Dual):
-        return Dual(*exp_pair(v.value, v.derivative))
+        ev = _exp_float(v.value)
+        return Dual(ev, ev * v.derivative)
     return _exp_float(v)
 
 
@@ -205,13 +205,9 @@ def _ln_float(x: float) -> float:
     return math.log(x)
 
 
-def ln_pair(x: float, d: float) -> tuple[float, float]:
-    return _ln_float(x), d / x
-
-
 def ln(v):
     if isinstance(v, Dual):
-        return Dual(*ln_pair(v.value, v.derivative))
+        return Dual(_ln_float(v.value), v.derivative / v.value)
     return _ln_float(v)
 
 
@@ -221,27 +217,31 @@ def _sqrt_float(x: float) -> float:
     return math.sqrt(x)
 
 
-def sqrt_pair(x: float, d: float) -> tuple[float, float]:
+def sqrt_factor(x: float) -> tuple[float, float]:
+    """sqrt(x) and the f with d sqrt(x) = x' / f."""
     # derivative of sqrt is unbounded at 0, so require strict positivity
     if x <= 0.0:
         raise DomainViolation("sqrt derivative needs a positive argument")
     s = math.sqrt(x)
-    return s, d / (2.0 * s)
+    return s, 2.0 * s
 
 
 def sqrt(v):
     if isinstance(v, Dual):
-        return Dual(*sqrt_pair(v.value, v.derivative))
+        s, f = sqrt_factor(v.value)
+        return Dual(s, v.derivative / f)
     return _sqrt_float(v)
 
 
-def abs_pair(x: float, d: float) -> tuple[float, float]:
+def abs_factor(x: float) -> tuple[float, float]:
+    """|x| and the f with d|x| = f * x'."""
     # convention: abs'(0) = 0
     s = 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
-    return abs(x), s * d
+    return abs(x), s
 
 
 def abs_(v):
     if isinstance(v, Dual):
-        return Dual(*abs_pair(v.value, v.derivative))
+        a, f = abs_factor(v.value)
+        return Dual(a, f * v.derivative)
     return abs(v)

@@ -12,19 +12,25 @@ NUMBER is a decimal literal with optional fraction and exponent. NAME is a
 declared variable or one of sin, cos, exp, ln, sqrt, abs. Variable names
 start with a letter.
 
-Parsed functions are immutable and evaluation keeps no state between
-calls, so an ExprFunction may be shared freely across threads. At
-construction one emitter compiles the components into two positional
-Python functions, each computing every component and each repeated subtree
-once, one statement per operation. eval runs the value kernel.
-Derivatives run the tangent kernel, the same emitter's forward mode by
-source transformation: in place of each value statement that depends on
-a variable it emits one that also computes the value's derivative as a
-plain float, performing the same operations as a pass over dual numbers.
-One pass along a direction v gives the directional derivative (jvp), a
-partial is the pass along a unit vector, and both are exact to roundoff.
-The tree walker over dual numbers stays as the reference semantics and
-locates failures.
+Parsed functions are immutable, and the only state a call leaves behind
+is a kernel compiled on demand, which any caller may compile again with
+the same result, so an ExprFunction may be shared freely across threads.
+One emitter compiles the components into positional Python functions, the
+kernels, each computing every component and each repeated subtree once,
+one statement per operation. eval runs the value kernel. Derivatives run
+the emitter's forward mode by source transformation: in place of each
+value statement that depends on a variable it emits one that computes
+the value, and any derivative factor, once, then one statement per
+direction for the value's derivative along it as a plain float,
+performing the same operations as a pass over dual numbers. The tangent
+kernel carries one direction v: one pass gives the directional
+derivative (jvp), and a partial is the pass along a unit vector. The
+Jacobian kernel carries all n unit vectors at once, so one pass gives
+every partial of every component, each equal bit for bit to its partial.
+It is compiled on a function's second jacobian call, since a function
+whose Jacobian is read once, as at a build's seed, gains nothing from it.
+All are exact to roundoff. The tree walker over dual numbers stays as the
+reference semantics and locates failures.
 """
 
 from __future__ import annotations
@@ -292,11 +298,9 @@ _HELPERS = {
     "_sqrt": dual._sqrt_float,
     "_abs": abs,
     "_pow_pair": dual.pow_pair,
-    "_pow_const_pair": dual.pow_const_pair,
-    "_exp_pair": dual.exp_pair,
-    "_ln_pair": dual.ln_pair,
-    "_sqrt_pair": dual.sqrt_pair,
-    "_abs_pair": dual.abs_pair,
+    "_pow_const_factor": dual.pow_const_factor,
+    "_sqrt_factor": dual.sqrt_factor,
+    "_abs_factor": dual.abs_factor,
 }
 
 # What a kernel raises where the tree walker raises DomainViolation:
@@ -375,80 +379,106 @@ def _float_op(node: Node, operands: Sequence[str]) -> str:
     return f"{left} {node.op} {right}"
 
 
-def _tangent_op(node: Node, v: str, d: str, operands: Sequence[tuple]) -> tuple[list, str]:
-    """Statements giving a node that contains a variable its value v and
-    tangent d, from its operands' (value, tangent) texts; a tangent is None
-    where the operand contains no variable. They perform the float
+def _tangent_op(node: Node, v: str, f: str, operands: Sequence[tuple]) -> tuple[list, object]:
+    """The tangent-mode statements of a node that contains a variable, from
+    its operands' (value, tangents) texts; tangents is None where the
+    operand contains no variable, else one text per direction. Returns the
+    statements that set the value v, and a factor f where the rule has one,
+    and the rule: a function of the operands' tangents along one direction
+    giving that direction's tangent text, or the tuple of tangents where
+    they pass through unchanged. Value and factor are computed once for
+    every direction. The statements and a rule's text perform the float
     operations of the Dual method or dual function for this mix of
-    operands, in the same order. Returns the statements and the name that
-    holds the tangent, which is an operand's where the tangent passes
-    through unchanged."""
+    operands, in the same order; a power whose exponent varies branches on
+    each direction's exponent tangent, so its pair rule runs per direction."""
     if isinstance(node, Neg):
-        ((x, dx),) = operands
-        return [f"{v}, {d} = -{x}, -{dx}"], d
+        ((x, _),) = operands
+        return [f"{v} = -{x}"], lambda dx: f"-{dx}"
     if isinstance(node, Call):
-        ((x, dx),) = operands
+        ((x, _),) = operands
         if node.fn == "sin":
-            return [f"{v}, {d} = _sin({x}), _cos({x}) * {dx}"], d
+            return [f"{v}, {f} = _sin({x}), _cos({x})"], lambda dx: f"{f} * {dx}"
         if node.fn == "cos":
-            return [f"{v}, {d} = _cos({x}), -_sin({x}) * {dx}"], d
-        return [f"{v}, {d} = _{node.fn}_pair({x}, {dx})"], d
+            return [f"{v}, {f} = _cos({x}), -_sin({x})"], lambda dx: f"{f} * {dx}"
+        if node.fn == "exp":
+            return [f"{v} = _exp({x})"], lambda dx: f"{v} * {dx}"
+        if node.fn == "ln":
+            return [f"{v} = _ln({x})"], lambda dx: f"{dx} / {x}"
+        if node.fn == "sqrt":
+            return [f"{v}, {f} = _sqrt_factor({x})"], lambda dx: f"{dx} / {f}"
+        return [f"{v}, {f} = _abs_factor({x})"], lambda dx: f"{f} * {dx}"
     (a, da), (b, db) = operands
     op = node.op
     if op == "^":
         if db is None:
-            return [f"{v}, {d} = _pow_const_pair({a}, {da}, {b})"], d
-        return [f"{v}, {d} = _pow_pair({a}, {da or '0.0'}, {b}, {db})"], d
-    value = f"{a} {op} {b}"
+            return (
+                [f"{v}, {f} = _pow_const_factor({a}, {b})"],
+                lambda da, _: f"0.0 if {f} is None else {f} * {da}",
+            )
+        return (
+            [f"{v} = _pow({a}, {b})"],
+            lambda da, db: f"_pow_pair({a}, {da or '0.0'}, {b}, {db})[1]",
+        )
+    value = [f"{v} = {a} {op} {b}"]
     if op == "/":
         if db is None:
-            return [f"{v}, {d} = {value}, {da} / {b}"], d
+            return value, lambda da, _: f"{da} / {b}"
         # a constant numerator is Dual(a, 0.0)
-        return [f"{v} = {value}", f"{d} = ({da or '0.0'} - {v} * {db}) / {b}"], d
+        return value, lambda da, db: f"({da or '0.0'} - {v} * {db}) / {b}"
     if op == "*":
         if da is None:
-            tangent = f"{db} * {a}"  # Dual.__rmul__
-        elif db is None:
-            tangent = f"{da} * {b}"
-        else:
-            tangent = f"{a} * {db} + {da} * {b}"
-    elif da is not None and db is not None:
-        tangent = f"{da} {op} {db}"
-    elif op == "-" and da is None:
-        tangent = f"-{db}"  # Dual.__rsub__
-    else:
-        return [f"{v} = {value}"], da or db
-    return [f"{v}, {d} = {value}, {tangent}"], d
+            return value, lambda _, db: f"{db} * {a}"  # Dual.__rmul__
+        if db is None:
+            return value, lambda da, _: f"{da} * {b}"
+        return value, lambda da, db: f"{a} * {db} + {da} * {b}"
+    if da is not None and db is not None:
+        return value, lambda da, db: f"{da} {op} {db}"
+    if op == "-" and da is None:
+        return value, lambda _, db: f"-{db}"  # Dual.__rsub__
+    return value, da or db
 
 
-def _kernel_source(components: Sequence[Node], variables: Sequence[str], tangent: bool) -> str:
+def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: str) -> str:
     """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`, every
-    component's value at _a. With tangent, the kernel also takes a direction
-    _b0, ..., _bn and returns the derivatives along it after the values,
-    `return (c0, ..., d0, ...)`, computed on floats only.
+    component's value at _a, for mode "value". The tangent modes also carry
+    derivatives, computed on floats only, and return them after the values:
+    mode "jvp" takes a direction _b0, ..., _bn and returns the derivative
+    of each component along it, `return (c0, ..., d0, ...)`; mode
+    "jacobian" carries one tangent per variable, along the unit vectors,
+    and returns each component's n partials in turn, so that row i of the
+    Jacobian is out[m + i*n : m + (i+1)*n] for m components.
 
     Inputs are positional, so variable names never meet Python's. Subtrees
     are numbered, so each repeated one, within or across components, is
     computed once. Every non-leaf node gets its own statement, a float
-    operation into a local `_tc`, c its class, so no expression nests. With
-    tangent, a node that contains a variable gets its `_tangent_op`
-    statements instead (a quotient by a varying denominator two). A subtree
-    with no variable carries no tangent, as a Dual pass leaves it a float;
-    a component with none has tangent 0.0. Each statement performs the
-    float operations a float or Dual pass does, in the same order, so the
-    results equal it bit for bit.
+    operation into a local `_tc`, c its class, so no expression nests. In a
+    tangent mode, a node that contains a variable gets its `_tangent_op`
+    statements instead: its value once, then one tangent `_dc_j` per
+    direction j. A subtree with no variable carries no tangent, as a Dual
+    pass leaves it a float; a component with none has tangents 0.0. Each
+    statement performs the float operations a float or Dual pass does, in
+    the same order, so the results equal it bit for bit, and each
+    direction of the "jacobian" kernel equals the "jvp" kernel along that
+    unit vector.
     """
     class_of = _number(components)
     n = len(variables)
-    params = [f"_a{k}" for k in range(n)] + [f"_b{k}" for k in range(n) if tangent]
-    leaf_of = {
-        name: (f"_a{k}", f"_b{k}" if tangent else None) for k, name in enumerate(variables)
-    }
+    params = [f"_a{k}" for k in range(n)]
+    if mode == "value":
+        leaf_tangents = [None] * n
+    elif mode == "jvp":
+        leaf_tangents = [(f"_b{k}",) for k in range(n)]
+        params += [f"_b{k}" for k in range(n)]
+    else:
+        leaf_tangents = [tuple("1.0" if j == k else "0.0" for j in range(n)) for k in range(n)]
+    leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
+    directions = len(leaf_tangents[0]) if n and mode != "value" else 0
+    untangled = (None,) * directions
     pair_of: dict = {}
-    lines = [f"def _k({', '.join(params)}):"]
+    lines: list = []
 
     def emit(node) -> tuple:
-        """node's value and tangent texts."""
+        """node's value text and tangent texts."""
         if isinstance(node, Const):
             return _literal(node), None
         if isinstance(node, Var):
@@ -458,21 +488,29 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], tangent
             return pair_of[c]
         operands = list(map(emit, _children(node)))
         v = f"_t{c}"
-        # only with tangent does an operand that contains a variable carry one
-        if any(d is not None for _, d in operands):
-            statements, d = _tangent_op(node, v, f"_d{c}", operands)
-        else:
-            statements, d = [f"{v} = {_float_op(node, [t for t, _ in operands])}"], None
-        lines.extend(f"    {statement}" for statement in statements)
-        pair = pair_of[c] = (v, d)
+        # only in a tangent mode does an operand that contains a variable carry tangents
+        if operands[0][1] is None and operands[-1][1] is None:
+            lines.append(f"{v} = {_float_op(node, [t for t, _ in operands])}")
+            pair = pair_of[c] = (v, None)
+            return pair
+        statements, rule = _tangent_op(node, v, f"_f{c}", operands)
+        lines.extend(statements)
+        if callable(rule):
+            # the operands' tangents along each direction in turn
+            along = zip(*[ds or untangled for _, ds in operands])
+            tangents = tuple(f"_d{c}_{j}" for j in range(directions))
+            lines.extend([f"{d} = {rule(*ds)}" for d, ds in zip(tangents, along)])
+            rule = tangents
+        pair = pair_of[c] = (v, rule)
         return pair
 
     pairs = [emit(component) for component in components]
     outputs = [v for v, _ in pairs]
-    if tangent:
-        outputs += [d or "0.0" for _, d in pairs]
-    lines.append(f"    return ({''.join(f'{t}, ' for t in outputs)})")
-    return "\n".join(lines)
+    if mode != "value":
+        for _, ds in pairs:
+            outputs += ds or ["0.0"] * directions
+    lines.append(f"return ({''.join(f'{t}, ' for t in outputs)})")
+    return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
 
 
 def _define(source: str):
@@ -542,12 +580,21 @@ class ExprFunction:
 
     `variables` fixes the input order; evaluation accepts exactly that many
     real values and returns one value per component. At construction
-    `_kernel_source` compiles the components twice, into a value kernel
-    for eval and a tangent kernel, which carries derivatives as plain
-    floats beside the values, for jvp and partial.
+    `_kernel_source` compiles the components into two positional Python
+    functions: a value kernel for eval, and a tangent kernel, which carries
+    the derivative along one direction as plain floats beside the values,
+    for jvp and partial. The Jacobian kernel, which carries one tangent per
+    variable, is compiled by the second jacobian call.
     """
 
-    __slots__ = ("components", "variables", "source_text", "_value_kernel", "_tangent_kernel")
+    __slots__ = (
+        "components",
+        "variables",
+        "source_text",
+        "_value_kernel",
+        "_tangent_kernel",
+        "_jacobian_kernel",
+    )
 
     def __init__(
         self,
@@ -560,8 +607,10 @@ class ExprFunction:
         if source_text is None:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
-        self._value_kernel = _define(_kernel_source(self.components, self.variables, False))
-        self._tangent_kernel = _define(_kernel_source(self.components, self.variables, True))
+        self._value_kernel = _define(_kernel_source(self.components, self.variables, "value"))
+        self._tangent_kernel = _define(_kernel_source(self.components, self.variables, "jvp"))
+        # None until the first jacobian call, False until the second
+        self._jacobian_kernel = None
 
     @property
     def n_inputs(self) -> int:
@@ -663,8 +712,36 @@ class ExprFunction:
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         """Rows are components, columns the partials, already floats. With
-        no variables every row is empty."""
-        cols = [self.partial(p, j) for j in range(self.n_inputs)]
+        no variables every row is empty.
+
+        One pass of the Jacobian kernel, which computes each value once and
+        carries a tangent per variable. A function whose Jacobian is read
+        once, as a build reads its seed's, never compiles that kernel: the
+        first call takes the column passes of partial, the second compiles
+        it. Where it raises or gives a non-finite number, the column passes
+        give the result or locate the DomainError."""
+        n = len(self.variables)
+        if len(p) != n:
+            raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
+        kernel = self._jacobian_kernel
+        if kernel is None:
+            self._jacobian_kernel = False
+        else:
+            if kernel is False:
+                # idempotent, so callers racing here compile equal kernels
+                source = _kernel_source(self.components, self.variables, "jacobian")
+                kernel = self._jacobian_kernel = _define(source)
+            try:
+                out = kernel(*map(float, p))
+            except _KERNEL_ERRORS:
+                pass
+            else:
+                if all(map(math.isfinite, out)):
+                    m = len(self.components)
+                    return Matrix._unchecked(
+                        tuple(out[m + i * n : m + (i + 1) * n] for i in range(m))
+                    )
+        cols = [self.partial(p, j) for j in range(n)]
         return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
 
     def substituted(

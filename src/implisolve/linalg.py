@@ -23,10 +23,10 @@ class Vector(tuple):
     """Immutable real vector; all entries must be finite."""
 
     def __new__(cls, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite vector entry {v!r}")
+        vals = tuple(map(float, values))
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError(f"non-finite vector entry {bad!r}")
         return tuple.__new__(cls, vals)
 
     @classmethod
@@ -61,6 +61,16 @@ class Matrix:
                     raise ValueError(f"non-finite matrix entry {v!r}")
 
     @classmethod
+    def _unchecked(cls, rows: tuple) -> "Matrix":
+        """A matrix of rows already known to be float tuples of one length
+        and finite."""
+        if not rows:
+            raise ValueError("matrix needs at least one row")
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Matrix":
         return cls(tuple(tuple(float(v) for v in row) for row in rows))
 
@@ -88,7 +98,7 @@ def identity(n: int) -> Matrix:
 
 def hs_norm(m: Matrix) -> float:
     """Hilbert-Schmidt norm: sqrt of the sum of squared entries."""
-    return math.sqrt(math.fsum(v * v for row in m.rows for v in row))
+    return math.sqrt(math.fsum([v * v for row in m.rows for v in row]))
 
 
 def matvec(m: Matrix, v: Sequence[float]) -> Vector:
@@ -128,27 +138,32 @@ def split_columns(m: Matrix, n: int) -> tuple[Matrix, Matrix]:
 def _factor(m: Matrix) -> tuple[list[list[float]], list[int], int]:
     """LU factorization with partial pivoting, in place on a copy.
 
-    Returns (lu, perm, sign). A column whose remaining entries are all zero
+    Returns (lu, perm, sign). The pivot is the first entry of largest
+    magnitude in its column. A column whose remaining entries are all zero
     leaves a zero pivot in place (the caller decides whether that is a
     determinant of zero or a SingularMatrix)."""
     n = m.n_rows
-    lu = m.to_lists()
+    lu = [list(row) for row in m.rows]
     perm = list(range(n))
     sign = 1
     for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(lu[r][k]))
+        pivot_row, largest = k, abs(lu[k][k])
+        for r in range(k + 1, n):
+            if abs(lu[r][k]) > largest:
+                pivot_row, largest = r, abs(lu[r][k])
         if pivot_row != k:
             lu[k], lu[pivot_row] = lu[pivot_row], lu[k]
             perm[k], perm[pivot_row] = perm[pivot_row], perm[k]
             sign = -sign
-        pivot = lu[k][k]
+        row_k = lu[k]
+        pivot = row_k[k]
         if pivot == 0.0:
             continue
-        for i in range(k + 1, n):
-            factor = lu[i][k] / pivot
-            lu[i][k] = factor
+        for row in lu[k + 1 :]:
+            factor = row[k] / pivot
+            row[k] = factor
             for j in range(k + 1, n):
-                lu[i][j] -= factor * lu[k][j]
+                row[j] -= factor * row_k[j]
     return lu, perm, sign
 
 
@@ -167,19 +182,21 @@ def _solve_factored(
     lu: list[list[float]], perm: list[int], b: Sequence[float], pivot_eps: float
 ) -> list[float]:
     n = len(lu)
-    for k in range(n):
-        if abs(lu[k][k]) < pivot_eps:
-            raise SingularMatrix(
-                f"pivot {lu[k][k]:g} below threshold {pivot_eps:g}"
-            )
-    y = [float(b[perm[i]]) for i in range(n)]
-    for i in range(n):
+    for k, row in enumerate(lu):
+        if abs(row[k]) < pivot_eps:
+            raise SingularMatrix(f"pivot {row[k]:g} below threshold {pivot_eps:g}")
+    y = [float(b[i]) for i in perm]
+    for i, row in enumerate(lu):
+        acc = y[i]
         for j in range(i):
-            y[i] -= lu[i][j] * y[j]
+            acc -= row[j] * y[j]
+        y[i] = acc
     for i in range(n - 1, -1, -1):
+        row = lu[i]
+        acc = y[i]
         for j in range(i + 1, n):
-            y[i] -= lu[i][j] * y[j]
-        y[i] /= lu[i][i]
+            acc -= row[j] * y[j]
+        y[i] = acc / row[i]
     return y
 
 

@@ -231,9 +231,19 @@ HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
                      id="implicit_without_split_n"),
         pytest.param(STEEP_SPEC, IMPLICIT, " (recursion level 2)\n",
                      id="box_not_found_names_level"),
-        pytest.param(dict(SQUARE_MAP_SPEC, seed=[1.0]),
-                     ["verify", "--lemma", "lemma2", "--spec", SPEC],
-                     "lemma2 seed must have dim 2", id="lemma2_seed_wrong_dim"),
+        *[
+            pytest.param(spec, argv,
+                         "spec field 'seed' must have one value per variable (2), got 1", id=name)
+            for name, spec, argv in [
+                ("lemma2_seed_wrong_dim", dict(SQUARE_MAP_SPEC, seed=[1.0]),
+                 ["verify", "--lemma", "lemma2", "--spec", SPEC]),
+                ("implicit_seed_wrong_dim", dict(CIRCLE_SPEC, seed=[0.0]), IMPLICIT),
+                ("invert_seed_wrong_dim", dict(SQUARE_MAP_SPEC, seed=[1.0]),
+                 ["invert", "--spec", SPEC, "--query", "0,2"]),
+                ("lemma4_seed_wrong_dim", dict(SQUARE_MAP_SPEC, seed=[1.0]),
+                 ["verify", "--lemma", "lemma4", "--spec", SPEC]),
+            ]
+        ],
         pytest.param(CUBIC_SPEC, ["verify", "--lemma", "lemma3", "--spec", SPEC, "--query", "0"],
                      "lemma3 needs exactly two --query points", id="lemma3_one_query"),
         pytest.param(CIRCLE_SPEC, ["implicit", "--query", "0"],

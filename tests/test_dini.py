@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -23,7 +24,7 @@ from implisolve import (
 )
 from implisolve import dini
 from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam, _ComponentSlice
-from implisolve.linalg import hs_norm, inverse, split_columns, vec_sub
+from implisolve.linalg import hs_norm, inverse, solve, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
 
@@ -48,8 +49,8 @@ def quad_system():
 def test_normalize_identity_jacobian_is_identity_substitution():
     F = parse(["y1 + x", "y2 - x"], ["x", "y1", "y2"])
     seed = SplitPoint.of([0.0], [0.0, 0.0])
-    G, j_inv = normalize(F, seed)
-    assert j_inv.rows == ((1.0, 0.0), (0.0, 1.0))
+    G, fy, j_inv, _ = normalize(F, seed)
+    assert fy.rows == j_inv.rows == ((1.0, 0.0), (0.0, 1.0))
     for p in [(0.1, 0.2, -0.3), (0.0, 0.0, 0.0), (-0.4, 0.25, 0.5)]:
         got = G.eval(p)
         want = F.eval(p)
@@ -59,13 +60,15 @@ def test_normalize_identity_jacobian_is_identity_substitution():
 def test_normalize_diagonal_system_no_independents():
     F = parse(["2*y1", "3*y2"], ["y1", "y2"])
     seed = SplitPoint.of([], [0.0, 0.0])
-    G, j_inv = normalize(F, seed)
+    G, fy, j_inv, jg = normalize(F, seed)
+    assert fy.rows == ((2.0, 0.0), (0.0, 3.0))
     assert j_inv.rows == ((0.5, 0.0), (0.0, 1 / 3))
     # hand substitution y = J^-1 z gives G(z) = (z1, z2)
     got = G.eval((0.4, -0.9))
     assert abs(got[0] - 0.4) < 1e-14
     assert abs(got[1] - (-0.9)) < 1e-14
     gy = G.jacobian((0.0, 0.0))
+    assert gy == jg
     assert abs(gy.rows[0][0] - 1.0) < 1e-12
     assert abs(gy.rows[1][1] - 1.0) < 1e-12
     assert abs(gy.rows[0][1]) < 1e-12
@@ -78,7 +81,7 @@ def test_normalize_singular_jacobian():
 
 
 def test_normalize_keeps_seed_value():
-    G, _ = normalize(QUAD, QUAD_SEED)
+    G, _, _, _ = normalize(QUAD, QUAD_SEED)
     assert tuple(G.eval(QUAD_SEED.point())) == tuple(QUAD.eval(QUAD_SEED.point()))
 
 
@@ -212,7 +215,9 @@ def test_inner_level_checks_identity_block(monkeypatch):
     """Below level 1 a dependent block that is not I is refused, not
     normalized again. With normalize made a no-op, level 2 inherits the
     block [[2, 1], [1, 2]]."""
-    monkeypatch.setattr(dini, "normalize", lambda F, seed: (F, None))
+    monkeypatch.setattr(
+        dini, "normalize", lambda F, seed: (F, None, None, F.jacobian(seed.point()))
+    )
     F = parse(["y1 - x", "2*y2 + y3", "y2 + 2*y3"], ["x", "y1", "y2", "y3"])
     with pytest.raises(SingularMatrix, match="normalization failed"):
         build_system(F, SplitPoint.of([0.0], [0.0, 0.0, 0.0]))
@@ -605,6 +610,40 @@ def test_returned_zeros_lie_in_region(corpus_systems):
         assert 0 < answered < 39
 
 
+@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
+def test_newton_accepted_exactly_inside_region(corpus_systems, monkeypatch, name):
+    """x across x_box() and 5% beyond each edge. Newton's answer is
+    accepted where its (x, z) lies strictly inside the region, z taken
+    from y by a solve against the normalizer J_inv, and nowhere else
+    (within 1e-9 of a face either may hold). Where solve_at and the nested
+    solve both succeed they agree within tol_sys."""
+    system = {p.name: s for p, s in corpus_systems}[name]
+    (lo,), (hi,) = system.x_box()
+    b = tuple(system.seed.y)
+    rlo, rhi = system.region
+    accepted = 0
+    for i in range(81):
+        x = (lo + (i / 80 * 1.1 - 0.05) * (hi - lo),)
+        with monkeypatch.context() as patch:
+            patch.setattr(dini.SystemSolution, "_in_region", lambda self, x, y: True)
+            y = system._newton(x)
+        if y is None:
+            continue
+        z = [bv + dv for bv, dv in zip(b, solve(system.normalizer, vec_sub(y, b)))]
+        margins = [min(v - a, c - v) for a, v, c in zip(rlo, x + tuple(z), rhi)]
+        accepted_here = system._newton(x) is not None
+        if abs(min(margins)) > 1e-9:
+            assert accepted_here == (min(margins) > 0)
+        accepted += accepted_here
+        try:
+            fast = system.solve_at(x)
+            nested = system._solve(x)
+        except OutsideBox:
+            continue
+        assert max(abs(a - c) for a, c in zip(fast, nested)) <= system.options.tol_sys
+    assert 0 < accepted < 81
+
+
 EXP_SHEET = parse(["exp(y1) - exp(x)", "y2 - y1"], ["x", "y1", "y2"])
 
 
@@ -772,10 +811,19 @@ def test_verify_uniqueness_streaming_keeps_every_hit():
 
 
 def test_concurrent_evaluations_match_sequential(quad_system):
+    """Eight threads query a system whose F has not yet compiled its
+    Jacobian kernel, so they race to compile it, with thread switches
+    forced often; every answer equals the sequential one."""
     xs = [(x,) for (x,) in interior_grid(quad_system, 16)]
-    sequential = [tuple(quad_system.solve_at(x)) for x in xs]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(lambda x: tuple(quad_system.solve_at(x)), xs))
+    sequential = [(quad_system.solve_at(x), quad_system.jacobian_at(x)) for x in xs]
+    fresh = build_system(parse(list(QUAD.source_text), list(QUAD.variables)), QUAD_SEED)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent = list(pool.map(lambda x: (fresh.solve_at(x), fresh.jacobian_at(x)), xs))
+    finally:
+        sys.setswitchinterval(interval)
     assert concurrent == sequential
 
 

@@ -433,6 +433,12 @@ def _mix(text):
 @example(_mix("2 ^ u"), 0.7, -1.2, 1.0, -0.5)
 # a varying exponent whose direction is 0 takes the constant-exponent rule
 @example(_mix("(-2) ^ v"), 0.7, 3.0, 1.0, 0.0)
+# zero bases, where the power rule's derivative is exactly 0.0, the base's
+# tangent itself, or undefined; (-u) ^ 2 has base tangents -1.0 and -0.0
+@example(_mix("u ^ 2"), 0.0, -1.2, 1.0, -0.5)
+@example(_mix("u ^ 1"), 0.0, -1.2, 1.0, -0.5)
+@example(_mix("sqrt(u)"), 0.0, -1.2, 1.0, -0.5)
+@example(_mix("(-u) ^ 2"), 0.0, -1.2, 1.0, -0.5)
 @given(_functions(), st.floats(-2, 2), st.floats(-2, 2), _directions, _directions)
 def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
     # compared by repr, which tells 0.0 from -0.0
@@ -446,6 +452,14 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
         partial = _outcome(lambda: F.partial(p, j))
         assert repr(partial) == repr(_walked(F, seeded, _derivative))
         partials.append(partial)
+
+    # the first jacobian call takes the partial columns, and later ones the
+    # compiled Jacobian kernel: both give the columns' numbers, or the
+    # DomainError of the first column that fails
+    failed = [partial for partial in partials if partial[0] != "ok"]
+    columns = failed[0] if failed else ("ok", tuple(zip(*(c for _, c in partials))))
+    for _ in range(2):
+        assert repr(_outcome(lambda: F.jacobian(p).rows)) == repr(columns)
 
     seeded = {"u": Dual(u, du), "v": Dual(v, dv)}
     jvp = _outcome(lambda: F.jvp(p, (du, dv)))
