@@ -33,6 +33,7 @@ wrapper in place of the tree substitution, and must also provide jvp.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -350,11 +351,13 @@ class SystemSolution:
         """Whether (x, z), with z = b + J (y - b) the inverse of the level-1
         map, lies strictly inside the stored region. F(x, .) has exactly one
         zero there, the one the nested solve finds."""
-        b = tuple(self.seed.y)
+        b = self.seed.y
         dz = matvec(self.seed_fy, vec_sub(y, b))
-        p = x + tuple(bv + dv for bv, dv in zip(b, dz))
         lo, hi = self.region
-        return all(low < v < high for low, v, high in zip(lo, p, hi))
+        for low, v, high in zip(lo, x + tuple(map(operator.add, b, dz)), hi):
+            if not low < v < high:
+                return False
+        return True
 
     def _solve(self, x: tuple[float, ...]) -> Vector:
         z_rest = () if self.child is None else tuple(self.child._solve(x))

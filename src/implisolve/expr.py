@@ -29,8 +29,14 @@ Jacobian kernel carries all n unit vectors at once, so one pass gives
 every partial of every component, each equal bit for bit to its partial.
 It is compiled on a function's second jacobian call, since a function
 whose Jacobian is read once, as at a build's seed, gains nothing from it.
-All are exact to roundoff. The tree walker over dual numbers stays as the
-reference semantics and locates failures.
+All are exact to roundoff. A power calls math.pow inline, under a test on
+its base that keeps the helper's results: a base other than zero under a
+nonzero integer literal, a positive base otherwise; other bases, and zero
+exponents, call the helper. Each kernel finishes its call: it tests every
+output finite and returns the Vector or Matrix its method returns, or
+None. The tree walker over dual numbers stays as the reference semantics,
+and where a kernel returns None or raises, it computes the result or
+locates the failure.
 """
 
 from __future__ import annotations
@@ -282,14 +288,18 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: two kernels per function from one emitter, plus the tree
-# walker that defines the semantics and locates failures.
+# Evaluation: the kernels of one emitter, plus the tree walker that
+# defines the semantics and locates failures.
 
-# Helpers the kernel source calls. On floats they give the same results and
-# domain checks as the dual functions, without their type tests. Quotients
-# are Python's `/`, whose ZeroDivisionError stands for a zero denominator.
+# Names the kernel source calls. On floats the helpers give the same results
+# and domain checks as the dual functions, without their type tests. A power
+# calls math.pow itself where its base passes `_pow_guard`, and the helper
+# elsewhere. Quotients are Python's `/`, whose ZeroDivisionError stands for a
+# zero denominator. A kernel ends by testing its outputs finite and wrapping
+# them as a Vector or Matrix.
 _HELPERS = {
     "__builtins__": {},
+    "_math_pow": math.pow,
     "_pow": dual._pow_float,
     "_sin": math.sin,
     "_cos": math.cos,
@@ -301,12 +311,16 @@ _HELPERS = {
     "_pow_const_factor": dual.pow_const_factor,
     "_sqrt_factor": dual.sqrt_factor,
     "_abs_factor": dual.abs_factor,
+    "_isfinite": math.isfinite,
+    "_vector": Vector._unchecked,
+    "_matrix": Matrix._unchecked,
 }
 
 # What a kernel raises where the tree walker raises DomainViolation:
-# ValueError is math.sin and math.cos of an infinite intermediate, and
-# ZeroDivisionError a quotient by zero.
-_KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError)
+# ValueError is math.sin and math.cos of an infinite intermediate,
+# ZeroDivisionError a quotient by zero, and OverflowError an inline math.pow
+# whose result overflows.
+_KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError, OverflowError)
 
 
 def _children(node: Node) -> tuple:
@@ -367,6 +381,22 @@ def _literal(node: Const) -> str:
     return "1e999" if text == "inf" else text
 
 
+def _pow_guard(a: str, b: str, exponent: Node) -> str | None:
+    """Text of the test on base a under which math.pow(a, b) gives what
+    _pow_float(a, b) gives, raising OverflowError where it raises
+    DomainViolation, and pow_const_factor's factor is b * a^(b - 1); None for
+    a zero exponent, whose factor (None) only pow_const_factor gives."""
+    if isinstance(exponent, Const):
+        n = exponent.value
+        if n == 0.0:
+            return None
+        # a finite integer literal is defined on every base, but math.pow
+        # keeps the sign of -0.0 ^ 3, which _pow_float makes 0.0
+        return f"{a} != 0.0" if n.is_integer() else f"{a} > 0.0"
+    # a computed exponent may be non-integer or zero
+    return f"{a} > 0.0 and {b} != 0.0"
+
+
 def _float_op(node: Node, operands: Sequence[str]) -> str:
     """Text of node's own float operation on its operands' texts."""
     if isinstance(node, Neg):
@@ -375,7 +405,10 @@ def _float_op(node: Node, operands: Sequence[str]) -> str:
         return f"_{node.fn}({operands[0]})"
     left, right = operands
     if node.op == "^":
-        return f"_pow({left}, {right})"
+        guard = _pow_guard(left, right, node.right)
+        if guard is None:
+            return f"_pow({left}, {right})"
+        return f"_math_pow({left}, {right}) if {guard} else _pow({left}, {right})"
     return f"{left} {node.op} {right}"
 
 
@@ -411,8 +444,13 @@ def _tangent_op(node: Node, v: str, f: str, operands: Sequence[tuple]) -> tuple[
     op = node.op
     if op == "^":
         if db is None:
+            helper = f"_pow_const_factor({a}, {b})"
+            guard = _pow_guard(a, b, node.right)
+            if guard is not None:
+                fast = f"(_math_pow({a}, {b}), {b} * _math_pow({a}, {b} - 1.0))"
+                helper = f"{fast} if {guard} else {helper}"
             return (
-                [f"{v}, {f} = _pow_const_factor({a}, {b})"],
+                [f"{v}, {f} = {helper}"],
                 lambda da, _: f"0.0 if {f} is None else {f} * {da}",
             )
         return (
@@ -438,15 +476,19 @@ def _tangent_op(node: Node, v: str, f: str, operands: Sequence[tuple]) -> tuple[
     return value, da or db
 
 
+def _tuple_text(texts) -> str:
+    return f"({''.join(f'{t}, ' for t in texts)})"
+
+
 def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: str) -> str:
-    """Source of `def _k(_a0, ..., _an): ...; return (c0, c1, ...)`, every
-    component's value at _a, for mode "value". The tangent modes also carry
-    derivatives, computed on floats only, and return them after the values:
-    mode "jvp" takes a direction _b0, ..., _bn and returns the derivative
-    of each component along it, `return (c0, ..., d0, ...)`; mode
-    "jacobian" carries one tangent per variable, along the unit vectors,
-    and returns each component's n partials in turn, so that row i of the
-    Jacobian is out[m + i*n : m + (i+1)*n] for m components.
+    """Source of `def _k(_a0, ..., _an): ...`, whose result is finished:
+    mode "value" returns the Vector of every component's value at _a. The
+    tangent modes also carry derivatives, computed on floats only: mode
+    "jvp" takes a direction _b0, ..., _bn and returns the Vector of each
+    component's derivative along it; mode "jacobian" carries one tangent
+    per variable, along the unit vectors, and returns the Matrix whose row
+    i is component i's n partials. Every kernel returns None instead where
+    an output, a value or a tangent, a literal too, is not finite.
 
     Inputs are positional, so variable names never meet Python's. Subtrees
     are numbered, so each repeated one, within or across components, is
@@ -459,7 +501,8 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
     statement performs the float operations a float or Dual pass does, in
     the same order, so the results equal it bit for bit, and each
     direction of the "jacobian" kernel equals the "jvp" kernel along that
-    unit vector.
+    unit vector. A power calls math.pow itself where `_pow_guard` holds;
+    there the helper would call it with the same arguments.
     """
     class_of = _number(components)
     n = len(variables)
@@ -505,11 +548,21 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
         return pair
 
     pairs = [emit(component) for component in components]
-    outputs = [v for v, _ in pairs]
-    if mode != "value":
-        for _, ds in pairs:
-            outputs += ds or ["0.0"] * directions
-    lines.append(f"return ({''.join(f'{t}, ' for t in outputs)})")
+    values = [v for v, _ in pairs]
+    rows = [ds or ("0.0",) * directions for _, ds in pairs]
+    tangents = [d for ds in rows for d in ds]
+    if mode == "value":
+        result = f"_vector({_tuple_text(values)})"
+    elif mode == "jvp":
+        result = f"_vector({_tuple_text(tangents)})"
+    else:
+        result = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
+    # every output once, values and tangents alike; a finite literal needs no test
+    outputs = dict.fromkeys(values + tangents)
+    tests = [f"_isfinite({t})" for t in outputs if t[0] == "_" or not math.isfinite(float(t))]
+    if tests:
+        result = f"{result} if {' and '.join(tests)} else None"
+    lines.append(f"return {result}")
     return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
 
 
@@ -584,7 +637,9 @@ class ExprFunction:
     functions: a value kernel for eval, and a tangent kernel, which carries
     the derivative along one direction as plain floats beside the values,
     for jvp and partial. The Jacobian kernel, which carries one tangent per
-    variable, is compiled by the second jacobian call.
+    variable, is compiled by the second jacobian call. Each kernel returns
+    its method's finished result, or None where an output is not finite;
+    there, and where a kernel raises, the method falls back to the walker.
     """
 
     __slots__ = (
@@ -594,6 +649,7 @@ class ExprFunction:
         "_value_kernel",
         "_tangent_kernel",
         "_jacobian_kernel",
+        "_units",
     )
 
     def __init__(
@@ -609,6 +665,9 @@ class ExprFunction:
         self.source_text = tuple(source_text)
         self._value_kernel = _define(_kernel_source(self.components, self.variables, "value"))
         self._tangent_kernel = _define(_kernel_source(self.components, self.variables, "jvp"))
+        n = len(self.variables)
+        # the directions of partial
+        self._units = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
         # None until the first jacobian call, False until the second
         self._jacobian_kernel = None
 
@@ -660,32 +719,30 @@ class ExprFunction:
         try:
             out = self._value_kernel(*p)
         except _KERNEL_ERRORS:
-            pass
-        else:
-            if all(map(math.isfinite, out)):
-                return Vector._unchecked(out)
-        return Vector._unchecked(self._walk_components(p))
+            out = None
+        if out is None:
+            out = Vector._unchecked(self._walk_components(p))
+        return out
 
-    def _tangent_pass(self, args: list) -> Vector:
-        """Derivatives from the tangent kernel at args = (point, direction),
-        all floats; where it fails, from the walker over Duals, which
-        computes the same numbers and locates the failure."""
+    def _tangent_pass(self, p: Sequence[float], v: Sequence[float]) -> Vector:
+        """Derivatives from the tangent kernel at the point p along the
+        direction v, whose entries are floats; where it fails, from the
+        walker over Duals, which computes the same numbers and locates the
+        failure."""
         try:
-            out = self._tangent_kernel(*args)
+            out = self._tangent_kernel(*map(float, p), *v)
         except _KERNEL_ERRORS:
-            pass
-        else:
-            if all(map(math.isfinite, out)):
-                return Vector._unchecked(out[len(self.components) :])
-        n = len(self.variables)
-        seeded = [Dual(a, d) for a, d in zip(args[:n], args[n:])]
-        # a component with no variable references evaluates to a plain float
-        return Vector._unchecked(
-            tuple(
-                d.derivative if isinstance(d, Dual) else 0.0
-                for d in self._walk_components(seeded)
+            out = None
+        if out is None:
+            seeded = [Dual(float(a), d) for a, d in zip(p, v)]
+            # a component with no variable references evaluates to a plain float
+            out = Vector._unchecked(
+                tuple(
+                    d.derivative if isinstance(d, Dual) else 0.0
+                    for d in self._walk_components(seeded)
+                )
             )
-        )
+        return out
 
     def jvp(self, p: Sequence[float], v: Sequence[float]) -> Vector:
         """Exact directional derivative of every component at p along v,
@@ -696,7 +753,7 @@ class ExprFunction:
                 f"function of {n} variables called with {len(p)} values "
                 f"and a direction of {len(v)}"
             )
-        return self._tangent_pass([*map(float, p), *map(float, v)])
+        return self._tangent_pass(p, tuple(map(float, v)))
 
     def partial(self, p: Sequence[float], j: int) -> Vector:
         """Exact jth partial derivative of every component at p (0-based j):
@@ -706,9 +763,7 @@ class ExprFunction:
             raise DimensionMismatch(f"variable index {j} out of range")
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
-        args = list(map(float, p)) + [0.0] * n
-        args[n + j] = 1.0
-        return self._tangent_pass(args)
+        return self._tangent_pass(p, self._units[j])
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         """Rows are components, columns the partials, already floats. With
@@ -734,13 +789,9 @@ class ExprFunction:
             try:
                 out = kernel(*map(float, p))
             except _KERNEL_ERRORS:
-                pass
-            else:
-                if all(map(math.isfinite, out)):
-                    m = len(self.components)
-                    return Matrix._unchecked(
-                        tuple(out[m + i * n : m + (i + 1) * n] for i in range(m))
-                    )
+                out = None
+            if out is not None:
+                return out
         cols = [self.partial(p, j) for j in range(n)]
         return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
 

@@ -105,7 +105,10 @@ class SolutionBox:
     shrinks: int = 0
 
     def contains_x(self, x: Sequence[float]) -> bool:
-        return all(lo < v < hi for lo, v, hi in zip(self.x_lo, x, self.x_hi))
+        for lo, v, hi in zip(self.x_lo, x, self.x_hi):
+            if not lo < v < hi:
+                return False
+        return True
 
 
 def _closed_axis(lo: float, hi: float, g: int) -> list[float]:

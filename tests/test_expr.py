@@ -124,6 +124,24 @@ def test_domain_error_reports_component_and_subexpression():
             assert err.value.subexpr == subexpr
 
 
+def test_literal_infinite_component_is_located():
+    # a component that is the literal 1e999 has no operation to overflow,
+    # so only the test of the kernel's outputs finds it
+    F = parse(["1e999", "u"], ["u", "v"])
+    p = (0.5, 0.25)
+    for call in (
+        F.eval,
+        lambda p: F.partial(p, 0),
+        lambda p: F.jvp(p, (1.0, 0.0)),
+        F.jacobian,  # the partial columns
+        F.jacobian,  # the compiled Jacobian kernel
+    ):
+        with pytest.raises(DomainError) as err:
+            call(p)
+        assert err.value.component == 0
+        assert err.value.subexpr == "1e999"
+
+
 def test_partial_examples():
     F = parse(["x^2 + y^2 - 1"], ["x", "y"])
     assert F.partial((0.6, 0.8), 1)[0] == 1.6  # 2y by hand
@@ -439,6 +457,15 @@ def _mix(text):
 @example(_mix("u ^ 1"), 0.0, -1.2, 1.0, -0.5)
 @example(_mix("sqrt(u)"), 0.0, -1.2, 1.0, -0.5)
 @example(_mix("(-u) ^ 2"), 0.0, -1.2, 1.0, -0.5)
+# the edges of the kernels' inline math.pow: -0.0 ^ 3 is 0.0, not -0.0; an
+# overflowing power is located; zero exponents and zero bases take the
+# helper, as does a negative base under a non-integer exponent
+@example(_mix("u ^ 3"), -0.0, -1.2, 1.0, -0.5)
+@example(_mix("u ^ 2"), 1e200, -1.2, 1.0, -0.5)
+@example(_mix("u ^ 0"), 0.0, -1.2, 1.0, -0.5)
+@example(_mix("u ^ -1"), 0.0, -1.2, 1.0, -0.5)
+@example(_mix("u ^ 0.5"), -1.0, -1.2, 1.0, -0.5)
+@example(_mix("(u - v) ^ 3"), 0.7, 0.7, 1.0, -0.5)
 @given(_functions(), st.floats(-2, 2), st.floats(-2, 2), _directions, _directions)
 def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
     # compared by repr, which tells 0.0 from -0.0
