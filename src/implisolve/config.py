@@ -5,6 +5,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+# Largest grid_density SolverOptions accepts. A validation attempt samples
+# grid_density^(n+1) points, so even this cap is far beyond practical use.
+MAX_GRID_DENSITY = 10_000
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -19,7 +23,7 @@ class SolverOptions:
     its corners, the endpoint-sign check samples strictly interior points
     of the open independent box. Each real field must be an int or a
     float, not a bool, in (0, sys.float_info.max], and grid_density an int
-    of at least 2; otherwise ValueError names the field.
+    in [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
 
     The root finders need no iteration budget: ITP ends within its own
     step bound and Newton within a fixed few steps, both also stopping
@@ -49,3 +53,5 @@ class SolverOptions:
             raise ValueError(f"grid_density must be an int, got {type(g).__name__}")
         if g < 2:
             raise ValueError("grid_density must be at least 2")
+        if g > MAX_GRID_DENSITY:
+            raise ValueError(f"grid_density must be at most {MAX_GRID_DENSITY}")

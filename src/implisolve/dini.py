@@ -27,8 +27,8 @@ Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
 objects that expose the eval/partial/jacobian surface of parsed
 expression functions, with exact chain-rule derivatives, not finite
-differences. A level-1 F that is not an ExprFunction gets an affine
-wrapper in place of the tree substitution, and must also provide jvp.
+differences. A system's level-1 F must be an ExprFunction, so that
+normalization is a substitution on its expression trees.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ _NEWTON_MAX_ITER = 8
 _INNER_H0_INSET = 0.9
 
 
+# Unreachable from the solver; kept only because perfbench's tracer patches it by name.
 class _AffineReparam:
     """F with the dependent block reparameterized: G(x, z) = F(x, b + J_inv (z - b))."""
 
@@ -216,34 +217,36 @@ def normalize(F, seed: SplitPoint):
     """Reparameterize the dependent block so dG/dz at the seed is the
     identity: G(x, z) = F(x, b + J_inv (z - b)) with J = dF/dy(a, b).
 
-    Expression-backed functions get the substitution performed on their
-    trees; other functions are wrapped with the equivalent affine map.
-    Returns (G, J, J_inv, JG), where JG is G's Jacobian at the seed, whose
-    dependent block is checked to be the identity. Each of F's and G's
-    Jacobians is read once.
+    F must be an ExprFunction, else TypeError; the substitution is
+    performed on its trees. Returns (G, J, J_inv, JG), where JG is G's
+    Jacobian at the seed, whose dependent block is checked to be the
+    identity. Each of F's and G's Jacobians is read once.
     """
+    _require_expression(F, "normalize")
     n, m = seed.n, seed.m
     fy = split_columns(F.jacobian(seed.point()), n)[1]
     j_inv = inverse(fy)
 
-    if isinstance(F, ExprFunction):
-        x_names = list(F.variables[:n])
-        y_names = list(F.variables[n:])
-        z_names = fresh_names("z", m, F.variables)
-        b = tuple(seed.y)
-        mapping = {}
-        for i, y_name in enumerate(y_names):
-            terms = [
-                (j_inv.rows[i][j], BinOp("-", Var(z_names[j]), const(b[j])))
-                for j in range(m)
-            ]
-            mapping[y_name] = linear_combination(b[i], terms)
-        G = F.substituted(mapping, x_names + z_names)
-    else:
-        G = _AffineReparam(F, n, seed.y, j_inv)
+    x_names = list(F.variables[:n])
+    y_names = list(F.variables[n:])
+    z_names = fresh_names("z", m, F.variables)
+    b = tuple(seed.y)
+    mapping = {}
+    for i, y_name in enumerate(y_names):
+        terms = [
+            (j_inv.rows[i][j], BinOp("-", Var(z_names[j]), const(b[j])))
+            for j in range(m)
+        ]
+        mapping[y_name] = linear_combination(b[i], terms)
+    G = F.substituted(mapping, x_names + z_names)
     jg = G.jacobian(seed.point())
     _check_identity_block(jg, n)
     return G, fy, j_inv, jg
+
+
+def _require_expression(F, caller: str) -> None:
+    if not isinstance(F, ExprFunction):
+        raise TypeError(f"{caller} needs an ExprFunction, got {type(F).__name__}")
 
 
 def _check_identity_block(jac: Matrix, n: int) -> None:
@@ -265,15 +268,18 @@ class SystemSolution:
 
     For m = 1 this wraps a scalar solution of F directly. For m > 1 it
     holds the scalar solution of the first dependent variable and a
-    SystemSolution of size m - 1 for the reduced system. region is the open
-    box (lo, hi) over this level's (x, z) where the zero is unique: the
-    scalar box with z_1's interval at position n, intersected with the
-    child's region. Newton evaluates queries inside it and the nested solve
-    is the fallback (see solve_at). normalizer is the J_inv of
-    y = b + J_inv (z - b) at level 1 when m > 1, and None at every other
-    level, which solves its F as it is. seed_fy is J = dF/dy at the seed
-    where normalizer is set, else None: z = b + J (y - b) maps an answer
-    back to z. Immutable; evaluations at distinct points may run
+    SystemSolution of size m - 1 for the reduced system. F is the function
+    this level solves: the caller's ExprFunction at level 1 when m > 1, the
+    caller's function of any type when m = 1 (see build_system), and the
+    reduced function of the level above at every inner level. region is
+    the open box (lo, hi) over this level's (x, z) where the zero is
+    unique: the scalar box with z_1's interval at position n, intersected
+    with the child's region. Newton evaluates queries inside it and the
+    nested solve is the fallback (see solve_at). normalizer is the J_inv
+    of y = b + J_inv (z - b) at level 1 when m > 1, and None at every
+    other level, which solves its F as it is. seed_fy is J = dF/dy at the
+    seed where normalizer is set, else None: z = b + J (y - b) maps an
+    answer back to z. Immutable; evaluations at distinct points may run
     concurrently.
     """
 
@@ -507,8 +513,15 @@ def build_system(
     m > 1 the function is normalized at level 1 (below, its dependent block
     is only checked to be the identity), the first equation is solved for
     its first dependent variable, and the reduced system recurses.
+
+    For m > 1, F must be an ExprFunction, else TypeError before any of its
+    methods is called. For m = 1, any object with n_inputs, n_outputs,
+    eval and partial will do, plus jacobian for jacobian_at and
+    verify_uniqueness.
     """
     n, m = seed.n, seed.m
+    if _depth == 1 and m > 1:
+        _require_expression(F, "build_system with m >= 2")
     if F.n_outputs != m or F.n_inputs != n + m:
         raise DimensionMismatch(
             f"need {m} components in {n + m} variables, got "
@@ -524,17 +537,14 @@ def build_system(
         scalar = _build_scalar(F, seed, options, _depth)
         fy = j_inv = child = None
     else:
+        perm = _phi_variable_perm(n, m)
         if _depth == 1:
             G, fy, j_inv, seed_jacobian = normalize(F, seed)
+            g1 = G.component_function(0, [G.variables[i] for i in perm])
         else:
             # the level above normalized, so F's dependent block is already I
             G, fy, j_inv, seed_jacobian = F, None, None, F.seed_jacobian
             _check_identity_block(seed_jacobian, n)
-        perm = _phi_variable_perm(n, m)
-        if isinstance(G, ExprFunction):
-            phi_vars = [G.variables[i] for i in perm]
-            g1 = G.component_function(0, phi_vars)
-        else:
             g1 = _ComponentSlice(G, 0, perm)
         a = tuple(seed.x)
         b = tuple(seed.y)

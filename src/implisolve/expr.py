@@ -515,7 +515,7 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
     else:
         leaf_tangents = [tuple("1.0" if j == k else "0.0" for j in range(n)) for k in range(n)]
     leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
-    directions = len(leaf_tangents[0]) if n and mode != "value" else 0
+    directions = {"value": 0, "jvp": 1}.get(mode, n)
     untangled = (None,) * directions
     pair_of: dict = {}
     lines: list = []

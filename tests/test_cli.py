@@ -251,6 +251,9 @@ HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
         pytest.param(CIRCLE_SPEC, IMPLICIT + ["--grid-density", "x"],
                      "argument --grid-density: invalid int value: 'x'",
                      id="grid_density_not_an_int"),
+        pytest.param(CIRCLE_SPEC, IMPLICIT + ["--grid-density", str(10**400)],
+                     "bad solver options: grid_density must be at most 10000",
+                     id="grid_density_flag_beyond_cap"),
         pytest.param(CIRCLE_SPEC, IMPLICIT + ["--bogus", "1"],
                      "unrecognized arguments: --bogus 1", id="unknown_flag"),
         *[
@@ -279,6 +282,8 @@ HALFWIDTH = "argument --box-halfwidth: takes 'h' or 'h_indep,h_dep', got "
                 ("tol_root_bool", "tol_root", True, "tol_root must be an int or a float, got bool"),
                 ("grid_density_float", "grid_density", 2.5, "grid_density must be an int, got float"),
                 ("h0_beyond_float_range", "h0", 10**400, "h0 must be finite and positive"),
+                ("grid_density_beyond_cap", "grid_density", 10**400,
+                 "grid_density must be at most 10000"),
             ]
         ],
         pytest.param(dict(CIRCLE_SPEC, seed=[0, 10**400]), IMPLICIT,

@@ -23,7 +23,7 @@ from implisolve import (
     parse,
 )
 from implisolve import dini
-from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam, _ComponentSlice
+from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam
 from implisolve.linalg import hs_norm, inverse, solve, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
@@ -181,7 +181,7 @@ def test_jacobian_matches_finite_differences(quad_system):
 
 def test_inner_levels_are_not_normalized(corpus_systems):
     """Only level 1 normalizes. Below it the reduced function is solved as
-    it is, with no normalizer and no _AffineReparam around it."""
+    it is, with no normalizer and no substitution."""
     system = {p.name: s for p, s in corpus_systems}["cubic_triple"]
     assert system.normalizer is not None
     level2, level3 = system.child, system.child.child
@@ -310,50 +310,50 @@ def test_composed_jvp_matches_partials(corpus_systems):
 
 
 class _Opaque:
-    """A level-1 F that is not an ExprFunction: it forwards the function
-    protocol (eval, partial, jvp, jacobian) and nothing else. Temporary:
-    it and test_composed_level1_matches_expression_build go when
-    _AffineReparam and _ComponentSlice are deleted, after the tracer
-    change of ROADMAP item 3 (see item 5)."""
+    """A function that is not an ExprFunction: the function protocol
+    forwarded to one, and a record of each method called."""
 
     def __init__(self, fn):
         self.fn = fn
         self.n_inputs = fn.n_inputs
         self.n_outputs = fn.n_outputs
+        self.calls = []
 
     def eval(self, p):
+        self.calls.append("eval")
         return self.fn.eval(p)
 
     def partial(self, p, j):
+        self.calls.append("partial")
         return self.fn.partial(p, j)
 
-    def jvp(self, p, v):
-        return self.fn.jvp(p, v)
-
     def jacobian(self, p):
+        self.calls.append("jacobian")
         return self.fn.jacobian(p)
 
 
-@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
-def test_composed_level1_matches_expression_build(corpus_systems, name):
-    problem, expr_system = {p.name: (p, s) for p, s in corpus_systems}[name]
+def test_systems_refuse_a_function_that_is_not_an_expression(corpus_systems):
+    """At m >= 2, build_system and normalize raise TypeError on any other
+    type before calling F. At m = 1 such a function builds, and its answers
+    equal the ExprFunction build's."""
+    problem = {p.name: p for p, _ in corpus_systems}["quad_pair"]
     opaque = _Opaque(problem.F)
-    system = build_system(opaque, problem.seed, problem.options)
-    g1 = system.scalar.F
-    assert isinstance(g1, _ComponentSlice)
-    assert isinstance(g1.fn, _AffineReparam) and g1.fn.fn is opaque
-    assert system.child.normalizer is None
+    with pytest.raises(TypeError) as err:
+        build_system(opaque, problem.seed, problem.options)
+    assert str(err.value) == "build_system with m >= 2 needs an ExprFunction, got _Opaque"
+    with pytest.raises(TypeError) as err:
+        normalize(opaque, problem.seed)
+    assert str(err.value) == "normalize needs an ExprFunction, got _Opaque"
+    assert opaque.calls == []
 
-    lo = [max(a, b) for a, b in zip(system.x_box()[0], expr_system.x_box()[0])]
-    hi = [min(a, b) for a, b in zip(system.x_box()[1], expr_system.x_box()[1])]
-    tol = problem.options.tol_sys
-    for t in (0.2, 0.5, 0.8):
-        x = tuple(a + t * (b - a) for a, b in zip(lo, hi))
-        got, want = system.solve_at(x), expr_system.solve_at(x)
-        assert max(abs(a - b) for a, b in zip(got, want)) <= tol
-        jac, jac_want = system.jacobian_at(x), expr_system.jacobian_at(x)
-        for r1, r2 in zip(jac.rows, jac_want.rows):
-            assert max(abs(a - b) for a, b in zip(r1, r2)) <= tol
+    problem, expr_system = {p.name: (p, s) for p, s in corpus_systems}["circle"]
+    system = build_system(_Opaque(problem.F), problem.seed, problem.options)
+    assert system.box_metadata() == expr_system.box_metadata()
+    lo, hi = system.x_box()
+    for t in (0.1, 0.5, 0.9):
+        x = (lo[0] + t * (hi[0] - lo[0]),)
+        assert system.solve_at(x) == expr_system.solve_at(x)
+        assert system.jacobian_at(x) == expr_system.jacobian_at(x)
 
 
 # --- well-posed systems: identity plus a small nonlinear perturbation --------

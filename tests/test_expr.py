@@ -142,6 +142,18 @@ def test_literal_infinite_component_is_located():
         assert err.value.subexpr == "1e999"
 
 
+def test_jvp_of_no_variables():
+    # one derivative per component, all 0.0, as jacobian gives empty rows
+    F = parse(["1", "2"], [])
+    assert tuple(F.jvp((), ())) == (0.0, 0.0)
+    for _ in range(2):  # the partial columns, then the compiled kernel
+        assert F.jacobian(()).rows == ((), ())
+    with pytest.raises(DomainError) as err:
+        parse(["1e999"], []).jvp((), ())
+    assert err.value.component == 0
+    assert err.value.subexpr == "1e999"
+
+
 def test_partial_examples():
     F = parse(["x^2 + y^2 - 1"], ["x", "y"])
     assert F.partial((0.6, 0.8), 1)[0] == 1.6  # 2y by hand

@@ -303,6 +303,7 @@ def test_options_reject_nan(field):
         ("grid_density", True, "grid_density must be an int, got bool"),
         ("grid_density", "9", "grid_density must be an int, got str"),
         ("grid_density", 1, "grid_density must be at least 2"),
+        ("grid_density", 10**400, "grid_density must be at most 10000"),
     ],
 )
 def test_options_reject_ill_typed_values(field, value, message):
