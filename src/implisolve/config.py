@@ -6,7 +6,8 @@ import sys
 from dataclasses import dataclass
 
 # Largest grid_density SolverOptions accepts. A validation attempt samples
-# grid_density^(n+1) points, so even this cap is far beyond practical use.
+# grid_density^(n+1) points, so even this cap is far beyond practical use;
+# find_box also caps the points per attempt (scalar_implicit.MAX_GRID_SAMPLES).
 MAX_GRID_DENSITY = 10_000
 
 

@@ -14,14 +14,15 @@ box over (x, z) where every level's scalar box holds, F(x, .) has exactly
 one zero. build_system computes that box once per level and stores it on
 the solution. The stack is not the evaluator. For m > 1 a query runs plain
 Newton on F(x, .) from the seed (Ortega & Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, ch. 10). Each step takes the
-dependent block of F's Jacobian from one jacobian pass and makes one LU
-solve. The query accepts the iterate when its residual is within tol_sys
-and it lies in the stored region: z = b + J (y - b), with J = dF/dy at the
-seed, is one matrix-vector product, compared without root solves.
-Otherwise the query falls back to the nested solve, one ITP solve
-(bracketed, bisection worst case) per level, whose cost grows like
-iterations^m (m is capped by MAX_DEPTH).
+Nonlinear Equations in Several Variables, ch. 10). Each step reads F's
+values and the dependent block of its Jacobian from one pass of the
+Jacobian kernel and makes one LU solve; the only other evaluation of F is
+the residual of the final iterate. The query accepts that iterate when
+its residual is within tol_sys and it lies in the stored region:
+z = b + J (y - b), with J = dF/dy at the seed, is one fsum per row,
+compared without root solves. Otherwise the query falls back to the
+nested solve, one ITP solve (bracketed, bisection worst case) per level,
+whose cost grows like iterations^m (m is capped by MAX_DEPTH).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -33,6 +34,7 @@ normalization is a substitution on its expression trees.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -55,9 +57,8 @@ from .linalg import (
     Vector,
     hs_norm,
     inverse,
-    matvec,
-    scale,
     matmul,
+    matvec,
     solve,
     split_columns,
     vec_sub,
@@ -330,17 +331,19 @@ class SystemSolution:
         accepted: when it does not settle (step <= tol_root, or a step that
         leaves y unchanged) within _NEWTON_MAX_ITER steps, its residual
         exceeds tol_sys, it lies outside the validated region, or a step
-        fails to evaluate."""
+        fails to evaluate. A step takes F's values and Jacobian from one
+        kernel pass; the settled iterate's residual is one F.eval."""
         n = self.n
+        tol_root = self.options.tol_root
+        values_and_jacobian = self.F._values_and_jacobian
         y = tuple(self.seed.y)
         try:
             for _ in range(_NEWTON_MAX_ITER):
-                p = x + y
+                values, jac = values_and_jacobian(x + y)
                 # the dependent block of a Matrix, whose entries are finite
-                fy = Matrix._unchecked(tuple(row[n:] for row in self.F.jacobian(p).rows))
-                step = solve(fy, self.F.eval(p))
-                prev, y = y, tuple(yv - sv for yv, sv in zip(y, step))
-                if y == prev or max(map(abs, step)) <= self.options.tol_root:
+                step = solve(Matrix._unchecked(tuple(row[n:] for row in jac.rows)), values)
+                prev, y = y, tuple(map(operator.sub, y, step))
+                if y == prev or max(map(abs, step)) <= tol_root:
                     break
             else:
                 return None
@@ -358,7 +361,11 @@ class SystemSolution:
         map, lies strictly inside the stored region. F(x, .) has exactly one
         zero there, the one the nested solve finds."""
         b = self.seed.y
-        dz = matvec(self.seed_fy, vec_sub(y, b))
+        dy = list(map(operator.sub, y, b))
+        # an overflowing y - b is rejected before matvec sees it
+        if not all(map(math.isfinite, dy)):
+            return False
+        dz = matvec(self.seed_fy, dy)
         lo, hi = self.region
         for low, v, high in zip(lo, x + tuple(map(operator.add, b, dz)), hi):
             if not low < v < high:
@@ -379,9 +386,9 @@ class SystemSolution:
         b + J_inv (z - b) where the level normalized, z itself elsewhere."""
         if self.normalizer is None:
             return Vector(z)
-        b = tuple(self.seed.y)
+        b = self.seed.y
         dy = matvec(self.normalizer, vec_sub(z, b))
-        return Vector(bv + dv for bv, dv in zip(b, dy))
+        return Vector._of_floats(list(map(operator.add, b, dy)))
 
     def jacobian_at(self, x: Sequence[float]) -> Matrix:
         """Jf(x) = -[dF/dy]^-1 [dF/dx] at (x, f(x)), blocks from exact partials."""
@@ -389,10 +396,22 @@ class SystemSolution:
         return self.jacobian_known(x, self.solve_at(x))
 
     def jacobian_known(self, x: tuple[float, ...], y: Sequence[float]) -> Matrix:
-        """Jacobian at a point whose solution value y = f(x) is already known."""
-        full = self.F.jacobian(x + tuple(y))
-        fx, fy = split_columns(full, self.n)
-        return scale(matmul(inverse(fy), fx), -1.0)
+        """Jacobian at a point whose solution value y = f(x) is already known.
+
+        One read of F's Jacobian, whose blocks are dF/dx (columns below n)
+        and dF/dy. Entry (i, j) is -fsum_k inv[i][k] dF_k/dx_j, inv the
+        inverse of dF/dy: negation is exact and fsum correctly rounded, so
+        it equals -1.0 times the entry of inverse(dF/dy) @ dF/dx."""
+        n = self.n
+        rows = self.F.jacobian(x + tuple(y)).rows
+        inv = inverse(Matrix._unchecked(tuple(row[n:] for row in rows)))
+        product = tuple(
+            tuple([math.fsum([a * row[j] for a, row in zip(inv_row, rows)]) for j in range(n)])
+            for inv_row in inv.rows
+        )
+        # tested before the negation, which would flip the sign the message names
+        Matrix._of_floats(product)
+        return Matrix._unchecked(tuple(tuple([-v for v in row]) for row in product))
 
     # -- box geometry ------------------------------------------------------
 

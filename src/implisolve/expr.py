@@ -26,17 +26,19 @@ performing the same operations as a pass over dual numbers. The tangent
 kernel carries one direction v: one pass gives the directional
 derivative (jvp), and a partial is the pass along a unit vector. The
 Jacobian kernel carries all n unit vectors at once, so one pass gives
-every partial of every component, each equal bit for bit to its partial.
-It is compiled on a function's second jacobian call, since a function
-whose Jacobian is read once, as at a build's seed, gains nothing from it.
-All are exact to roundoff. A power calls math.pow inline, under a test on
-its base that keeps the helper's results: a base other than zero under a
-nonzero integer literal, a positive base otherwise; other bases, and zero
-exponents, call the helper. Each kernel finishes its call: it tests every
-output finite and returns the Vector or Matrix its method returns, or
-None. The tree walker over dual numbers stays as the reference semantics,
-and where a kernel returns None or raises, it computes the result or
-locates the failure.
+every partial of every component, each equal bit for bit to its partial,
+and every value, equal to eval's, which a Newton step reads from the same
+pass. It is compiled on a function's second jacobian call, since a
+function whose Jacobian is read once, as at a build's seed, gains nothing
+from it. All are exact to roundoff. A power calls math.pow inline, under a
+test on its base that keeps the helper's results: a base other than zero
+under a nonzero integer literal, a positive base otherwise; other bases,
+and zero exponents, call the helper. Each kernel finishes its call: it
+tests every output finite and returns the Vector or Matrix its method
+returns (the Jacobian kernel with the values beside it), or None. The tree
+walker over dual numbers stays as the reference semantics, and where a
+kernel returns None or raises, it computes the result or locates the
+failure.
 """
 
 from __future__ import annotations
@@ -486,9 +488,10 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
     tangent modes also carry derivatives, computed on floats only: mode
     "jvp" takes a direction _b0, ..., _bn and returns the Vector of each
     component's derivative along it; mode "jacobian" carries one tangent
-    per variable, along the unit vectors, and returns the Matrix whose row
-    i is component i's n partials. Every kernel returns None instead where
-    an output, a value or a tangent, a literal too, is not finite.
+    per variable, along the unit vectors, and returns the tuple of values
+    and the Matrix whose row i is component i's n partials. Every kernel
+    returns None instead where an output, a value or a tangent, a literal
+    too, is not finite.
 
     Inputs are positional, so variable names never meet Python's. Subtrees
     are numbered, so each repeated one, within or across components, is
@@ -556,7 +559,8 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
     elif mode == "jvp":
         result = f"_vector({_tuple_text(tangents)})"
     else:
-        result = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
+        matrix = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
+        result = f"({_tuple_text(values)}, {matrix})"
     # every output once, values and tangents alike; a finite literal needs no test
     outputs = dict.fromkeys(values + tangents)
     tests = [f"_isfinite({t})" for t in outputs if t[0] == "_" or not math.isfinite(float(t))]
@@ -637,9 +641,10 @@ class ExprFunction:
     functions: a value kernel for eval, and a tangent kernel, which carries
     the derivative along one direction as plain floats beside the values,
     for jvp and partial. The Jacobian kernel, which carries one tangent per
-    variable, is compiled by the second jacobian call. Each kernel returns
-    its method's finished result, or None where an output is not finite;
-    there, and where a kernel raises, the method falls back to the walker.
+    variable and also returns the values, is compiled by the second
+    jacobian call. Each kernel returns its method's finished result, or
+    None where an output is not finite; there, and where a kernel raises,
+    the method falls back to the walker.
     """
 
     __slots__ = (
@@ -778,21 +783,41 @@ class ExprFunction:
         n = len(self.variables)
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
+        out = self._jacobian_pass(p)
+        return self._jacobian_columns(p) if out is None else out[1]
+
+    def _values_and_jacobian(self, p: Sequence[float]) -> tuple:
+        """eval(p) and jacobian(p), for Newton's step: the values as a tuple
+        of floats, from the same pass of the Jacobian kernel. Where that
+        pass is not taken or fails, eval and then the column passes give
+        them, so a failing value raises eval's DomainError."""
+        n = len(self.variables)
+        if len(p) != n:
+            raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
+        out = self._jacobian_pass(p)
+        return (self.eval(p), self._jacobian_columns(p)) if out is None else out
+
+    def _jacobian_pass(self, p: Sequence[float]) -> tuple | None:
+        """The Jacobian kernel's (values, Matrix) at p, or None: on the
+        first call, which only marks the kernel for compiling, and where
+        the kernel raises or gives a non-finite number."""
         kernel = self._jacobian_kernel
         if kernel is None:
             self._jacobian_kernel = False
-        else:
-            if kernel is False:
-                # idempotent, so callers racing here compile equal kernels
-                source = _kernel_source(self.components, self.variables, "jacobian")
-                kernel = self._jacobian_kernel = _define(source)
-            try:
-                out = kernel(*map(float, p))
-            except _KERNEL_ERRORS:
-                out = None
-            if out is not None:
-                return out
-        cols = [self.partial(p, j) for j in range(n)]
+            return None
+        if kernel is False:
+            # idempotent, so callers racing here compile equal kernels
+            source = _kernel_source(self.components, self.variables, "jacobian")
+            kernel = self._jacobian_kernel = _define(source)
+        try:
+            return kernel(*map(float, p))
+        except _KERNEL_ERRORS:
+            return None
+
+    def _jacobian_columns(self, p: Sequence[float]) -> Matrix:
+        """The Jacobian from one partial pass per column, which gives the
+        kernel's numbers or locates the DomainError."""
+        cols = [self.partial(p, j) for j in range(len(self.variables))]
         return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
 
     def substituted(

@@ -1,9 +1,17 @@
 """Small dense real linear algebra.
 
-Everything here targets desk-scale dimensions (a handful of rows), so the
-implementation favors transparent contracts over performance: LU with
-partial pivoting, explicit pivot thresholds, and a Hilbert-Schmidt norm
-that dominates the operator norm.
+Everything here targets desk-scale dimensions (a handful of rows): LU with
+partial pivoting, a pivot threshold relative to the Hilbert-Schmidt norm,
+which dominates the operator norm, and math.fsum for every sum of products.
+
+Inputs are validated where they enter: the Vector and Matrix constructors
+convert every entry to float and refuse a non-finite one, and each
+function checks the shapes it combines. Results are built from those
+floats without converting them again. A result whose arithmetic can
+overflow (solve, inverse, matmul, matvec, scale, vec_sub) is tested finite
+and raises the constructor's ValueError where it is not; split_columns
+only slices finite entries, so it is not tested. solve and inverse factor
+once and test the pivots against the threshold once per factorization.
 """
 
 from __future__ import annotations
@@ -32,6 +40,14 @@ class Vector(tuple):
     @classmethod
     def _unchecked(cls, vals: tuple) -> "Vector":
         return tuple.__new__(cls, vals)
+
+    @classmethod
+    def _of_floats(cls, vals: Sequence[float]) -> "Vector":
+        """A vector of entries already floats, tested finite: the
+        constructor's ValueError where one is not."""
+        if all(map(math.isfinite, vals)):
+            return tuple.__new__(cls, vals)
+        return cls(vals)
 
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for v in self))
@@ -71,6 +87,15 @@ class Matrix:
         return m
 
     @classmethod
+    def _of_floats(cls, rows: tuple) -> "Matrix":
+        """A matrix of rows already known to be float tuples of one length,
+        tested finite: the constructor's ValueError where an entry is not."""
+        for row in rows:
+            if not all(map(math.isfinite, row)):
+                return cls(rows)
+        return cls._unchecked(rows)
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Matrix":
         return cls(tuple(tuple(float(v) for v in row) for row in rows))
 
@@ -104,25 +129,24 @@ def hs_norm(m: Matrix) -> float:
 def matvec(m: Matrix, v: Sequence[float]) -> Vector:
     if m.n_cols != len(v):
         raise DimensionMismatch(f"matrix is {m.shape}, vector has dim {len(v)}")
-    return Vector(math.fsum(a * x for a, x in zip(row, v)) for row in m.rows)
+    return Vector._of_floats([math.fsum([a * x for a, x in zip(row, v)]) for row in m.rows])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return Matrix.from_rows(
-        [
-            [
-                math.fsum(a.rows[i][k] * b.rows[k][j] for k in range(a.n_cols))
-                for j in range(b.n_cols)
-            ]
-            for i in range(a.n_rows)
-        ]
+    cols = tuple(zip(*b.rows))
+    return Matrix._of_floats(
+        tuple(
+            tuple([math.fsum([x * y for x, y in zip(row, col)]) for col in cols])
+            for row in a.rows
+        )
     )
 
 
 def scale(m: Matrix, s: float) -> Matrix:
-    return Matrix.from_rows([[s * v for v in row] for row in m.rows])
+    s = float(s)
+    return Matrix._of_floats(tuple(tuple([s * v for v in row]) for row in m.rows))
 
 
 def split_columns(m: Matrix, n: int) -> tuple[Matrix, Matrix]:
@@ -130,8 +154,8 @@ def split_columns(m: Matrix, n: int) -> tuple[Matrix, Matrix]:
     empty (n = 0 produces rows of length zero)."""
     if not 0 <= n <= m.n_cols:
         raise DimensionMismatch(f"cannot split {m.n_cols} columns at {n}")
-    left = Matrix(tuple(row[:n] for row in m.rows))
-    right = Matrix(tuple(row[n:] for row in m.rows))
+    left = Matrix._unchecked(tuple(row[:n] for row in m.rows))
+    right = Matrix._unchecked(tuple(row[n:] for row in m.rows))
     return left, right
 
 
@@ -178,15 +202,23 @@ def det(m: Matrix) -> float:
     return d
 
 
-def _solve_factored(
-    lu: list[list[float]], perm: list[int], b: Sequence[float], pivot_eps: float
-) -> list[float]:
+def _factor_nonsingular(m: Matrix) -> tuple[list[list[float]], list[int]]:
+    """_factor's (lu, perm), after one test of every pivot: SingularMatrix
+    at the first below PIVOT_EPS_FACTOR * max(hs_norm(M), 1e-300)."""
+    lu, perm, _ = _factor(m)
+    eps = PIVOT_EPS_FACTOR * max(hs_norm(m), 1e-300)
+    for k in range(len(lu)):
+        pivot = lu[k][k]
+        if abs(pivot) < eps:
+            raise SingularMatrix(f"pivot {pivot:g} below threshold {eps:g}")
+    return lu, perm
+
+
+def _substitute(lu: list[list[float]], y: list[float]) -> list[float]:
+    """The solution of (L U) v = y, y already permuted, in place on y."""
     n = len(lu)
-    for k, row in enumerate(lu):
-        if abs(row[k]) < pivot_eps:
-            raise SingularMatrix(f"pivot {row[k]:g} below threshold {pivot_eps:g}")
-    y = [float(b[i]) for i in perm]
-    for i, row in enumerate(lu):
+    for i in range(1, n):
+        row = lu[i]
         acc = y[i]
         for j in range(i):
             acc -= row[j] * y[j]
@@ -200,10 +232,6 @@ def _solve_factored(
     return y
 
 
-def _pivot_eps(m: Matrix) -> float:
-    return PIVOT_EPS_FACTOR * max(hs_norm(m), 1e-300)
-
-
 def solve(m: Matrix, b: Sequence[float]) -> Vector:
     """Solve M v = b. Raises SingularMatrix when a pivot falls below
     PIVOT_EPS_FACTOR * hs_norm(M)."""
@@ -211,19 +239,14 @@ def solve(m: Matrix, b: Sequence[float]) -> Vector:
         raise NotSquare(f"solve with a {m.shape} matrix")
     if m.n_rows != len(b):
         raise DimensionMismatch(f"matrix is {m.shape}, rhs has dim {len(b)}")
-    lu, perm, _ = _factor(m)
-    return Vector(_solve_factored(lu, perm, b, _pivot_eps(m)))
+    lu, perm = _factor_nonsingular(m)
+    return Vector._of_floats(_substitute(lu, [float(b[i]) for i in perm]))
 
 
 def inverse(m: Matrix) -> Matrix:
     """Matrix inverse via one factorization and n back-substitutions."""
     if m.n_rows != m.n_cols:
         raise NotSquare(f"inverse of a {m.shape} matrix")
-    n = m.n_rows
-    lu, perm, _ = _factor(m)
-    eps = _pivot_eps(m)
-    cols = [
-        _solve_factored(lu, perm, [1.0 if i == j else 0.0 for i in range(n)], eps)
-        for j in range(n)
-    ]
-    return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    lu, perm = _factor_nonsingular(m)
+    cols = [_substitute(lu, [1.0 if i == j else 0.0 for i in perm]) for j in range(len(lu))]
+    return Matrix._of_floats(tuple(zip(*cols)))

@@ -57,6 +57,13 @@ ITP_ROUNDING_MARGIN = 2.0**-6
 # a half-width of 0.5 below 1e-12.
 MAX_SHRINK = 40
 
+# find_box refuses a grid of more than this many samples per attempt,
+# grid_density^(n+1), before it samples. The default density reaches at
+# most 9^7 = 4,782,969 samples (n = 1 at dini.MAX_DEPTH, level 1), so no
+# default build is refused, while grid_density 10000 at n = 1 (10^8 samples
+# per attempt, each a partial evaluation) would run for hours.
+MAX_GRID_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class SplitPoint:
@@ -125,7 +132,9 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     Starts from half-widths h0 (independent axes) and h0_dep (dependent
     axis) and halves all of them on any failed sample, up to MAX_SHRINK
     times. Failures include domain errors and, for nested functions,
-    stepping outside an inner validated box.
+    stepping outside an inner validated box. A grid of more than
+    MAX_GRID_SAMPLES samples per attempt raises ValueError before F is
+    called.
     """
     n = seed.n
     if seed.m != 1:
@@ -134,6 +143,12 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         raise DimensionMismatch(
             f"need 1 component in {n + 1} variables, got "
             f"{F.n_outputs} in {F.n_inputs}"
+        )
+    g = options.grid_density
+    if g ** (n + 1) > MAX_GRID_SAMPLES:
+        raise ValueError(
+            f"grid_density {g} gives {g}^{n + 1} samples per box attempt, "
+            f"more than the cap {MAX_GRID_SAMPLES}"
         )
     p0 = seed.point()
     r0 = F.eval(p0)[0]
@@ -148,7 +163,6 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
 
     a = tuple(seed.x)
     b = seed.y[0]
-    g = options.grid_density
     hx = [options.h0] * n
     if options.h0_dep is not None:
         hy = options.h0_dep

@@ -422,6 +422,26 @@ def test_grid_too_large_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "options,flags",
+    [({"grid_density": 10000}, []), ({}, ["--grid-density", "10000"])],
+    ids=["spec_option", "flag"],
+)
+def test_validation_grid_beyond_the_cap_exit_1(tmp_path, options, flags):
+    # 10000^2 = 10^8 samples per box attempt: find_box refuses them before
+    # sampling. The child's timeout turns a regression into a failure.
+    spec = write_spec(tmp_path, "circle.json", dict(CIRCLE_SPEC, options=options))
+    cmd = [sys.executable, "-m", "implisolve.cli", "implicit", "--spec", spec,
+           "--query", "0.1", *flags]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == (
+        "error: grid_density 10000 gives 10000^2 samples per box attempt, "
+        "more than the cap 10000000\n"
+    )
+
+
+@pytest.mark.parametrize(
     "field,value",
     [
         ("functions", 5),

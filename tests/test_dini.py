@@ -695,6 +695,31 @@ def test_newton_agrees_with_nested_solve(corpus_systems, monkeypatch, name):
         assert max(abs(a - b) for a, b in zip(fast, nested)) <= 1e-11
 
 
+@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
+def test_accepted_newton_query_evaluates_F_once(corpus_systems, monkeypatch, name):
+    """Each Newton step reads F's values and Jacobian from one pass of the
+    Jacobian kernel, so an accepted query calls F.eval once: the residual
+    check of the settled iterate."""
+    system = {p.name: s for p, s in corpus_systems}[name]
+    F = system.F
+    evals = []
+    plain_eval = type(F).eval
+
+    def counted(self, p):
+        if self is F:
+            evals.append(p)
+        return plain_eval(self, p)
+
+    calls = count_nested_solves(monkeypatch)
+    monkeypatch.setattr(type(F), "eval", counted)
+    lo, hi = system.x_box()
+    for t in (0.1, 0.5, 0.9):
+        evals.clear()
+        system.solve_at(tuple(a + t * (b - a) for a, b in zip(lo, hi)))
+        assert not calls
+        assert len(evals) == 1
+
+
 def test_system_far_from_zero_builds_and_matches_newton(monkeypatch):
     """A pair centred at y1 = y2 = 20000, where floats are 3.6e-12 apart,
     wider than tol_root: the level-2 box is validated through level-1 ITP

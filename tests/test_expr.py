@@ -399,6 +399,11 @@ def _outcome(call):
         return ("error", err.reason, err.component, err.subexpr)
 
 
+def _values_and_rows(F, p):
+    values, jacobian = F._values_and_jacobian(p)
+    return tuple(values), jacobian.rows
+
+
 def _largest_partial(component, env, j):
     """max |d s / d var_j| over the subtrees s of component: the scale of
     the rounding a pass along any direction picks up on the way."""
@@ -499,6 +504,20 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
     columns = failed[0] if failed else ("ok", tuple(zip(*(c for _, c in partials))))
     for _ in range(2):
         assert repr(_outcome(lambda: F.jacobian(p).rows)) == repr(columns)
+
+    # a Newton step reads the values from the same Jacobian kernel pass:
+    # they equal eval's, whose DomainError comes first where the values
+    # fail. A fresh function's first call takes eval and the column passes.
+    evaluated = _outcome(lambda: F.eval(p))
+    if evaluated[0] != "ok":
+        combined = evaluated
+    elif columns[0] != "ok":
+        combined = columns
+    else:
+        combined = ("ok", (evaluated[1], columns[1]))
+    fresh = ExprFunction(F.components, F.variables)
+    for G in (F, fresh, fresh):
+        assert repr(_outcome(lambda: _values_and_rows(G, p))) == repr(combined)
 
     seeded = {"u": Dual(u, du), "v": Dual(v, dv)}
     jvp = _outcome(lambda: F.jvp(p, (du, dv)))

@@ -14,11 +14,18 @@ from implisolve import (
     SplitPoint,
     Vector,
     build_implicit,
+    build_system,
     find_box,
     parse,
 )
+from implisolve.dini import MAX_DEPTH
 from implisolve.errors import BoxNotFound
-from implisolve.scalar_implicit import MAX_SHRINK, ImplicitSolution, SolutionBox
+from implisolve.scalar_implicit import (
+    MAX_GRID_SAMPLES,
+    MAX_SHRINK,
+    ImplicitSolution,
+    SolutionBox,
+)
 
 CIRCLE = parse(["x^2 + y^2 - 1"], ["x", "y"])
 CIRCLE_OPTS = SolverOptions(h0=0.8)
@@ -83,6 +90,36 @@ def test_find_box_shrinks_up_to_the_cap():
     F = parse(["y - 1e10*x^2"], ["x", "y"])
     box = find_box(F, SplitPoint.of([0.0], [0.0]))
     assert 30 < box.shrinks <= MAX_SHRINK
+
+
+class _SeedOnly:
+    """y - 1 in (x, y), which fails the test on any call but eval at the
+    seed (0, 1): a sampled grid would call partial."""
+
+    n_inputs, n_outputs = 2, 1
+
+    def eval(self, p):
+        assert tuple(p) == (0.0, 1.0), "sampled"
+        return (0.0,)
+
+    def partial(self, p, j):
+        raise AssertionError("sampled")
+
+
+def test_find_box_refuses_a_grid_beyond_the_cap():
+    # grid_density 10000 at n = 1 would sample 10^8 points per attempt
+    message = (
+        "grid_density 10000 gives 10000^2 samples per box attempt, "
+        "more than the cap 10000000"
+    )
+    options = SolverOptions(grid_density=10000)
+    for build in (find_box, build_system):
+        with pytest.raises(ValueError) as err:
+            build(_SeedOnly(), SplitPoint.of([0.0], [1.0]), options)
+        assert str(err.value) == message
+    # the default density stays within the cap at n = 1 up to MAX_DEPTH,
+    # whose level 1 samples over (x, z_2..z_m, z_1)
+    assert 9 ** (1 + MAX_DEPTH) <= MAX_GRID_SAMPLES < 10000**2
 
 
 def test_find_box_zero_independent_dims():
