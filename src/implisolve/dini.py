@@ -30,6 +30,14 @@ objects that expose the eval/partial/jacobian surface of parsed
 expression functions, with exact chain-rule derivatives, not finite
 differences. A system's level-1 F must be an ExprFunction, so that
 normalization is a substitution on its expression trees.
+
+At level 2 the reduced function also encloses its partials over a box:
+G's interval enclosure, with z1 over the level-1 box interval that holds
+every root phi returns, eliminated as partial eliminates it. It is the
+second pivot of an interval Gaussian elimination of G's dependent
+Jacobian (Neumaier, Interval Methods for Systems of Equations, 1990,
+ch. 4), and lets find_box prove level 2's monotonicity without nested
+solves. Deeper levels, whose phi nests solves, have no enclosure.
 """
 
 from __future__ import annotations
@@ -41,10 +49,12 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .config import SolverOptions
+from .dual import DomainViolation
 from .errors import (
     BoxNotFound,
     DegenerateDerivative,
     DimensionMismatch,
+    DomainError,
     ImpliSolveError,
     NoConvergence,
     OutsideBox,
@@ -145,6 +155,20 @@ class _ComponentSlice:
         w = self._unpermute(p)
         return Vector((self.fn.partial(w, self.perm[j])[self.component],))
 
+    def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple | None:
+        """The wrapped function's enclosure over the box, unpermuted, cut to
+        this component with its columns permuted; None where it has none."""
+        enclosed = self.fn.enclosure(self._unpermute(lo), self._unpermute(hi))
+        if enclosed is None:
+            return None
+        values, rows = enclosed
+        row = rows[self.component]
+        return (values[self.component],), (tuple(row[k] for k in self.perm),)
+
+    def check_point(self, p: Sequence[float]) -> None:
+        """The wrapped function's check_point, at p unpermuted."""
+        self.fn.check_point(self._unpermute(p))
+
 
 class _ReducedFunction:
     """Components 2..m of G with the first dependent variable replaced by the
@@ -190,6 +214,44 @@ class _ReducedFunction:
         u = tuple(u)
         v = self._assemble(u, self.phi.solve_at(u))
         return _eliminate_z1(self.G.jacobian(v), self.n)
+
+    def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple | None:
+        """Intervals (values, rows) holding what eval and partial compute at
+        every point u of the closed box [lo, hi] where phi's solve succeeds.
+
+        phi's root lies in its box interval [y_lo, y_hi], so G's enclosure
+        with z1 over that interval holds G and its partials at (u, phi(u)).
+        z1 is eliminated with partial's operations in partial's order: the
+        gradient -d0 / t0 of phi, then d_i + t_i * dphi, where t is G's z1
+        column and d the column of u_j. Raises DomainError where an interval
+        crosses a domain edge, a t0 that may vanish among them. Returns None
+        where phi's F is not an ExprFunction: phi's own solve then nests
+        solves that G's enclosure does not cover (every deeper level)."""
+        if not isinstance(self.phi.F, ExprFunction):
+            return None
+        from . import interval
+
+        n = self.n
+        box = self.phi.box
+        values, rows = self.G.enclosure(
+            self._assemble(lo, box.y_lo), self._assemble(hi, box.y_hi)
+        )
+        first = rows[0]
+        cols = [c for c in range(len(first)) if c != n]
+        try:
+            grad = [interval.div(interval.neg(first[c]), first[n]) for c in cols]
+            eliminated = tuple(
+                tuple(interval.add(row[c], interval.mul(row[n], g)) for c, g in zip(cols, grad))
+                for row in rows[1:]
+            )
+        except DomainViolation as exc:
+            raise DomainError(str(exc), 0, f"elimination of {self.G.variables[n]}") from None
+        return values[1:], eliminated
+
+    def check_point(self, u: Sequence[float]) -> None:
+        """Raise what partial raises at u before it reaches G: phi's checks
+        ahead of its root search. Past them the search succeeds."""
+        self.phi._bracket(tuple(u))
 
 
 def _eliminate_z1(jg: Matrix, n: int) -> Matrix:

@@ -15,30 +15,11 @@ start with a letter.
 Parsed functions are immutable, and the only state a call leaves behind
 is a kernel compiled on demand, which any caller may compile again with
 the same result, so an ExprFunction may be shared freely across threads.
-One emitter compiles the components into positional Python functions, the
-kernels, each computing every component and each repeated subtree once,
-one statement per operation. eval runs the value kernel. Derivatives run
-the emitter's forward mode by source transformation: in place of each
-value statement that depends on a variable it emits one that computes
-the value, and any derivative factor, once, then one statement per
-direction for the value's derivative along it as a plain float,
-performing the same operations as a pass over dual numbers. The tangent
-kernel carries one direction v: one pass gives the directional
-derivative (jvp), and a partial is the pass along a unit vector. The
-Jacobian kernel carries all n unit vectors at once, so one pass gives
-every partial of every component, each equal bit for bit to its partial,
-and every value, equal to eval's, which a Newton step reads from the same
-pass. It is compiled on a function's second jacobian call, since a
-function whose Jacobian is read once, as at a build's seed, gains nothing
-from it. All are exact to roundoff. A power calls math.pow inline, under a
-test on its base that keeps the helper's results: a base other than zero
-under a nonzero integer literal, a positive base otherwise; other bases,
-and zero exponents, call the helper. Each kernel finishes its call: it
-tests every output finite and returns the Vector or Matrix its method
-returns (the Jacobian kernel with the values beside it), or None. The tree
-walker over dual numbers stays as the reference semantics, and where a
-kernel returns None or raises, it computes the result or locates the
-failure.
+The kernels that evaluate and differentiate the components come from
+the one emitter of kernels.py. The tree walker over dual numbers here is
+the reference semantics they compile, and where a kernel returns None or
+raises, it computes the result or locates the failure. enclosure runs
+the interval kernel, which bounds every value and partial over a box.
 """
 
 from __future__ import annotations
@@ -46,8 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from . import dual
 from .dual import Dual, DomainViolation
@@ -57,7 +37,22 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
+from .kernels import _KERNEL_ERRORS, _define, _interval_helpers, _kernel_source, _number
 from .linalg import Matrix, Vector
+# the syntax trees, also imported from here by the rest of the package
+from .nodes import (
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Node,
+    Var,
+    _children,
+    _subtrees,
+    const,
+    linear_combination,
+    substitute,
+)
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
@@ -72,70 +67,6 @@ _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 # normalize's substitution adds at dependent dimension m.
 MAX_DEPTH = 256
 _TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
-
-
-# ---------------------------------------------------------------------------
-# Syntax trees
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
-
-
-Node = Union[Const, Var, Neg, BinOp, Call]
-
-
-def const(value: float) -> Node:
-    """Canonical constant node; negatives become Neg(Const) so that every
-    tree prints to text the parser maps back to the identical tree."""
-    v = float(value)
-    if v < 0.0 or (v == 0.0 and math.copysign(1.0, v) < 0.0):
-        return Neg(Const(-v))
-    return Const(v)
-
-
-def linear_combination(offset: float, terms: Sequence[tuple[float, Node]]) -> Node:
-    """offset + sum(coef * node) as a tree, keeping every term."""
-    out: Node = const(offset)
-    for coef, node in terms:
-        out = BinOp("+", out, BinOp("*", const(coef), node))
-    return out
-
-
-def substitute(node: Node, mapping: Mapping[str, Node]) -> Node:
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Var):
-        return mapping.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(substitute(node.operand, mapping))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, mapping), substitute(node.right, mapping))
-    return Call(node.fn, substitute(node.arg, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +121,17 @@ def format_node(node: Node) -> str:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _depth(node: Node) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest = 0
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return deepest
 
 
 class _Parser:
@@ -290,290 +232,8 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: the kernels of one emitter, plus the tree walker that
-# defines the semantics and locates failures.
-
-# Names the kernel source calls. On floats the helpers give the same results
-# and domain checks as the dual functions, without their type tests. A power
-# calls math.pow itself where its base passes `_pow_guard`, and the helper
-# elsewhere. Quotients are Python's `/`, whose ZeroDivisionError stands for a
-# zero denominator. A kernel ends by testing its outputs finite and wrapping
-# them as a Vector or Matrix.
-_HELPERS = {
-    "__builtins__": {},
-    "_math_pow": math.pow,
-    "_pow": dual._pow_float,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_exp": dual._exp_float,
-    "_ln": dual._ln_float,
-    "_sqrt": dual._sqrt_float,
-    "_abs": abs,
-    "_pow_pair": dual.pow_pair,
-    "_pow_const_factor": dual.pow_const_factor,
-    "_sqrt_factor": dual.sqrt_factor,
-    "_abs_factor": dual.abs_factor,
-    "_isfinite": math.isfinite,
-    "_vector": Vector._unchecked,
-    "_matrix": Matrix._unchecked,
-}
-
-# What a kernel raises where the tree walker raises DomainViolation:
-# ValueError is math.sin and math.cos of an infinite intermediate,
-# ZeroDivisionError a quotient by zero, and OverflowError an inline math.pow
-# whose result overflows.
-_KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError, OverflowError)
-
-
-def _children(node: Node) -> tuple:
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Call):
-        return (node.arg,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    return ()
-
-
-def _depth(node: Node) -> int:
-    """Nodes on the longest root-to-leaf path, counted without recursion."""
-    deepest = 0
-    stack = [(node, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in _children(node))
-    return deepest
-
-
-def _number(components: Sequence[Node]) -> dict:
-    """Number the structurally distinct subtrees of the components: maps
-    the id of each node to its class."""
-    # Classes are numbered bottom-up. Memoizing by object identity keeps
-    # this linear: substitution puts one object at every occurrence of a
-    # variable, and a dataclass hash would walk the whole subtree again at
-    # each one.
-    number_of: dict = {}
-    class_of: dict = {}
-
-    def classify(node) -> int:
-        c = class_of.get(id(node))
-        if c is None:
-            if isinstance(node, Const):
-                label = repr(node.value)  # keeps 0.0 and -0.0 apart
-            elif isinstance(node, Var):
-                label = node.name
-            elif isinstance(node, BinOp):
-                label = node.op
-            elif isinstance(node, Call):
-                label = node.fn
-            else:
-                label = None
-            key = (type(node), label, *map(classify, _children(node)))
-            c = class_of[id(node)] = number_of.setdefault(key, len(number_of))
-        return c
-
-    for component in components:
-        classify(component)
-    return class_of
-
-
-def _literal(node: Const) -> str:
-    text = repr(node.value)
-    return "1e999" if text == "inf" else text
-
-
-def _pow_guard(a: str, b: str, exponent: Node) -> str | None:
-    """Text of the test on base a under which math.pow(a, b) gives what
-    _pow_float(a, b) gives, raising OverflowError where it raises
-    DomainViolation, and pow_const_factor's factor is b * a^(b - 1); None for
-    a zero exponent, whose factor (None) only pow_const_factor gives."""
-    if isinstance(exponent, Const):
-        n = exponent.value
-        if n == 0.0:
-            return None
-        # a finite integer literal is defined on every base, but math.pow
-        # keeps the sign of -0.0 ^ 3, which _pow_float makes 0.0
-        return f"{a} != 0.0" if n.is_integer() else f"{a} > 0.0"
-    # a computed exponent may be non-integer or zero
-    return f"{a} > 0.0 and {b} != 0.0"
-
-
-def _float_op(node: Node, operands: Sequence[str]) -> str:
-    """Text of node's own float operation on its operands' texts."""
-    if isinstance(node, Neg):
-        return f"-{operands[0]}"
-    if isinstance(node, Call):
-        return f"_{node.fn}({operands[0]})"
-    left, right = operands
-    if node.op == "^":
-        guard = _pow_guard(left, right, node.right)
-        if guard is None:
-            return f"_pow({left}, {right})"
-        return f"_math_pow({left}, {right}) if {guard} else _pow({left}, {right})"
-    return f"{left} {node.op} {right}"
-
-
-def _tangent_op(node: Node, v: str, f: str, operands: Sequence[tuple]) -> tuple[list, object]:
-    """The tangent-mode statements of a node that contains a variable, from
-    its operands' (value, tangents) texts; tangents is None where the
-    operand contains no variable, else one text per direction. Returns the
-    statements that set the value v, and a factor f where the rule has one,
-    and the rule: a function of the operands' tangents along one direction
-    giving that direction's tangent text, or the tuple of tangents where
-    they pass through unchanged. Value and factor are computed once for
-    every direction. The statements and a rule's text perform the float
-    operations of the Dual method or dual function for this mix of
-    operands, in the same order; a power whose exponent varies branches on
-    each direction's exponent tangent, so its pair rule runs per direction."""
-    if isinstance(node, Neg):
-        ((x, _),) = operands
-        return [f"{v} = -{x}"], lambda dx: f"-{dx}"
-    if isinstance(node, Call):
-        ((x, _),) = operands
-        if node.fn == "sin":
-            return [f"{v}, {f} = _sin({x}), _cos({x})"], lambda dx: f"{f} * {dx}"
-        if node.fn == "cos":
-            return [f"{v}, {f} = _cos({x}), -_sin({x})"], lambda dx: f"{f} * {dx}"
-        if node.fn == "exp":
-            return [f"{v} = _exp({x})"], lambda dx: f"{v} * {dx}"
-        if node.fn == "ln":
-            return [f"{v} = _ln({x})"], lambda dx: f"{dx} / {x}"
-        if node.fn == "sqrt":
-            return [f"{v}, {f} = _sqrt_factor({x})"], lambda dx: f"{dx} / {f}"
-        return [f"{v}, {f} = _abs_factor({x})"], lambda dx: f"{f} * {dx}"
-    (a, da), (b, db) = operands
-    op = node.op
-    if op == "^":
-        if db is None:
-            helper = f"_pow_const_factor({a}, {b})"
-            guard = _pow_guard(a, b, node.right)
-            if guard is not None:
-                fast = f"(_math_pow({a}, {b}), {b} * _math_pow({a}, {b} - 1.0))"
-                helper = f"{fast} if {guard} else {helper}"
-            return (
-                [f"{v}, {f} = {helper}"],
-                lambda da, _: f"0.0 if {f} is None else {f} * {da}",
-            )
-        return (
-            [f"{v} = _pow({a}, {b})"],
-            lambda da, db: f"_pow_pair({a}, {da or '0.0'}, {b}, {db})[1]",
-        )
-    value = [f"{v} = {a} {op} {b}"]
-    if op == "/":
-        if db is None:
-            return value, lambda da, _: f"{da} / {b}"
-        # a constant numerator is Dual(a, 0.0)
-        return value, lambda da, db: f"({da or '0.0'} - {v} * {db}) / {b}"
-    if op == "*":
-        if da is None:
-            return value, lambda _, db: f"{db} * {a}"  # Dual.__rmul__
-        if db is None:
-            return value, lambda da, _: f"{da} * {b}"
-        return value, lambda da, db: f"{a} * {db} + {da} * {b}"
-    if da is not None and db is not None:
-        return value, lambda da, db: f"{da} {op} {db}"
-    if op == "-" and da is None:
-        return value, lambda _, db: f"-{db}"  # Dual.__rsub__
-    return value, da or db
-
-
-def _tuple_text(texts) -> str:
-    return f"({''.join(f'{t}, ' for t in texts)})"
-
-
-def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: str) -> str:
-    """Source of `def _k(_a0, ..., _an): ...`, whose result is finished:
-    mode "value" returns the Vector of every component's value at _a. The
-    tangent modes also carry derivatives, computed on floats only: mode
-    "jvp" takes a direction _b0, ..., _bn and returns the Vector of each
-    component's derivative along it; mode "jacobian" carries one tangent
-    per variable, along the unit vectors, and returns the tuple of values
-    and the Matrix whose row i is component i's n partials. Every kernel
-    returns None instead where an output, a value or a tangent, a literal
-    too, is not finite.
-
-    Inputs are positional, so variable names never meet Python's. Subtrees
-    are numbered, so each repeated one, within or across components, is
-    computed once. Every non-leaf node gets its own statement, a float
-    operation into a local `_tc`, c its class, so no expression nests. In a
-    tangent mode, a node that contains a variable gets its `_tangent_op`
-    statements instead: its value once, then one tangent `_dc_j` per
-    direction j. A subtree with no variable carries no tangent, as a Dual
-    pass leaves it a float; a component with none has tangents 0.0. Each
-    statement performs the float operations a float or Dual pass does, in
-    the same order, so the results equal it bit for bit, and each
-    direction of the "jacobian" kernel equals the "jvp" kernel along that
-    unit vector. A power calls math.pow itself where `_pow_guard` holds;
-    there the helper would call it with the same arguments.
-    """
-    class_of = _number(components)
-    n = len(variables)
-    params = [f"_a{k}" for k in range(n)]
-    if mode == "value":
-        leaf_tangents = [None] * n
-    elif mode == "jvp":
-        leaf_tangents = [(f"_b{k}",) for k in range(n)]
-        params += [f"_b{k}" for k in range(n)]
-    else:
-        leaf_tangents = [tuple("1.0" if j == k else "0.0" for j in range(n)) for k in range(n)]
-    leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
-    directions = {"value": 0, "jvp": 1}.get(mode, n)
-    untangled = (None,) * directions
-    pair_of: dict = {}
-    lines: list = []
-
-    def emit(node) -> tuple:
-        """node's value text and tangent texts."""
-        if isinstance(node, Const):
-            return _literal(node), None
-        if isinstance(node, Var):
-            return leaf_of[node.name]
-        c = class_of[id(node)]
-        if c in pair_of:
-            return pair_of[c]
-        operands = list(map(emit, _children(node)))
-        v = f"_t{c}"
-        # only in a tangent mode does an operand that contains a variable carry tangents
-        if operands[0][1] is None and operands[-1][1] is None:
-            lines.append(f"{v} = {_float_op(node, [t for t, _ in operands])}")
-            pair = pair_of[c] = (v, None)
-            return pair
-        statements, rule = _tangent_op(node, v, f"_f{c}", operands)
-        lines.extend(statements)
-        if callable(rule):
-            # the operands' tangents along each direction in turn
-            along = zip(*[ds or untangled for _, ds in operands])
-            tangents = tuple(f"_d{c}_{j}" for j in range(directions))
-            lines.extend([f"{d} = {rule(*ds)}" for d, ds in zip(tangents, along)])
-            rule = tangents
-        pair = pair_of[c] = (v, rule)
-        return pair
-
-    pairs = [emit(component) for component in components]
-    values = [v for v, _ in pairs]
-    rows = [ds or ("0.0",) * directions for _, ds in pairs]
-    tangents = [d for ds in rows for d in ds]
-    if mode == "value":
-        result = f"_vector({_tuple_text(values)})"
-    elif mode == "jvp":
-        result = f"_vector({_tuple_text(tangents)})"
-    else:
-        matrix = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
-        result = f"({_tuple_text(values)}, {matrix})"
-    # every output once, values and tangents alike; a finite literal needs no test
-    outputs = dict.fromkeys(values + tangents)
-    tests = [f"_isfinite({t})" for t in outputs if t[0] == "_" or not math.isfinite(float(t))]
-    if tests:
-        result = f"{result} if {' and '.join(tests)} else None"
-    lines.append(f"return {result}")
-    return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
-
-
-def _define(source: str):
-    namespace: dict = {}
-    exec(compile(source, "<kernel>", "exec"), _HELPERS, namespace)
-    return namespace["_k"]
+# Evaluation: the tree walker, which defines the kernels' semantics and
+# locates their failures.
 
 
 class _Located(Exception):
@@ -644,7 +304,9 @@ class ExprFunction:
     variable and also returns the values, is compiled by the second
     jacobian call. Each kernel returns its method's finished result, or
     None where an output is not finite; there, and where a kernel raises,
-    the method falls back to the walker.
+    the method falls back to the walker. The interval kernel, which
+    carries intervals where the Jacobian kernel carries floats, is
+    compiled by the first enclosure call.
     """
 
     __slots__ = (
@@ -654,6 +316,7 @@ class ExprFunction:
         "_value_kernel",
         "_tangent_kernel",
         "_jacobian_kernel",
+        "_interval_kernel",
         "_units",
     )
 
@@ -675,6 +338,8 @@ class ExprFunction:
         self._units = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
         # None until the first jacobian call, False until the second
         self._jacobian_kernel = None
+        # (kernel, source) from the first enclosure call on
+        self._interval_kernel = None
 
     @property
     def n_inputs(self) -> int:
@@ -819,6 +484,52 @@ class ExprFunction:
         kernel's numbers or locates the DomainError."""
         cols = [self.partial(p, j) for j in range(len(self.variables))]
         return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
+
+    def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple:
+        """Intervals over the closed box [lo, hi]: the tuple of every
+        component's value and the tuple of rows of every partial, each a
+        pair (low, high). Each holds what eval, partial and jacobian compute
+        at every float point of the box, and the exact result of their
+        operations at every real point. One pass of the "interval" kernel,
+        compiled by the first call.
+
+        Raises DomainError, located as eval locates one, where an interval
+        crosses the edge of a domain or a bound is not finite: the
+        enclosure proves nothing there."""
+        n = len(self.variables)
+        if len(lo) != n or len(hi) != n:
+            raise DimensionMismatch(f"function of {n} variables called with a box of {len(lo)}")
+        box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
+        if not all(math.isfinite(a) and a <= b and math.isfinite(b) for a, b in box):
+            raise ValueError(f"not a finite box: {box}")
+        if self._interval_kernel is None:
+            # idempotent, so callers racing here compile equal kernels
+            source = _kernel_source(self.components, self.variables, "interval")
+            self._interval_kernel = (_define(source, _interval_helpers()), source)
+        kernel, source = self._interval_kernel
+        try:
+            return kernel(*box)
+        except DomainViolation as exc:
+            raise self._locate_interval(exc, source) from None
+
+    def _locate_interval(self, exc: DomainViolation, source: str) -> DomainError:
+        """The DomainError of an interval pass that raised exc, at the node
+        whose statement raised it. The kernel computes the components in
+        order, so the first component containing that node is the first
+        that fails."""
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code.co_filename != "<kernel>":
+            tb = tb.tb_next
+        statement = source.splitlines()[tb.tb_lineno - 1]
+        c = int(re.match(r"\s*_[tdf](\d+)", statement).group(1))
+        class_of = _number(self.components)
+        i, node = next(
+            (i, node)
+            for i, component in enumerate(self.components)
+            for node in _subtrees(component)
+            if class_of[id(node)] == c
+        )
+        return DomainError(str(exc), i, format_node(node))
 
     def substituted(
         self, mapping: Mapping[str, Node], variables: Sequence[str]

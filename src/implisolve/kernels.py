@@ -1,0 +1,379 @@
+"""The one emitter of the expression kernels.
+
+It compiles an ExprFunction's components into positional Python
+functions, the kernels, each computing every component and each repeated
+subtree once, one statement per operation. eval runs the value kernel.
+Derivatives run the emitter's forward mode by source transformation: in
+place of each value statement that depends on a variable it emits one
+that computes the value, and any derivative factor, once, then one
+statement per direction for the value's derivative along it as a plain
+float, performing the same operations as a pass over dual numbers. The
+tangent kernel carries one direction v: one pass gives the directional
+derivative (jvp), and a partial is the pass along a unit vector. The
+Jacobian kernel carries all n unit vectors at once, so one pass gives
+every partial of every component, each equal bit for bit to its partial,
+and every value, equal to eval's, which a Newton step reads from the same
+pass. It is compiled on a function's second jacobian call, since a
+function whose Jacobian is read once, as at a build's seed, gains nothing
+from it. All are exact to roundoff. A power calls math.pow inline, under a
+test on its base that keeps the helper's results: a base other than zero
+under a nonzero integer literal, a positive base otherwise; other bases,
+and zero exponents, call the helper. Each kernel finishes its call: it
+tests every output finite and returns the Vector or Matrix its method
+returns (the Jacobian kernel with the values beside it), or None. The
+tree walker of expr.py over dual numbers is the semantics they compile.
+
+The fourth mode, "interval", performs the Jacobian kernel's operations in
+its order on intervals, with interval.py's outward-rounded helpers. Its
+pass over a box encloses every value and partial the float kernels
+compute anywhere in the box, or raises where an interval crosses a
+domain edge. ExprFunction.enclosure compiles it on its first call, so
+parsing never pays for it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from . import dual
+from .dual import DomainViolation
+from .linalg import Matrix, Vector
+from .nodes import BinOp, Call, Const, Neg, Node, Var, _children
+
+# Names the kernel source calls. On floats the helpers give the same results
+# and domain checks as the dual functions, without their type tests. A power
+# calls math.pow itself where its base passes `_pow_guard`, and the helper
+# elsewhere. Quotients are Python's `/`, whose ZeroDivisionError stands for a
+# zero denominator. A kernel ends by testing its outputs finite and wrapping
+# them as a Vector or Matrix.
+_HELPERS = {
+    "__builtins__": {},
+    "_math_pow": math.pow,
+    "_pow": dual._pow_float,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": dual._exp_float,
+    "_ln": dual._ln_float,
+    "_sqrt": dual._sqrt_float,
+    "_abs": abs,
+    "_pow_pair": dual.pow_pair,
+    "_pow_const_factor": dual.pow_const_factor,
+    "_sqrt_factor": dual.sqrt_factor,
+    "_abs_factor": dual.abs_factor,
+    "_isfinite": math.isfinite,
+    "_vector": Vector._unchecked,
+    "_matrix": Matrix._unchecked,
+}
+
+# The "interval" mode's kernel runs with interval.py's helpers under the
+# same names, bound on its first compile so that parsing never imports
+# them, and with its arithmetic operators spelled as these helpers. The
+# zero and unit tangents are names, not tuple literals, which keeps the
+# compile of a kernel with many of them small.
+_INTERVAL_OPS = {"+": "_add", "-": "_sub", "*": "_mul", "/": "_div"}
+_ZERO_INTERVAL = "_zero"
+
+
+def _interval_helpers() -> dict:
+    from . import interval
+
+    return {
+        "__builtins__": {},
+        "_add": interval.add,
+        "_sub": interval.sub,
+        "_mul": interval.mul,
+        "_div": interval.div,
+        "_neg": interval.neg,
+        "_pow": interval.pow_,
+        "_sin": interval.sin,
+        "_cos": interval.cos,
+        "_exp": interval.exp,
+        "_ln": interval.ln,
+        "_sqrt": interval.sqrt,
+        "_abs": interval.abs_,
+        "_pow_pair": interval.pow_pair,
+        "_pow_const_factor": interval.pow_const_factor,
+        "_sqrt_factor": interval.sqrt_factor,
+        "_abs_factor": interval.abs_factor,
+        "_point": interval.point,
+        "_zero": interval.ZERO,
+        "_one": interval.ONE,
+    }
+
+
+# What a kernel raises where the tree walker raises DomainViolation:
+# ValueError is math.sin and math.cos of an infinite intermediate,
+# ZeroDivisionError a quotient by zero, and OverflowError an inline math.pow
+# whose result overflows.
+_KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _number(components: Sequence[Node]) -> dict:
+    """Number the structurally distinct subtrees of the components: maps
+    the id of each node to its class."""
+    # Classes are numbered bottom-up. Memoizing by object identity keeps
+    # this linear: substitution puts one object at every occurrence of a
+    # variable, and a dataclass hash would walk the whole subtree again at
+    # each one.
+    number_of: dict = {}
+    class_of: dict = {}
+
+    def classify(node) -> int:
+        c = class_of.get(id(node))
+        if c is None:
+            if isinstance(node, Const):
+                label = repr(node.value)  # keeps 0.0 and -0.0 apart
+            elif isinstance(node, Var):
+                label = node.name
+            elif isinstance(node, BinOp):
+                label = node.op
+            elif isinstance(node, Call):
+                label = node.fn
+            else:
+                label = None
+            key = (type(node), label, *map(classify, _children(node)))
+            c = class_of[id(node)] = number_of.setdefault(key, len(number_of))
+        return c
+
+    for component in components:
+        classify(component)
+    return class_of
+
+
+def _literal(node: Const) -> str:
+    text = repr(node.value)
+    return "1e999" if text == "inf" else text
+
+
+def _pow_guard(a: str, b: str, exponent: Node) -> str | None:
+    """Text of the test on base a under which math.pow(a, b) gives what
+    _pow_float(a, b) gives, raising OverflowError where it raises
+    DomainViolation, and pow_const_factor's factor is b * a^(b - 1); None for
+    a zero exponent, whose factor (None) only pow_const_factor gives."""
+    if isinstance(exponent, Const):
+        n = exponent.value
+        if n == 0.0:
+            return None
+        # a finite integer literal is defined on every base, but math.pow
+        # keeps the sign of -0.0 ^ 3, which _pow_float makes 0.0
+        return f"{a} != 0.0" if n.is_integer() else f"{a} > 0.0"
+    # a computed exponent may be non-integer or zero
+    return f"{a} > 0.0 and {b} != 0.0"
+
+
+def _arith(op: str, a: str, b: str, interval: bool) -> str:
+    """Text of a binary operation: Python's operator on floats, the helper
+    of interval.py on intervals."""
+    return f"{_INTERVAL_OPS[op]}({a}, {b})" if interval else f"{a} {op} {b}"
+
+
+def _negation(a: str, interval: bool) -> str:
+    return f"_neg({a})" if interval else f"-{a}"
+
+
+def _float_op(node: Node, operands: Sequence[str], interval: bool = False) -> str:
+    """Text of node's own value operation on its operands' texts."""
+    if isinstance(node, Neg):
+        return _negation(operands[0], interval)
+    if isinstance(node, Call):
+        return f"_{node.fn}({operands[0]})"
+    left, right = operands
+    if node.op == "^":
+        guard = None if interval else _pow_guard(left, right, node.right)
+        if guard is None:
+            return f"_pow({left}, {right})"
+        return f"_math_pow({left}, {right}) if {guard} else _pow({left}, {right})"
+    return _arith(node.op, left, right, interval)
+
+
+def _tangent_op(
+    node: Node, v: str, f: str, operands: Sequence[tuple], interval: bool = False
+) -> tuple[list, object]:
+    """The tangent-mode statements of a node that contains a variable, from
+    its operands' (value, tangents) texts; tangents is None where the
+    operand contains no variable, else one text per direction. Returns the
+    statements that set the value v, and a factor f where the rule has one,
+    and the rule: a function of the operands' tangents along one direction
+    giving that direction's tangent text, or the tuple of tangents where
+    they pass through unchanged. Value and factor are computed once for
+    every direction. The statements and a rule's text perform the float
+    operations of the Dual method or dual function for this mix of
+    operands, in the same order; a power whose exponent varies branches on
+    each direction's exponent tangent, so its pair rule runs per direction.
+    With interval, the same operations act on intervals."""
+    zero = _ZERO_INTERVAL if interval else "0.0"
+
+    def arith(op, a, b):
+        return _arith(op, a, b, interval)
+
+    if isinstance(node, Neg):
+        ((x, _),) = operands
+        return [f"{v} = {_negation(x, interval)}"], lambda dx: _negation(dx, interval)
+    if isinstance(node, Call):
+        ((x, _),) = operands
+        if node.fn == "sin":
+            return [f"{v}, {f} = _sin({x}), _cos({x})"], lambda dx: arith("*", f, dx)
+        if node.fn == "cos":
+            sine = _negation(f"_sin({x})", interval)
+            return [f"{v}, {f} = _cos({x}), {sine}"], lambda dx: arith("*", f, dx)
+        if node.fn == "exp":
+            return [f"{v} = _exp({x})"], lambda dx: arith("*", v, dx)
+        if node.fn == "ln":
+            return [f"{v} = _ln({x})"], lambda dx: arith("/", dx, x)
+        if node.fn == "sqrt":
+            return [f"{v}, {f} = _sqrt_factor({x})"], lambda dx: arith("/", dx, f)
+        return [f"{v}, {f} = _abs_factor({x})"], lambda dx: arith("*", f, dx)
+    (a, da), (b, db) = operands
+    op = node.op
+    if op == "^":
+        if db is None:
+            helper = f"_pow_const_factor({a}, {b})"
+            guard = None if interval else _pow_guard(a, b, node.right)
+            if guard is not None:
+                fast = f"(_math_pow({a}, {b}), {b} * _math_pow({a}, {b} - 1.0))"
+                helper = f"{fast} if {guard} else {helper}"
+            return (
+                [f"{v}, {f} = {helper}"],
+                lambda da, _: f"{zero} if {f} is None else {arith('*', f, da)}",
+            )
+        return (
+            [f"{v} = _pow({a}, {b})"],
+            lambda da, db: f"_pow_pair({a}, {da or zero}, {b}, {db})[1]",
+        )
+    value = [f"{v} = {arith(op, a, b)}"]
+    if op == "/":
+        if db is None:
+            return value, lambda da, _: arith("/", da, b)
+        # a constant numerator is Dual(a, 0.0)
+        return value, lambda da, db: arith("/", f"({arith('-', da or zero, arith('*', v, db))})", b)
+    if op == "*":
+        if da is None:
+            return value, lambda _, db: arith("*", db, a)  # Dual.__rmul__
+        if db is None:
+            return value, lambda da, _: arith("*", da, b)
+        return value, lambda da, db: arith("+", arith("*", a, db), arith("*", da, b))
+    if da is not None and db is not None:
+        return value, lambda da, db: arith(op, da, db)
+    if op == "-" and da is None:
+        return value, lambda _, db: _negation(db, interval)  # Dual.__rsub__
+    return value, da or db
+
+
+def _tuple_text(texts) -> str:
+    return f"({''.join(f'{t}, ' for t in texts)})"
+
+
+def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: str) -> str:
+    """Source of `def _k(_a0, ..., _an): ...`, whose result is finished:
+    mode "value" returns the Vector of every component's value at _a. The
+    tangent modes also carry derivatives, computed on floats only: mode
+    "jvp" takes a direction _b0, ..., _bn and returns the Vector of each
+    component's derivative along it; mode "jacobian" carries one tangent
+    per variable, along the unit vectors, and returns the tuple of values
+    and the Matrix whose row i is component i's n partials. Every kernel
+    returns None instead where an output, a value or a tangent, a literal
+    too, is not finite. Mode "interval" is mode "jacobian" on intervals:
+    each _ak is a pair (lo, hi), every literal a point interval, every
+    operation the helper of interval.py with the name the float kernels
+    call or `_INTERVAL_OPS` gives, and it returns the tuple of the values'
+    intervals and the tuple of the rows of the partials' intervals,
+    testing none: the helpers raise where a bound is not finite, as
+    `_point` does in the statement of a non-finite literal.
+
+    Inputs are positional, so variable names never meet Python's. Subtrees
+    are numbered, so each repeated one, within or across components, is
+    computed once. Every non-leaf node gets its own statement, a float
+    operation into a local `_tc`, c its class, so no expression nests. In a
+    tangent mode, a node that contains a variable gets its `_tangent_op`
+    statements instead: its value once, then one tangent `_dc_j` per
+    direction j. A subtree with no variable carries no tangent, as a Dual
+    pass leaves it a float; a component with none has tangents 0.0. Each
+    statement performs the float operations a float or Dual pass does, in
+    the same order, so the results equal it bit for bit, and each
+    direction of the "jacobian" kernel equals the "jvp" kernel along that
+    unit vector. The "interval" kernel performs the "jacobian" kernel's
+    operations in its order, so each of its intervals holds what that
+    kernel computes at any float point of the box. A power calls math.pow
+    itself where `_pow_guard` holds; there the helper would call it with
+    the same arguments. The "interval" kernel always calls the helper.
+    """
+    class_of = _number(components)
+    n = len(variables)
+    interval = mode == "interval"
+    params = [f"_a{k}" for k in range(n)]
+    if mode == "value":
+        leaf_tangents = [None] * n
+    elif mode == "jvp":
+        leaf_tangents = [(f"_b{k}",) for k in range(n)]
+        params += [f"_b{k}" for k in range(n)]
+    else:
+        one, zero = ("_one", _ZERO_INTERVAL) if interval else ("1.0", "0.0")
+        leaf_tangents = [tuple(one if j == k else zero for j in range(n)) for k in range(n)]
+    leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
+    directions = {"value": 0, "jvp": 1}.get(mode, n)
+    untangled = (None,) * directions
+    pair_of: dict = {}
+    lines: list = []
+
+    def emit(node) -> tuple:
+        """node's value text and tangent texts."""
+        if isinstance(node, Const) and (not interval or math.isfinite(node.value)):
+            literal = _literal(node)
+            return (f"({literal}, {literal})" if interval else literal), None
+        if isinstance(node, Var):
+            return leaf_of[node.name]
+        c = class_of[id(node)]
+        if c in pair_of:
+            return pair_of[c]
+        if isinstance(node, Const):
+            # the helpers take a finite literal as given; this statement
+            # raises instead, at the literal
+            lines.append(f"_t{c} = _point({_literal(node)})")
+            pair = pair_of[c] = (f"_t{c}", None)
+            return pair
+        operands = list(map(emit, _children(node)))
+        v = f"_t{c}"
+        # only in a tangent mode does an operand that contains a variable carry tangents
+        if operands[0][1] is None and operands[-1][1] is None:
+            lines.append(f"{v} = {_float_op(node, [t for t, _ in operands], interval)}")
+            pair = pair_of[c] = (v, None)
+            return pair
+        statements, rule = _tangent_op(node, v, f"_f{c}", operands, interval)
+        lines.extend(statements)
+        if callable(rule):
+            # the operands' tangents along each direction in turn
+            along = zip(*[ds or untangled for _, ds in operands])
+            tangents = tuple(f"_d{c}_{j}" for j in range(directions))
+            lines.extend([f"{d} = {rule(*ds)}" for d, ds in zip(tangents, along)])
+            rule = tangents
+        pair = pair_of[c] = (v, rule)
+        return pair
+
+    pairs = [emit(component) for component in components]
+    values = [v for v, _ in pairs]
+    rows = [ds or ((_ZERO_INTERVAL if interval else "0.0"),) * directions for _, ds in pairs]
+    tangents = [d for ds in rows for d in ds]
+    if interval:
+        lines.append(f"return {_tuple_text(values)}, {_tuple_text(map(_tuple_text, rows))}")
+        return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
+    if mode == "value":
+        result = f"_vector({_tuple_text(values)})"
+    elif mode == "jvp":
+        result = f"_vector({_tuple_text(tangents)})"
+    else:
+        matrix = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
+        result = f"({_tuple_text(values)}, {matrix})"
+    # every output once, values and tangents alike; a finite literal needs no test
+    outputs = dict.fromkeys(values + tangents)
+    tests = [f"_isfinite({t})" for t in outputs if t[0] == "_" or not math.isfinite(float(t))]
+    if tests:
+        result = f"{result} if {' and '.join(tests)} else None"
+    lines.append(f"return {result}")
+    return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
+
+
+def _define(source: str, helpers: dict = _HELPERS):
+    namespace: dict = {}
+    exec(compile(source, "<kernel>", "exec"), helpers, namespace)
+    return namespace["_k"]

@@ -122,8 +122,20 @@ def identity(n: int) -> Matrix:
 
 
 def hs_norm(m: Matrix) -> float:
-    """Hilbert-Schmidt norm: sqrt of the sum of squared entries."""
-    return math.sqrt(math.fsum([v * v for row in m.rows for v in row]))
+    """Hilbert-Schmidt norm: sqrt of the sum of squared entries. Where a
+    square or their sum overflows (entries from about 1e154), the entries
+    are first divided by the largest magnitude, and the norm is that
+    magnitude times the norm of the quotients; inf only where the norm
+    itself exceeds the largest float."""
+    try:
+        total = math.fsum([v * v for row in m.rows for v in row])
+    except OverflowError:  # finite squares whose sum overflows
+        total = math.inf
+    if total != math.inf:
+        return math.sqrt(total)
+    entries = [v for row in m.rows for v in row]
+    top = max(map(abs, entries))
+    return top * math.sqrt(math.fsum([(v / top) * (v / top) for v in entries]))
 
 
 def matvec(m: Matrix, v: Sequence[float]) -> Vector:

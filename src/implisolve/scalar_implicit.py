@@ -8,10 +8,18 @@ a box every x in X brackets exactly one root, so evaluation is ITP
 2020) and is unconditionally convergent. The gradient comes from the
 quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at (x, f(x)).
 
+The sign of dF/dy is the Mean-Value Theorem's hypothesis. Where F offers
+an interval enclosure of its partials over a box (Moore, Interval
+Analysis, 1966), one enclosure pass can prove that sign at every point
+of the closed grid, and find_box skips the sampled sweep, or keeps only
+F's own checks at each point. The proof holds exactly where the sweep
+would pass, so the boxes are those the sweep finds.
+
 The function argument is duck-typed: anything with n_inputs, n_outputs,
 eval(p) and partial(p, j) works, which is what lets the system solver feed
 its nested reduced functions through the same machinery. The dependent
-variable is always the last input.
+variable is always the last input. enclosure(lo, hi) and check_point(p)
+are optional (see _derivative_proved).
 """
 
 from __future__ import annotations
@@ -135,6 +143,13 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     stepping outside an inner validated box. A grid of more than
     MAX_GRID_SAMPLES samples per attempt raises ValueError before F is
     called.
+
+    Each attempt first asks F for an interval enclosure of dF/dy over the
+    closed box. Where it proves the sign, the derivative sweep is skipped
+    for an expression, and for a reduced function of the level above
+    becomes a sweep of that level's checks before its root search, in the
+    same grid order. Elsewhere every grid point's partial is sampled. The
+    endpoint-sign sweep always samples.
     """
     n = seed.n
     if seed.m != 1:
@@ -177,17 +192,20 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         y_lo, y_hi = b - hy, b + hy
         failure = None
 
-        # nested functions may fail to evaluate at a sample (outside an inner
-        # box, or in a region its sampling misjudged); that fails the attempt
         closed_axes = [_closed_axis(x_lo[i], x_hi[i], g) for i in range(n)]
-        for point in itertools.product(*closed_axes, _closed_axis(y_lo, y_hi, g)):
-            try:
-                if sign * F.partial(point, n)[0] <= 0.0:
-                    failure = ("derivative", point)
-                    break
-            except (DomainError, OutsideBox, NoConvergence):
+        closed_axes.append(_closed_axis(y_lo, y_hi, g))
+        if _derivative_proved(F, closed_axes, n, sign):
+            # the partial is proved wherever F gets past its own checks
+            fails = getattr(F, "check_point", None)
+        else:
+
+            def fails(point):
+                return sign * F.partial(point, n)[0] <= 0.0
+
+        if fails is not None:
+            point = _first_failure(closed_axes, fails)
+            if point is not None:
                 failure = ("derivative", point)
-                break
 
         if failure is None:
             interior_axes = [_interior_axis(x_lo[i], x_hi[i], g) for i in range(n)]
@@ -217,6 +235,44 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         hy /= 2
 
     raise BoxNotFound(last_failure[0], last_failure[1])
+
+
+def _derivative_proved(F, axes: list, n: int, sign: int) -> bool:
+    """Whether an interval enclosure proves the derivative condition over
+    the closed box the grid axes span, from their extremes (the axis
+    arithmetic may overshoot its end by an ulp). F's enclosure(lo, hi),
+    where it has one, holds what F.partial computes at every point of the
+    box where F's check_point, if it has one, returns instead of raising
+    what F.partial would raise there, and raises DomainError or returns
+    None where it cannot enclose. The proof holds where the dependent
+    column's enclosure has sign `sign`: then at those points F.partial
+    raises nothing and sign * dF/dy > 0, so a sampled sweep would fail
+    exactly where check_point raises."""
+    enclosure = getattr(F, "enclosure", None)
+    if enclosure is None:
+        return False
+    try:
+        enclosed = enclosure([min(axis) for axis in axes], [max(axis) for axis in axes])
+    except DomainError:
+        return False
+    if enclosed is None:
+        return False
+    low, high = enclosed[1][0][n]
+    return low > 0.0 if sign > 0 else high < 0.0
+
+
+def _first_failure(axes: list, fails) -> tuple | None:
+    """The first grid point, in product order, where fails(point) is true
+    or raises a failure to evaluate, or None. Nested functions may fail to
+    evaluate at a sample (outside an inner box, or in a region its
+    sampling misjudged); that fails the attempt."""
+    for point in itertools.product(*axes):
+        try:
+            if fails(point):
+                return point
+        except (DomainError, OutsideBox, NoConvergence):
+            return point
+    return None
 
 
 def itp(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
@@ -287,6 +343,14 @@ class ImplicitSolution:
         x = tuple(x)
         if len(x) != self.seed.n:
             raise DimensionMismatch(f"expected {self.seed.n} coordinates, got {len(x)}")
+        return itp(*self._bracket(x), self.tol_root)
+
+    def _bracket(self, x: tuple[float, ...]) -> tuple:
+        """solve_at's checks before its root search: OutsideBox unless x is
+        in the box, and NoConvergence unless F's signs at the two ends of
+        the box interval bracket a root (F.eval's DomainError if an end
+        fails to evaluate). Returns itp's arguments but tol: the signed
+        function of y, the interval and its end values."""
         if not self.box.contains_x(x):
             raise OutsideBox(x)
         s = self.box.sign
@@ -301,7 +365,7 @@ class ImplicitSolution:
             raise NoConvergence(
                 "endpoint signs wrong at query point; box validation was fooled by sampling"
             )
-        return itp(f, lo, hi, f_lo, f_hi, self.tol_root)
+        return f, lo, hi, f_lo, f_hi
 
     def gradient_at(self, x: Sequence[float]) -> Vector:
         """df/dx at x, via -(dF/dx_j)/(dF/dy) at (x, f(x))."""

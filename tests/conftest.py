@@ -1,3 +1,4 @@
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import settings
 
 from implisolve import ExprFunction, SolverOptions, SplitPoint, build_system, parse
 
+# HYPOTHESIS_PROFILE=ci runs every property test with 500 examples
 settings.register_profile("default", deadline=None, max_examples=60)
-settings.load_profile("default")
+settings.register_profile("ci", deadline=None, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @dataclass(frozen=True)

@@ -511,6 +511,25 @@ def test_invert_square_map(tmp_path):
             assert abs(a - b) < 1e-8
 
 
+def test_invert_with_entries_near_1e154_exits_0(tmp_path):
+    # the squares of dF/dx sum past the largest float, so the pivot
+    # threshold's norm is taken from the entries scaled down first
+    spec = write_spec(
+        tmp_path,
+        "big.json",
+        {
+            "functions": ["1e154*x1 + 1e154*x2", "1e154*x1 - 1e154*x2"],
+            "variables": ["x1", "x2"],
+            "seed": [0.0, 0.0],
+        },
+    )
+    code, text = run_main(["invert", "--spec", spec, "--query", "0.1,0.05"])
+    assert code == 0
+    row = json.loads(text)["results"][0]
+    assert row["ok"]
+    assert max(abs(a - b) for a, b in zip(row["value"], (7.5e-156, 2.5e-156))) < 1e-168
+
+
 def test_invert_exp_with_halfwidth_flag(tmp_path):
     spec = write_spec(
         tmp_path,

@@ -29,6 +29,12 @@ def rand_matrix(rng, rows, cols):
 
 def test_hs_norm():
     assert abs(hs_norm(identity(2)) - math.sqrt(2)) < 1e-15
+    # squares that overflow, alone or summed, scale by the largest entry
+    for big in (1e154, 1e200):
+        norm = hs_norm(Matrix.from_rows([[3 * big, -4 * big]]))
+        assert abs(norm - 5 * big) <= 1e-15 * 5 * big
+    assert hs_norm(Matrix.from_rows([[1e308, 1e308]])) == 1e308 * math.sqrt(2)
+    assert hs_norm(Matrix.from_rows([[1.5e308, 1.5e308]])) == math.inf
     zero = Matrix.from_rows([[0.0] * 4 for _ in range(3)])
     assert hs_norm(zero) == 0.0
     assert hs_norm(Matrix.from_rows([[3.0, 4.0]])) == 5.0  # sqrt(9 + 16)
@@ -149,7 +155,18 @@ def _ref_matrix(rows):
 
 
 def _ref_hs_norm(rows):
-    return math.sqrt(math.fsum([v * v for row in rows for v in row]))
+    """The plain norm where it is finite; else the largest magnitude times
+    the norm of the entries divided by it."""
+    entries = [v for row in rows for v in row]
+    try:
+        norm = math.sqrt(math.fsum([v * v for v in entries]))
+    except OverflowError:
+        norm = math.inf
+    if math.isfinite(norm):
+        return norm
+    top = max(abs(v) for v in entries)
+    quotients = [v / top for v in entries]
+    return top * math.sqrt(math.fsum([q * q for q in quotients]))
 
 
 def _ref_vec_sub(a, b):
@@ -357,7 +374,10 @@ def test_linalg_matches_reference_on_edge_cases():
     cases = [
         ("SingularMatrix", lambda: solve(Matrix(((1.0, 2.0), (2.0, 4.0))), (1.0, 1.0)),
          lambda: _ref_solve(((1.0, 2.0), (2.0, 4.0)), (1.0, 1.0))),
-        ("OverflowError", lambda: inverse(Matrix(huge)), lambda: _ref_inverse(huge)),
+        # squares near 1e308 whose sum overflows: the norm is scaled first
+        ("ok", lambda: inverse(Matrix(huge)), lambda: _ref_inverse(huge)),
+        ("OverflowError", lambda: matvec(Matrix(huge), (1e154, 1e154)),
+         lambda: _ref_matvec(huge, (1e154, 1e154))),
         ("ValueError", lambda: inverse(Matrix(((1e-310,),))), lambda: _ref_inverse(((1e-310,),))),
         ("ValueError", lambda: inverse(Matrix(at_threshold)), lambda: _ref_inverse(at_threshold)),
         ("ValueError", lambda: matmul(Matrix(((1e200,),)), Matrix(((1e200,),))),
