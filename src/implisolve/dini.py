@@ -54,7 +54,6 @@ from .errors import (
     BoxNotFound,
     DegenerateDerivative,
     DimensionMismatch,
-    DomainError,
     ImpliSolveError,
     NoConvergence,
     OutsideBox,
@@ -223,19 +222,23 @@ class _ReducedFunction:
         with z1 over that interval holds G and its partials at (u, phi(u)).
         z1 is eliminated with partial's operations in partial's order: the
         gradient -d0 / t0 of phi, then d_i + t_i * dphi, where t is G's z1
-        column and d the column of u_j. Raises DomainError where an interval
-        crosses a domain edge, a t0 that may vanish among them. Returns None
-        where phi's F is not an ExprFunction: phi's own solve then nests
-        solves that G's enclosure does not cover (every deeper level)."""
+        column and d the column of u_j. None where G has no enclosure over
+        that box or an interval crosses a domain edge, a t0 that may vanish
+        among them, and where phi's F is not an ExprFunction: phi's own
+        solve then nests solves that G's enclosure does not cover (every
+        deeper level)."""
         if not isinstance(self.phi.F, ExprFunction):
             return None
         from . import interval
 
         n = self.n
         box = self.phi.box
-        values, rows = self.G.enclosure(
+        enclosed = self.G.enclosure(
             self._assemble(lo, box.y_lo), self._assemble(hi, box.y_hi)
         )
+        if enclosed is None:
+            return None
+        values, rows = enclosed
         first = rows[0]
         cols = [c for c in range(len(first)) if c != n]
         try:
@@ -244,8 +247,8 @@ class _ReducedFunction:
                 tuple(interval.add(row[c], interval.mul(row[n], g)) for c, g in zip(cols, grad))
                 for row in rows[1:]
             )
-        except DomainViolation as exc:
-            raise DomainError(str(exc), 0, f"elimination of {self.G.variables[n]}") from None
+        except DomainViolation:
+            return None
         return values[1:], eliminated
 
     def check_point(self, u: Sequence[float]) -> None:

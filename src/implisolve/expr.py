@@ -37,7 +37,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .kernels import _KERNEL_ERRORS, _define, _interval_helpers, _kernel_source, _number
+from .kernels import _KERNEL_ERRORS, _define, _interval_helpers, _kernel_source
 from .linalg import Matrix, Vector
 # the syntax trees, also imported from here by the rest of the package
 from .nodes import (
@@ -48,7 +48,6 @@ from .nodes import (
     Node,
     Var,
     _children,
-    _subtrees,
     const,
     linear_combination,
     substitute,
@@ -338,7 +337,7 @@ class ExprFunction:
         self._units = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
         # None until the first jacobian call, False until the second
         self._jacobian_kernel = None
-        # (kernel, source) from the first enclosure call on
+        # None until the first enclosure call
         self._interval_kernel = None
 
     @property
@@ -485,7 +484,7 @@ class ExprFunction:
         cols = [self.partial(p, j) for j in range(len(self.variables))]
         return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
 
-    def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple:
+    def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple | None:
         """Intervals over the closed box [lo, hi]: the tuple of every
         component's value and the tuple of rows of every partial, each a
         pair (low, high). Each holds what eval, partial and jacobian compute
@@ -493,43 +492,25 @@ class ExprFunction:
         operations at every real point. One pass of the "interval" kernel,
         compiled by the first call.
 
-        Raises DomainError, located as eval locates one, where an interval
-        crosses the edge of a domain or a bound is not finite: the
-        enclosure proves nothing there."""
+        None where a bound of the box is not finite, or where an interval
+        crosses the edge of a domain or overflows: the enclosure proves
+        nothing there."""
         n = len(self.variables)
         if len(lo) != n or len(hi) != n:
             raise DimensionMismatch(f"function of {n} variables called with a box of {len(lo)}")
         box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-        if not all(math.isfinite(a) and a <= b and math.isfinite(b) for a, b in box):
-            raise ValueError(f"not a finite box: {box}")
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in box):
+            return None
+        if any(a > b for a, b in box):
+            raise ValueError(f"empty box: {box}")
         if self._interval_kernel is None:
             # idempotent, so callers racing here compile equal kernels
             source = _kernel_source(self.components, self.variables, "interval")
-            self._interval_kernel = (_define(source, _interval_helpers()), source)
-        kernel, source = self._interval_kernel
+            self._interval_kernel = _define(source, _interval_helpers())
         try:
-            return kernel(*box)
-        except DomainViolation as exc:
-            raise self._locate_interval(exc, source) from None
-
-    def _locate_interval(self, exc: DomainViolation, source: str) -> DomainError:
-        """The DomainError of an interval pass that raised exc, at the node
-        whose statement raised it. The kernel computes the components in
-        order, so the first component containing that node is the first
-        that fails."""
-        tb = exc.__traceback__
-        while tb.tb_frame.f_code.co_filename != "<kernel>":
-            tb = tb.tb_next
-        statement = source.splitlines()[tb.tb_lineno - 1]
-        c = int(re.match(r"\s*_[tdf](\d+)", statement).group(1))
-        class_of = _number(self.components)
-        i, node = next(
-            (i, node)
-            for i, component in enumerate(self.components)
-            for node in _subtrees(component)
-            if class_of[id(node)] == c
-        )
-        return DomainError(str(exc), i, format_node(node))
+            return self._interval_kernel(*box)
+        except DomainViolation:
+            return None
 
     def substituted(
         self, mapping: Mapping[str, Node], variables: Sequence[str]

@@ -78,11 +78,3 @@ def _children(node: Node) -> tuple:
         return (node.left, node.right)
     return ()
 
-
-def _subtrees(node: Node):
-    """Every node of the tree, each parent before its children."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(_children(node))

@@ -243,18 +243,16 @@ def _derivative_proved(F, axes: list, n: int, sign: int) -> bool:
     arithmetic may overshoot its end by an ulp). F's enclosure(lo, hi),
     where it has one, holds what F.partial computes at every point of the
     box where F's check_point, if it has one, returns instead of raising
-    what F.partial would raise there, and raises DomainError or returns
-    None where it cannot enclose. The proof holds where the dependent
-    column's enclosure has sign `sign`: then at those points F.partial
-    raises nothing and sign * dF/dy > 0, so a sampled sweep would fail
-    exactly where check_point raises."""
+    what F.partial would raise there, and returns None where it cannot
+    enclose. The proof holds where the dependent column's enclosure has
+    sign `sign`: then at those points F.partial raises nothing and
+    sign * dF/dy > 0, so a sampled sweep would fail exactly where
+    check_point raises. An axis that overflows holds samples outside
+    every box, so it proves nothing."""
     enclosure = getattr(F, "enclosure", None)
-    if enclosure is None:
+    if enclosure is None or not all(map(math.isfinite, itertools.chain(*axes))):
         return False
-    try:
-        enclosed = enclosure([min(axis) for axis in axes], [max(axis) for axis in axes])
-    except DomainError:
-        return False
+    enclosed = enclosure([min(axis) for axis in axes], [max(axis) for axis in axes])
     if enclosed is None:
         return False
     low, high = enclosed[1][0][n]

@@ -68,6 +68,12 @@ BUILDS = [
         SolverOptions(h0=0.8, grid_density=5))),
     ("steep", lambda: build_system(parse(*STEEP), SplitPoint.of([0.0], [0.0, 0.0]))),
     ("sqrt edge", lambda: build_system(parse(["sqrt(y) - x"], ["x", "y"]), SplitPoint.of([0.0], [0.0]))),
+    # axes whose span overflows: the samples hold nan
+    *[(f"line under {name}", lambda o=o: build_system(
+        parse(["x + y"], ["x", "y"]), SplitPoint.of([0.0], [0.0]), o))
+      for name, o in (("h0_dep=1e308", SolverOptions(h0_dep=1e308)), ("h0=1e308", SolverOptions(h0=1e308)))],
+    ("overflowing hy", lambda: build_system(
+        parse(["1e300*x + 1e-9*y"], ["x", "y"]), SplitPoint.of([0.0], [0.0]))),
 ]
 
 

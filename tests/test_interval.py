@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import implisolve
-from implisolve import DomainError, interval, parse
+from implisolve import interval, parse
 from implisolve.dual import DomainViolation
 
 from test_expr import _VARS, _functions, _mix
@@ -46,11 +46,10 @@ def test_enclosure_holds_the_float_kernels(F, us, vs, s):
     """At any point of the box, eval's values and every partial of the
     Jacobian kernel lie in the enclosure, and nothing fails to evaluate."""
     lo, hi = (min(us), min(vs)), (max(us), max(vs))
-    try:
-        values, rows = F.enclosure(lo, hi)
-    except DomainError as err:
-        assert 0 <= err.component < F.n_outputs
+    result = F.enclosure(lo, hi)
+    if result is None:
         return
+    values, rows = result
     p = _between(lo, hi, s)
     for value, enclosed in zip(F.eval(p), values):
         assert _inside(enclosed, value)
@@ -141,14 +140,14 @@ def test_the_edges_themselves_are_inside_the_domain():
     assert _inside(value, 0.0) and _inside(value, 1.0) and _inside(factor, -2.0)
 
 
-def test_domain_error_names_the_failing_subexpression():
+def test_an_enclosure_across_a_domain_edge_or_overflow_is_none():
     F = parse(["u + v", "sqrt(u) + ln(v - 1)"], _VARS)
-    with pytest.raises(DomainError) as err:
-        F.enclosure((0.5, 0.5), (1.0, 1.5))
-    assert (err.value.component, err.value.subexpr) == (1, "ln(v - 1.0)")
-    with pytest.raises(DomainError) as err:
-        parse(["1e999 * 0 + u"], _VARS).enclosure((0.0, 0.0), (1.0, 1.0))
-    assert err.value.component == 0
+    assert F.enclosure((0.5, 0.5), (1.0, 1.5)) is None
+    assert F.enclosure((0.5, 1.5), (1.0, 2.0)) is not None
+    assert parse(["1e999 * 0 + u"], _VARS).enclosure((0.0, 0.0), (1.0, 1.0)) is None
+    assert parse(["1e300 * u * v"], _VARS).enclosure((0.0, 0.0), (1e10, 1e10)) is None
+    for bound in (math.inf, math.nan):
+        assert F.enclosure((0.5, 1.5), (1.0, bound)) is None
 
 
 def test_parsing_neither_imports_nor_compiles_the_interval_kernel():
