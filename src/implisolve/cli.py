@@ -45,7 +45,8 @@ from . import verify as verify_mod
 
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(SolverOptions))
 
-# Most query points one run evaluates, --query and --grid together.
+# Most query points one run evaluates, --query and --grid together, and
+# most verify --trials or --samples.
 _MAX_POINTS = 100000
 
 # The spec fields each command reads; any other field exits 1.
@@ -340,10 +341,14 @@ def _cmd_verify(args, out) -> int:
             setattr(args, flag, _VERIFY_DEFAULTS.get(flag))
         elif flag not in _LEMMA_FLAGS[lemma]:
             raise SpecError(f"{lemma} does not read --{flag}")
-    # a check of nothing would report that it passed
+    # a check of nothing would report that it passed, and lemma2 holds its
+    # samples in a list; refused before any sampling starts
     for flag in ("trials", "samples"):
-        if getattr(args, flag) < 1:
-            raise SpecError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+        count = getattr(args, flag)
+        if count < 1:
+            raise SpecError(f"--{flag} must be at least 1, got {count}")
+        if count > _MAX_POINTS:
+            raise SpecError(f"--{flag} must be at most {_MAX_POINTS}, got {count}")
     if not 0 < args.radius < math.inf:
         raise SpecError(f"--radius must be finite and positive, got {args.radius}")
     if lemma == "lemma1":

@@ -13,13 +13,15 @@ declared variable or one of sin, cos, exp, ln, sqrt, abs. Variable names
 start with a letter.
 
 Parsed functions are immutable, and the only state a call leaves behind
-is a kernel compiled on demand, which any caller may compile again with
-the same result, so an ExprFunction may be shared freely across threads.
+is a kernel made on demand, which any caller may make again with the
+same result, so an ExprFunction may be shared freely across threads.
 The kernels that evaluate and differentiate the components come from
-the one emitter of kernels.py. The tree walker over dual numbers here is
-the reference semantics they compile, and where a kernel returns None or
-raises, it computes the result or locates the failure. enclosure runs
-the interval kernel, which bounds every value and partial over a box.
+the one emitter of kernels.py, whose compiled code is cached by shape,
+the constants being kernel defaults. The tree walker over dual numbers
+here is the reference semantics they compile, and where a kernel returns
+None or raises, it computes the result or locates the failure. enclosure
+runs the interval kernel, which bounds every value and partial over a
+box.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .kernels import _KERNEL_ERRORS, _define, _interval_helpers, _kernel_source
+from .kernels import _KERNEL_ERRORS, _kernel
 from .linalg import Matrix, Vector
 # the syntax trees, also imported from here by the rest of the package
 from .nodes import (
@@ -296,16 +298,18 @@ class ExprFunction:
 
     `variables` fixes the input order; evaluation accepts exactly that many
     real values and returns one value per component. At construction
-    `_kernel_source` compiles the components into two positional Python
-    functions: a value kernel for eval, and a tangent kernel, which carries
-    the derivative along one direction as plain floats beside the values,
-    for jvp and partial. The Jacobian kernel, which carries one tangent per
-    variable and also returns the values, is compiled by the second
-    jacobian call. Each kernel returns its method's finished result, or
-    None where an output is not finite; there, and where a kernel raises,
-    the method falls back to the walker. The interval kernel, which
-    carries intervals where the Jacobian kernel carries floats, is
-    compiled by the first enclosure call.
+    `_kernel` makes the components into two positional Python functions: a
+    value kernel for eval, and a tangent kernel, which carries the
+    derivative along one direction as plain floats beside the values, for
+    jvp and partial. The Jacobian kernel, which carries one tangent per
+    variable and also returns the values, is made by the first jacobian
+    call. Each kernel returns its method's finished result, or None where
+    an output is not finite; there, and where a kernel raises, the method
+    falls back to the walker. The interval kernel, which carries intervals
+    where the Jacobian kernel carries floats, is made by the first
+    enclosure call. Compiled code is cached by shape and the constants are
+    kernel defaults, so a function of a shape built before pays no
+    compile.
     """
 
     __slots__ = (
@@ -330,14 +334,13 @@ class ExprFunction:
         if source_text is None:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
-        self._value_kernel = _define(_kernel_source(self.components, self.variables, "value"))
-        self._tangent_kernel = _define(_kernel_source(self.components, self.variables, "jvp"))
+        self._value_kernel = _kernel(self.components, self.variables, "value")
+        self._tangent_kernel = _kernel(self.components, self.variables, "jvp")
         n = len(self.variables)
         # the directions of partial
         self._units = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
-        # None until the first jacobian call, False until the second
+        # None until the first jacobian and enclosure calls
         self._jacobian_kernel = None
-        # None until the first enclosure call
         self._interval_kernel = None
 
     @property
@@ -439,11 +442,9 @@ class ExprFunction:
         no variables every row is empty.
 
         One pass of the Jacobian kernel, which computes each value once and
-        carries a tangent per variable. A function whose Jacobian is read
-        once, as a build reads its seed's, never compiles that kernel: the
-        first call takes the column passes of partial, the second compiles
-        it. Where it raises or gives a non-finite number, the column passes
-        give the result or locate the DomainError."""
+        carries a tangent per variable; the first call makes it. Where it
+        raises or gives a non-finite number, the column passes give the
+        result or locate the DomainError."""
         n = len(self.variables)
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
@@ -453,8 +454,8 @@ class ExprFunction:
     def _values_and_jacobian(self, p: Sequence[float]) -> tuple:
         """eval(p) and jacobian(p), for Newton's step: the values as a tuple
         of floats, from the same pass of the Jacobian kernel. Where that
-        pass is not taken or fails, eval and then the column passes give
-        them, so a failing value raises eval's DomainError."""
+        pass fails, eval and then the column passes give them, so a
+        failing value raises eval's DomainError."""
         n = len(self.variables)
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
@@ -462,17 +463,12 @@ class ExprFunction:
         return (self.eval(p), self._jacobian_columns(p)) if out is None else out
 
     def _jacobian_pass(self, p: Sequence[float]) -> tuple | None:
-        """The Jacobian kernel's (values, Matrix) at p, or None: on the
-        first call, which only marks the kernel for compiling, and where
-        the kernel raises or gives a non-finite number."""
+        """The Jacobian kernel's (values, Matrix) at p, or None where the
+        kernel raises or gives a non-finite number."""
         kernel = self._jacobian_kernel
         if kernel is None:
-            self._jacobian_kernel = False
-            return None
-        if kernel is False:
-            # idempotent, so callers racing here compile equal kernels
-            source = _kernel_source(self.components, self.variables, "jacobian")
-            kernel = self._jacobian_kernel = _define(source)
+            # idempotent, so callers racing here make equal kernels
+            kernel = self._jacobian_kernel = _kernel(self.components, self.variables, "jacobian")
         try:
             return kernel(*map(float, p))
         except _KERNEL_ERRORS:
@@ -490,7 +486,7 @@ class ExprFunction:
         pair (low, high). Each holds what eval, partial and jacobian compute
         at every float point of the box, and the exact result of their
         operations at every real point. One pass of the "interval" kernel,
-        compiled by the first call.
+        made by the first call.
 
         None where a bound of the box is not finite, or where an interval
         crosses the edge of a domain or overflows: the enclosure proves
@@ -503,12 +499,12 @@ class ExprFunction:
             return None
         if any(a > b for a, b in box):
             raise ValueError(f"empty box: {box}")
-        if self._interval_kernel is None:
-            # idempotent, so callers racing here compile equal kernels
-            source = _kernel_source(self.components, self.variables, "interval")
-            self._interval_kernel = _define(source, _interval_helpers())
+        kernel = self._interval_kernel
+        if kernel is None:
+            # idempotent, so callers racing here make equal kernels
+            kernel = self._interval_kernel = _kernel(self.components, self.variables, "interval")
         try:
-            return self._interval_kernel(*box)
+            return kernel(*box)
         except DomainViolation:
             return None
 

@@ -13,9 +13,7 @@ derivative (jvp), and a partial is the pass along a unit vector. The
 Jacobian kernel carries all n unit vectors at once, so one pass gives
 every partial of every component, each equal bit for bit to its partial,
 and every value, equal to eval's, which a Newton step reads from the same
-pass. It is compiled on a function's second jacobian call, since a
-function whose Jacobian is read once, as at a build's seed, gains nothing
-from it. All are exact to roundoff. A power calls math.pow inline, under a
+pass. All are exact to roundoff. A power calls math.pow inline, under a
 test on its base that keeps the helper's results: a base other than zero
 under a nonzero integer literal, a positive base otherwise; other bases,
 and zero exponents, call the helper. Each kernel finishes its call: it
@@ -27,12 +25,19 @@ The fourth mode, "interval", performs the Jacobian kernel's operations in
 its order on intervals, with interval.py's outward-rounded helpers. Its
 pass over a box encloses every value and partial the float kernels
 compute anywhere in the box, or raises where an interval crosses a
-domain edge. ExprFunction.enclosure compiles it on its first call, so
-parsing never pays for it.
+domain edge.
+
+Compiled code is cached by shape: the source names each finite literal
+that is not a power's exponent as a default argument of the kernel, and
+the factory that makes the kernel from those constants is compiled once
+per source and helper set. Re-seeding a build derives the same
+trees with new constants, so its functions pay for a factory call, not a
+compile, and each still owns its kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -264,39 +269,52 @@ def _tuple_text(texts) -> str:
     return f"({''.join(f'{t}, ' for t in texts)})"
 
 
-def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: str) -> str:
-    """Source of `def _k(_a0, ..., _an): ...`, whose result is finished:
-    mode "value" returns the Vector of every component's value at _a. The
-    tangent modes also carry derivatives, computed on floats only: mode
-    "jvp" takes a direction _b0, ..., _bn and returns the Vector of each
-    component's derivative along it; mode "jacobian" carries one tangent
-    per variable, along the unit vectors, and returns the tuple of values
-    and the Matrix whose row i is component i's n partials. Every kernel
-    returns None instead where an output, a value or a tangent, a literal
-    too, is not finite. Mode "interval" is mode "jacobian" on intervals:
-    each _ak is a pair (lo, hi), every literal a point interval, every
-    operation the helper of interval.py with the name the float kernels
-    call or `_INTERVAL_OPS` gives, and it returns the tuple of the values'
-    intervals and the tuple of the rows of the partials' intervals,
-    testing none: the helpers raise where a bound is not finite, as
-    `_point` does in the statement of a non-finite literal.
+def _kernel_source(
+    components: Sequence[Node], variables: Sequence[str], mode: str
+) -> tuple[str, list]:
+    """Source of `def _make(_c0, ...):` returning `def _k(_a0, ..., _an,
+    _c0=_c0, ...): ...`, and the constants to call _make with. _k's
+    result is finished: mode "value" returns the Vector of every
+    component's value at _a. The tangent modes also carry derivatives,
+    computed on floats only: mode "jvp" takes a direction _b0, ..., _bn and
+    returns the Vector of each component's derivative along it; mode
+    "jacobian" carries one tangent per variable, along the unit vectors,
+    and returns the tuple of values and the Matrix whose row i is
+    component i's n partials. Every kernel returns None instead where an
+    output, a value or a tangent, a literal too, is not finite. Mode
+    "interval" is mode "jacobian" on intervals: each _ak is a pair (lo,
+    hi), every literal a point interval, every operation the helper of
+    interval.py with the name the float kernels call or `_INTERVAL_OPS`
+    gives, and it returns the tuple of the values' intervals and the tuple
+    of the rows of the partials' intervals, testing none: the helpers
+    raise where a bound is not finite, as `_point` does in the statement
+    of a non-finite literal.
+
+    Each finite literal that is not a power's exponent is a constant _ck,
+    so one source serves every function of its shape. Exponent literals
+    stay in the source, since `_pow_guard` branches on them, and so do
+    non-finite literals and the unit tangents. The constants are
+    positional defaults, which a call fills from a tuple; keyword-only
+    ones would cost a dict lookup each per call. Callers pass exactly the
+    inputs, so no argument reaches a constant.
 
     Inputs are positional, so variable names never meet Python's. Subtrees
     are numbered, so each repeated one, within or across components, is
     computed once. Every non-leaf node gets its own statement, a float
-    operation into a local `_tc`, c its class, so no expression nests. In a
-    tangent mode, a node that contains a variable gets its `_tangent_op`
-    statements instead: its value once, then one tangent `_dc_j` per
-    direction j. A subtree with no variable carries no tangent, as a Dual
-    pass leaves it a float; a component with none has tangents 0.0. Each
-    statement performs the float operations a float or Dual pass does, in
-    the same order, so the results equal it bit for bit, and each
-    direction of the "jacobian" kernel equals the "jvp" kernel along that
-    unit vector. The "interval" kernel performs the "jacobian" kernel's
-    operations in its order, so each of its intervals holds what that
-    kernel computes at any float point of the box. A power calls math.pow
-    itself where `_pow_guard` holds; there the helper would call it with
-    the same arguments. The "interval" kernel always calls the helper.
+    operation into a local `_tc`, c its order of emission, so no
+    expression nests. In a tangent mode, a node that contains a variable
+    gets its `_tangent_op` statements instead: its value once, then one
+    tangent `_dc_j` per direction j. A subtree with no variable carries no
+    tangent, as a Dual pass leaves it a float; a component with none has
+    tangents 0.0. Each statement performs the float operations a float or
+    Dual pass does, in the same order, so the results equal it bit for
+    bit, and each direction of the "jacobian" kernel equals the "jvp"
+    kernel along that unit vector. The "interval" kernel performs the
+    "jacobian" kernel's operations in its order, so each of its intervals
+    holds what that kernel computes at any float point of the box. A power
+    calls math.pow itself where `_pow_guard` holds; there the helper would
+    call it with the same arguments. The "interval" kernel always calls
+    the helper.
     """
     class_of = _number(components)
     n = len(variables)
@@ -313,11 +331,16 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
     leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
     directions = {"value": 0, "jvp": 1}.get(mode, n)
     untangled = (None,) * directions
+    constants: list = []
     pair_of: dict = {}
     lines: list = []
 
-    def emit(node) -> tuple:
-        """node's value text and tangent texts."""
+    def emit(node, exponent: bool = False) -> tuple:
+        """node's value text and tangent texts; exponent where node is a
+        power's exponent."""
+        if isinstance(node, Const) and math.isfinite(node.value) and not exponent:
+            constants.append((node.value, node.value) if interval else node.value)
+            return f"_c{len(constants) - 1}", None
         if isinstance(node, Const) and (not interval or math.isfinite(node.value)):
             literal = _literal(node)
             return (f"({literal}, {literal})" if interval else literal), None
@@ -329,22 +352,25 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
         if isinstance(node, Const):
             # the helpers take a finite literal as given; this statement
             # raises instead, at the literal
-            lines.append(f"_t{c} = _point({_literal(node)})")
-            pair = pair_of[c] = (f"_t{c}", None)
+            v = f"_t{len(pair_of)}"
+            lines.append(f"{v} = _point({_literal(node)})")
+            pair = pair_of[c] = (v, None)
             return pair
-        operands = list(map(emit, _children(node)))
-        v = f"_t{c}"
+        power = isinstance(node, BinOp) and node.op == "^"
+        operands = [emit(child, power and i == 1) for i, child in enumerate(_children(node))]
+        k = len(pair_of)
+        v = f"_t{k}"
         # only in a tangent mode does an operand that contains a variable carry tangents
         if operands[0][1] is None and operands[-1][1] is None:
             lines.append(f"{v} = {_float_op(node, [t for t, _ in operands], interval)}")
             pair = pair_of[c] = (v, None)
             return pair
-        statements, rule = _tangent_op(node, v, f"_f{c}", operands, interval)
+        statements, rule = _tangent_op(node, v, f"_f{k}", operands, interval)
         lines.extend(statements)
         if callable(rule):
             # the operands' tangents along each direction in turn
             along = zip(*[ds or untangled for _, ds in operands])
-            tangents = tuple(f"_d{c}_{j}" for j in range(directions))
+            tangents = tuple(f"_d{k}_{j}" for j in range(directions))
             lines.extend([f"{d} = {rule(*ds)}" for d, ds in zip(tangents, along)])
             rule = tangents
         pair = pair_of[c] = (v, rule)
@@ -355,25 +381,56 @@ def _kernel_source(components: Sequence[Node], variables: Sequence[str], mode: s
     rows = [ds or ((_ZERO_INTERVAL if interval else "0.0"),) * directions for _, ds in pairs]
     tangents = [d for ds in rows for d in ds]
     if interval:
-        lines.append(f"return {_tuple_text(values)}, {_tuple_text(map(_tuple_text, rows))}")
-        return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
-    if mode == "value":
-        result = f"_vector({_tuple_text(values)})"
-    elif mode == "jvp":
-        result = f"_vector({_tuple_text(tangents)})"
+        result = f"{_tuple_text(values)}, {_tuple_text(map(_tuple_text, rows))}"
     else:
-        matrix = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
-        result = f"({_tuple_text(values)}, {matrix})"
-    # every output once, values and tangents alike; a finite literal needs no test
-    outputs = dict.fromkeys(values + tangents)
-    tests = [f"_isfinite({t})" for t in outputs if t[0] == "_" or not math.isfinite(float(t))]
-    if tests:
-        result = f"{result} if {' and '.join(tests)} else None"
+        if mode == "value":
+            result = f"_vector({_tuple_text(values)})"
+        elif mode == "jvp":
+            result = f"_vector({_tuple_text(tangents)})"
+        else:
+            matrix = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
+            result = f"({_tuple_text(values)}, {matrix})"
+        # every output once, values and tangents alike; a constant or a
+        # finite literal needs no test
+        tests = [
+            f"_isfinite({t})"
+            for t in dict.fromkeys(values + tangents)
+            if not t.startswith("_c") and (t[0] == "_" or not math.isfinite(float(t)))
+        ]
+        if tests:
+            result = f"{result} if {' and '.join(tests)} else None"
     lines.append(f"return {result}")
-    return f"def _k({', '.join(params)}):\n    " + "\n    ".join(lines)
+    names = [f"_c{k}" for k in range(len(constants))]
+    params += [f"{name}={name}" for name in names]
+    body = "\n        ".join(lines)
+    source = (
+        f"def _make({', '.join(names)}):\n"
+        f"    def _k({', '.join(params)}):\n        {body}\n"
+        "    return _k"
+    )
+    return source, constants
 
 
-def _define(source: str, helpers: dict = _HELPERS):
+# Most kernel factories kept at once. A factory, with its code and the
+# source that keys it, takes about 30 KB for the m = 2 kernels of a
+# re-seeded build. The cap keeps a process that parses ever new shapes
+# near 4 MB of them, and holds several times the 37 shapes that
+# re-seeding quad_pair and inverting the square map come back to.
+_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _factory(source: str, interval: bool):
+    """The compiled `_make` of a `_kernel_source` source, over the
+    interval helpers or the float ones."""
+    helpers = _interval_helpers() if interval else _HELPERS
     namespace: dict = {}
     exec(compile(source, "<kernel>", "exec"), helpers, namespace)
-    return namespace["_k"]
+    return namespace["_make"]
+
+
+def _kernel(components: Sequence[Node], variables: Sequence[str], mode: str):
+    """The kernel of mode over components: a new function object, its
+    code compiled once per shape."""
+    source, constants = _kernel_source(components, variables, mode)
+    return _factory(source, mode == "interval")(*constants)

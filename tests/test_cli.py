@@ -625,6 +625,25 @@ def test_verify_that_checks_nothing_exit_1(tmp_path, capsys, lemma, flag, value,
     assert assert_one_line_error(capsys, code) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "lemma,flag,value",
+    [
+        ("lemma1", "--trials", "100001"),
+        ("lemma2", "--samples", "100001"),
+        ("lemma4", "--samples", "99999999999999999999999"),
+    ],
+)
+def test_verify_counts_above_the_cap_exit_1(tmp_path, capsys, lemma, flag, value):
+    # refused before sampling starts: lemma2 would first build a list of
+    # --samples points. Only refused counts are run here.
+    spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
+    inputs = ["--matrix", "1,0;0,1"] if lemma == "lemma1" else ["--spec", spec]
+    code, text = run_main(["verify", "--lemma", lemma, *inputs, flag, value])
+    assert text == ""
+    message = f"error: {flag} must be at most 100000, got {value}\n"
+    assert assert_one_line_error(capsys, code) == message
+
+
 def test_verify_lemma2(tmp_path):
     spec = write_spec(
         tmp_path,

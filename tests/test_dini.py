@@ -836,9 +836,9 @@ def test_verify_uniqueness_streaming_keeps_every_hit():
 
 
 def test_concurrent_evaluations_match_sequential(quad_system):
-    """Eight threads query a system whose F has not yet compiled its
-    Jacobian kernel, so they race to compile it, with thread switches
-    forced often; every answer equals the sequential one."""
+    """Eight threads query a system whose F has not yet made its Jacobian
+    kernel, so they race to make it, with thread switches forced often;
+    every answer equals the sequential one."""
     xs = [(x,) for (x,) in interior_grid(quad_system, 16)]
     sequential = [(quad_system.solve_at(x), quad_system.jacobian_at(x)) for x in xs]
     fresh = build_system(parse(list(QUAD.source_text), list(QUAD.variables)), QUAD_SEED)

@@ -27,6 +27,7 @@ from implisolve.expr import (
     substitute,
 )
 from implisolve.expr import MAX_DEPTH, _Parser
+from implisolve.kernels import _CACHE_SIZE, _factory, _kernel_source
 
 
 def test_parse_eval_circle_points():
@@ -133,8 +134,8 @@ def test_literal_infinite_component_is_located():
         F.eval,
         lambda p: F.partial(p, 0),
         lambda p: F.jvp(p, (1.0, 0.0)),
-        F.jacobian,  # the partial columns
-        F.jacobian,  # the compiled Jacobian kernel
+        F.jacobian,  # the Jacobian kernel, made by this call
+        F.jacobian,  # the same kernel, called again
     ):
         with pytest.raises(DomainError) as err:
             call(p)
@@ -146,7 +147,7 @@ def test_jvp_of_no_variables():
     # one derivative per component, all 0.0, as jacobian gives empty rows
     F = parse(["1", "2"], [])
     assert tuple(F.jvp((), ())) == (0.0, 0.0)
-    for _ in range(2):  # the partial columns, then the compiled kernel
+    for _ in range(2):  # the Jacobian kernel, made by the first call
         assert F.jacobian(()).rows == ((), ())
     with pytest.raises(DomainError) as err:
         parse(["1e999"], []).jvp((), ())
@@ -497,9 +498,9 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
         assert repr(partial) == repr(_walked(F, seeded, _derivative))
         partials.append(partial)
 
-    # the first jacobian call takes the partial columns, and later ones the
-    # compiled Jacobian kernel: both give the columns' numbers, or the
-    # DomainError of the first column that fails
+    # the Jacobian kernel, made by the first call and reused by the second,
+    # gives the columns' numbers, or the DomainError of the first column
+    # that fails
     failed = [partial for partial in partials if partial[0] != "ok"]
     columns = failed[0] if failed else ("ok", tuple(zip(*(c for _, c in partials))))
     for _ in range(2):
@@ -507,7 +508,7 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
 
     # a Newton step reads the values from the same Jacobian kernel pass:
     # they equal eval's, whose DomainError comes first where the values
-    # fail. A fresh function's first call takes eval and the column passes.
+    # fail. A fresh function makes its own kernel from the cached code.
     evaluated = _outcome(lambda: F.eval(p))
     if evaluated[0] != "ok":
         combined = evaluated
@@ -532,3 +533,127 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
             if d
         )
         assert abs(jvp[1][i] - combined) <= 1e-12 * scale
+
+
+# --- the kernel cache ------------------------------------------------------
+
+
+def _scaled_constants(node, factor):
+    """node with every finite literal but a power's exponent multiplied by
+    factor: the same kernel shape with new constants. factor keeps
+    distinct width-32 literals distinct, so no subtrees merge or split."""
+    if isinstance(node, Const):
+        return Const(node.value * factor) if math.isfinite(node.value) else node
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, Neg):
+        return Neg(_scaled_constants(node.operand, factor))
+    if isinstance(node, Call):
+        return Call(node.fn, _scaled_constants(node.arg, factor))
+    right = node.right
+    if node.op != "^" or not isinstance(right, Const):
+        right = _scaled_constants(right, factor)
+    return BinOp(node.op, _scaled_constants(node.left, factor), right)
+
+
+def _sources(F):
+    return [
+        _kernel_source(F.components, F.variables, mode)[0]
+        for mode in ("value", "jvp", "jacobian", "interval")
+    ]
+
+
+def test_one_shape_shares_one_factory():
+    first = parse(["3.25 * u * v + sin(u - 0.125) - 7.5"], _VARS)
+    before = _factory.cache_info()
+    second = parse(["1.5 * u * v + sin(u - 2.75) - 0.25"], _VARS)
+    after = _factory.cache_info()
+    # the value and tangent kernels of the second parse come from the cache
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    assert _sources(first) == _sources(second)
+    assert first._value_kernel is not second._value_kernel
+    p = (0.5, 2.0)
+    assert tuple(first.eval(p)) == (3.25 * 0.5 * 2.0 + math.sin(0.5 - 0.125) - 7.5,)
+    assert tuple(second.eval(p)) == (1.5 * 0.5 * 2.0 + math.sin(0.5 - 2.75) - 0.25,)
+    assert first.jacobian(p).rows != second.jacobian(p).rows
+    assert first.jacobian(p).rows == tuple(zip(first.partial(p, 0), first.partial(p, 1)))
+    assert second.jacobian(p).rows == tuple(zip(second.partial(p, 0), second.partial(p, 1)))
+
+
+def test_cache_keeps_signed_zeros_apart():
+    # one source, since the constant is a kernel default, and each function
+    # computes with its own zero
+    plus = ExprFunction([BinOp("*", Var("u"), Const(0.0))], ["u"])
+    minus = ExprFunction([BinOp("*", Var("u"), Const(-0.0))], ["u"])
+    assert _sources(plus) == _sources(minus)
+    for F, zero in ((plus, "0.0"), (minus, "-0.0")):
+        assert repr(tuple(F.eval((1.0,)))) == f"({zero},)"
+        assert repr(tuple(F.partial((1.0,), 0))) == f"({zero},)"
+        assert repr(F.jacobian((1.0,)).rows) == f"(({zero},),)"
+
+
+def test_exponent_literals_stay_in_the_source():
+    # _pow_guard branches on a literal exponent, so each one is its own shape
+    sources = [_sources(parse([f"u ^ {e}"], _VARS)) for e in ("2", "2.5", "(1 + 1)")]
+    for mode in range(4):
+        assert len({source[mode] for source in sources}) == 3
+
+
+def test_infinite_literal_is_located_from_a_warm_cache():
+    for _ in range(2):
+        F = parse(["u * 1e999", "v"], _VARS)
+        assert all("1e999" in source for source in _sources(F))
+        for call in (F.eval, lambda p: F.partial(p, 0), F.jacobian):
+            with pytest.raises(DomainError) as err:
+                call((0.5, 0.25))
+            assert (err.value.component, err.value.subexpr) == (0, "u * inf")
+        assert F.enclosure((0.0, 0.0), (1.0, 1.0)) is None
+
+
+def test_kernel_cache_is_bounded():
+    # a literal exponent makes each function a new shape
+    for k in range(_CACHE_SIZE + 8):
+        parse([f"u ^ {k + 4}"], _VARS)
+    info = _factory.cache_info()
+    assert info.maxsize == _CACHE_SIZE
+    assert info.currsize <= _CACHE_SIZE
+
+
+_factors = st.one_of(st.floats(0.25, 4), st.floats(-4, -0.25))
+
+
+@given(_functions(), _factors, st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 0.5))
+def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
+    """A function of a shape whose kernels are cached computes with its own
+    constants: eval, partial and jacobian equal the tree walker's, and the
+    enclosure holds them."""
+    # F makes all four kernels, which G then finds cached
+    _outcome(lambda: F.eval((u, v)))
+    _outcome(lambda: F.jacobian((u, v)).rows)
+    F.enclosure((u, v), (u, v))
+    G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
+    before = _factory.cache_info().misses
+    p = (u, v)
+    env = {"u": u, "v": v}
+    assert repr(_outcome(lambda: G.eval(p))) == repr(_walked(G, env))
+    partials = []
+    for j in range(2):
+        seeded = {"u": Dual(u, float(j == 0)), "v": Dual(v, float(j == 1))}
+        partial = _outcome(lambda: G.partial(p, j))
+        assert repr(partial) == repr(_walked(G, seeded, _derivative))
+        partials.append(partial)
+    failed = [partial for partial in partials if partial[0] != "ok"]
+    columns = failed[0] if failed else ("ok", tuple(zip(*(c for _, c in partials))))
+    assert repr(_outcome(lambda: G.jacobian(p).rows)) == repr(columns)
+
+    lo, hi = (u - halfwidth, v - halfwidth), (u + halfwidth, v + halfwidth)
+    enclosed = G.enclosure(lo, hi)
+    assert _factory.cache_info().misses == before  # every kernel was warm
+    if enclosed is None or failed or _outcome(lambda: G.eval(p))[0] != "ok":
+        return
+    values, rows = enclosed
+    for value, (low, high) in zip(G.eval(p), values):
+        assert low <= value <= high
+    for row, enclosed_row in zip(G.jacobian(p).rows, rows):
+        for partial, (low, high) in zip(row, enclosed_row):
+            assert low <= partial <= high

@@ -53,7 +53,7 @@ def test_enclosure_holds_the_float_kernels(F, us, vs, s):
     p = _between(lo, hi, s)
     for value, enclosed in zip(F.eval(p), values):
         assert _inside(enclosed, value)
-    # the first call takes the partial passes, the second the Jacobian kernel
+    # the Jacobian kernel, made by the first call and reused by the second
     for _ in range(2):
         for row, enclosed_row in zip(F.jacobian(p).rows, rows):
             for partial, enclosed in zip(row, enclosed_row):
