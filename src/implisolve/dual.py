@@ -10,7 +10,7 @@ Dual's operators and the module-level functions (div, pow_, sin, ...)
 accept floats or Duals and enforce domain restrictions uniformly; they
 raise DomainViolation, which the expression evaluator converts into a located
 DomainError. They are the reference semantics of derivatives: the
-expression tree walker runs them, the compiled tangent kernels perform
+expression tree walker runs them, the compiled Jacobian kernels perform
 the same float operations in the same order, and when a kernel fails
 the walker over Duals locates the failing node. The rules that branch or
 raise are written once and called by both the Dual functions and the

@@ -19,7 +19,8 @@ The kernels that evaluate and differentiate the components come from
 the one emitter of kernels.py, whose compiled code is cached by shape,
 the constants being kernel defaults. The tree walker over dual numbers
 here is the reference semantics they compile, and where a kernel returns
-None or raises, it computes the result or locates the failure. enclosure
+None or raises, it computes the result or locates the failure. jvp, whose
+direction need not be a unit vector, runs on the walker alone. enclosure
 runs the interval kernel, which bounds every value and partial over a
 box.
 """
@@ -298,18 +299,17 @@ class ExprFunction:
 
     `variables` fixes the input order; evaluation accepts exactly that many
     real values and returns one value per component. At construction
-    `_kernel` makes the components into two positional Python functions: a
-    value kernel for eval, and a tangent kernel, which carries the
-    derivative along one direction as plain floats beside the values, for
-    jvp and partial. The Jacobian kernel, which carries one tangent per
-    variable and also returns the values, is made by the first jacobian
-    call. Each kernel returns its method's finished result, or None where
-    an output is not finite; there, and where a kernel raises, the method
-    falls back to the walker. The interval kernel, which carries intervals
-    where the Jacobian kernel carries floats, is made by the first
-    enclosure call. Compiled code is cached by shape and the constants are
-    kernel defaults, so a function of a shape built before pays no
-    compile.
+    `_kernel` makes the components into a positional Python function, the
+    value kernel, for eval. The Jacobian kernel, which carries one tangent
+    per variable as plain floats beside the values, is made by the first
+    partial or jacobian call; partial reads its column. Each kernel returns
+    its method's finished result, or None where an output is not finite;
+    there, and where a kernel raises, the method falls back to the walker,
+    which partial and jvp run along their one direction only. The interval
+    kernel, which carries intervals where the Jacobian kernel carries
+    floats, is made by the first enclosure call. Compiled code is cached by
+    shape and the constants are kernel defaults, so a function of a shape
+    built before pays no compile.
     """
 
     __slots__ = (
@@ -317,10 +317,8 @@ class ExprFunction:
         "variables",
         "source_text",
         "_value_kernel",
-        "_tangent_kernel",
         "_jacobian_kernel",
         "_interval_kernel",
-        "_units",
     )
 
     def __init__(
@@ -335,11 +333,8 @@ class ExprFunction:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
         self._value_kernel = _kernel(self.components, self.variables, "value")
-        self._tangent_kernel = _kernel(self.components, self.variables, "jvp")
-        n = len(self.variables)
-        # the directions of partial
-        self._units = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
-        # None until the first jacobian and enclosure calls
+        # None until made: the Jacobian kernel by the first partial or
+        # jacobian call, the interval kernel by the first enclosure call
         self._jacobian_kernel = None
         self._interval_kernel = None
 
@@ -397,28 +392,21 @@ class ExprFunction:
         return out
 
     def _tangent_pass(self, p: Sequence[float], v: Sequence[float]) -> Vector:
-        """Derivatives from the tangent kernel at the point p along the
-        direction v, whose entries are floats; where it fails, from the
-        walker over Duals, which computes the same numbers and locates the
-        failure."""
-        try:
-            out = self._tangent_kernel(*map(float, p), *v)
-        except _KERNEL_ERRORS:
-            out = None
-        if out is None:
-            seeded = [Dual(float(a), d) for a, d in zip(p, v)]
-            # a component with no variable references evaluates to a plain float
-            out = Vector._unchecked(
-                tuple(
-                    d.derivative if isinstance(d, Dual) else 0.0
-                    for d in self._walk_components(seeded)
-                )
+        """Derivatives at the point p along the direction v, whose entries
+        are floats, from the walker over Duals, which computes the numbers
+        a kernel column along v computes and locates any failure."""
+        seeded = [Dual(float(a), d) for a, d in zip(p, v)]
+        # a component with no variable references evaluates to a plain float
+        return Vector._unchecked(
+            tuple(
+                d.derivative if isinstance(d, Dual) else 0.0
+                for d in self._walk_components(seeded)
             )
-        return out
+        )
 
     def jvp(self, p: Sequence[float], v: Sequence[float]) -> Vector:
         """Exact directional derivative of every component at p along v,
-        from one pass of the tangent kernel."""
+        from one pass of the walker over Duals."""
         n = len(self.variables)
         if len(p) != n or len(v) != n:
             raise DimensionMismatch(
@@ -429,13 +417,19 @@ class ExprFunction:
 
     def partial(self, p: Sequence[float], j: int) -> Vector:
         """Exact jth partial derivative of every component at p (0-based j):
-        the directional derivative along the jth unit vector."""
+        column j of the Jacobian kernel's pass. Where that pass raises or
+        gives a non-finite number, the walker along the jth unit vector
+        gives the column, which may be finite where another is not, or
+        locates the DomainError."""
         n = len(self.variables)
         if not 0 <= j < n:
             raise DimensionMismatch(f"variable index {j} out of range")
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
-        return self._tangent_pass(p, self._units[j])
+        out = self._jacobian_pass(p)
+        if out is None:
+            return self._tangent_pass(p, tuple(float(i == j) for i in range(n)))
+        return Vector._unchecked(tuple(row[j] for row in out[1].rows))
 
     def jacobian(self, p: Sequence[float]) -> Matrix:
         """Rows are components, columns the partials, already floats. With
@@ -443,8 +437,8 @@ class ExprFunction:
 
         One pass of the Jacobian kernel, which computes each value once and
         carries a tangent per variable; the first call makes it. Where it
-        raises or gives a non-finite number, the column passes give the
-        result or locate the DomainError."""
+        raises or gives a non-finite number, the walker's column passes give
+        the result or locate the DomainError."""
         n = len(self.variables)
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
@@ -475,9 +469,10 @@ class ExprFunction:
             return None
 
     def _jacobian_columns(self, p: Sequence[float]) -> Matrix:
-        """The Jacobian from one partial pass per column, which gives the
+        """The Jacobian from one walker pass per column, which gives the
         kernel's numbers or locates the DomainError."""
-        cols = [self.partial(p, j) for j in range(len(self.variables))]
+        n = len(self.variables)
+        cols = [self._tangent_pass(p, tuple(float(i == j) for i in range(n))) for j in range(n)]
         return Matrix(tuple(zip(*cols)) if cols else ((),) * self.n_outputs)
 
     def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple | None:

@@ -8,20 +8,19 @@ place of each value statement that depends on a variable it emits one
 that computes the value, and any derivative factor, once, then one
 statement per direction for the value's derivative along it as a plain
 float, performing the same operations as a pass over dual numbers. The
-tangent kernel carries one direction v: one pass gives the directional
-derivative (jvp), and a partial is the pass along a unit vector. The
 Jacobian kernel carries all n unit vectors at once, so one pass gives
-every partial of every component, each equal bit for bit to its partial,
-and every value, equal to eval's, which a Newton step reads from the same
-pass. All are exact to roundoff. A power calls math.pow inline, under a
-test on its base that keeps the helper's results: a base other than zero
+every partial of every component, each equal bit for bit to a dual pass
+along its unit vector, and every value, equal to eval's: partial reads
+its column, and a Newton step reads the values from the same pass. All
+are exact to roundoff. A power calls math.pow inline, under a test on
+its base that keeps the helper's results: a base other than zero
 under a nonzero integer literal, a positive base otherwise; other bases,
 and zero exponents, call the helper. Each kernel finishes its call: it
 tests every output finite and returns the Vector or Matrix its method
 returns (the Jacobian kernel with the values beside it), or None. The
 tree walker of expr.py over dual numbers is the semantics they compile.
 
-The fourth mode, "interval", performs the Jacobian kernel's operations in
+The third mode, "interval", performs the Jacobian kernel's operations in
 its order on intervals, with interval.py's outward-rounded helpers. Its
 pass over a box encloses every value and partial the float kernels
 compute anywhere in the box, or raises where an interval crosses a
@@ -275,11 +274,9 @@ def _kernel_source(
     """Source of `def _make(_c0, ...):` returning `def _k(_a0, ..., _an,
     _c0=_c0, ...): ...`, and the constants to call _make with. _k's
     result is finished: mode "value" returns the Vector of every
-    component's value at _a. The tangent modes also carry derivatives,
-    computed on floats only: mode "jvp" takes a direction _b0, ..., _bn and
-    returns the Vector of each component's derivative along it; mode
-    "jacobian" carries one tangent per variable, along the unit vectors,
-    and returns the tuple of values and the Matrix whose row i is
+    component's value at _a. Mode "jacobian" also carries derivatives,
+    computed on floats only: one tangent per variable, along the unit
+    vectors, and returns the tuple of values and the Matrix whose row i is
     component i's n partials. Every kernel returns None instead where an
     output, a value or a tangent, a literal too, is not finite. Mode
     "interval" is mode "jacobian" on intervals: each _ak is a pair (lo,
@@ -302,19 +299,19 @@ def _kernel_source(
     are numbered, so each repeated one, within or across components, is
     computed once. Every non-leaf node gets its own statement, a float
     operation into a local `_tc`, c its order of emission, so no
-    expression nests. In a tangent mode, a node that contains a variable
-    gets its `_tangent_op` statements instead: its value once, then one
-    tangent `_dc_j` per direction j. A subtree with no variable carries no
-    tangent, as a Dual pass leaves it a float; a component with none has
-    tangents 0.0. Each statement performs the float operations a float or
-    Dual pass does, in the same order, so the results equal it bit for
-    bit, and each direction of the "jacobian" kernel equals the "jvp"
-    kernel along that unit vector. The "interval" kernel performs the
-    "jacobian" kernel's operations in its order, so each of its intervals
-    holds what that kernel computes at any float point of the box. A power
-    calls math.pow itself where `_pow_guard` holds; there the helper would
-    call it with the same arguments. The "interval" kernel always calls
-    the helper.
+    expression nests. In the modes that carry tangents, a node that
+    contains a variable gets its `_tangent_op` statements instead: its
+    value once, then one tangent `_dc_j` per variable j. A subtree with
+    no variable carries no tangent, as a Dual pass leaves it a float; a
+    component with none has tangents 0.0. Each statement performs the
+    float operations a float or Dual pass does, in the same order, so the
+    results equal it bit for bit: each column of the "jacobian" kernel
+    equals a Dual pass along that unit vector. The "interval" kernel
+    performs the "jacobian" kernel's operations in its order, so each of
+    its intervals holds what that kernel computes at any float point of
+    the box. A power calls math.pow itself where `_pow_guard` holds; there
+    the helper would call it with the same arguments. The "interval"
+    kernel always calls the helper.
     """
     class_of = _number(components)
     n = len(variables)
@@ -322,14 +319,11 @@ def _kernel_source(
     params = [f"_a{k}" for k in range(n)]
     if mode == "value":
         leaf_tangents = [None] * n
-    elif mode == "jvp":
-        leaf_tangents = [(f"_b{k}",) for k in range(n)]
-        params += [f"_b{k}" for k in range(n)]
     else:
         one, zero = ("_one", _ZERO_INTERVAL) if interval else ("1.0", "0.0")
         leaf_tangents = [tuple(one if j == k else zero for j in range(n)) for k in range(n)]
     leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
-    directions = {"value": 0, "jvp": 1}.get(mode, n)
+    directions = 0 if mode == "value" else n
     untangled = (None,) * directions
     constants: list = []
     pair_of: dict = {}
@@ -360,7 +354,7 @@ def _kernel_source(
         operands = [emit(child, power and i == 1) for i, child in enumerate(_children(node))]
         k = len(pair_of)
         v = f"_t{k}"
-        # only in a tangent mode does an operand that contains a variable carry tangents
+        # an operand that contains a variable carries tangents only where the mode does
         if operands[0][1] is None and operands[-1][1] is None:
             lines.append(f"{v} = {_float_op(node, [t for t, _ in operands], interval)}")
             pair = pair_of[c] = (v, None)
@@ -385,8 +379,6 @@ def _kernel_source(
     else:
         if mode == "value":
             result = f"_vector({_tuple_text(values)})"
-        elif mode == "jvp":
-            result = f"_vector({_tuple_text(tangents)})"
         else:
             matrix = f"_matrix({_tuple_text(map(_tuple_text, rows))})"
             result = f"({_tuple_text(values)}, {matrix})"

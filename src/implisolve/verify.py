@@ -128,9 +128,9 @@ def mvt_witness(
     the average rate of change: g(t) = <grad F(a + t(b-a)), b-a> - (F(b)-F(a))
     has a zero on [0, 1]. Scans a uniform grid for a sign change, then
     solves the first bracket with scalar_implicit.itp; each g(t) is one
-    tangent pass, F.jvp, and samples_used counts them all. Passes when
-    |g(t)| <= 1e-10 max(1, |F(b) - F(a)|), relative to the size of g's
-    terms. Affine F (g identically zero on the grid) reports t = 0.5."""
+    dual-number pass of the tree walker, F.jvp, and samples_used counts
+    them all. Passes when |g(t)| <= 1e-10 max(1, |F(b) - F(a)|), relative
+    to the size of g's terms. Affine F (g identically zero on the grid) reports t = 0.5."""
     if F.n_outputs != 1:
         raise DimensionMismatch("mean-value witness needs a scalar function")
     a = Vector(a)

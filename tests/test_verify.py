@@ -97,7 +97,7 @@ def test_mvt_witness_cubic():
 
 
 def test_mvt_witness_evaluates_g_once_per_sample():
-    # g(t) takes one tangent pass; the scan, each ITP step and the final
+    # g(t) takes one jvp pass; the scan, each ITP step and the final
     # residual count one sample, and nothing else evaluates g
     F = parse(["x^3 + y^2 - x*y"], ["x", "y"])
     calls = []
