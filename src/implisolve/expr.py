@@ -17,9 +17,10 @@ is a kernel made on demand, which any caller may make again with the
 same result, so an ExprFunction may be shared freely across threads.
 The kernels that evaluate and differentiate the components come from
 the one emitter of kernels.py, whose compiled code is cached by shape,
-the constants being kernel defaults. The tree walker over dual numbers
-here is the reference semantics they compile, and where a kernel returns
-None or raises, it computes the result or locates the failure. jvp, whose
+the constants being kernel defaults; a function numbers its trees once,
+for all its kernels. The tree walker over dual numbers here is the
+reference semantics they compile, and where a kernel returns None or
+raises, it computes the result or locates the failure. jvp, whose
 direction need not be a unit vector, runs on the walker alone. enclosure
 runs the interval kernel, which bounds every value and partial over a
 box.
@@ -40,7 +41,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .kernels import _KERNEL_ERRORS, _kernel
+from .kernels import _KERNEL_ERRORS, _kernel, _number
 from .linalg import Matrix, Vector
 # the syntax trees, also imported from here by the rest of the package
 from .nodes import (
@@ -298,24 +299,28 @@ class ExprFunction:
     """A parsed vector-valued function of named variables.
 
     `variables` fixes the input order; evaluation accepts exactly that many
-    real values and returns one value per component. At construction
-    `_kernel` makes the components into a positional Python function, the
-    value kernel, for eval. The Jacobian kernel, which carries one tangent
-    per variable as plain floats beside the values, is made by the first
-    partial or jacobian call; partial reads its column. Each kernel returns
-    its method's finished result, or None where an output is not finite;
+    real values and returns one value per component. At construction one
+    numbering pass over the components gives the key of their shape in
+    the kernel cache and their constants, which the function keeps, and
+    `_kernel` makes the value kernel, a positional Python function, for
+    eval. The Jacobian kernel, which carries one tangent per variable as
+    plain floats beside the values, is made by the first partial or
+    jacobian call; partial reads its column. Each kernel returns its
+    method's finished result, or None where an output is not finite;
     there, and where a kernel raises, the method falls back to the walker,
     which partial and jvp run along their one direction only. The interval
     kernel, which carries intervals where the Jacobian kernel carries
-    floats, is made by the first enclosure call. Compiled code is cached by
-    shape and the constants are kernel defaults, so a function of a shape
-    built before pays no compile.
+    floats, is made by the first enclosure call. Every kernel comes from
+    the same key and constants, the constants being kernel defaults, so a
+    function of a shape built before writes no source and pays no compile.
     """
 
     __slots__ = (
         "components",
         "variables",
         "source_text",
+        "_shape",
+        "_constants",
         "_value_kernel",
         "_jacobian_kernel",
         "_interval_kernel",
@@ -332,7 +337,8 @@ class ExprFunction:
         if source_text is None:
             source_text = tuple(format_node(c) for c in self.components)
         self.source_text = tuple(source_text)
-        self._value_kernel = _kernel(self.components, self.variables, "value")
+        self._shape, self._constants = _number(self.components, self.variables)
+        self._value_kernel = _kernel(self._shape, self._constants, "value")
         # None until made: the Jacobian kernel by the first partial or
         # jacobian call, the interval kernel by the first enclosure call
         self._jacobian_kernel = None
@@ -462,7 +468,7 @@ class ExprFunction:
         kernel = self._jacobian_kernel
         if kernel is None:
             # idempotent, so callers racing here make equal kernels
-            kernel = self._jacobian_kernel = _kernel(self.components, self.variables, "jacobian")
+            kernel = self._jacobian_kernel = _kernel(self._shape, self._constants, "jacobian")
         try:
             return kernel(*map(float, p))
         except _KERNEL_ERRORS:
@@ -497,7 +503,7 @@ class ExprFunction:
         kernel = self._interval_kernel
         if kernel is None:
             # idempotent, so callers racing here make equal kernels
-            kernel = self._interval_kernel = _kernel(self.components, self.variables, "interval")
+            kernel = self._interval_kernel = _kernel(self._shape, self._constants, "interval")
         try:
             return kernel(*box)
         except DomainViolation:

@@ -26,24 +26,27 @@ pass over a box encloses every value and partial the float kernels
 compute anywhere in the box, or raises where an interval crosses a
 domain edge.
 
-Compiled code is cached by shape: the source names each finite literal
-that is not a power's exponent as a default argument of the kernel, and
-the factory that makes the kernel from those constants is compiled once
-per source and helper set. Re-seeding a build derives the same
-trees with new constants, so its functions pay for a factory call, not a
-compile, and each still owns its kernels.
+Compiled code is cached by shape. `_number` numbers a function's trees
+once, for all its kernels: it gives the key of their shape, where each
+finite literal that is not a power's exponent is a slot, and the slots'
+values. The cache holds the factory of each key and mode, which makes a
+kernel with those values as defaults; the emitter writes a source from
+the key only on a miss. Re-seeding a build derives the same trees with
+new constants, so its functions pay for a numbering pass and a factory
+call, and each still owns its kernels.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 from . import dual
 from .dual import DomainViolation
 from .linalg import Matrix, Vector
-from .nodes import BinOp, Call, Const, Neg, Node, Var, _children
+from .nodes import BinOp, Call, Const, Node, Var, _children
 
 # Names the kernel source calls. On floats the helpers give the same results
 # and domain checks as the dual functions, without their type tests. A power
@@ -113,55 +116,98 @@ def _interval_helpers() -> dict:
 _KERNEL_ERRORS = (DomainViolation, ValueError, ZeroDivisionError, OverflowError)
 
 
-def _number(components: Sequence[Node]) -> dict:
-    """Number the structurally distinct subtrees of the components: maps
-    the id of each node to its class."""
-    # Classes are numbered bottom-up. Memoizing by object identity keeps
-    # this linear: substitution puts one object at every occurrence of a
-    # variable, and a dataclass hash would walk the whole subtree again at
-    # each one.
-    number_of: dict = {}
+def _is_slot(node: Node, exponent: bool) -> bool:
+    """Whether node is a kernel's constant: a finite literal, not a power's
+    exponent."""
+    return type(node) is Const and not exponent and math.isfinite(node.value)
+
+
+def _number(components: Sequence[Node], variables: Sequence[str]) -> tuple[tuple, tuple]:
+    """The shape key of the components over variables, and their constants.
+
+    The key is (n, table, roots), n the number of variables. table has an
+    entry per class of equal subtrees, each after its children's:
+    ("var", k) for the kth variable, ("lit", repr) for a literal exponent
+    or a non-finite literal, else (op, *refs), op an operator, "neg" or a
+    function name, and a ref a child's class or None for a slot, a
+    constant in `_is_slot`'s sense. roots holds each component's ref. The
+    constants are the slots' values in the order of the table, then the
+    roots': the order `_kernel_source` names them _c0, _c1, ....
+
+    Equal literals, by repr so that 0.0 and -0.0 differ, make equal
+    subtrees. The key holds no slot's value, only the merges equal
+    constants make, so it fixes the source and nothing more.
+    """
+    position = {name: k for k, name in enumerate(variables)}
+    # Memoizing by object identity keeps this linear: substitution puts one
+    # object at every occurrence of a variable, and a dataclass hash would
+    # walk the whole subtree again at each one. A class is known by its
+    # entry, followed by its slots' reprs where it has any.
     class_of: dict = {}
+    number_of: dict = {}
+    table: list = []
+    constants: list = []
 
     def classify(node) -> int:
         c = class_of.get(id(node))
+        if c is not None:
+            return c
+        kind = type(node)
+        if kind is Var:
+            label = entry = ("var", position[node.name])
+            values = ()
+        elif kind is Const:
+            label = entry = ("lit", repr(node.value))
+            values = ()
+        else:
+            op = node.op if kind is BinOp else node.fn if kind is Call else "neg"
+            entry = [op]
+            values = []
+            for child in _children(node):
+                if _is_slot(child, op == "^" and len(entry) == 2):
+                    entry.append(None)
+                    values.append(child.value)
+                else:
+                    entry.append(classify(child))
+            label = entry = tuple(entry)
+            if values:
+                label = (entry, *map(repr, values))
+        c = number_of.get(label)
         if c is None:
-            if isinstance(node, Const):
-                label = repr(node.value)  # keeps 0.0 and -0.0 apart
-            elif isinstance(node, Var):
-                label = node.name
-            elif isinstance(node, BinOp):
-                label = node.op
-            elif isinstance(node, Call):
-                label = node.fn
-            else:
-                label = None
-            key = (type(node), label, *map(classify, _children(node)))
-            c = class_of[id(node)] = number_of.setdefault(key, len(number_of))
+            c = number_of[label] = len(table)
+            table.append(entry)
+            constants.extend(values)
+        class_of[id(node)] = c
         return c
 
+    roots = []
+    root_constants = []
     for component in components:
-        classify(component)
-    return class_of
+        if _is_slot(component, False):
+            roots.append(None)
+            root_constants.append(component.value)
+        else:
+            roots.append(classify(component))
+    return (len(variables), tuple(table), tuple(roots)), tuple(constants + root_constants)
 
 
-def _literal(node: Const) -> str:
-    text = repr(node.value)
+def _literal(text: str) -> str:
+    """Source text of a literal from its repr."""
     return "1e999" if text == "inf" else text
 
 
-def _pow_guard(a: str, b: str, exponent: Node) -> str | None:
+def _pow_guard(a: str, b: str, exponent: float | None) -> str | None:
     """Text of the test on base a under which math.pow(a, b) gives what
     _pow_float(a, b) gives, raising OverflowError where it raises
     DomainViolation, and pow_const_factor's factor is b * a^(b - 1); None for
-    a zero exponent, whose factor (None) only pow_const_factor gives."""
-    if isinstance(exponent, Const):
-        n = exponent.value
-        if n == 0.0:
+    a zero exponent, whose factor (None) only pow_const_factor gives.
+    exponent is the value of a literal exponent, None for a computed one."""
+    if exponent is not None:
+        if exponent == 0.0:
             return None
         # a finite integer literal is defined on every base, but math.pow
         # keeps the sign of -0.0 ^ 3, which _pow_float makes 0.0
-        return f"{a} != 0.0" if n.is_integer() else f"{a} > 0.0"
+        return f"{a} != 0.0" if exponent.is_integer() else f"{a} > 0.0"
     # a computed exponent may be non-integer or zero
     return f"{a} > 0.0 and {b} != 0.0"
 
@@ -176,32 +222,41 @@ def _negation(a: str, interval: bool) -> str:
     return f"_neg({a})" if interval else f"-{a}"
 
 
-def _float_op(node: Node, operands: Sequence[str], interval: bool = False) -> str:
-    """Text of node's own value operation on its operands' texts."""
-    if isinstance(node, Neg):
+def _float_op(
+    op: str, operands: Sequence[str], exponent: float | None, interval: bool = False
+) -> str:
+    """Text of a table entry's own value operation on its operands' texts;
+    exponent as `_pow_guard` takes it."""
+    if op == "neg":
         return _negation(operands[0], interval)
-    if isinstance(node, Call):
-        return f"_{node.fn}({operands[0]})"
+    if len(operands) == 1:
+        return f"_{op}({operands[0]})"
     left, right = operands
-    if node.op == "^":
-        guard = None if interval else _pow_guard(left, right, node.right)
+    if op == "^":
+        guard = None if interval else _pow_guard(left, right, exponent)
         if guard is None:
             return f"_pow({left}, {right})"
         return f"_math_pow({left}, {right}) if {guard} else _pow({left}, {right})"
-    return _arith(node.op, left, right, interval)
+    return _arith(op, left, right, interval)
 
 
 def _tangent_op(
-    node: Node, v: str, f: str, operands: Sequence[tuple], interval: bool = False
+    op: str,
+    v: str,
+    f: str,
+    operands: Sequence[tuple],
+    exponent: float | None,
+    interval: bool = False,
 ) -> tuple[list, object]:
-    """The tangent-mode statements of a node that contains a variable, from
-    its operands' (value, tangents) texts; tangents is None where the
-    operand contains no variable, else one text per direction. Returns the
-    statements that set the value v, and a factor f where the rule has one,
-    and the rule: a function of the operands' tangents along one direction
-    giving that direction's tangent text, or the tuple of tangents where
-    they pass through unchanged. Value and factor are computed once for
-    every direction. The statements and a rule's text perform the float
+    """The tangent-mode statements of a table entry op that contains a
+    variable, from its operands' (value, tangents) texts, and exponent as
+    `_pow_guard` takes it; tangents is None where the operand contains no
+    variable, else one text per direction. Returns the statements that set
+    the value v, and a factor f where the rule has one, and the rule: a
+    function of the operands' tangents along one direction giving that
+    direction's tangent text, or the tuple of tangents where they pass
+    through unchanged. Value and factor are computed once for every
+    direction. The statements and a rule's text perform the float
     operations of the Dual method or dual function for this mix of
     operands, in the same order; a power whose exponent varies branches on
     each direction's exponent tangent, so its pair rule runs per direction.
@@ -211,29 +266,28 @@ def _tangent_op(
     def arith(op, a, b):
         return _arith(op, a, b, interval)
 
-    if isinstance(node, Neg):
+    if op == "neg":
         ((x, _),) = operands
         return [f"{v} = {_negation(x, interval)}"], lambda dx: _negation(dx, interval)
-    if isinstance(node, Call):
+    if len(operands) == 1:
         ((x, _),) = operands
-        if node.fn == "sin":
+        if op == "sin":
             return [f"{v}, {f} = _sin({x}), _cos({x})"], lambda dx: arith("*", f, dx)
-        if node.fn == "cos":
+        if op == "cos":
             sine = _negation(f"_sin({x})", interval)
             return [f"{v}, {f} = _cos({x}), {sine}"], lambda dx: arith("*", f, dx)
-        if node.fn == "exp":
+        if op == "exp":
             return [f"{v} = _exp({x})"], lambda dx: arith("*", v, dx)
-        if node.fn == "ln":
+        if op == "ln":
             return [f"{v} = _ln({x})"], lambda dx: arith("/", dx, x)
-        if node.fn == "sqrt":
+        if op == "sqrt":
             return [f"{v}, {f} = _sqrt_factor({x})"], lambda dx: arith("/", dx, f)
         return [f"{v}, {f} = _abs_factor({x})"], lambda dx: arith("*", f, dx)
     (a, da), (b, db) = operands
-    op = node.op
     if op == "^":
         if db is None:
             helper = f"_pow_const_factor({a}, {b})"
-            guard = None if interval else _pow_guard(a, b, node.right)
+            guard = None if interval else _pow_guard(a, b, exponent)
             if guard is not None:
                 fast = f"(_math_pow({a}, {b}), {b} * _math_pow({a}, {b} - 1.0))"
                 helper = f"{fast} if {guard} else {helper}"
@@ -268,53 +322,50 @@ def _tuple_text(texts) -> str:
     return f"({''.join(f'{t}, ' for t in texts)})"
 
 
-def _kernel_source(
-    components: Sequence[Node], variables: Sequence[str], mode: str
-) -> tuple[str, list]:
+def _kernel_source(key: tuple, mode: str) -> str:
     """Source of `def _make(_c0, ...):` returning `def _k(_a0, ..., _an,
-    _c0=_c0, ...): ...`, and the constants to call _make with. _k's
-    result is finished: mode "value" returns the Vector of every
-    component's value at _a. Mode "jacobian" also carries derivatives,
-    computed on floats only: one tangent per variable, along the unit
-    vectors, and returns the tuple of values and the Matrix whose row i is
-    component i's n partials. Every kernel returns None instead where an
-    output, a value or a tangent, a literal too, is not finite. Mode
-    "interval" is mode "jacobian" on intervals: each _ak is a pair (lo,
-    hi), every literal a point interval, every operation the helper of
-    interval.py with the name the float kernels call or `_INTERVAL_OPS`
-    gives, and it returns the tuple of the values' intervals and the tuple
-    of the rows of the partials' intervals, testing none: the helpers
-    raise where a bound is not finite, as `_point` does in the statement
-    of a non-finite literal.
+    _c0=_c0, ...): ...` for the functions of shape key, a `_number` key,
+    which call _make with their constants. _k's result is finished: mode
+    "value" returns the Vector of every component's value at _a. Mode
+    "jacobian" also carries derivatives, computed on floats only: one
+    tangent per variable, along the unit vectors, and returns the tuple of
+    values and the Matrix whose row i is component i's n partials. Every
+    kernel returns None instead where an output, a value or a tangent, a
+    literal too, is not finite. Mode "interval" is mode "jacobian" on
+    intervals: each _ak is a pair (lo, hi), every literal a point
+    interval, every operation the helper of interval.py with the name the
+    float kernels call or `_INTERVAL_OPS` gives, and it returns the tuple
+    of the values' intervals and the tuple of the rows of the partials'
+    intervals, testing none: the helpers raise where a bound is not
+    finite, as `_point` does in the statement of a non-finite literal.
 
-    Each finite literal that is not a power's exponent is a constant _ck,
-    so one source serves every function of its shape. Exponent literals
-    stay in the source, since `_pow_guard` branches on them, and so do
-    non-finite literals and the unit tangents. The constants are
-    positional defaults, which a call fills from a tuple; keyword-only
-    ones would cost a dict lookup each per call. Callers pass exactly the
-    inputs, so no argument reaches a constant.
+    Each slot of the key is a constant _ck, so one source serves every
+    function of its shape. Exponent literals stay in the source, since
+    `_pow_guard` branches on them, and so do non-finite literals and the
+    unit tangents. The constants are positional defaults, which a call
+    fills from a tuple; keyword-only ones would cost a dict lookup each
+    per call. Callers pass exactly the inputs, so no argument reaches a
+    constant.
 
-    Inputs are positional, so variable names never meet Python's. Subtrees
-    are numbered, so each repeated one, within or across components, is
-    computed once. Every non-leaf node gets its own statement, a float
-    operation into a local `_tc`, c its order of emission, so no
-    expression nests. In the modes that carry tangents, a node that
-    contains a variable gets its `_tangent_op` statements instead: its
-    value once, then one tangent `_dc_j` per variable j. A subtree with
-    no variable carries no tangent, as a Dual pass leaves it a float; a
-    component with none has tangents 0.0. Each statement performs the
-    float operations a float or Dual pass does, in the same order, so the
-    results equal it bit for bit: each column of the "jacobian" kernel
-    equals a Dual pass along that unit vector. The "interval" kernel
-    performs the "jacobian" kernel's operations in its order, so each of
-    its intervals holds what that kernel computes at any float point of
-    the box. A power calls math.pow itself where `_pow_guard` holds; there
-    the helper would call it with the same arguments. The "interval"
-    kernel always calls the helper.
+    Inputs are positional, so variable names never meet Python's. The key
+    lists each class of equal subtrees once, so each repeated subtree,
+    within or across components, is computed once. Every entry that is
+    not a leaf gets its own statement, a float operation into a local
+    `_tc`, c its class, so no expression nests. In the modes that carry
+    tangents, an entry that contains a variable gets its `_tangent_op`
+    statements instead: its value once, then one tangent `_dc_j` per
+    variable j. A subtree with no variable carries no tangent, as a Dual
+    pass leaves it a float; a component with none has tangents 0.0. Each
+    statement performs the float operations a float or Dual pass does, in
+    the same order, so the results equal it bit for bit: each column of
+    the "jacobian" kernel equals a Dual pass along that unit vector. The
+    "interval" kernel performs the "jacobian" kernel's operations in its
+    order, so each of its intervals holds what that kernel computes at any
+    float point of the box. A power calls math.pow itself where
+    `_pow_guard` holds; there the helper would call it with the same
+    arguments. The "interval" kernel always calls the helper.
     """
-    class_of = _number(components)
-    n = len(variables)
+    n, table, roots = key
     interval = mode == "interval"
     params = [f"_a{k}" for k in range(n)]
     if mode == "value":
@@ -322,44 +373,45 @@ def _kernel_source(
     else:
         one, zero = ("_one", _ZERO_INTERVAL) if interval else ("1.0", "0.0")
         leaf_tangents = [tuple(one if j == k else zero for j in range(n)) for k in range(n)]
-    leaf_of = {name: (f"_a{k}", leaf_tangents[k]) for k, name in enumerate(variables)}
     directions = 0 if mode == "value" else n
     untangled = (None,) * directions
-    constants: list = []
-    pair_of: dict = {}
+    names: list = []
+    pairs: list = []  # each class's value text and tangent texts
     lines: list = []
 
-    def emit(node, exponent: bool = False) -> tuple:
-        """node's value text and tangent texts; exponent where node is a
-        power's exponent."""
-        if isinstance(node, Const) and math.isfinite(node.value) and not exponent:
-            constants.append((node.value, node.value) if interval else node.value)
-            return f"_c{len(constants) - 1}", None
-        if isinstance(node, Const) and (not interval or math.isfinite(node.value)):
-            literal = _literal(node)
-            return (f"({literal}, {literal})" if interval else literal), None
-        if isinstance(node, Var):
-            return leaf_of[node.name]
-        c = class_of[id(node)]
-        if c in pair_of:
-            return pair_of[c]
-        if isinstance(node, Const):
-            # the helpers take a finite literal as given; this statement
-            # raises instead, at the literal
-            v = f"_t{len(pair_of)}"
-            lines.append(f"{v} = _point({_literal(node)})")
-            pair = pair_of[c] = (v, None)
-            return pair
-        power = isinstance(node, BinOp) and node.op == "^"
-        operands = [emit(child, power and i == 1) for i, child in enumerate(_children(node))]
-        k = len(pair_of)
+    def operand(ref) -> tuple:
+        if ref is None:
+            names.append(f"_c{len(names)}")
+            return names[-1], None
+        return pairs[ref]
+
+    for k, (op, *refs) in enumerate(table):
         v = f"_t{k}"
+        if op == "var":
+            pairs.append((f"_a{refs[0]}", leaf_tangents[refs[0]]))
+            continue
+        if op == "lit":
+            literal = _literal(refs[0])
+            if not interval:
+                pairs.append((literal, None))
+            elif math.isfinite(float(literal)):
+                pairs.append((f"({literal}, {literal})", None))
+            else:
+                # the helpers take a finite literal as given; this statement
+                # raises instead, at the literal
+                lines.append(f"{v} = _point({literal})")
+                pairs.append((v, None))
+            continue
+        operands = [operand(ref) for ref in refs]
+        exponent = None
+        if op == "^" and table[refs[1]][0] == "lit":
+            exponent = float(table[refs[1]][1])
         # an operand that contains a variable carries tangents only where the mode does
         if operands[0][1] is None and operands[-1][1] is None:
-            lines.append(f"{v} = {_float_op(node, [t for t, _ in operands], interval)}")
-            pair = pair_of[c] = (v, None)
-            return pair
-        statements, rule = _tangent_op(node, v, f"_f{k}", operands, interval)
+            lines.append(f"{v} = {_float_op(op, [t for t, _ in operands], exponent, interval)}")
+            pairs.append((v, None))
+            continue
+        statements, rule = _tangent_op(op, v, f"_f{k}", operands, exponent, interval)
         lines.extend(statements)
         if callable(rule):
             # the operands' tangents along each direction in turn
@@ -367,12 +419,11 @@ def _kernel_source(
             tangents = tuple(f"_d{k}_{j}" for j in range(directions))
             lines.extend([f"{d} = {rule(*ds)}" for d, ds in zip(tangents, along)])
             rule = tangents
-        pair = pair_of[c] = (v, rule)
-        return pair
+        pairs.append((v, rule))
 
-    pairs = [emit(component) for component in components]
-    values = [v for v, _ in pairs]
-    rows = [ds or ((_ZERO_INTERVAL if interval else "0.0"),) * directions for _, ds in pairs]
+    outputs = [operand(ref) for ref in roots]
+    values = [v for v, _ in outputs]
+    rows = [ds or ((_ZERO_INTERVAL if interval else "0.0"),) * directions for _, ds in outputs]
     tangents = [d for ds in rows for d in ds]
     if interval:
         result = f"{_tuple_text(values)}, {_tuple_text(map(_tuple_text, rows))}"
@@ -392,37 +443,67 @@ def _kernel_source(
         if tests:
             result = f"{result} if {' and '.join(tests)} else None"
     lines.append(f"return {result}")
-    names = [f"_c{k}" for k in range(len(constants))]
     params += [f"{name}={name}" for name in names]
     body = "\n        ".join(lines)
-    source = (
+    return (
         f"def _make({', '.join(names)}):\n"
         f"    def _k({', '.join(params)}):\n        {body}\n"
         "    return _k"
     )
-    return source, constants
 
 
-# Most kernel factories kept at once. A factory, with its code and the
-# source that keys it, takes about 30 KB for the m = 2 kernels of a
-# re-seeded build. The cap keeps a process that parses ever new shapes
-# near 4 MB of them, and holds several times the 37 shapes that
-# re-seeding quad_pair and inverting the square map come back to.
+# Most shapes kept at once. A shape's key and the factories of the modes
+# asked of it take about 12 KB for the m = 2 kernels of a re-seeded build
+# (tracemalloc, Python 3.11). The cap keeps a process that parses ever new
+# shapes near 1.5 MB of them, and holds ten times the 11 shapes, 30
+# factories, that re-seeding quad_pair and inverting the square map come
+# back to.
 _CACHE_SIZE = 128
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _factory(source: str, interval: bool):
-    """The compiled `_make` of a `_kernel_source` source, over the
-    interval helpers or the float ones."""
-    helpers = _interval_helpers() if interval else _HELPERS
+# The kernel cache: for each of the _CACHE_SIZE shape keys used last, the
+# factories compiled for it so far, by mode, and the counts of kernel
+# requests served by a cached factory and of those that compiled one. The
+# lock guards both; a compile runs outside it, so threads that race to one
+# compile each make an equal factory.
+_shapes: OrderedDict = OrderedDict()
+_counts = [0, 0]  # hits, misses
+_lock = threading.Lock()
+
+
+def _compile(key: tuple, mode: str):
+    """The `_make` of the source `_kernel_source` writes for key and mode,
+    compiled over the interval helpers or the float ones."""
     namespace: dict = {}
-    exec(compile(source, "<kernel>", "exec"), helpers, namespace)
+    helpers = _interval_helpers() if mode == "interval" else _HELPERS
+    exec(compile(_kernel_source(key, mode), "<kernel>", "exec"), helpers, namespace)
     return namespace["_make"]
 
 
-def _kernel(components: Sequence[Node], variables: Sequence[str], mode: str):
-    """The kernel of mode over components: a new function object, its
-    code compiled once per shape."""
-    source, constants = _kernel_source(components, variables, mode)
-    return _factory(source, mode == "interval")(*constants)
+def _kernel(key: tuple, constants: tuple, mode: str):
+    """The kernel of mode over a function of shape key, a `_number` key,
+    with its constants: a new function object. Its factory is compiled
+    only where the cache holds none for the key and mode, the only time a
+    source is written."""
+    with _lock:
+        factories = _shapes.get(key)
+        if factories is None:
+            factories = _shapes[key] = {}
+            if len(_shapes) > _CACHE_SIZE:
+                _shapes.popitem(last=False)
+        else:
+            _shapes.move_to_end(key)
+        factory = factories.get(mode)
+        _counts[factory is None] += 1
+    if factory is None:
+        factory = factories[mode] = _compile(key, mode)
+    return factory(*[(c, c) for c in constants] if mode == "interval" else constants)
+
+
+def _cache_info() -> dict:
+    """Kernel requests served by a cached factory (hits) and compiles
+    (misses) so far, the bound on shapes kept (maxsize) and the number
+    kept (currsize)."""
+    with _lock:
+        hits, misses = _counts
+        return {"hits": hits, "misses": misses, "maxsize": _CACHE_SIZE, "currsize": len(_shapes)}

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,9 +9,13 @@ from implisolve import (
     DimensionMismatch,
     DomainError,
     ExprSyntaxError,
+    SplitPoint,
     UnknownIdentifier,
+    build_system,
+    kernels,
     parse,
 )
+from implisolve.dini import normalize
 from implisolve.dual import DomainViolation, Dual, is_finite
 from implisolve.expr import (
     BinOp,
@@ -27,7 +33,14 @@ from implisolve.expr import (
     substitute,
 )
 from implisolve.expr import MAX_DEPTH, _Parser
-from implisolve.kernels import _CACHE_SIZE, _factory, _kernel_source
+from implisolve.inverse import build_inverse
+from implisolve.kernels import (
+    _CACHE_SIZE,
+    _cache_info,
+    _compile,
+    _kernel_source,
+    _number,
+)
 
 
 def test_parse_eval_circle_points():
@@ -560,27 +573,44 @@ def _scaled_constants(node, factor):
     return BinOp(node.op, _scaled_constants(node.left, factor), right)
 
 
+_MODES = ("value", "jacobian", "interval")
+
+
 def _sources(F):
-    return [
-        _kernel_source(F.components, F.variables, mode)[0]
-        for mode in ("value", "jacobian", "interval")
-    ]
+    """The sources emitting gives F's kernels, from a numbering of its own."""
+    key = _number(F.components, F.variables)[0]
+    return [_kernel_source(key, mode) for mode in _MODES]
+
+
+def _codes(F):
+    """The code of F's three kernels, once F has made them: one code object
+    per factory, which every kernel the factory makes shares."""
+    p = (0.5, 0.25, 2.0, 1.5)[: F.n_inputs]
+    _outcome(lambda: F.jacobian(p).rows)
+    F.enclosure(p, p)
+    return (F._value_kernel.__code__, F._jacobian_kernel.__code__, F._interval_kernel.__code__)
+
+
+def _share_factories(F, G):
+    return all(f is g for f, g in zip(_codes(F), _codes(G)))
 
 
 def test_one_shape_shares_one_factory():
     first = parse(["3.25 * u * v + sin(u - 0.125) - 7.5"], _VARS)
-    before = _factory.cache_info()
+    before = _cache_info()
     second = parse(["1.5 * u * v + sin(u - 2.75) - 0.25"], _VARS)
-    after = _factory.cache_info()
+    after = _cache_info()
     # the value kernel, the one a parse makes, comes from the cache
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
     first.partial((0.5, 2.0), 0)
-    before = _factory.cache_info()
+    before = _cache_info()
     second.partial((0.5, 2.0), 0)
-    after = _factory.cache_info()
+    after = _cache_info()
     # and so does the Jacobian kernel, which the first partial makes
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
     assert _sources(first) == _sources(second)
+    assert first._shape == second._shape
+    assert _share_factories(first, second)
     assert first._value_kernel is not second._value_kernel
     p = (0.5, 2.0)
     assert tuple(first.eval(p)) == (3.25 * 0.5 * 2.0 + math.sin(0.5 - 0.125) - 7.5,)
@@ -590,11 +620,77 @@ def test_one_shape_shares_one_factory():
     assert second.jacobian(p).rows == tuple(zip(second.partial(p, 0), second.partial(p, 1)))
 
 
+def _const_times_u(value):
+    return ExprFunction([BinOp("*", Var("u"), Const(value))], ["u"])
+
+
+def _u_plus_twice(first, second):
+    """(u + first) * (u + second), with the literals as given."""
+    return ExprFunction(
+        [BinOp("*", BinOp("+", Var("u"), Const(first)), BinOp("+", Var("u"), Const(second)))],
+        _VARS,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_f,make_g,shared",
+    [
+        # a variable where the other has a constant
+        (lambda: _mix("u + v"), lambda: _mix("u + 0.0"), False),
+        # equal constants merge the two sums into one subtree
+        (lambda: _mix("(u + 1) * (u + 1)"), lambda: _mix("(u + 1) * (u + 2)"), False),
+        (lambda: _mix("(u + 1) * (u + 2)"), lambda: _mix("(u + 3) * (u + 4)"), True),
+        # constants that merge no subtree need not be equal to share
+        (lambda: _mix("u * 1 + v * 1"), lambda: _mix("u * 1 + v * 2"), True),
+        # exponent literals are read by the power's guard
+        (lambda: _mix("u ^ 2"), lambda: _mix("u ^ 3"), False),
+        (lambda: _mix("u ^ 2"), lambda: _mix("u ^ 0"), False),
+        (lambda: _mix("u ^ 3"), lambda: _mix("u ^ 0"), False),
+        (lambda: _mix("2 ^ u"), lambda: _mix("3 ^ u"), True),
+        # signed zeros: one source as constants, but a merge only of equal reprs
+        (lambda: _const_times_u(0.0), lambda: _const_times_u(-0.0), True),
+        (lambda: _u_plus_twice(0.0, 0.0), lambda: _u_plus_twice(0.0, -0.0), False),
+        (lambda: _u_plus_twice(0.0, -0.0), lambda: _u_plus_twice(1.0, 2.0), True),
+        # a non-finite literal stays in the source
+        (lambda: _mix("u * 1e999"), lambda: _mix("u * 2.5"), False),
+        (lambda: _mix("u * 1e999"), lambda: _mix("u * 1e999"), True),
+        # one set of components over the variables in either order
+        (
+            lambda: parse(["u - 2 * v", "sin(v)"], _VARS),
+            lambda: parse(["u - 2 * v", "sin(v)"], ("v", "u")),
+            False,
+        ),
+        (lambda: parse(["u - v"], ("u", "v", "w")), lambda: _mix("u - v"), False),
+    ],
+    ids=[
+        "variable_vs_constant",
+        "merged_sums_vs_two_sums",
+        "two_sums",
+        "unmerged_equal_constants",
+        "exponent_2_vs_3",
+        "exponent_2_vs_0",
+        "exponent_3_vs_0",
+        "constant_base",
+        "signed_zero_factor",
+        "signed_zeros_merge_apart",
+        "signed_zero_sums",
+        "infinite_vs_finite",
+        "infinite_twice",
+        "variables_swapped",
+        "three_variables_vs_two",
+    ],
+)
+def test_functions_share_a_factory_exactly_when_their_sources_match(make_f, make_g, shared):
+    F, G = make_f(), make_g()
+    assert _share_factories(F, G) == (_sources(F) == _sources(G)) == shared
+    assert (F._shape == G._shape) == shared
+
+
 def test_cache_keeps_signed_zeros_apart():
     # one source, since the constant is a kernel default, and each function
     # computes with its own zero
-    plus = ExprFunction([BinOp("*", Var("u"), Const(0.0))], ["u"])
-    minus = ExprFunction([BinOp("*", Var("u"), Const(-0.0))], ["u"])
+    plus = _const_times_u(0.0)
+    minus = _const_times_u(-0.0)
     assert _sources(plus) == _sources(minus)
     for F, zero in ((plus, "0.0"), (minus, "-0.0")):
         assert repr(tuple(F.eval((1.0,)))) == f"({zero},)"
@@ -622,16 +718,23 @@ def test_infinite_literal_is_located_from_a_warm_cache():
 
 def test_kernel_cache_is_bounded():
     # a literal exponent makes each function a new shape
+    parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
     for k in range(_CACHE_SIZE + 8):
         parse([f"u ^ {k + 4}"], _VARS)
-    info = _factory.cache_info()
-    assert info.maxsize == _CACHE_SIZE
-    assert info.currsize <= _CACHE_SIZE
+        parse(["u ^ 3.5"], _VARS)  # a hit, so this shape goes out last
+    info = _cache_info()
+    assert info["maxsize"] == _CACHE_SIZE
+    assert info["currsize"] <= _CACHE_SIZE
+    before = info["misses"]
+    parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
+    assert _cache_info()["misses"] == before
 
 
 _factors = st.one_of(st.floats(0.25, 4), st.floats(-4, -0.25))
 
 
+# a component that is a bare constant takes its slot after the others'
+@example(parse(["2.5", "u * 3 - 1.5 * v", "0.75"], _VARS), 2.0, 0.5, 0.25, 0.125)
 @given(_functions(), _factors, st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 0.5))
 def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
     """A function of a shape whose kernels are cached computes with its own
@@ -642,7 +745,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
     _outcome(lambda: F.jacobian((u, v)).rows)
     F.enclosure((u, v), (u, v))
     G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
-    before = _factory.cache_info().misses
+    before = _cache_info()["misses"]
     p = (u, v)
     env = {"u": u, "v": v}
     assert repr(_outcome(lambda: G.eval(p))) == repr(_walked(G, env))
@@ -658,7 +761,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
 
     lo, hi = (u - halfwidth, v - halfwidth), (u + halfwidth, v + halfwidth)
     enclosed = G.enclosure(lo, hi)
-    assert _factory.cache_info().misses == before  # every kernel was warm
+    assert _cache_info()["misses"] == before  # every kernel was warm
     if enclosed is None or failed or _outcome(lambda: G.eval(p))[0] != "ok":
         return
     values, rows = enclosed
@@ -667,3 +770,149 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
     for row, enclosed_row in zip(G.jacobian(p).rows, rows):
         for partial, (low, high) in zip(row, enclosed_row):
             assert low <= partial <= high
+
+
+def _made(kernel, args):
+    """A kernel's result at args by repr, or the type of what it raised."""
+    try:
+        return repr(kernel(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _assert_hit_path_equals_emitting(F, points, boxes):
+    """F's kernels, made by the cached factories of its shape, equal the
+    kernels that emitting F's own source and compiling it afresh make: the
+    factories were emitted from the key F's numbering gives, so from the
+    same source, and F calls them with the constants that source names,
+    which give the same results at every point and box."""
+    key, constants = _number(F.components, F.variables)
+    assert F._shape == key
+    assert repr(F._constants) == repr(constants)
+    _codes(F)
+    made = {
+        "value": (F._value_kernel, points),
+        "jacobian": (F._jacobian_kernel, points),
+        "interval": (F._interval_kernel, [tuple(zip(lo, hi)) for lo, hi in boxes]),
+    }
+    for mode, (kernel, inputs) in made.items():
+        defaults = [(c, c) for c in constants] if mode == "interval" else constants
+        fresh = _compile(key, mode)(*defaults)
+        for args in inputs:
+            assert _made(kernel, args) == _made(fresh, args)
+
+
+@given(_functions(), _factors, st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 0.5))
+def test_kernels_from_the_cache_equal_kernels_emitted_afresh(F, factor, u, v, halfwidth):
+    """A function of a cached shape shares its factories, its constants
+    fill the slots its twin's fill, each scaled by the factor, and its
+    kernels equal those emitted from its own source."""
+    G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
+    assert G._shape == F._shape
+    assert _share_factories(F, G)
+    assert repr(G._constants) == repr(tuple(c * factor for c in F._constants))
+    box = ((u - halfwidth, v - halfwidth), (u + halfwidth, v + halfwidth))
+    _assert_hit_path_equals_emitting(G, [(u, v), (0.0, -0.0)], [box])
+
+
+def _quad_pair_functions(x0):
+    """quad_pair at x0 on its curve y1 = y2 = y: the parsed function, its
+    normalization and the first component that level 1 solves."""
+    y = (math.sqrt(4.0 * x0 + 5.0) - 1.0) / 2.0
+    F = parse(["y1^2 + y2 - x - 1", "y1 + y2^2 - x - 1"], ["x", "y1", "y2"])
+    G = normalize(F, SplitPoint.of([x0], [y, y]))[0]
+    return (x0, y, y), (F, G, G.component_function(0, ["z2", "x", "z1"]))
+
+
+def _square_map_functions(r, theta):
+    """The square map's inverse problem at p = r (cos theta, sin theta), as
+    build_inverse poses it: phi, its normalization and the first component."""
+    F = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+    p = (r * math.cos(theta), r * math.sin(theta))
+    q = tuple(F.eval(p))
+    phi = ExprFunction(
+        [BinOp("-", F.components[i], Var(f"y{i + 1}")) for i in range(2)],
+        ["y1", "y2", "x1", "x2"],
+    )
+    G = normalize(phi, SplitPoint.of(q, p))[0]
+    return q + p, (phi, G, G.component_function(0, ["y1", "y2", "z2", "z1"]))
+
+
+@given(
+    st.floats(0.5, 1.5),
+    st.floats(0.5, 1.5),
+    st.tuples(st.floats(0.8, 1.2), st.floats(-0.6, 0.6)),
+    st.tuples(st.floats(0.8, 1.2), st.floats(-0.6, 0.6)),
+    st.floats(0, 0.1),
+)
+def test_reseeded_systems_take_their_kernels_from_the_cache(x0, x1, first, second, halfwidth):
+    """Re-seeding quad_pair along its curve and the square map's inverse
+    over its base points derives the same trees with new constants: a
+    function of a shape built before shares its factories, and its
+    kernels equal those emitted from its own source."""
+    reseeded = ((_quad_pair_functions, (x0,), (x1,)), (_square_map_functions, first, second))
+    for make, old_seed, new_seed in reseeded:
+        _, before = make(*old_seed)
+        seed, after = make(*new_seed)
+        for F, G in zip(before, after):
+            assert _share_factories(F, G) == (G._shape == F._shape)
+            n = G.n_inputs
+            point = (seed * 2)[:n] if G is after[-1] else seed[:n]
+            lo = tuple(a - halfwidth for a in point)
+            hi = tuple(a + halfwidth for a in point)
+            _assert_hit_path_equals_emitting(G, [point, lo], [(lo, hi)])
+
+
+def test_threads_through_a_full_cache_get_the_sequential_results():
+    """Eight threads parse shapes new to a full cache, with thread switches
+    forced often: their compiles, evictions and counts race, and every
+    result equals the sequential one."""
+    texts = [f"(u + {k}) ^ {k + 2} * sin(v - {k}) + v ^ 2 / (1 + u * u)" for k in range(64)]
+    p, lo, hi = (0.25, 0.5), (0.25, 0.5), (0.5, 0.75)
+
+    def results(text):
+        F = parse([text, "u * v"], _VARS)
+        return repr((F.eval(p), F.jacobian(p), F.partial(p, 1), F.enclosure(lo, hi)))
+
+    sequential = [results(text) for text in texts]
+    # shapes enough to fill the cache push out every shape above
+    for k in range(_CACHE_SIZE):
+        parse([f"u ^ {k + 0.5}"], _VARS)
+    before = _cache_info()
+    assert before["currsize"] == _CACHE_SIZE
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent = list(pool.map(results, texts * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential * 2
+    after = _cache_info()
+    assert after["currsize"] == _CACHE_SIZE
+    # three kernels a function, none of them lost from the counts
+    requests = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+    assert requests == 3 * len(texts) * 2
+
+
+def test_a_second_reseeded_build_emits_no_kernel_source(monkeypatch):
+    """Once a re-seeded quad_pair build and a square-map inverse have run,
+    another of each finds every kernel's factory cached: the emitter is
+    not called."""
+    emitted = []
+
+    def counted(key, mode):
+        emitted.append(mode)
+        return _kernel_source(key, mode)
+
+    monkeypatch.setattr(kernels, "_kernel_source", counted)
+    quad = ["y1^2 + y2 - x - 1", "y1 + y2^2 - x - 1"]
+    square = ["x1^2 - x2^2", "2*x1*x2"]
+    # at these seeds the normalizations merge the same subtrees; where the
+    # rounding of J^-1 makes equal entries differ, a new shape is emitted
+    for x0, p in ((0.8, (1.0, 0.2)), (1.0, (0.95, 0.3))):
+        emitted.clear()
+        y = (math.sqrt(4.0 * x0 + 5.0) - 1.0) / 2.0
+        build_system(parse(quad, ["x", "y1", "y2"]), SplitPoint.of([x0], [y, y]))
+        build_inverse(parse(square, ["x1", "x2"]), p)
+    assert emitted == []
