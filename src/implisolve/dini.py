@@ -37,7 +37,10 @@ every root phi returns, eliminated as partial eliminates it. It is the
 second pivot of an interval Gaussian elimination of G's dependent
 Jacobian (Neumaier, Interval Methods for Systems of Equations, 1990,
 ch. 4), and lets find_box prove level 2's monotonicity without nested
-solves. Deeper levels, whose phi nests solves, have no enclosure.
+solves. Its checks_proved encloses phi's F on level 1's two y-faces over
+a level-2 box, and lets find_box skip sampling phi's checks there.
+Deeper levels, whose phi nests solves, have no enclosure and prove no
+checks.
 """
 
 from __future__ import annotations
@@ -168,6 +171,10 @@ class _ComponentSlice:
         """The wrapped function's check_point, at p unpermuted."""
         self.fn.check_point(self._unpermute(p))
 
+    def checks_proved(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
+        """The wrapped function's checks_proved, over the box unpermuted."""
+        return self.fn.checks_proved(self._unpermute(lo), self._unpermute(hi))
+
 
 class _ReducedFunction:
     """Components 2..m of G with the first dependent variable replaced by the
@@ -255,6 +262,30 @@ class _ReducedFunction:
         """Raise what partial raises at u before it reaches G: phi's checks
         ahead of its root search. Past them the search succeeds."""
         self.phi._bracket(tuple(u))
+
+    def checks_proved(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
+        """Whether check_point returns at every point u of the closed box
+        [lo, hi]: level 1's IVT face test, restricted to this box. It holds
+        where phi's F is an ExprFunction, the box lies strictly inside
+        phi's open x-box, coordinate by coordinate, and two enclosures of
+        phi's F prove sign * F < 0 on the box at y_lo and > 0 at y_hi. An
+        enclosure holds what F.eval computes, so there phi's checks raise
+        nothing. False wherever that is not proved."""
+        phi = self.phi
+        box = phi.box
+        if not isinstance(phi.F, ExprFunction):
+            return False
+        for low, a, b, high in zip(box.x_lo, lo, hi, box.x_hi):
+            if not low < a <= b < high:
+                return False
+        for y, face_sign in ((box.y_lo, -box.sign), (box.y_hi, box.sign)):
+            enclosed = phi.F.enclosure(tuple(lo) + (y,), tuple(hi) + (y,))
+            if enclosed is None:
+                return False
+            low, high = enclosed[0][0]
+            if not (low > 0.0 if face_sign > 0 else high < 0.0):
+                return False
+        return True
 
 
 def _eliminate_z1(jg: Matrix, n: int) -> Matrix:
@@ -446,14 +477,18 @@ class SystemSolution:
             raise
         return self._to_y((z1,) + z_rest)
 
-    def _to_y(self, z: tuple[float, ...]) -> Vector:
+    def _to_y(self, z: Sequence[float]) -> Vector:
         """This level's solved coordinates z as F's dependent variables:
-        b + J_inv (z - b) where the level normalized, z itself elsewhere."""
+        b + J_inv (z - b) where the level normalized, z itself elsewhere.
+        One loop over floats, each row of J_inv (z - b) one fsum; a
+        ValueError where an entry is not finite."""
         if self.normalizer is None:
             return Vector(z)
         b = self.seed.y
-        dy = matvec(self.normalizer, vec_sub(z, b))
-        return Vector._of_floats(list(map(operator.add, b, dy)))
+        dz = [zk - bk for zk, bk in zip(z, b)]
+        return Vector._of_floats(
+            [bk + math.fsum([a * d for a, d in zip(row, dz)]) for bk, row in zip(b, self.normalizer.rows)]
+        )
 
     def jacobian_at(self, x: Sequence[float]) -> Matrix:
         """Jf(x) = -[dF/dy]^-1 [dF/dx] at (x, f(x)), blocks from exact partials."""
@@ -501,15 +536,19 @@ class SystemSolution:
         rest = [] if self.child is None else self.child.box_metadata()
         return [entry] + rest
 
-    def _sample_y(self, rng: random.Random) -> Vector:
-        """Random point of the region's dependent part: each z_k uniform on
-        its interval, deepest level first, mapped through the level-1
-        normalizer."""
+    def _sample_ys(self, rng: random.Random, count: int):
+        """count random points of the region's dependent part: each z_k
+        uniform on its interval, deepest level first, mapped by _to_y."""
         lo, hi = self.region
-        z = [0.0] * self.m
-        for k in reversed(range(self.m)):
-            z[k] = rng.uniform(lo[self.n + k], hi[self.n + k])
-        return self._to_y(tuple(z))
+        n, m = self.n, self.m
+        bounds = [(k, lo[n + k], hi[n + k]) for k in reversed(range(m))]
+        uniform = rng.uniform
+        to_y = self._to_y
+        z = [0.0] * m
+        for _ in range(count):
+            for k, low, high in bounds:
+                z[k] = uniform(low, high)
+            yield to_y(z)
 
     def verify_uniqueness(
         self, x: Sequence[float], samples: int = 100000, rng_seed: int = 0
@@ -532,9 +571,9 @@ class SystemSolution:
         best_res = float("inf")
         best_point: Vector | None = None
         points = []
-        for _ in range(samples):
-            y = self._sample_y(rng)
-            res = max(abs(r) for r in self.F.eval(x + tuple(y)))
+        F_eval = self.F.eval
+        for y in self._sample_ys(rng, samples):
+            res = max(map(abs, F_eval(x + y)))
             if res < best_res:
                 best_res, best_point = res, y
             if res <= max(tol, 10 * best_res):

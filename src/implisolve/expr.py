@@ -318,7 +318,7 @@ class ExprFunction:
     __slots__ = (
         "components",
         "variables",
-        "source_text",
+        "_source_text",
         "_shape",
         "_constants",
         "_value_kernel",
@@ -334,9 +334,8 @@ class ExprFunction:
     ):
         self.components = tuple(components)
         self.variables = tuple(variables)
-        if source_text is None:
-            source_text = tuple(format_node(c) for c in self.components)
-        self.source_text = tuple(source_text)
+        # None until read: source_text formats the components then
+        self._source_text = None if source_text is None else tuple(source_text)
         self._shape, self._constants = _number(self.components, self.variables)
         self._value_kernel = _kernel(self._shape, self._constants, "value")
         # None until made: the Jacobian kernel by the first partial or
@@ -351,6 +350,16 @@ class ExprFunction:
     @property
     def n_outputs(self) -> int:
         return len(self.components)
+
+    @property
+    def source_text(self) -> tuple[str, ...]:
+        """Each component's text: the strings it was parsed from, or else
+        texts(), formatted on the first read."""
+        text = self._source_text
+        if text is None:
+            # idempotent, so readers racing here store equal tuples
+            text = self._source_text = self.texts()
+        return text
 
     def texts(self) -> tuple[str, ...]:
         """Canonical textual form of each component."""

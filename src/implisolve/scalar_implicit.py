@@ -12,14 +12,21 @@ The sign of dF/dy is the Mean-Value Theorem's hypothesis. Where F offers
 an interval enclosure of its partials over a box (Moore, Interval
 Analysis, 1966), one enclosure pass can prove that sign at every point
 of the closed grid, and find_box skips the sampled sweep, or keeps only
-F's own checks at each point. The proof holds exactly where the sweep
-would pass, so the boxes are those the sweep finds.
+F's own checks at each point. At level 2 of a system those checks are
+level 1's: x lies in level 1's box and level 1's face signs bracket its
+root, the Intermediate Value Theorem's hypothesis one level down. Where
+enclosures prove level 1's face signs over level 2's box, find_box drops
+that sweep too, and may then prove the sign of dF/dy by one split of the
+box. Level 2's own face signs are still sampled. Each proof holds exactly
+where the sweep it replaces would pass, so the boxes are those the
+sweeps find.
 
 The function argument is duck-typed: anything with n_inputs, n_outputs,
 eval(p) and partial(p, j) works, which is what lets the system solver feed
 its nested reduced functions through the same machinery. The dependent
-variable is always the last input. enclosure(lo, hi) and check_point(p)
-are optional (see _derivative_proved).
+variable is always the last input. enclosure(lo, hi), check_point(p) and,
+with check_point, checks_proved(lo, hi) are optional (see find_box and
+_derivative_proved).
 """
 
 from __future__ import annotations
@@ -148,8 +155,14 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     closed box. Where it proves the sign, the derivative sweep is skipped
     for an expression, and for a reduced function of the level above
     becomes a sweep of that level's checks before its root search, in the
-    same grid order. Elsewhere every grid point's partial is sampled. The
-    endpoint-sign sweep always samples.
+    same grid order. Elsewhere every grid point's partial is sampled.
+
+    Where F has check_point, checks_proved(lo, hi) says whether it
+    returns at every point of the closed box (at level 2: enclosures
+    prove level 1's face signs over it). There the sweep of checks is
+    dropped, and where the one enclosure does not prove the sign, one
+    split of the box may (see _derivative_proved) before the partial is
+    sampled. The endpoint-sign sweep always samples.
     """
     n = seed.n
     if seed.m != 1:
@@ -194,9 +207,13 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
 
         closed_axes = [_closed_axis(x_lo[i], x_hi[i], g) for i in range(n)]
         closed_axes.append(_closed_axis(y_lo, y_hi, g))
-        if _derivative_proved(F, closed_axes, n, sign):
+        box = _closed_box(closed_axes)
+        check_point = getattr(F, "check_point", None)
+        # F's own checks pass at every grid point
+        checked = check_point is not None and box is not None and F.checks_proved(*box)
+        if _derivative_proved(F, box, n, sign, checked):
             # the partial is proved wherever F gets past its own checks
-            fails = getattr(F, "check_point", None)
+            fails = None if checked else check_point
         else:
 
             def fails(point):
@@ -237,22 +254,52 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     raise BoxNotFound(last_failure[0], last_failure[1])
 
 
-def _derivative_proved(F, axes: list, n: int, sign: int) -> bool:
+def _closed_box(axes: list) -> tuple[list, list] | None:
+    """The closed box the grid axes span, (lo, hi) from their extremes (the
+    axis arithmetic may overshoot its end by an ulp), or None where an axis
+    overflows: its samples lie outside every box."""
+    if not all(map(math.isfinite, itertools.chain(*axes))):
+        return None
+    return [min(axis) for axis in axes], [max(axis) for axis in axes]
+
+
+def _derivative_proved(F, box: tuple | None, n: int, sign: int, split: bool) -> bool:
     """Whether an interval enclosure proves the derivative condition over
-    the closed box the grid axes span, from their extremes (the axis
-    arithmetic may overshoot its end by an ulp). F's enclosure(lo, hi),
-    where it has one, holds what F.partial computes at every point of the
-    box where F's check_point, if it has one, returns instead of raising
-    what F.partial would raise there, and returns None where it cannot
-    enclose. The proof holds where the dependent column's enclosure has
-    sign `sign`: then at those points F.partial raises nothing and
-    sign * dF/dy > 0, so a sampled sweep would fail exactly where
-    check_point raises. An axis that overflows holds samples outside
-    every box, so it proves nothing."""
+    the closed box (lo, hi); a box of None proves nothing. F's
+    enclosure(lo, hi), where it has one, holds what F.partial computes at
+    every point of the box where F's check_point, if it has one, returns
+    instead of raising what F.partial would raise there, and returns None
+    where it cannot enclose. The proof holds where the dependent column's
+    enclosure has sign `sign`: then at those points F.partial raises
+    nothing and sign * dF/dy > 0, so a sampled sweep would fail exactly
+    where check_point raises.
+
+    With split, where the one enclosure does not prove the sign, every
+    axis is bisected once at a float midpoint, and the proof holds where
+    each of the 2^(n+1) sub-boxes, whose union is the box, proves it.
+    find_box splits only where F's checks are proved: elsewhere a failing
+    attempt fails at its first grid point, and 2^(n+1) more enclosures
+    would only add cost."""
     enclosure = getattr(F, "enclosure", None)
-    if enclosure is None or not all(map(math.isfinite, itertools.chain(*axes))):
+    if enclosure is None or box is None:
         return False
-    enclosed = enclosure([min(axis) for axis in axes], [max(axis) for axis in axes])
+    lo, hi = box
+    if _sign_proved(enclosure(lo, hi), n, sign):
+        return True
+    if not split:
+        return False
+    halves = []
+    for a, b in zip(lo, hi):
+        mid = a + 0.5 * (b - a)
+        halves.append(((a, mid), (mid, b)))
+    return all(
+        _sign_proved(enclosure(*zip(*sub_box)), n, sign)
+        for sub_box in itertools.product(*halves)
+    )
+
+
+def _sign_proved(enclosed: tuple | None, n: int, sign: int) -> bool:
+    """Whether an enclosure's dF/dy has sign `sign`; None proves nothing."""
     if enclosed is None:
         return False
     low, high = enclosed[1][0][n]

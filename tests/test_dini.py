@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,7 @@ from implisolve import (
 )
 from implisolve import dini
 from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam
-from implisolve.linalg import hs_norm, inverse, solve, split_columns, vec_sub
+from implisolve.linalg import hs_norm, inverse, matvec, solve, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
 
@@ -563,7 +564,7 @@ def test_region_walk_checks_every_level(corpus_systems):
     assert not system._in_region((hi + 1e-9,), system._to_y(b))
     # the uniqueness scan draws only points of the region
     rng = random.Random(1)
-    assert all(system._in_region(a, system._sample_y(rng)) for _ in range(1000))
+    assert all(system._in_region(a, y) for y in system._sample_ys(rng, 1000))
 
 
 def stack_box_intersection(system):
@@ -786,6 +787,22 @@ def test_verify_uniqueness_report_is_deterministic(quad_system):
     assert a == b
 
 
+def reference_sample_y(system, rng):
+    """One point of the region's dependent part, drawn and mapped as the
+    scan did before its per-sample map became one loop over floats: each
+    z_k uniform, deepest level first, then y = b + J_inv (z - b) through
+    matvec and vec_sub where the system normalized."""
+    lo, hi = system.region
+    z = [0.0] * system.m
+    for k in reversed(range(system.m)):
+        z[k] = rng.uniform(lo[system.n + k], hi[system.n + k])
+    if system.normalizer is None:
+        return Vector(z)
+    b = system.seed.y
+    dy = matvec(system.normalizer, vec_sub(z, b))
+    return Vector(map(operator.add, b, dy))
+
+
 def two_pass_uniqueness(system, x, samples, rng_seed):
     """Reference scan: store every sample, then filter twice."""
     x = tuple(x)
@@ -794,7 +811,7 @@ def two_pass_uniqueness(system, x, samples, rng_seed):
     rng = random.Random(rng_seed)
     points = []
     for _ in range(samples):
-        y = system._sample_y(rng)
+        y = reference_sample_y(system, rng)
         points.append((max(abs(r) for r in system.F.eval(x + tuple(y))), y))
     best_res, best_point = min(points, key=lambda p: p[0])
     hit_dists = [vec_sub(y, y_star).norm() for res, y in points if res <= tol]
@@ -825,6 +842,26 @@ def two_pass_uniqueness(system, x, samples, rng_seed):
 def test_verify_uniqueness_matches_two_pass_reference(quad_system, x, rng_seed):
     report = quad_system.verify_uniqueness(x, samples=20000, rng_seed=rng_seed)
     assert report == two_pass_uniqueness(quad_system, x, 20000, rng_seed)
+
+
+@pytest.mark.parametrize("name", ["circle", "quad_pair", "cubic_triple"])
+def test_verify_uniqueness_equals_the_per_sample_reference_by_repr(corpus_systems, name):
+    """m = 1 (no normalizer), 2 and 3: the scan draws and maps exactly the
+    points reference_sample_y draws, so its report is equal by repr."""
+    system = {p.name: s for p, s in corpus_systems}[name]
+    x = tuple(a + 0.37 * (b - a) for a, b in zip(*system.x_box()))
+    report = system.verify_uniqueness(x, samples=3000, rng_seed=7)
+    assert type(report.best_point) is Vector
+    assert repr(report) == repr(two_pass_uniqueness(system, x, 3000, 7))
+
+
+@pytest.mark.parametrize("name", ["circle", "quad_pair", "cubic_triple"])
+def test_scan_draws_the_reference_points(corpus_systems, name):
+    system = {p.name: s for p, s in corpus_systems}[name]
+    drawn = list(system._sample_ys(random.Random(3), 2000))
+    rng = random.Random(3)
+    assert repr(drawn) == repr([reference_sample_y(system, rng) for _ in range(2000)])
+    assert all(type(y) is Vector for y in drawn)
 
 
 def test_verify_uniqueness_streaming_keeps_every_hit():

@@ -916,3 +916,29 @@ def test_a_second_reseeded_build_emits_no_kernel_source(monkeypatch):
         build_system(parse(quad, ["x", "y1", "y2"]), SplitPoint.of([x0], [y, y]))
         build_inverse(parse(square, ["x1", "x2"]), p)
     assert emitted == []
+
+
+def test_source_text_is_formatted_on_first_read(monkeypatch):
+    """A function made without texts formats none when it is built;
+    source_text formats them once, as texts() does, and a parsed function
+    keeps the strings it was parsed from."""
+    from implisolve import expr
+
+    formatted = []
+
+    def counted(node):
+        formatted.append(node)
+        return format_node(node)
+
+    monkeypatch.setattr(expr, "format_node", counted)
+    F = parse(["x*y+1", "ln(x)"], ["x", "y"])
+    G = F.substituted({"y": BinOp("-", Var("z"), const(2.0))}, ["x", "z"])
+    assert formatted == []
+    assert F.source_text == ("x*y+1", "ln(x)")
+    assert formatted == []
+    assert G.source_text == ("x * (z - 2.0) + 1.0", "ln(x)")
+    first_read = len(formatted)
+    assert first_read > 0
+    assert G.source_text == G.texts()
+    # the second read formats nothing; texts() formats afresh
+    assert len(formatted) == 2 * first_read
