@@ -20,11 +20,14 @@ class SolverOptions:
     the initial box half-width on independent axes; h0_dep overrides it on
     the dependent axes (useful when the solution range is asymmetric, e.g.
     inverting exp). grid_density is the number of samples per axis used in
-    box validation: the monotonicity check samples the closed box including
-    its corners, the endpoint-sign check samples strictly interior points
-    of the open independent box. Each real field must be an int or a
-    float, not a bool, in (0, sys.float_info.max], and grid_density an int
-    in [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
+    box validation: the monotonicity check reads the closed box including
+    its corners, the endpoint-sign check strictly interior points of the
+    open independent box. Where an interval proof settles a check over
+    the points it reads, they are not sampled (scalar_implicit.find_box);
+    the endpoint-sign proof keeps tol_sys as its margin for the error of a
+    computed value. Each real field must be an int or a float, not a
+    bool, in (0, sys.float_info.max], and grid_density an int in
+    [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
 
     The root finders need no iteration budget: ITP ends within its own
     step bound and Newton within a fixed few steps, both also stopping

@@ -37,10 +37,13 @@ every root phi returns, eliminated as partial eliminates it. It is the
 second pivot of an interval Gaussian elimination of G's dependent
 Jacobian (Neumaier, Interval Methods for Systems of Equations, 1990,
 ch. 4), and lets find_box prove level 2's monotonicity without nested
-solves. Its checks_proved encloses phi's F on level 1's two y-faces over
-a level-2 box, and lets find_box skip sampling phi's checks there.
-Deeper levels, whose phi nests solves, have no enclosure and prove no
-checks.
+solves. Its checks_proved proves the signs of phi's F on level 1's two
+y-faces over a level-2 box, by enclosure and, where that is too wide, by
+the mean-value form. There find_box skips sampling phi's checks, and
+tries to prove level 2's own face signs from the reduced function's
+enclosure and one nested solve per face centre, in place of one per
+grid point. Deeper levels, whose phi nests solves, have no enclosure and
+prove no checks.
 """
 
 from __future__ import annotations
@@ -75,7 +78,13 @@ from .linalg import (
     split_columns,
     vec_sub,
 )
-from .scalar_implicit import ImplicitSolution, SolutionBox, SplitPoint, build_implicit
+from .scalar_implicit import (
+    ImplicitSolution,
+    SolutionBox,
+    SplitPoint,
+    _face_proved,
+    build_implicit,
+)
 
 _NORMALIZE_TOL = 1e-10
 
@@ -171,9 +180,9 @@ class _ComponentSlice:
         """The wrapped function's check_point, at p unpermuted."""
         self.fn.check_point(self._unpermute(p))
 
-    def checks_proved(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
+    def checks_proved(self, lo: Sequence[float], hi: Sequence[float], margin: float) -> bool:
         """The wrapped function's checks_proved, over the box unpermuted."""
-        return self.fn.checks_proved(self._unpermute(lo), self._unpermute(hi))
+        return self.fn.checks_proved(self._unpermute(lo), self._unpermute(hi), margin)
 
 
 class _ReducedFunction:
@@ -263,14 +272,16 @@ class _ReducedFunction:
         ahead of its root search. Past them the search succeeds."""
         self.phi._bracket(tuple(u))
 
-    def checks_proved(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
+    def checks_proved(self, lo: Sequence[float], hi: Sequence[float], margin: float) -> bool:
         """Whether check_point returns at every point u of the closed box
         [lo, hi]: level 1's IVT face test, restricted to this box. It holds
         where phi's F is an ExprFunction, the box lies strictly inside
-        phi's open x-box, coordinate by coordinate, and two enclosures of
-        phi's F prove sign * F < 0 on the box at y_lo and > 0 at y_hi. An
-        enclosure holds what F.eval computes, so there phi's checks raise
-        nothing. False wherever that is not proved."""
+        phi's open x-box, coordinate by coordinate, and phi's F is proved
+        to have sign * F < 0 on the box at y_lo and > 0 at y_hi, where
+        phi._bracket reads its signs: by its enclosure over each face, its
+        mean-value form with margin for the error of a computed value, or
+        a bounded split of the face (scalar_implicit._face_proved). There
+        phi's checks raise nothing. False wherever that is not proved."""
         phi = self.phi
         box = phi.box
         if not isinstance(phi.F, ExprFunction):
@@ -278,14 +289,10 @@ class _ReducedFunction:
         for low, a, b, high in zip(box.x_lo, lo, hi, box.x_hi):
             if not low < a <= b < high:
                 return False
-        for y, face_sign in ((box.y_lo, -box.sign), (box.y_hi, box.sign)):
-            enclosed = phi.F.enclosure(tuple(lo) + (y,), tuple(hi) + (y,))
-            if enclosed is None:
-                return False
-            low, high = enclosed[0][0]
-            if not (low > 0.0 if face_sign > 0 else high < 0.0):
-                return False
-        return True
+        return all(
+            _face_proved(phi.F, list(lo) + [y], list(hi) + [y], face_sign, margin)
+            for y, face_sign in ((box.y_lo, -box.sign), (box.y_hi, box.sign))
+        )
 
 
 def _eliminate_z1(jg: Matrix, n: int) -> Matrix:

@@ -17,16 +17,24 @@ level 1's: x lies in level 1's box and level 1's face signs bracket its
 root, the Intermediate Value Theorem's hypothesis one level down. Where
 enclosures prove level 1's face signs over level 2's box, find_box drops
 that sweep too, and may then prove the sign of dF/dy by one split of the
-box. Level 2's own face signs are still sampled. Each proof holds exactly
-where the sweep it replaces would pass, so the boxes are those the
-sweeps find.
+box.
+
+The face signs are the Intermediate Value Theorem's hypothesis at this
+level. find_box proves them over the hull of the interior grid points
+that its sweep reads, by F's enclosure on each face, then its mean-value
+form (Neumaier, Interval Methods for Systems of Equations, 1990, ch. 2),
+then a bounded split of the face, and samples them only where that
+fails. At level 2 it tries only where level 1's checks are proved. A
+proof only skips a sweep whose outcome it settles: where it holds, the
+sweep would pass, and where it fails, the sweep runs. So the boxes are
+those the sweeps find.
 
 The function argument is duck-typed: anything with n_inputs, n_outputs,
 eval(p) and partial(p, j) works, which is what lets the system solver feed
 its nested reduced functions through the same machinery. The dependent
 variable is always the last input. enclosure(lo, hi), check_point(p) and,
-with check_point, checks_proved(lo, hi) are optional (see find_box and
-_derivative_proved).
+with check_point, checks_proved(lo, hi, margin) are optional (see
+find_box, _derivative_proved and _face_proved).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import SolverOptions
+from .dual import DomainViolation
 from .errors import (
     BoxNotFound,
     DegenerateDerivative,
@@ -79,6 +88,15 @@ MAX_SHRINK = 40
 # per attempt, each a partial evaluation) would run for hours.
 MAX_GRID_SAMPLES = 10_000_000
 
+# A face that neither its enclosure nor its mean-value form proves is
+# bisected on every axis, and each half that fails again, at most this many
+# times deep, so its smallest parts are an eighth of its width: fewer of
+# them (8^n at most) than the sweep reads points on it (9^n at the default
+# density). Over 80 square-map inverse builds drawn as the benchmark draws
+# them, depths 1, 2 and 3 leave 39, 12 and 8.2 nested solves per build
+# (164 with no face proof); depth 4 leaves 8.2 too.
+FACE_SPLITS = 3
+
 
 @dataclass(frozen=True)
 class SplitPoint:
@@ -114,8 +132,9 @@ class SolutionBox:
     """Open box X times [y_lo, y_hi] with validation metadata.
 
     sign is the recorded orientation of dF/dy. find_box returns a box only
-    when its grid checks passed: sign * dF/dy > 0 on the closed box and
-    sign * F(x, y_lo) < 0 < sign * F(x, y_hi) at the sampled interior x.
+    when its grid checks passed, by sampling or by an interval proof over
+    the points sampled: sign * dF/dy > 0 on the closed grid and
+    sign * F(x, y_lo) < 0 < sign * F(x, y_hi) at the interior grid x.
     """
 
     x_lo: Vector
@@ -157,12 +176,18 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     becomes a sweep of that level's checks before its root search, in the
     same grid order. Elsewhere every grid point's partial is sampled.
 
-    Where F has check_point, checks_proved(lo, hi) says whether it
-    returns at every point of the closed box (at level 2: enclosures
-    prove level 1's face signs over it). There the sweep of checks is
-    dropped, and where the one enclosure does not prove the sign, one
-    split of the box may (see _derivative_proved) before the partial is
-    sampled. The endpoint-sign sweep always samples.
+    Where F has check_point, checks_proved(lo, hi, tol_sys) says whether
+    it returns at every point of the closed box (at level 2: level 1's
+    face signs are proved over it). There the sweep of checks is dropped,
+    and where the one enclosure does not prove the sign, one split of the
+    box may (see _derivative_proved) before the partial is sampled.
+
+    The endpoint-sign sweep reads F at the interior grid points of both
+    faces. Where F has an enclosure, _faces_proved first tries to prove
+    their signs over the hull of those points, with margin tol_sys for
+    the error of a computed value (see _face_proved), and where it does,
+    the sweep is skipped. Where F has check_point, the proof is tried only
+    where checks_proved holds over the closed box.
     """
     n = seed.n
     if seed.m != 1:
@@ -198,6 +223,7 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         reach = sum(abs(F.partial(p0, j)[0] / slope) for j in range(n))
         hy = options.h0 * max(1.0, SLOPE_MARGIN * reach)
     last_failure = ("derivative", p0)
+    enclosure = getattr(F, "enclosure", None)
 
     for attempt in range(MAX_SHRINK + 1):
         x_lo = [a[i] - hx[i] for i in range(n)]
@@ -207,11 +233,15 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
 
         closed_axes = [_closed_axis(x_lo[i], x_hi[i], g) for i in range(n)]
         closed_axes.append(_closed_axis(y_lo, y_hi, g))
-        box = _closed_box(closed_axes)
+        box = _closed_box(closed_axes, x_lo + [y_lo], x_hi + [y_hi])
+        enclosed = None if enclosure is None or box is None else enclosure(*box)
         check_point = getattr(F, "check_point", None)
         # F's own checks pass at every grid point
-        checked = check_point is not None and box is not None and F.checks_proved(*box)
-        if _derivative_proved(F, box, n, sign, checked):
+        checked = (
+            check_point is not None and box is not None
+            and F.checks_proved(*box, options.tol_sys)
+        )
+        if _derivative_proved(F, box, enclosed, n, sign, checked):
             # the partial is proved wherever F gets past its own checks
             fails = None if checked else check_point
         else:
@@ -226,16 +256,23 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
 
         if failure is None:
             interior_axes = [_interior_axis(x_lo[i], x_hi[i], g) for i in range(n)]
-            for xs in itertools.product(*interior_axes):
-                try:
-                    lo_ok = sign * F.eval(xs + (y_lo,))[0] < 0.0
-                    hi_ok = sign * F.eval(xs + (y_hi,))[0] > 0.0
-                except (DomainError, OutsideBox, NoConvergence):
-                    failure = ("endpoint-sign", xs)
-                    break
-                if not (lo_ok and hi_ok):
-                    failure = ("endpoint-sign", xs)
-                    break
+            # the closed hull of the points the sweep reads, both faces. It
+            # lies in the closed box, which holds [x_lo, x_hi] x [y_lo, y_hi],
+            # so enclosed and F's proved checks hold on it
+            faces = (
+                [axis[0] for axis in interior_axes] + [y_lo],
+                [axis[-1] for axis in interior_axes] + [y_hi],
+            )
+            provable = enclosure is not None and (check_point is None or checked)
+            if not (provable and _faces_proved(F, faces, sign, options.tol_sys, enclosed)):
+
+                def fails(xs):
+                    low = sign * F.eval(xs + (y_lo,))[0]
+                    return not (low < 0.0 < sign * F.eval(xs + (y_hi,))[0])
+
+                point = _first_failure(interior_axes, fails)
+                if point is not None:
+                    failure = ("endpoint-sign", point)
 
         if failure is None:
             return SolutionBox(
@@ -254,25 +291,30 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     raise BoxNotFound(last_failure[0], last_failure[1])
 
 
-def _closed_box(axes: list) -> tuple[list, list] | None:
-    """The closed box the grid axes span, (lo, hi) from their extremes (the
-    axis arithmetic may overshoot its end by an ulp), or None where an axis
-    overflows: its samples lie outside every box."""
+def _closed_box(axes: list, lo: list, hi: list) -> tuple[list, list] | None:
+    """The closed box that holds both the grid axes and [lo, hi], the box
+    they divide (the axis arithmetic may miss an end by an ulp either way),
+    or None where an axis overflows: its samples lie outside every box."""
     if not all(map(math.isfinite, itertools.chain(*axes))):
         return None
-    return [min(axis) for axis in axes], [max(axis) for axis in axes]
+    return (
+        [min(a, *axis) for a, axis in zip(lo, axes)],
+        [max(b, *axis) for b, axis in zip(hi, axes)],
+    )
 
 
-def _derivative_proved(F, box: tuple | None, n: int, sign: int, split: bool) -> bool:
+def _derivative_proved(
+    F, box: tuple | None, enclosed: tuple | None, n: int, sign: int, split: bool
+) -> bool:
     """Whether an interval enclosure proves the derivative condition over
-    the closed box (lo, hi); a box of None proves nothing. F's
-    enclosure(lo, hi), where it has one, holds what F.partial computes at
-    every point of the box where F's check_point, if it has one, returns
-    instead of raising what F.partial would raise there, and returns None
-    where it cannot enclose. The proof holds where the dependent column's
-    enclosure has sign `sign`: then at those points F.partial raises
-    nothing and sign * dF/dy > 0, so a sampled sweep would fail exactly
-    where check_point raises.
+    the closed box (lo, hi); a box of None proves nothing. enclosed is F's
+    enclosure(lo, hi) over the box, or None. F's enclosure, where it has
+    one, holds what F.partial computes at every point of the box where F's
+    check_point, if it has one, returns instead of raising what F.partial
+    would raise there, and returns None where it cannot enclose. The proof
+    holds where the dependent column's enclosure has sign `sign`: then at
+    those points F.partial raises nothing and sign * dF/dy > 0, so a
+    sampled sweep would fail exactly where check_point raises.
 
     With split, where the one enclosure does not prove the sign, every
     axis is bisected once at a float midpoint, and the proof holds where
@@ -280,22 +322,130 @@ def _derivative_proved(F, box: tuple | None, n: int, sign: int, split: bool) -> 
     find_box splits only where F's checks are proved: elsewhere a failing
     attempt fails at its first grid point, and 2^(n+1) more enclosures
     would only add cost."""
-    enclosure = getattr(F, "enclosure", None)
-    if enclosure is None or box is None:
-        return False
-    lo, hi = box
-    if _sign_proved(enclosure(lo, hi), n, sign):
+    if _sign_proved(enclosed, n, sign):
         return True
-    if not split:
+    if not split or box is None or getattr(F, "enclosure", None) is None:
         return False
+    return all(
+        _sign_proved(F.enclosure(*sub_box), n, sign) for sub_box in _halves(*box)
+    )
+
+
+def _halves(lo: Sequence[float], hi: Sequence[float]):
+    """The sub-boxes (lo, hi) of the box bisected once at a float midpoint
+    on every axis of positive width, in product order. Their union is the
+    box."""
     halves = []
     for a, b in zip(lo, hi):
         mid = a + 0.5 * (b - a)
-        halves.append(((a, mid), (mid, b)))
+        halves.append(((a, mid), (mid, b)) if a < b else ((a, b),))
+    for sub_box in itertools.product(*halves):
+        yield tuple(zip(*sub_box))
+
+
+def _faces_proved(F, faces: tuple, sign: int, margin: float, enclosed: tuple | None) -> bool:
+    """Whether sign * F < 0 at every float point of the face y = y_lo and
+    > 0 at every one of y = y_hi, where faces = (lo, hi) is their hull:
+    its last axis runs from y_lo to y_hi. enclosed is an enclosure of F
+    over a box that holds both faces, or None (see _face_proved)."""
+    lo, hi = faces
     return all(
-        _sign_proved(enclosure(*zip(*sub_box)), n, sign)
-        for sub_box in itertools.product(*halves)
+        _face_proved(F, lo[:-1] + [y], hi[:-1] + [y], face_sign, margin, enclosed)
+        for y, face_sign in ((lo[-1], -sign), (hi[-1], sign))
     )
+
+
+def _face_proved(
+    F, lo: Sequence[float], hi: Sequence[float], sign: int, margin: float,
+    enclosed: tuple | None = None, splits: int = FACE_SPLITS,
+) -> bool:
+    """Whether sign * F.eval(p)[0] > 0 at every float point p of the closed
+    box [lo, hi], and F.eval raises nothing there. F needs eval and
+    enclosure. Where F has check_point, it must return at every point of
+    the box (checks_proved holds over a box that holds this one). enclosed
+    is F's enclosure over a box that holds this one, or None.
+
+    F's value at the centre is computed first and must have the sign: no
+    box that holds the centre can be proved otherwise. Then, in order:
+
+    1. the mean-value form with enclosed's rows;
+    2. F's enclosure over the box, whose values hold every value F.eval
+       computes there;
+    3. the mean-value form with that enclosure's rows;
+    4. where splits > 0, the same on each half of the box (_halves),
+       whose union is the box, with splits - 1 and the box's enclosure as
+       enclosed.
+
+    The mean-value form. Where an enclosure over a box B holds the
+    partials of the exact function f at every point of B, then for every
+    point p of the box and its centre c,
+
+        f(p) in f(c) + sum_j [df/dv_j](B) (p_j - c_j)
+
+    (Neumaier, Interval Methods for Systems of Equations, 1990, ch. 2).
+    The sum is taken in outward-rounded interval arithmetic over p_j in
+    [lo_j, hi_j], so it bounds f on the whole box. F's enclosures hold its
+    exact partials: an expression's by outward rounding, and at level 2 of
+    a system, where level 1's checks are proved, because phi's exact root
+    is then the one root in phi's interval, differentiable in u, and the
+    enclosure takes z1 over that interval.
+
+    The margin. F.eval(c) is computed, not exact, and so is each value the
+    sweep reads: each is f plus an error e. With M the bound above taken
+    at the computed F(c), the computed value at p lies in M - e(c) + e(p),
+    so its sign is M's wherever M clears zero by |e(c)| + |e(p)|; margin
+    stands for that sum. At an expression, e is rounding: a few ulps of
+    its largest term, about 1e-15 on the corpus. At level 2, F.eval also
+    solves for z1 by ITP, whose answer lies within tol_root of the exact
+    root, so e grows by up to tol_root |dG/dz1|: 1e-12 times a slope of
+    order one at the defaults. find_box passes tol_sys, 1e-9 by default,
+    which clears both by three orders of magnitude. Its premise is the
+    solver's own: every residual test takes |F| <= tol_sys as a zero,
+    which presumes F computed to well within tol_sys."""
+    if not all(map(math.isfinite, itertools.chain(lo, hi))):
+        return False
+    centre = tuple(a + 0.5 * (b - a) for a, b in zip(lo, hi))
+    try:
+        value = F.eval(centre)[0]
+    except (DomainError, OutsideBox, NoConvergence):
+        return False
+    if not sign * value > 0.0:
+        return False
+    if _mean_value_clears(value, enclosed, lo, hi, centre, sign, margin):
+        return True
+    whole = F.enclosure(lo, hi)
+    if whole is not None:
+        low, high = whole[0][0]
+        if low > 0.0 if sign > 0 else high < 0.0:
+            return True
+        if _mean_value_clears(value, whole, lo, hi, centre, sign, margin):
+            return True
+        enclosed = whole
+    return splits > 0 and all(
+        _face_proved(F, a, b, sign, margin, enclosed, splits - 1) for a, b in _halves(lo, hi)
+    )
+
+
+def _mean_value_clears(
+    value: float, enclosed: tuple | None, lo: Sequence[float], hi: Sequence[float],
+    centre: Sequence[float], sign: int, margin: float,
+) -> bool:
+    """Whether the mean-value form value + sum_j rows[0][j] ([lo_j, hi_j] -
+    centre_j), with (values, rows) = enclosed, has sign `sign` and clears
+    zero by margin (see _face_proved). An enclosure of None, or a bound
+    that overflows, proves nothing."""
+    if enclosed is None:
+        return False
+    from . import interval
+
+    bound = (value, value)
+    try:
+        for d, a, b, c in zip(enclosed[1][0], lo, hi, centre):
+            if a < b:
+                bound = interval.add(bound, interval.mul(d, interval.sub((a, b), (c, c))))
+    except DomainViolation:
+        return False
+    return bound[0] > margin if sign > 0 else bound[1] < -margin
 
 
 def _sign_proved(enclosed: tuple | None, n: int, sign: int) -> bool:

@@ -1,18 +1,19 @@
 """find_box skips its sampled derivative sweep where an interval
-enclosure proves the derivative's sign over the closed box, and at level 2
-its sweep of level 1's checks where enclosures prove level 1's face signs
-over the box, and builds exactly what the sweeps build."""
+enclosure proves the derivative's sign over the closed box, at level 2
+its sweep of level 1's checks where level 1's face signs are proved over
+the box, and its endpoint-sign sweep where the face signs are proved over
+the points it reads, and builds exactly what the sweeps build."""
 
 import functools
 import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from implisolve import SolverOptions, SplitPoint, build_system, dini, parse
 from implisolve import scalar_implicit
-from implisolve.errors import BoxNotFound, NoConvergence
+from implisolve.errors import BoxNotFound, NoConvergence, OutsideBox
 from implisolve.expr import ExprFunction
 from implisolve.inverse import build_inverse
 
@@ -20,6 +21,8 @@ from conftest import CORPUS
 
 QUAD_PAIR = (["y1^2 + y2 - x - 1", "y1 + y2^2 - x - 1"], ["x", "y1", "y2"])
 SQUARE_MAP = (["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+# the margin find_box gives its face proofs
+TOL = SolverOptions().tol_sys
 
 
 def _quad_pair_at(x0):
@@ -64,14 +67,24 @@ def test_proved_builds_skip_the_derivative_sweeps(monkeypatch, build, expr_parti
 # Before level 1's face signs were proved over the level-2 box, the inverse
 # build at (1, 0) made 730 _ReducedFunction.check_point calls, and before
 # the pivot was proved by one split, the one at (0.8, -0.25) made 733
-# _ReducedFunction.partial calls. The bounds are a tenth of each.
+# _ReducedFunction.partial calls. The bounds are a tenth of each. Before
+# level 2's own face signs were proved, each build made 164
+# _ReducedFunction.eval calls, one nested solve each, 162 of them in the
+# endpoint-sign sweep. Their bound is a fifth: the proof at (0.8, -0.25)
+# splits a face and solves at the centre of each part, 24 calls in all.
 @pytest.mark.parametrize(
-    "p, method, calls", [((1.0, 0.0), "check_point", 730), ((0.8, -0.25), "partial", 733)]
+    "p, method, calls",
+    [
+        ((1.0, 0.0), "check_point", 730),
+        ((0.8, -0.25), "partial", 733),
+        ((1.0, 0.0), "eval", 164),
+        ((0.8, -0.25), "eval", 164),
+    ],
 )
 def test_proved_checks_skip_the_level_2_sweeps(monkeypatch, p, method, calls):
     counts = _counting(monkeypatch, dini._ReducedFunction, method)
     _square_map_at(p)()
-    assert len(counts) <= calls // 10
+    assert len(counts) <= calls // (5 if method == "eval" else 10)
 
 
 # level 2 solves y2 = 1e30 x^2, whose root leaves every box the search tries
@@ -82,6 +95,14 @@ BUILDS = [
     *[(f"quad_pair at {x0}", _quad_pair_at(x0)) for x0 in (0.5, 0.8, 1.3, 1.5)],
     *[(f"square map at {p}", _square_map_at(p))
       for p in ((1.0, 0.0), (0.7, 0.5), (1.1, -0.4), (0.8, -0.25))],
+    # the benchmark's build-heavy strata, each at its middle: quad_pair
+    # re-seeded on x0 in [0.5, 1.5], and the square map at r in [0.8, 1.2]
+    # and theta in [-0.6, 0.6]
+    *[(f"quad_pair at stratum {k}", _quad_pair_at(0.5 + (k + 0.5) / 8)) for k in range(8)],
+    *[(f"square map at stratum {k}", _square_map_at((
+        (0.8 + 0.1 * (k % 4 + 0.5)) * math.cos(-0.6 + 0.6 * (k // 4 + 0.5)),
+        (0.8 + 0.1 * (k % 4 + 0.5)) * math.sin(-0.6 + 0.6 * (k // 4 + 0.5)))))
+      for k in range(8)],
     ("circle at grid 5", lambda: build_system(
         parse(["x^2 + y^2 - 1"], ["x", "y"]), SplitPoint.of([0.0], [1.0]),
         SolverOptions(h0=0.8, grid_density=5))),
@@ -101,7 +122,8 @@ _FIRST_FAILURE = scalar_implicit._first_failure
 
 def _built(monkeypatch, build):
     """The build's boxes and region, or its refusal, and the grid point at
-    which each failed attempt's derivative condition failed."""
+    which each failed attempt's derivative or endpoint-sign sweep failed:
+    both sweeps run through _first_failure."""
     failures = []
 
     def recorded(axes, fails):
@@ -124,7 +146,8 @@ def _built(monkeypatch, build):
 def test_build_is_the_same_without_the_proof(monkeypatch, name, build):
     proved = _built(monkeypatch, build)
     monkeypatch.setattr(scalar_implicit, "_derivative_proved", lambda *args: False)
-    monkeypatch.setattr(dini._ReducedFunction, "checks_proved", lambda self, lo, hi: False)
+    monkeypatch.setattr(scalar_implicit, "_faces_proved", lambda *args: False)
+    monkeypatch.setattr(dini._ReducedFunction, "checks_proved", lambda self, lo, hi, margin: False)
     assert repr(_built(monkeypatch, build)) == repr(proved)
 
 
@@ -135,15 +158,30 @@ def _mirrored_quad_pair():
     return build_system(F, SplitPoint.of([1.0], [1.0, 1.0]))
 
 
+_BUILDS_BY_NAME = {
+    "square map": _square_map_at((1.0, 0.0)),
+    "quad_pair": _quad_pair_at(1.0),
+    "mirrored quad_pair": _mirrored_quad_pair,
+    **{p.name: (lambda p=p: build_system(p.F, p.seed, p.options)) for p in CORPUS if p.seed.m == 1},
+}
+
+
 @functools.lru_cache(maxsize=None)
+def _system(name):
+    return _BUILDS_BY_NAME[name]()
+
+
+def _solution(name, depth):
+    """The scalar solution at level `depth` of a build."""
+    system = _system(name)
+    for _ in range(depth - 1):
+        system = system.child
+    return system.scalar
+
+
 def _level_2(name):
     """The reduced function level 2 of a build solves."""
-    build = {
-        "square map": _square_map_at((1.0, 0.0)),
-        "quad_pair": _quad_pair_at(1.0),
-        "mirrored quad_pair": _mirrored_quad_pair,
-    }[name]
-    return build().child.F
+    return _solution(name, 2).F
 
 
 def _closed(box):
@@ -154,26 +192,67 @@ def test_checks_proved_over_the_square_map_level_2_box():
     system = _square_map_at((1.0, 0.0))()
     F = system.child.F
     lo, hi = _closed(system.child.scalar.box)
-    assert F.checks_proved(lo, hi)
+    assert F.checks_proved(lo, hi, TOL)
     # touching phi's open x-box proves nothing
     touching = [F.phi.box.x_lo[0]] + lo[1:]
-    assert not F.checks_proved(touching, hi)
-    assert not F.checks_proved([math.nan] + lo[1:], hi)
+    assert not F.checks_proved(touching, hi, TOL)
+    assert not F.checks_proved([math.nan] + lo[1:], hi, TOL)
+
+
+def _grid(lo, hi, count):
+    """count points on each axis of the closed box, its corners among them."""
+    axes = [[a + i * (b - a) / (count - 1) for i in range(count)] for a, b in zip(lo, hi)]
+    return itertools.product(*axes)
+
+
+def test_mean_value_proves_the_quad_pair_level_2_checks():
+    """quad_pair's level-1 face at y_lo encloses above 0 over level 2's
+    box, so the enclosure alone cannot prove phi's checks there; the
+    mean-value form does, and they hold on a fine grid."""
+    F = _level_2("quad_pair")
+    lo, hi = _closed(_solution("quad_pair", 2).box)
+    box = F.phi.box
+    low, high = F.phi.F.enclosure(lo + [box.y_lo], hi + [box.y_lo])[0][0]
+    assert low < 0.0 < high
+    assert F.checks_proved(lo, hi, TOL)
+    for point in _grid(lo, hi, 21):
+        F.phi._bracket(point)
 
 
 def test_checks_proved_is_false_where_it_cannot_prove(monkeypatch):
-    # quad_pair's level-1 face at y_lo encloses above 0 over level 2's box
-    system = _quad_pair_at(1.0)()
-    assert not system.child.F.checks_proved(*_closed(system.child.scalar.box))
+    # a box with one corner on the zero set of quad_pair's level-1 face at
+    # y_lo: phi's checks return at every point of it, but F there is
+    # within any margin of 0
+    F = _level_2("quad_pair")
+    box = F.phi.box
+    centre = [a + 0.5 * (b - a) for a, b in zip(box.x_lo, box.x_hi)]
+    corner = (box.x_lo[0], box.x_hi[1])
+
+    def on_segment(t):
+        return [c + t * (k - c) for c, k in zip(centre, corner)]
+
+    def face(point):
+        return box.sign * F.phi.F.eval(tuple(point) + (box.y_lo,))[0]
+
+    below, above = 0.0, 1.0
+    assert face(on_segment(below)) < 0.0 < face(on_segment(above))
+    for _ in range(60):
+        t = 0.5 * (below + above)
+        below, above = (t, above) if face(on_segment(t)) < 0.0 else (below, t)
+    x, z2 = on_segment(below)
+    lo, hi = [x, centre[1]], [centre[0], z2]
+    for point in _grid(lo, hi, 41):
+        F.phi._bracket(point)
+    assert not F.checks_proved(lo, hi, TOL)
     # cubic_triple's level 3: phi's F is level 2's reduced function
     cubic = next(p for p in CORPUS if p.name == "cubic_triple")
     system = build_system(cubic.F, cubic.seed, cubic.options)
     level_3 = system.child.child
-    assert not level_3.F.checks_proved(*_closed(level_3.scalar.box))
+    assert not level_3.F.checks_proved(*_closed(level_3.scalar.box), TOL)
     # an enclosure of None proves nothing
     square = _square_map_at((1.0, 0.0))()
     monkeypatch.setattr(ExprFunction, "enclosure", lambda self, lo, hi: None)
-    assert not square.child.F.checks_proved(*_closed(square.child.scalar.box))
+    assert not square.child.F.checks_proved(*_closed(square.child.scalar.box), TOL)
 
 
 def test_checks_proved_needs_both_faces():
@@ -189,7 +268,7 @@ def test_checks_proved_needs_both_faces():
     assert box.sign * high < 0.0
     with pytest.raises(NoConvergence):
         F.phi._bracket((lo[0], hi[1]))
-    assert not F.checks_proved(lo, hi)
+    assert not F.checks_proved(lo, hi, TOL)
 
 
 class _HalfWidthProof:
@@ -207,15 +286,53 @@ class _HalfWidthProof:
 
 def test_split_proves_on_every_half_and_only_with_split():
     F = _HalfWidthProof()
-    assert not scalar_implicit._derivative_proved(F, ([0.0, 0.0], [1.0, 1.0]), 1, 1, False)
-    assert F.boxes == [((0.0, 0.0), (1.0, 1.0))]
-    assert scalar_implicit._derivative_proved(F, ([0.0, 0.0], [1.0, 1.0]), 1, 1, True)
-    # the whole box again, then its four quarters, whose union is the box
-    assert F.boxes[2:] == [
+    box = ([0.0, 0.0], [1.0, 1.0])
+    enclosed = F.enclosure(*box)
+    assert not scalar_implicit._derivative_proved(F, box, enclosed, 1, 1, False)
+    assert scalar_implicit._derivative_proved(F, box, enclosed, 1, 1, True)
+    # the whole box, then its four quarters, whose union is the box
+    assert F.boxes == [
+        ((0.0, 0.0), (1.0, 1.0)),
         ((0.0, 0.0), (0.5, 0.5)), ((0.0, 0.5), (0.5, 1.0)),
         ((0.5, 0.0), (1.0, 0.5)), ((0.5, 0.5), (1.0, 1.0)),
     ]
-    assert not scalar_implicit._derivative_proved(F, ([0.0, 0.0], [1.0, 1.0]), 1, -1, True)
+    assert not scalar_implicit._derivative_proved(F, box, enclosed, 1, -1, True)
+
+
+class _UnprovedChecks:
+    """F(x, y) = y with checks, as a nested function has, that fail for x
+    in (-0.36, -0.30) and are never proved. From the seed (0, 0), the first
+    box attempt's closed grid (x a multiple of 0.125) misses that interval
+    and its interior grid point x = -1/3 lies in it. The enclosure proves
+    everything."""
+
+    n_inputs = 2
+    n_outputs = 1
+
+    def check_point(self, p):
+        if -0.36 < p[0] < -0.30:
+            raise OutsideBox(p)
+
+    def checks_proved(self, lo, hi, margin):
+        return False
+
+    def eval(self, p):
+        self.check_point(p)
+        return (p[1],)
+
+    def partial(self, p, j):
+        self.check_point(p)
+        return (float(j == 1),)
+
+    def enclosure(self, lo, hi):
+        return ((lo[1], hi[1]),), (((0.0, 0.0), (1.0, 1.0)),)
+
+
+def test_faces_are_proved_only_where_the_checks_are():
+    """The face proof would hold on the first attempt, but F's checks are
+    not proved there, so the sweep runs and fails at x = -1/3."""
+    box = scalar_implicit.find_box(_UnprovedChecks(), SplitPoint.of([0.0], [0.0]))
+    assert box.shrinks == 1
 
 
 def _triples(low, high):
@@ -227,12 +344,14 @@ def _triples(low, high):
 @given(
     st.sampled_from(["square map", "quad_pair", "mirrored quad_pair"]),
     _triples(-10, 110),
-    _triples(0, 20),
+    _triples(0, 30),
     st.lists(_triples(0, 100), max_size=4),
 )
+# quad_pair's level-2 box, which only the mean-value form proves
+@example("quad_pair", (0.5, 0.5, 0.5), (0.22, 0.28, 0.0), [])
 def test_proved_checks_hold_at_every_point(name, centres, widths, inner):
     """Boxes centred in level 1's x-box or up to a tenth of its width
-    beyond it, each half-width up to a fifth of its width: wherever
+    beyond it, each half-width up to 0.3 of its width: wherever
     checks_proved holds, phi's checks return at every corner and at
     points inside."""
     F = _level_2(name)
@@ -241,7 +360,7 @@ def test_proved_checks_hold_at_every_point(name, centres, widths, inner):
     for a, b, c, w in zip(box.x_lo, box.x_hi, centres, widths):
         lo.append(a + (c - w) * (b - a))
         hi.append(a + (c + w) * (b - a))
-    if not F.checks_proved(lo, hi):
+    if not F.checks_proved(lo, hi, TOL):
         return
     points = list(itertools.product(*zip(lo, hi)))
     points += [
@@ -250,3 +369,58 @@ def test_proved_checks_hold_at_every_point(name, centres, widths, inner):
     ]
     for point in points:
         F.phi._bracket(point)
+
+
+LEVELS = [
+    ("circle", 1), ("sin_cubic", 1), ("log_curve", 1),
+    ("quad_pair", 1), ("quad_pair", 2),
+    ("mirrored quad_pair", 1), ("mirrored quad_pair", 2),
+    ("square map", 1), ("square map", 2),
+]
+
+
+def _quadruples(low, high):
+    """Four fractions, in hundredths from low to high: one per axis of the
+    widest level, level 1 of the square map."""
+    hundredths = st.integers(low, high).map(lambda k: k / 100)
+    return st.tuples(hundredths, hundredths, hundredths, hundredths)
+
+
+@given(
+    st.sampled_from(LEVELS),
+    _quadruples(-20, 120),
+    _quadruples(1, 60),
+    st.booleans(),
+    st.lists(_quadruples(0, 100), max_size=4),
+)
+def test_proved_faces_hold_at_every_point(level, centres, widths, given_enclosure, inner):
+    """Boxes about a level's validated box, each axis centred up to a fifth
+    of its width beyond it, with half-widths up to 0.6 of it. The points
+    find_box's sweep reads are the interior grid points of the box's two
+    y-faces. Wherever _faces_proved holds over their hull, with or without
+    an enclosure over the hull passed in, and at level 2 where
+    checks_proved holds there too, F's computed sign at each of them, and
+    at points of the hull, is the proved one."""
+    solution = _solution(*level)
+    F, box = solution.F, solution.box
+    n = len(box.x_lo)
+    lo, hi = [], []
+    for a, b, c, w in zip(*_closed(box), centres, widths):
+        lo.append(a + (c - w) * (b - a))
+        hi.append(a + (c + w) * (b - a))
+    g = box.grid_density
+    axes = [scalar_implicit._interior_axis(a, b, g) for a, b in zip(lo[:n], hi[:n])]
+    faces = ([axis[0] for axis in axes] + [lo[n]], [axis[-1] for axis in axes] + [hi[n]])
+    if hasattr(F, "check_point") and not F.checks_proved(*faces, TOL):
+        return
+    enclosed = F.enclosure(*faces) if given_enclosure else None
+    if not scalar_implicit._faces_proved(F, faces, box.sign, TOL, enclosed):
+        return
+    hull = list(zip(*faces))[:n]
+    points = list(itertools.product(*axes))
+    points += [
+        tuple(min(max(a + w * (b - a), a), b) for (a, b), w in zip(hull, fractions))
+        for fractions in inner
+    ]
+    for xs in points:
+        assert box.sign * F.eval(xs + (lo[n],))[0] < 0.0 < box.sign * F.eval(xs + (hi[n],))[0]
