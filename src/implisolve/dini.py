@@ -31,19 +31,18 @@ expression functions, with exact chain-rule derivatives, not finite
 differences. A system's level-1 F must be an ExprFunction, so that
 normalization is a substitution on its expression trees.
 
-At level 2 the reduced function also encloses its partials over a box:
-G's interval enclosure, with z1 over the level-1 box interval that holds
-every root phi returns, eliminated as partial eliminates it. It is the
-second pivot of an interval Gaussian elimination of G's dependent
-Jacobian (Neumaier, Interval Methods for Systems of Equations, 1990,
-ch. 4), and lets find_box prove level 2's monotonicity without nested
-solves. Its checks_proved proves the signs of phi's F on level 1's two
-y-faces over a level-2 box, by enclosure and, where that is too wide, by
-the mean-value form. There find_box skips sampling phi's checks, and
-tries to prove level 2's own face signs from the reduced function's
-enclosure and one nested solve per face centre, in place of one per
-grid point. Deeper levels, whose phi nests solves, have no enclosure and
-prove no checks.
+A reduced function's Jacobian eliminates z1 from G's: one pivot step of
+Gaussian elimination (Neumaier, Interval Methods for Systems of
+Equations, 1990, ch. 4), written once in _eliminate_z1; partial is a
+column of it. At level 2 the reduced function also encloses its partials
+over a box: the same step on G's interval enclosure, with z1 over the
+level-1 box interval. That holds every root phi returns wherever level
+1's face signs bracket the root, which checks_proved proves over a
+level-2 box, by enclosure and, where that is too wide, by the mean-value
+form. Only there does find_box use the enclosure: to prove level 2's
+monotonicity without nested solves, and its face signs with one nested
+solve per face centre in place of one per grid point. Deeper levels,
+whose phi nests solves, have no enclosure and prove no checks.
 """
 
 from __future__ import annotations
@@ -176,10 +175,6 @@ class _ComponentSlice:
         row = rows[self.component]
         return (values[self.component],), (tuple(row[k] for k in self.perm),)
 
-    def check_point(self, p: Sequence[float]) -> None:
-        """The wrapped function's check_point, at p unpermuted."""
-        self.fn.check_point(self._unpermute(p))
-
     def checks_proved(self, lo: Sequence[float], hi: Sequence[float], margin: float) -> bool:
         """The wrapped function's checks_proved, over the box unpermuted."""
         return self.fn.checks_proved(self._unpermute(lo), self._unpermute(hi), margin)
@@ -191,8 +186,10 @@ class _ReducedFunction:
     triggers one inner ITP solve for z1 = phi(x, z').
 
     phi solves component 0 of G for z1, so its gradient is
-    dphi/du_j = -G_0,u_j / G_0,z1, read off the same G partials that the
-    chain rule needs: one solve per call, no separate gradient pass.
+    dphi/du_j = -G_0,u_j / G_0,z1, read off the same G Jacobian that the
+    chain rule needs: jacobian and partial make one solve and one pass of
+    G's Jacobian per call, and _eliminate_z1 is the one elimination of z1,
+    on floats there and on intervals in enclosure.
 
     seed_jacobian is its Jacobian at the seed (a, b'), eliminated from G's
     at z1 = b1 exactly: jacobian() takes z1 from phi, whose root misses b1
@@ -214,40 +211,39 @@ class _ReducedFunction:
         return Vector(self.G.eval(self._assemble(u, z1))[1:])
 
     def partial(self, u: Sequence[float], j: int) -> Vector:
-        """d/du_j of G's components 2..m with z1 = phi following: the
-        partial holding z1 fixed, plus the dG/dz1 column times dphi/du_j."""
-        u = tuple(u)
-        v = self._assemble(u, self.phi.solve_at(u))
-        direct = self.G.partial(v, j if j < self.n else j + 1)
-        through = self.G.partial(v, self.n)
-        dphi = -direct[0] / _nonzero_slope(through[0])
-        return Vector(
-            direct[i + 1] + through[i + 1] * dphi for i in range(self.n_outputs)
-        )
+        """Column j of jacobian(u): d/du_j of G's components 2..m with
+        z1 = phi following. It fails wherever jacobian does, even where
+        column j alone would be finite. That never happened over 1,641
+        builds (every build the box-proof tests make, the benchmark's
+        m = 1 curves and cubic_triple, and 1,600 re-seeded quad_pair and
+        square-map builds): each of their 2,888 failing partials failed
+        where column j alone failed too."""
+        return Vector._unchecked(tuple(row[j] for row in self.jacobian(u).rows))
 
     def jacobian(self, u: Sequence[float]) -> Matrix:
+        """G's Jacobian at (u, phi(u)) with z1 eliminated (_eliminate_z1):
+        one nested solve and one pass of G's Jacobian."""
         u = tuple(u)
         v = self._assemble(u, self.phi.solve_at(u))
-        return _eliminate_z1(self.G.jacobian(v), self.n)
+        return Matrix._of_floats(_eliminate_z1(self.G.jacobian(v).rows, self.n))
 
     def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple | None:
-        """Intervals (values, rows) holding what eval and partial compute at
-        every point u of the closed box [lo, hi] where phi's solve succeeds.
+        """Intervals (values, rows) holding what eval and jacobian compute
+        at every point u of the closed box [lo, hi] where phi's root lies
+        in phi's box interval [y_lo, y_hi], as it does wherever
+        checks_proved holds.
 
-        phi's root lies in its box interval [y_lo, y_hi], so G's enclosure
-        with z1 over that interval holds G and its partials at (u, phi(u)).
-        z1 is eliminated with partial's operations in partial's order: the
-        gradient -d0 / t0 of phi, then d_i + t_i * dphi, where t is G's z1
-        column and d the column of u_j. None where G has no enclosure over
-        that box or an interval crosses a domain edge, a t0 that may vanish
-        among them, and where phi's F is not an ExprFunction: phi's own
-        solve then nests solves that G's enclosure does not cover (every
-        deeper level)."""
+        G's enclosure with z1 over that interval then holds G and its
+        partials at (u, phi(u)), and _eliminate_z1 on intervals holds what
+        it computes on floats. None where G has no enclosure over that box
+        or an interval crosses a domain edge, a pivot that may vanish among
+        them, and where phi's F is not an ExprFunction: phi's own solve
+        then nests solves that G's enclosure does not cover (every deeper
+        level)."""
         if not isinstance(self.phi.F, ExprFunction):
             return None
         from . import interval
 
-        n = self.n
         box = self.phi.box
         enclosed = self.G.enclosure(
             self._assemble(lo, box.y_lo), self._assemble(hi, box.y_hi)
@@ -255,33 +251,26 @@ class _ReducedFunction:
         if enclosed is None:
             return None
         values, rows = enclosed
-        first = rows[0]
-        cols = [c for c in range(len(first)) if c != n]
         try:
-            grad = [interval.div(interval.neg(first[c]), first[n]) for c in cols]
-            eliminated = tuple(
-                tuple(interval.add(row[c], interval.mul(row[n], g)) for c, g in zip(cols, grad))
-                for row in rows[1:]
+            rows = _eliminate_z1(
+                rows, self.n, interval.div, interval.add, interval.mul, interval.neg
             )
         except DomainViolation:
             return None
-        return values[1:], eliminated
-
-    def check_point(self, u: Sequence[float]) -> None:
-        """Raise what partial raises at u before it reaches G: phi's checks
-        ahead of its root search. Past them the search succeeds."""
-        self.phi._bracket(tuple(u))
+        return values[1:], rows
 
     def checks_proved(self, lo: Sequence[float], hi: Sequence[float], margin: float) -> bool:
-        """Whether check_point returns at every point u of the closed box
-        [lo, hi]: level 1's IVT face test, restricted to this box. It holds
-        where phi's F is an ExprFunction, the box lies strictly inside
-        phi's open x-box, coordinate by coordinate, and phi's F is proved
-        to have sign * F < 0 on the box at y_lo and > 0 at y_hi, where
-        phi._bracket reads its signs: by its enclosure over each face, its
-        mean-value form with margin for the error of a computed value, or
-        a bounded split of the face (scalar_implicit._face_proved). There
-        phi's checks raise nothing. False wherever that is not proved."""
+        """Whether phi's checks before its root search (phi._bracket)
+        return at every point u of the closed box [lo, hi]: level 1's IVT
+        face test, restricted to this box. There phi's root lies in phi's
+        box interval, as enclosure needs. It holds where phi's F is an
+        ExprFunction, the box lies strictly inside phi's open x-box,
+        coordinate by coordinate, and phi's F is proved to have
+        sign * F < 0 on the box at y_lo and > 0 at y_hi, where phi._bracket
+        reads its signs: by its enclosure over each face, its mean-value
+        form with margin for the error of a computed value, or a bounded
+        split of the face (scalar_implicit._face_proved). False wherever
+        that is not proved."""
         phi = self.phi
         box = phi.box
         if not isinstance(phi.F, ExprFunction):
@@ -295,21 +284,26 @@ class _ReducedFunction:
         )
 
 
-def _eliminate_z1(jg: Matrix, n: int) -> Matrix:
-    """The reduced function's Jacobian from G's at (u, z1): rows 2..m plus
-    their z1 column times dphi/du = -G_0,u / G_0,z1, that column dropped."""
-    first = jg.rows[0]
-    fy = _nonzero_slope(first[n])
-    cols = [j for j in range(len(first)) if j != n]
-    grad = [-first[col] / fy for col in cols]
-    rows = jg.rows[1:]
-    return Matrix.from_rows([r[c] + r[n] * g for c, g in zip(cols, grad)] for r in rows)
-
-
-def _nonzero_slope(fy: float) -> float:
-    if fy == 0.0:
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
         raise DegenerateDerivative("dF/dy vanished inside the box")
-    return fy
+    return a / b
+
+
+def _eliminate_z1(
+    rows: tuple, n: int, div=_divide, add=operator.add, mul=operator.mul, neg=operator.neg
+) -> tuple:
+    """The reduced function's Jacobian rows from the rows of G's over
+    (u, z1), z1 at column n: rows 2..m plus their z1 column times
+    dphi/du = -G_0,u / G_0,z1, that column dropped. It is one pivot step of
+    Gaussian elimination (Neumaier, Interval Methods for Systems of
+    Equations, 1990, ch. 4), in the arithmetic div, add, mul and neg: on
+    floats by default, where a zero pivot raises DegenerateDerivative, and
+    on intervals in enclosure."""
+    first = rows[0]
+    cols = [c for c in range(len(first)) if c != n]
+    grad = [div(neg(first[c]), first[n]) for c in cols]
+    return tuple(tuple(add(row[c], mul(row[n], g)) for c, g in zip(cols, grad)) for row in rows[1:])
 
 
 def _phi_variable_perm(n: int, m: int) -> list[int]:
@@ -680,7 +674,8 @@ def build_system(
         b = tuple(seed.y)
         scalar = _build_scalar(g1, SplitPoint.of(a + b[1:], (b[0],)), options, _depth)
 
-        reduced = _ReducedFunction(G, scalar, n, _eliminate_z1(seed_jacobian, n))
+        seed_reduced = Matrix._of_floats(_eliminate_z1(seed_jacobian.rows, n))
+        reduced = _ReducedFunction(G, scalar, n, seed_reduced)
         inner_options = replace(
             options,
             h0=options.h0 * _INNER_H0_INSET,

@@ -11,30 +11,29 @@ quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at (x, f(x)).
 The sign of dF/dy is the Mean-Value Theorem's hypothesis. Where F offers
 an interval enclosure of its partials over a box (Moore, Interval
 Analysis, 1966), one enclosure pass can prove that sign at every point
-of the closed grid, and find_box skips the sampled sweep, or keeps only
-F's own checks at each point. At level 2 of a system those checks are
-level 1's: x lies in level 1's box and level 1's face signs bracket its
-root, the Intermediate Value Theorem's hypothesis one level down. Where
-enclosures prove level 1's face signs over level 2's box, find_box drops
-that sweep too, and may then prove the sign of dF/dy by one split of the
-box.
+of the closed grid, and find_box skips the sampled sweep. At level 2 of a
+system that enclosure holds only where level 1's own hypotheses do: x
+lies in level 1's box and level 1's face signs bracket its root, the
+Intermediate Value Theorem's hypothesis one level down. So find_box
+proves at level 2 only where F's checks_proved proves level 1's face
+signs over the box, and may then prove the sign of dF/dy by one split of
+the box. Elsewhere it samples the partial.
 
 The face signs are the Intermediate Value Theorem's hypothesis at this
-level. find_box proves them over the hull of the interior grid points
-that its sweep reads, by F's enclosure on each face, then its mean-value
-form (Neumaier, Interval Methods for Systems of Equations, 1990, ch. 2),
-then a bounded split of the face, and samples them only where that
-fails. At level 2 it tries only where level 1's checks are proved. A
-proof only skips a sweep whose outcome it settles: where it holds, the
-sweep would pass, and where it fails, the sweep runs. So the boxes are
-those the sweeps find.
+level. Where find_box proves, it proves them over the hull of the
+interior grid points that its sweep reads, by F's enclosure on each face,
+then its mean-value form (Neumaier, Interval Methods for Systems of
+Equations, 1990, ch. 2), then a bounded split of the face, and samples
+them only where that fails. A proof only skips a sweep whose outcome it
+settles: where it holds, the sweep would pass, and where it fails, the
+sweep runs. So the boxes are those the sweeps find.
 
 The function argument is duck-typed: anything with n_inputs, n_outputs,
 eval(p) and partial(p, j) works, which is what lets the system solver feed
 its nested reduced functions through the same machinery. The dependent
-variable is always the last input. enclosure(lo, hi), check_point(p) and,
-with check_point, checks_proved(lo, hi, margin) are optional (see
-find_box, _derivative_proved and _face_proved).
+variable is always the last input. enclosure(lo, hi) and
+checks_proved(lo, hi, margin) are optional (see find_box,
+_derivative_proved and _face_proved).
 """
 
 from __future__ import annotations
@@ -170,24 +169,20 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
     MAX_GRID_SAMPLES samples per attempt raises ValueError before F is
     called.
 
-    Each attempt first asks F for an interval enclosure of dF/dy over the
-    closed box. Where it proves the sign, the derivative sweep is skipped
-    for an expression, and for a reduced function of the level above
-    becomes a sweep of that level's checks before its root search, in the
-    same grid order. Elsewhere every grid point's partial is sampled.
-
-    Where F has check_point, checks_proved(lo, hi, tol_sys) says whether
-    it returns at every point of the closed box (at level 2: level 1's
-    face signs are proved over it). There the sweep of checks is dropped,
-    and where the one enclosure does not prove the sign, one split of the
-    box may (see _derivative_proved) before the partial is sampled.
+    An attempt proves only where F's enclosures hold over the closed box:
+    F has an enclosure, the box's axes are finite, and F has no
+    checks_proved or checks_proved(lo, hi, tol_sys) holds over the box (at
+    level 2: level 1's face signs are proved over it, so phi's root lies
+    in phi's interval). There an enclosure of dF/dy over the box that
+    proves its sign skips the derivative sweep; for F with checks_proved,
+    so may one split of the box (see _derivative_proved). Elsewhere every
+    grid point's partial is sampled.
 
     The endpoint-sign sweep reads F at the interior grid points of both
-    faces. Where F has an enclosure, _faces_proved first tries to prove
+    faces. Where the attempt proves, _faces_proved first tries to prove
     their signs over the hull of those points, with margin tol_sys for
     the error of a computed value (see _face_proved), and where it does,
-    the sweep is skipped. Where F has check_point, the proof is tried only
-    where checks_proved holds over the closed box.
+    the sweep is skipped.
     """
     n = seed.n
     if seed.m != 1:
@@ -224,6 +219,7 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         hy = options.h0 * max(1.0, SLOPE_MARGIN * reach)
     last_failure = ("derivative", p0)
     enclosure = getattr(F, "enclosure", None)
+    checks_proved = getattr(F, "checks_proved", None)
 
     for attempt in range(MAX_SHRINK + 1):
         x_lo = [a[i] - hx[i] for i in range(n)]
@@ -234,22 +230,17 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
         closed_axes = [_closed_axis(x_lo[i], x_hi[i], g) for i in range(n)]
         closed_axes.append(_closed_axis(y_lo, y_hi, g))
         box = _closed_box(closed_axes, x_lo + [y_lo], x_hi + [y_hi])
-        enclosed = None if enclosure is None or box is None else enclosure(*box)
-        check_point = getattr(F, "check_point", None)
-        # F's own checks pass at every grid point
-        checked = (
-            check_point is not None and box is not None
-            and F.checks_proved(*box, options.tol_sys)
+        # F's enclosures hold over the closed box
+        ready = (
+            enclosure is not None and box is not None
+            and (checks_proved is None or checks_proved(*box, options.tol_sys))
         )
-        if _derivative_proved(F, box, enclosed, n, sign, checked):
-            # the partial is proved wherever F gets past its own checks
-            fails = None if checked else check_point
-        else:
+        enclosed = enclosure(*box) if ready else None
+        if not (ready and _derivative_proved(F, box, enclosed, n, sign, checks_proved is not None)):
 
             def fails(point):
                 return sign * F.partial(point, n)[0] <= 0.0
 
-        if fails is not None:
             point = _first_failure(closed_axes, fails)
             if point is not None:
                 failure = ("derivative", point)
@@ -263,8 +254,7 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
                 [axis[0] for axis in interior_axes] + [y_lo],
                 [axis[-1] for axis in interior_axes] + [y_hi],
             )
-            provable = enclosure is not None and (check_point is None or checked)
-            if not (provable and _faces_proved(F, faces, sign, options.tol_sys, enclosed)):
+            if not (ready and _faces_proved(F, faces, sign, options.tol_sys, enclosed)):
 
                 def fails(xs):
                     low = sign * F.eval(xs + (y_lo,))[0]
@@ -304,27 +294,25 @@ def _closed_box(axes: list, lo: list, hi: list) -> tuple[list, list] | None:
 
 
 def _derivative_proved(
-    F, box: tuple | None, enclosed: tuple | None, n: int, sign: int, split: bool
+    F, box: tuple, enclosed: tuple | None, n: int, sign: int, split: bool
 ) -> bool:
     """Whether an interval enclosure proves the derivative condition over
-    the closed box (lo, hi); a box of None proves nothing. enclosed is F's
-    enclosure(lo, hi) over the box, or None. F's enclosure, where it has
-    one, holds what F.partial computes at every point of the box where F's
-    check_point, if it has one, returns instead of raising what F.partial
-    would raise there, and returns None where it cannot enclose. The proof
-    holds where the dependent column's enclosure has sign `sign`: then at
-    those points F.partial raises nothing and sign * dF/dy > 0, so a
-    sampled sweep would fail exactly where check_point raises.
+    the closed box (lo, hi). enclosed is F.enclosure(lo, hi), or None.
+    F's enclosure holds what F.partial computes at every point of a box
+    over which F's checks_proved, if it has one, holds (see find_box), and
+    is None where it cannot enclose. The proof holds where the dependent column's enclosure has
+    sign `sign`: then sign * dF/dy > 0 at every point of the box, so the
+    sampled sweep would pass.
 
     With split, where the one enclosure does not prove the sign, every
     axis is bisected once at a float midpoint, and the proof holds where
     each of the 2^(n+1) sub-boxes, whose union is the box, proves it.
-    find_box splits only where F's checks are proved: elsewhere a failing
-    attempt fails at its first grid point, and 2^(n+1) more enclosures
-    would only add cost."""
+    find_box splits only for F with checks_proved: at level 1, splitting
+    cost 55 more enclosures over 80 re-seeded quad_pair builds and spared
+    no partial or eval."""
     if _sign_proved(enclosed, n, sign):
         return True
-    if not split or box is None or getattr(F, "enclosure", None) is None:
+    if not split:
         return False
     return all(
         _sign_proved(F.enclosure(*sub_box), n, sign) for sub_box in _halves(*box)
@@ -361,9 +349,9 @@ def _face_proved(
 ) -> bool:
     """Whether sign * F.eval(p)[0] > 0 at every float point p of the closed
     box [lo, hi], and F.eval raises nothing there. F needs eval and
-    enclosure. Where F has check_point, it must return at every point of
-    the box (checks_proved holds over a box that holds this one). enclosed
-    is F's enclosure over a box that holds this one, or None.
+    enclosure. Where F has checks_proved, it must hold over a box that
+    holds this one. enclosed is F's enclosure over a box that holds this
+    one, or None.
 
     F's value at the centre is computed first and must have the sign: no
     box that holds the centre can be proved otherwise. Then, in order:

@@ -1,8 +1,8 @@
 """find_box skips its sampled derivative sweep where an interval
-enclosure proves the derivative's sign over the closed box, at level 2
-its sweep of level 1's checks where level 1's face signs are proved over
-the box, and its endpoint-sign sweep where the face signs are proved over
-the points it reads, and builds exactly what the sweeps build."""
+enclosure proves the derivative's sign over the closed box, and its
+endpoint-sign sweep where the face signs are proved over the points it
+reads, at level 2 only where level 1's face signs are proved over the
+box, and builds exactly what the sweeps build."""
 
 import functools
 import itertools
@@ -65,17 +65,19 @@ def test_proved_builds_skip_the_derivative_sweeps(monkeypatch, build, expr_parti
 
 
 # Before level 1's face signs were proved over the level-2 box, the inverse
-# build at (1, 0) made 730 _ReducedFunction.check_point calls, and before
-# the pivot was proved by one split, the one at (0.8, -0.25) made 733
-# _ReducedFunction.partial calls. The bounds are a tenth of each. Before
-# level 2's own face signs were proved, each build made 164
-# _ReducedFunction.eval calls, one nested solve each, 162 of them in the
-# endpoint-sign sweep. Their bound is a fifth: the proof at (0.8, -0.25)
-# splits a face and solves at the centre of each part, 24 calls in all.
+# build at (1, 0) swept level 1's checks at 730 level-2 grid points; where
+# they are not proved, find_box samples _ReducedFunction.partial there
+# instead. Before the pivot was proved by one split, the build at
+# (0.8, -0.25) made 733 _ReducedFunction.partial calls. The bounds are a
+# tenth of each. Before level 2's own face signs were proved, each build
+# made 164 _ReducedFunction.eval calls, one nested solve each, 162 of them
+# in the endpoint-sign sweep. Their bound is a fifth: the proof at
+# (0.8, -0.25) splits a face and solves at the centre of each part, 24
+# calls in all.
 @pytest.mark.parametrize(
     "p, method, calls",
     [
-        ((1.0, 0.0), "check_point", 730),
+        ((1.0, 0.0), "partial", 730),
         ((0.8, -0.25), "partial", 733),
         ((1.0, 0.0), "eval", 164),
         ((0.8, -0.25), "eval", 164),
@@ -301,38 +303,62 @@ def test_split_proves_on_every_half_and_only_with_split():
 
 class _UnprovedChecks:
     """F(x, y) = y with checks, as a nested function has, that fail for x
-    in (-0.36, -0.30) and are never proved. From the seed (0, 0), the first
-    box attempt's closed grid (x a multiple of 0.125) misses that interval
-    and its interior grid point x = -1/3 lies in it. The enclosure proves
-    everything."""
+    in (low, high) and are never proved. The enclosure proves everything,
+    and records the boxes it is asked."""
 
     n_inputs = 2
     n_outputs = 1
 
-    def check_point(self, p):
-        if -0.36 < p[0] < -0.30:
+    def __init__(self, low, high):
+        self.low, self.high = low, high
+        self.boxes = []
+
+    def _check(self, p):
+        if self.low < p[0] < self.high:
             raise OutsideBox(p)
 
     def checks_proved(self, lo, hi, margin):
         return False
 
     def eval(self, p):
-        self.check_point(p)
+        self._check(p)
         return (p[1],)
 
     def partial(self, p, j):
-        self.check_point(p)
+        self._check(p)
         return (float(j == 1),)
 
     def enclosure(self, lo, hi):
+        self.boxes.append((tuple(lo), tuple(hi)))
         return ((lo[1], hi[1]),), (((0.0, 0.0), (1.0, 1.0)),)
 
 
 def test_faces_are_proved_only_where_the_checks_are():
     """The face proof would hold on the first attempt, but F's checks are
-    not proved there, so the sweep runs and fails at x = -1/3."""
-    box = scalar_implicit.find_box(_UnprovedChecks(), SplitPoint.of([0.0], [0.0]))
+    not proved there, so the sweep runs. From the seed (0, 0), the first
+    attempt's closed grid (x a multiple of 0.125) misses (-0.36, -0.30),
+    and its interior grid point x = -1/3 lies in it."""
+    box = scalar_implicit.find_box(_UnprovedChecks(-0.36, -0.30), SplitPoint.of([0.0], [0.0]))
     assert box.shrinks == 1
+
+
+def test_unproved_checks_sample_the_partial_and_never_enclose(monkeypatch):
+    """Where F's checks are not proved, find_box makes no enclosure, and
+    an attempt fails at the first grid point where partial raises: here
+    the first one, (-0.5, -0.5), of the first attempt's closed grid."""
+    F = _UnprovedChecks(-0.6, -0.4)
+    failures = []
+
+    def recorded(axes, fails):
+        point = _FIRST_FAILURE(axes, fails)
+        failures.append(point)
+        return point
+
+    monkeypatch.setattr(scalar_implicit, "_first_failure", recorded)
+    box = scalar_implicit.find_box(F, SplitPoint.of([0.0], [0.0]))
+    assert box.shrinks == 1
+    assert failures[0] == (-0.5, -0.5)
+    assert F.boxes == []
 
 
 def _triples(low, high):
@@ -369,6 +395,43 @@ def test_proved_checks_hold_at_every_point(name, centres, widths, inner):
     ]
     for point in points:
         F.phi._bracket(point)
+
+
+@given(
+    st.sampled_from(["square map", "quad_pair"]),
+    _triples(0, 100),
+    _triples(0, 50),
+    st.lists(_triples(0, 100), max_size=4),
+)
+@example("quad_pair", (0.5, 0.5, 0.5), (0.22, 0.28, 0.0), [])
+def test_enclosure_holds_the_reduced_jacobian(name, centres, widths, inner):
+    """Boxes inside level 1's x-box, each axis centred anywhere in it with
+    half-width up to half its width, cut to the middle 98% of it: wherever
+    checks_proved holds, each value interval of the level-2 reduced
+    function's enclosure holds eval's value, and each row interval
+    jacobian's entry, at every corner and at points inside."""
+    F = _level_2(name)
+    box = F.phi.box
+    lo, hi = [], []
+    for a, b, c, w in zip(box.x_lo, box.x_hi, centres, widths):
+        lo.append(a + max(c - w, 0.01) * (b - a))
+        hi.append(a + min(c + w, 0.99) * (b - a))
+    if not F.checks_proved(lo, hi, TOL):
+        return
+    enclosed = F.enclosure(lo, hi)
+    if enclosed is None:
+        return
+    values, rows = enclosed
+    points = list(itertools.product(*zip(lo, hi)))
+    points += [
+        tuple(a + w * (b - a) for a, b, w in zip(lo, hi, fractions)) for fractions in inner
+    ]
+    for point in points:
+        for value, (low, high) in zip(F.eval(point), values):
+            assert low <= value <= high
+        for got, bounds in zip(F.jacobian(point).rows, rows):
+            for entry, (low, high) in zip(got, bounds):
+                assert low <= entry <= high
 
 
 LEVELS = [
@@ -411,7 +474,7 @@ def test_proved_faces_hold_at_every_point(level, centres, widths, given_enclosur
     g = box.grid_density
     axes = [scalar_implicit._interior_axis(a, b, g) for a, b in zip(lo[:n], hi[:n])]
     faces = ([axis[0] for axis in axes] + [lo[n]], [axis[-1] for axis in axes] + [hi[n]])
-    if hasattr(F, "check_point") and not F.checks_proved(*faces, TOL):
+    if hasattr(F, "checks_proved") and not F.checks_proved(*faces, TOL):
         return
     enclosed = F.enclosure(*faces) if given_enclosure else None
     if not scalar_implicit._faces_proved(F, faces, box.sign, TOL, enclosed):
