@@ -34,15 +34,18 @@ normalization is a substitution on its expression trees.
 A reduced function's Jacobian eliminates z1 from G's: one pivot step of
 Gaussian elimination (Neumaier, Interval Methods for Systems of
 Equations, 1990, ch. 4), written once in _eliminate_z1; partial is a
-column of it. At level 2 the reduced function also encloses its partials
-over a box: the same step on G's interval enclosure, with z1 over the
-level-1 box interval. That holds every root phi returns wherever level
-1's face signs bracket the root, which checks_proved proves over a
-level-2 box, by enclosure and, where that is too wide, by the mean-value
-form. Only there does find_box use the enclosure: to prove level 2's
-monotonicity without nested solves, and its face signs with one nested
-solve per face centre in place of one per grid point. Deeper levels,
-whose phi nests solves, have no enclosure and prove no checks.
+column of it. Every reduced function also encloses its partials over a
+box: the same step on G's enclosure with z1 over phi's box interval (the
+lifted box). Its checks_proved proves phi's face signs over the box and,
+from level 3 on, G's own checks over the lifted box. That makes the
+enclosure sound at every level, by induction from level 2, whose G is an
+expression: an enclosure that is not None has divided by a pivot
+interval that excludes 0, so on the lifted box phi's exact root is
+unique and differentiable, and proved checks put it in phi's interval.
+So each level's enclosure holds what eval and jacobian compute and the
+exact partials that the mean-value form needs. find_box uses it only
+where checks_proved holds: to prove monotonicity without nested solves,
+and face signs with one nested solve per face centre, not per grid point.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from .scalar_implicit import (
     ImplicitSolution,
     SolutionBox,
     SplitPoint,
-    _face_proved,
+    _faces_proved,
     build_implicit,
 )
 
@@ -229,19 +232,15 @@ class _ReducedFunction:
 
     def enclosure(self, lo: Sequence[float], hi: Sequence[float]) -> tuple | None:
         """Intervals (values, rows) holding what eval and jacobian compute
-        at every point u of the closed box [lo, hi] where phi's root lies
-        in phi's box interval [y_lo, y_hi], as it does wherever
-        checks_proved holds.
+        at every point u of the closed box [lo, hi] over which
+        checks_proved holds: there phi's root lies in phi's box interval
+        [y_lo, y_hi], and G's enclosure holds over the lifted box.
 
         G's enclosure with z1 over that interval then holds G and its
         partials at (u, phi(u)), and _eliminate_z1 on intervals holds what
         it computes on floats. None where G has no enclosure over that box
         or an interval crosses a domain edge, a pivot that may vanish among
-        them, and where phi's F is not an ExprFunction: phi's own solve
-        then nests solves that G's enclosure does not cover (every deeper
-        level)."""
-        if not isinstance(self.phi.F, ExprFunction):
-            return None
+        them."""
         from . import interval
 
         box = self.phi.box
@@ -261,27 +260,23 @@ class _ReducedFunction:
 
     def checks_proved(self, lo: Sequence[float], hi: Sequence[float], margin: float) -> bool:
         """Whether phi's checks before its root search (phi._bracket)
-        return at every point u of the closed box [lo, hi]: level 1's IVT
-        face test, restricted to this box. There phi's root lies in phi's
-        box interval, as enclosure needs. It holds where phi's F is an
-        ExprFunction, the box lies strictly inside phi's open x-box,
-        coordinate by coordinate, and phi's F is proved to have
-        sign * F < 0 on the box at y_lo and > 0 at y_hi, where phi._bracket
-        reads its signs: by its enclosure over each face, its mean-value
-        form with margin for the error of a computed value, or a bounded
-        split of the face (scalar_implicit._face_proved). False wherever
-        that is not proved."""
+        return at every point u of the closed box [lo, hi]: the face test
+        of the level before, restricted to this box. There phi's root lies
+        in phi's box interval, as enclosure needs. It holds where the box
+        lies strictly inside phi's open x-box, coordinate by coordinate,
+        phi's F proves its own checks_proved, if it has one, over the hull
+        of phi's faces over the box (the lifted box enclosure reads), and
+        scalar_implicit._faces_proved proves phi's face signs there."""
         phi = self.phi
         box = phi.box
-        if not isinstance(phi.F, ExprFunction):
-            return False
         for low, a, b, high in zip(box.x_lo, lo, hi, box.x_hi):
             if not low < a <= b < high:
                 return False
-        return all(
-            _face_proved(phi.F, list(lo) + [y], list(hi) + [y], face_sign, margin)
-            for y, face_sign in ((box.y_lo, -box.sign), (box.y_hi, box.sign))
-        )
+        hull = (list(lo) + [box.y_lo], list(hi) + [box.y_hi])
+        inner = getattr(phi.F, "checks_proved", None)
+        if inner is not None and not inner(*hull, margin):
+            return False
+        return _faces_proved(phi.F, hull, box.sign, margin, None)
 
 
 def _divide(a: float, b: float) -> float:

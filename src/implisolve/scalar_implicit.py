@@ -11,13 +11,13 @@ quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at (x, f(x)).
 The sign of dF/dy is the Mean-Value Theorem's hypothesis. Where F offers
 an interval enclosure of its partials over a box (Moore, Interval
 Analysis, 1966), one enclosure pass can prove that sign at every point
-of the closed grid, and find_box skips the sampled sweep. At level 2 of a
-system that enclosure holds only where level 1's own hypotheses do: x
-lies in level 1's box and level 1's face signs bracket its root, the
-Intermediate Value Theorem's hypothesis one level down. So find_box
-proves at level 2 only where F's checks_proved proves level 1's face
-signs over the box, and may then prove the sign of dF/dy by one split of
-the box. Elsewhere it samples the partial.
+of the closed grid, and find_box skips the sampled sweep. At every level
+of a system after the first, that enclosure holds only where the level
+before it has its hypotheses: x lies in that level's box and its face
+signs bracket its root, the Intermediate Value Theorem's hypothesis one
+level up, and so on up to level 1 (see dini). So there find_box proves
+only where F's checks_proved holds over the box, and may then prove the
+sign of dF/dy by one split of the box. Elsewhere it samples the partial.
 
 The face signs are the Intermediate Value Theorem's hypothesis at this
 level. Where find_box proves, it proves them over the hull of the
@@ -171,9 +171,9 @@ def find_box(F, seed: SplitPoint, options: SolverOptions = SolverOptions()) -> S
 
     An attempt proves only where F's enclosures hold over the closed box:
     F has an enclosure, the box's axes are finite, and F has no
-    checks_proved or checks_proved(lo, hi, tol_sys) holds over the box (at
-    level 2: level 1's face signs are proved over it, so phi's root lies
-    in phi's interval). There an enclosure of dF/dy over the box that
+    checks_proved or checks_proved(lo, hi, tol_sys) holds over the box (in
+    a system: the face signs of each level before it are proved over the
+    box lifted to it). There an enclosure of dF/dy over the box that
     proves its sign skips the derivative sweep; for F with checks_proved,
     so may one split of the box (see _derivative_proved). Elsewhere every
     grid point's partial is sampled.
@@ -373,23 +373,24 @@ def _face_proved(
     (Neumaier, Interval Methods for Systems of Equations, 1990, ch. 2).
     The sum is taken in outward-rounded interval arithmetic over p_j in
     [lo_j, hi_j], so it bounds f on the whole box. F's enclosures hold its
-    exact partials: an expression's by outward rounding, and at level 2 of
-    a system, where level 1's checks are proved, because phi's exact root
-    is then the one root in phi's interval, differentiable in u, and the
-    enclosure takes z1 over that interval.
+    exact partials: an expression's by outward rounding, and a reduced
+    function's where its checks are proved, because phi's exact root is
+    then the one root in phi's interval, differentiable in u, and the
+    enclosure takes z1 over that interval (see dini).
 
     The margin. F.eval(c) is computed, not exact, and so is each value the
     sweep reads: each is f plus an error e. With M the bound above taken
     at the computed F(c), the computed value at p lies in M - e(c) + e(p),
     so its sign is M's wherever M clears zero by |e(c)| + |e(p)|; margin
     stands for that sum. At an expression, e is rounding: a few ulps of
-    its largest term, about 1e-15 on the corpus. At level 2, F.eval also
-    solves for z1 by ITP, whose answer lies within tol_root of the exact
-    root, so e grows by up to tol_root |dG/dz1|: 1e-12 times a slope of
-    order one at the defaults. find_box passes tol_sys, 1e-9 by default,
-    which clears both by three orders of magnitude. Its premise is the
-    solver's own: every residual test takes |F| <= tol_sys as a zero,
-    which presumes F computed to well within tol_sys."""
+    its largest term, about 1e-15 on the corpus. At level k of a system,
+    F.eval also makes k - 1 nested ITP solves, each within tol_root of its
+    exact root, so e grows by about tol_root |slope| per solve: 1e-12
+    times a slope of order one at the defaults. find_box passes tol_sys,
+    1e-9 by default, which clears even dini.MAX_DEPTH - 1 = 5 of them by
+    two orders of magnitude. Its premise is the solver's own: every
+    residual test takes |F| <= tol_sys as a zero, which presumes F
+    computed to well within tol_sys."""
     if not all(map(math.isfinite, itertools.chain(lo, hi))):
         return False
     centre = tuple(a + 0.5 * (b - a) for a, b in zip(lo, hi))

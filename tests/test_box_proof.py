@@ -1,8 +1,8 @@
 """find_box skips its sampled derivative sweep where an interval
 enclosure proves the derivative's sign over the closed box, and its
 endpoint-sign sweep where the face signs are proved over the points it
-reads, at level 2 only where level 1's face signs are proved over the
-box, and builds exactly what the sweeps build."""
+reads, below level 1 only where the checks of every level before are
+proved over the box, and builds exactly what the sweeps build."""
 
 import functools
 import itertools
@@ -21,6 +21,11 @@ from conftest import CORPUS
 
 QUAD_PAIR = (["y1^2 + y2 - x - 1", "y1 + y2^2 - x - 1"], ["x", "y1", "y2"])
 SQUARE_MAP = (["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+# an exponential, a square and a cube, seeded at y = (0, 1, 1): no two levels alike
+SKEW_TRIPLE = (
+    ["exp(y1) + y2 + y3 - x - 3", "y1 + y2^2 + y3 - x - 2", "y1 + y2 + y3^3 - x - 2"],
+    ["x", "y1", "y2", "y3"],
+)
 # the margin find_box gives its face proofs
 TOL = SolverOptions().tol_sys
 
@@ -33,6 +38,22 @@ def _quad_pair_at(x0):
 
 def _square_map_at(p):
     return lambda: build_inverse(parse(*SQUARE_MAP), p).system
+
+
+def _sum_system(m):
+    """y_i^2 + sum_{j != i} y_j - x - (m - 1) = 0, seeded at x = 1, y = 1."""
+    ys = [f"y{i}" for i in range(1, m + 1)]
+    rows = [" + ".join([f"{y}^2"] + [v for v in ys if v != y]) + f" - x - {m - 1}" for y in ys]
+    return lambda: build_system(parse(rows, ["x"] + ys), SplitPoint.of([1.0], [1.0] * m))
+
+
+def _skew_triple():
+    return build_system(parse(*SKEW_TRIPLE), SplitPoint.of([0.0], [0.0, 1.0, 1.0]))
+
+
+def _corpus(name):
+    p = next(p for p in CORPUS if p.name == name)
+    return lambda: build_system(p.F, p.seed, p.options)
 
 
 def _counting(monkeypatch, cls, method):
@@ -89,12 +110,23 @@ def test_proved_checks_skip_the_level_2_sweeps(monkeypatch, p, method, calls):
     assert len(counts) <= calls // (5 if method == "eval" else 10)
 
 
+# Before levels past the second proved their checks, the cubic_triple build
+# sampled level 3's sweeps, each sample a nested solve through level 2, and
+# made 12,687 ExprFunction.eval calls. The bound is a tenth.
+def test_proved_deep_levels_skip_the_nested_sweeps(monkeypatch):
+    evals = _counting(monkeypatch, ExprFunction, "eval")
+    _corpus("cubic_triple")()
+    assert len(evals) <= 12687 // 10
+
+
 # level 2 solves y2 = 1e30 x^2, whose root leaves every box the search tries
 STEEP = (["y1 - x", "y2 - 1e30*x^2"], ["x", "y1", "y2"])
 
 BUILDS = [
     *[(p.name, (lambda p=p: build_system(p.F, p.seed, p.options))) for p in CORPUS],
     *[(f"quad_pair at {x0}", _quad_pair_at(x0)) for x0 in (0.5, 0.8, 1.3, 1.5)],
+    ("sum system, m = 4", _sum_system(4)),
+    ("skew triple", _skew_triple),
     *[(f"square map at {p}", _square_map_at(p))
       for p in ((1.0, 0.0), (0.7, 0.5), (1.1, -0.4), (0.8, -0.25))],
     # the benchmark's build-heavy strata, each at its middle: quad_pair
@@ -164,6 +196,9 @@ _BUILDS_BY_NAME = {
     "square map": _square_map_at((1.0, 0.0)),
     "quad_pair": _quad_pair_at(1.0),
     "mirrored quad_pair": _mirrored_quad_pair,
+    "cubic_triple": _corpus("cubic_triple"),
+    "sum m=4": _sum_system(4),
+    "skew triple": _skew_triple,
     **{p.name: (lambda p=p: build_system(p.F, p.seed, p.options)) for p in CORPUS if p.seed.m == 1},
 }
 
@@ -173,17 +208,22 @@ def _system(name):
     return _BUILDS_BY_NAME[name]()
 
 
-def _solution(name, depth):
-    """The scalar solution at level `depth` of a build."""
+def _level(name, depth):
+    """Level `depth` of a build."""
     system = _system(name)
     for _ in range(depth - 1):
         system = system.child
-    return system.scalar
+    return system
 
 
-def _level_2(name):
-    """The reduced function level 2 of a build solves."""
-    return _solution(name, 2).F
+def _solution(name, depth):
+    """The scalar solution at level `depth` of a build."""
+    return _level(name, depth).scalar
+
+
+def _reduced(name, depth=2):
+    """The reduced function level `depth` of a build solves."""
+    return _level(name, depth).F
 
 
 def _closed(box):
@@ -211,7 +251,7 @@ def test_mean_value_proves_the_quad_pair_level_2_checks():
     """quad_pair's level-1 face at y_lo encloses above 0 over level 2's
     box, so the enclosure alone cannot prove phi's checks there; the
     mean-value form does, and they hold on a fine grid."""
-    F = _level_2("quad_pair")
+    F = _reduced("quad_pair")
     lo, hi = _closed(_solution("quad_pair", 2).box)
     box = F.phi.box
     low, high = F.phi.F.enclosure(lo + [box.y_lo], hi + [box.y_lo])[0][0]
@@ -225,7 +265,7 @@ def test_checks_proved_is_false_where_it_cannot_prove(monkeypatch):
     # a box with one corner on the zero set of quad_pair's level-1 face at
     # y_lo: phi's checks return at every point of it, but F there is
     # within any margin of 0
-    F = _level_2("quad_pair")
+    F = _reduced("quad_pair")
     box = F.phi.box
     centre = [a + 0.5 * (b - a) for a, b in zip(box.x_lo, box.x_hi)]
     corner = (box.x_lo[0], box.x_hi[1])
@@ -246,21 +286,27 @@ def test_checks_proved_is_false_where_it_cannot_prove(monkeypatch):
     for point in _grid(lo, hi, 41):
         F.phi._bracket(point)
     assert not F.checks_proved(lo, hi, TOL)
-    # cubic_triple's level 3: phi's F is level 2's reduced function
-    cubic = next(p for p in CORPUS if p.name == "cubic_triple")
-    system = build_system(cubic.F, cubic.seed, cubic.options)
-    level_3 = system.child.child
-    assert not level_3.F.checks_proved(*_closed(level_3.scalar.box), TOL)
     # an enclosure of None proves nothing
     square = _square_map_at((1.0, 0.0))()
     monkeypatch.setattr(ExprFunction, "enclosure", lambda self, lo, hi: None)
     assert not square.child.F.checks_proved(*_closed(square.child.scalar.box), TOL)
 
 
+@pytest.mark.parametrize(
+    "name, depth", [("cubic_triple", 3), ("sum m=4", 3), ("sum m=4", 4), ("skew triple", 3)]
+)
+def test_checks_proved_over_a_deep_box(name, depth):
+    """Below level 2, phi's F is the reduced function one level up: its own
+    checks are proved over the lifted box, then phi's face signs, over the
+    level's validated box."""
+    solution = _solution(name, depth)
+    assert solution.F.checks_proved(*_closed(solution.box), TOL)
+
+
 def test_checks_proved_needs_both_faces():
     """A box whose y_lo face proves while phi's checks fail at one of its
     corners, on level 1's y_hi face: it is not proved."""
-    F = _level_2("mirrored quad_pair")
+    F = _reduced("mirrored quad_pair")
     box = F.phi.box
     lo, hi = [], []
     for a, b, low, high in zip(box.x_lo, box.x_hi, (0.01, 0.71), (0.21, 0.91)):
@@ -367,20 +413,29 @@ def _triples(low, high):
     return st.tuples(hundredths, hundredths, hundredths)
 
 
+# reduced functions: level 2 of three m = 2 builds, and the deeper levels,
+# whose phi's F is itself a reduced function; phi's x-box has at most
+# three axes
+REDUCED = [
+    ("square map", 2), ("quad_pair", 2), ("mirrored quad_pair", 2),
+    ("cubic_triple", 3), ("sum m=4", 3), ("sum m=4", 4), ("skew triple", 3),
+]
+
+
 @given(
-    st.sampled_from(["square map", "quad_pair", "mirrored quad_pair"]),
+    st.sampled_from(REDUCED),
     _triples(-10, 110),
     _triples(0, 30),
     st.lists(_triples(0, 100), max_size=4),
 )
 # quad_pair's level-2 box, which only the mean-value form proves
-@example("quad_pair", (0.5, 0.5, 0.5), (0.22, 0.28, 0.0), [])
-def test_proved_checks_hold_at_every_point(name, centres, widths, inner):
-    """Boxes centred in level 1's x-box or up to a tenth of its width
-    beyond it, each half-width up to 0.3 of its width: wherever
+@example(("quad_pair", 2), (0.5, 0.5, 0.5), (0.22, 0.28, 0.0), [])
+def test_proved_checks_hold_at_every_point(level, centres, widths, inner):
+    """Boxes centred in the level before's x-box or up to a tenth of its
+    width beyond it, each half-width up to 0.3 of its width: wherever
     checks_proved holds, phi's checks return at every corner and at
     points inside."""
-    F = _level_2(name)
+    F = _reduced(*level)
     box = F.phi.box
     lo, hi = [], []
     for a, b, c, w in zip(box.x_lo, box.x_hi, centres, widths):
@@ -398,19 +453,19 @@ def test_proved_checks_hold_at_every_point(name, centres, widths, inner):
 
 
 @given(
-    st.sampled_from(["square map", "quad_pair"]),
+    st.sampled_from([level for level in REDUCED if level[0] != "mirrored quad_pair"]),
     _triples(0, 100),
     _triples(0, 50),
     st.lists(_triples(0, 100), max_size=4),
 )
-@example("quad_pair", (0.5, 0.5, 0.5), (0.22, 0.28, 0.0), [])
-def test_enclosure_holds_the_reduced_jacobian(name, centres, widths, inner):
-    """Boxes inside level 1's x-box, each axis centred anywhere in it with
-    half-width up to half its width, cut to the middle 98% of it: wherever
-    checks_proved holds, each value interval of the level-2 reduced
+@example(("quad_pair", 2), (0.5, 0.5, 0.5), (0.22, 0.28, 0.0), [])
+def test_enclosure_holds_the_reduced_jacobian(level, centres, widths, inner):
+    """Boxes inside the level before's x-box, each axis centred anywhere in
+    it with half-width up to half its width, cut to the middle 98% of it:
+    wherever checks_proved holds, each value interval of the reduced
     function's enclosure holds eval's value, and each row interval
     jacobian's entry, at every corner and at points inside."""
-    F = _level_2(name)
+    F = _reduced(*level)
     box = F.phi.box
     lo, hi = [], []
     for a, b, c, w in zip(box.x_lo, box.x_hi, centres, widths):
@@ -439,6 +494,7 @@ LEVELS = [
     ("quad_pair", 1), ("quad_pair", 2),
     ("mirrored quad_pair", 1), ("mirrored quad_pair", 2),
     ("square map", 1), ("square map", 2),
+    ("cubic_triple", 2), ("cubic_triple", 3),
 ]
 
 
@@ -461,7 +517,7 @@ def test_proved_faces_hold_at_every_point(level, centres, widths, given_enclosur
     of its width beyond it, with half-widths up to 0.6 of it. The points
     find_box's sweep reads are the interior grid points of the box's two
     y-faces. Wherever _faces_proved holds over their hull, with or without
-    an enclosure over the hull passed in, and at level 2 where
+    an enclosure over the hull passed in, and below level 1 where
     checks_proved holds there too, F's computed sign at each of them, and
     at points of the hull, is the proved one."""
     solution = _solution(*level)

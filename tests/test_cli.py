@@ -1,11 +1,17 @@
+import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as st
 
 from implisolve import SolverOptions, cli
 from implisolve.cli import main
@@ -748,3 +754,145 @@ def test_output_is_byte_identical_across_processes(tmp_path):
     runs = [subprocess.run(cmd2, capture_output=True) for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+# Values a fuzzed spec field, list entry or option takes: huge, tiny,
+# negative, non-finite, 400-digit ints, bools, empty lists and other types.
+# None of them is an int from 10 to config.MAX_GRID_DENSITY, so no drawn
+# grid_density makes a validation grid denser than the default.
+FUZZ_VALUES = [
+    0, -1, 2.5, 5e-324, 1e308, 10**400, -(10**400), math.nan, math.inf, True, None, [], "x",
+]
+EXP_SPEC = {"functions": ["exp(x)"], "variables": ["x"], "seed": [0.0]}
+# (argv before the drawn flags, the specs it may read), per command
+FUZZ_BASES = [
+    (["implicit", "--spec", SPEC, "--query", "1.01"], [CIRCLE_SPEC, QUAD_SPEC, STEEP_SPEC]),
+    (["invert", "--spec", SPEC, "--query", "1"], [SQUARE_MAP_SPEC, EXP_SPEC]),
+    (["verify", "--lemma", "lemma1", "--matrix", "1,0;0,1"], [SQUARE_MAP_SPEC]),
+    (["verify", "--lemma", "lemma2", "--spec", SPEC], [SQUARE_MAP_SPEC, CIRCLE_SPEC]),
+    (["verify", "--lemma", "lemma3", "--spec", SPEC, "--query", "0", "--query", "1"],
+     [CUBIC_SPEC, EXP_SPEC]),
+    (["verify", "--lemma", "lemma4", "--spec", SPEC], [SQUARE_MAP_SPEC, EXP_SPEC]),
+]
+FUZZ_NUMBERS = [
+    "0", "1", "-1", "0.5", "1.01", "0.2", "1e-300", "5e-324", "1e308", "-1e308", "1e400",
+    "nan", "inf", "-inf", "9" * 400, "x", "",
+]
+# counts stay small: grid steps at most 5, and trials or samples at most
+# 50, or past a cap that refuses them before any work
+FUZZ_COUNTS = ["-1", "0", "1", "5", "50", "100001", "9" * 400, "x"]
+# per flag: (values a valid run reads, values to refuse or stress)
+FUZZ_FLAGS = {
+    "--spec": ([SPEC], ["missing.json"]),
+    "--out": (["json", "csv"], ["xml"]),
+    "--tol-root": (["1e-12", "1e-6"], FUZZ_NUMBERS),
+    "--tol-sys": (["1e-9", "1e-6"], FUZZ_NUMBERS),
+    "--box-halfwidth": (["0.5", "0.3,0.4"],
+                        FUZZ_NUMBERS + ["0.5,1e308", "1e-300,0.5", "0.5,nan", "1,2,3"]),
+    "--grid-density": (["2", "5", "9"], ["10001", "9" * 400, "0", "-1", "2.5", "x"]),
+    "--lemma": (["lemma1", "lemma2", "lemma3", "lemma4"], ["lemma5"]),
+    "--seed": (["0", "7"], ["-1", "9" * 400, "x"]),
+    "--matrix": (["1,0;0,1", "2;0"], [
+        "1e308,1e308;1e308,1e308", "nan,0;0,1", "1,2;3", "", "0,0;0,0", "1,2,3;4,5,6;7,8,9",
+    ]),
+    "--trials": (["5", "50"], FUZZ_COUNTS),
+    "--samples": (["5", "50"], FUZZ_COUNTS),
+    "--radius": (["0.5", "0.1"], FUZZ_NUMBERS),
+}
+SPEC_MUTATIONS = [
+    *[(field, action) for field in ("functions", "variables", "seed", "options")
+      for action in ("drop", "set", "entry")],
+    ("split_n", "drop"), ("split_n", "set"),
+]
+POINT_FLAGS = ["--query", "--grid", "--out", "--tol-root", "--tol-sys", "--box-halfwidth",
+               "--grid-density"]
+VERIFY_FLAGS = ["--seed", "--query", "--matrix", "--trials", "--samples", "--radius"]
+# seconds one case may take; the slowest run well under one
+FUZZ_BUDGET_S = 20
+
+
+@st.composite
+def _fuzz_case(draw):
+    """A canned argv with up to four flags added, mostly of its own
+    command, and a canned spec it reads with up to two fields dropped, set
+    to a fuzz value, or with one entry or option so set."""
+    base, specs = draw(st.sampled_from(FUZZ_BASES))
+    spec = json.loads(json.dumps(draw(st.sampled_from(specs))))
+    for field, action in draw(st.lists(st.sampled_from(SPEC_MUTATIONS), max_size=2,
+                                       unique_by=lambda mutation: mutation[0])):
+        if action == "drop":
+            spec.pop(field, None)
+        elif action == "set":
+            spec[field] = draw(st.sampled_from(FUZZ_VALUES))
+        elif field == "options":
+            key = draw(st.sampled_from([f.name for f in dataclasses.fields(SolverOptions)] + ["bogus"]))
+            spec.setdefault("options", {})[key] = draw(st.sampled_from(FUZZ_VALUES))
+        elif spec.get(field):
+            entries = spec[field]
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(FUZZ_VALUES))
+    own = VERIFY_FLAGS if base[0] == "verify" else POINT_FLAGS
+    flags = draw(st.lists(st.one_of(st.sampled_from(own), st.sampled_from(own + sorted(FUZZ_FLAGS))),
+                          max_size=draw(st.sampled_from([0, 2, 4]))))
+    argv = list(base)
+    numbers = st.sampled_from(FUZZ_NUMBERS[:12])  # those float() reads
+    for flag in flags:
+        if flag == "--query":
+            value = ",".join(draw(st.lists(numbers, min_size=1, max_size=3)))
+        elif flag == "--grid":
+            steps = draw(st.sampled_from(["0", "1", "2", "5", "-1", "x", "1000000"]))
+            value = f"{draw(numbers)}:{draw(numbers)}:{steps}"
+        else:
+            value = draw(st.sampled_from(FUZZ_FLAGS[flag][draw(st.integers(0, 1))]))
+        argv.append(f"{flag}={value}")
+    return spec, argv
+
+
+class _OverBudget(BaseException):
+    """A case ran past FUZZ_BUDGET_S; main catches no BaseException."""
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget(f"over {FUZZ_BUDGET_S} s")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(_fuzz_case())
+def test_cli_contract_holds_on_fuzzed_input(case):
+    """main returns 0, 1 or 2 within its budget; standard error is empty or
+    one error line, and then standard output is empty; output is strict
+    JSON (CSV rows of the header's width under --out=csv) wherever the
+    code is 0 or 2, and wherever verify writes a report."""
+    spec, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(spec))
+        argv = [a.replace(SPEC, path).replace("missing.json", os.path.join(tmp, "none.json"))
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _over_budget)
+        signal.setitimer(signal.ITIMER_REAL, FUZZ_BUDGET_S)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(argv, out=out)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    text, error = out.getvalue(), err.getvalue()
+    if error:
+        assert error.startswith("error: ") and error.endswith("\n") and error.count("\n") == 1
+        assert text == ""
+    if code in (0, 2):
+        assert text
+    if not text:
+        return
+    outs = [a.split("=", 1)[1] for a in argv if a.startswith("--out=")]
+    if argv[0] != "verify" and outs and outs[-1] == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) >= 1 and all(len(row) == len(rows[0]) for row in rows)
+    else:
+        json.loads(text, parse_constant=_reject_constant)
