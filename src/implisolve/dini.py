@@ -13,16 +13,19 @@ The stack proves existence and uniqueness: on its validated region, one
 box over (x, z) where every level's scalar box holds, F(x, .) has exactly
 one zero. build_system computes that box once per level and stores it on
 the solution. The stack is not the evaluator. For m > 1 a query runs plain
-Newton on F(x, .) from the seed (Ortega & Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, ch. 10). Each step reads F's
-values and the dependent block of its Jacobian from one pass of the
-Jacobian kernel and makes one LU solve; the only other evaluation of F is
-the residual of the final iterate. The query accepts that iterate when
-its residual is within tol_sys and it lies in the stored region:
-z = b + J (y - b), with J = dF/dy at the seed, is one fsum per row,
-compared without root solves. Otherwise the query falls back to the
-nested solve, one ITP solve (bracketed, bisection worst case) per level,
-whose cost grows like iterations^m (m is capped by MAX_DEPTH).
+Newton on F(x, .) from the tangent predictor b + Y' (x - a), where
+Y' = -J^-1 F_x is the implicit function's derivative at the seed (Ortega &
+Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+Variables, ch. 10): the first-order term of the solution sheet, so Newton
+spends no step recovering the slope. Each step reads F's values and the
+dependent block of its Jacobian from one pass of the Jacobian kernel and
+makes one LU solve; the only other evaluation of F is the residual of the
+final iterate. The query accepts that iterate when its residual is within
+tol_sys and it lies in the stored region: z = b + J (y - b), with
+J = dF/dy at the seed, is one fsum per row, compared without root solves.
+Otherwise the query falls back to the nested solve, one ITP solve
+(bracketed, bisection worst case) per level, whose cost grows like
+iterations^m (m is capped by MAX_DEPTH).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -94,10 +97,10 @@ _NORMALIZE_TOL = 1e-10
 # grows like (iterations per level)^m.
 MAX_DEPTH = 6
 
-# Newton from the seed settles in a few steps anywhere in the validated
-# region of a well-posed system; a query that needs more than this falls
-# back to the nested solve. A step that leaves y unchanged also settles it:
-# far from 0, tol_root can be below the spacing of floats.
+# Newton from the tangent predictor settles in a few steps anywhere in the
+# validated region of a well-posed system; a query that needs more than this
+# falls back to the nested solve. A step that leaves y unchanged also settles
+# it: far from 0, tol_root can be below the spacing of floats.
 _NEWTON_MAX_ITER = 8
 
 # Inner recursion levels start from slightly smaller initial half-widths.
@@ -372,8 +375,10 @@ class SystemSolution:
     of y = b + J_inv (z - b) at level 1 when m > 1, and None at every
     other level, which solves its F as it is. seed_fy is J = dF/dy at the
     seed where normalizer is set, else None: z = b + J (y - b) maps an
-    answer back to z. Immutable; evaluations at distinct points may run
-    concurrently.
+    answer back to z. tangent is Y' = -J_inv dF/dx at the seed, the m x n
+    derivative of the solution there, where normalizer is set, else None:
+    Newton starts from b + Y' (x - a). Immutable; evaluations at distinct
+    points may run concurrently.
     """
 
     F: object
@@ -383,6 +388,7 @@ class SystemSolution:
     scalar: ImplicitSolution
     normalizer: Matrix | None
     seed_fy: Matrix | None
+    tangent: Matrix | None
     child: "SystemSolution | None"
     region: tuple[Vector, Vector]
 
@@ -419,17 +425,19 @@ class SystemSolution:
         return y
 
     def _newton(self, x: tuple[float, ...]) -> Vector | None:
-        """Newton's zero of F(x, .) from the seed b, or None when it is not
-        accepted: when it does not settle (step <= tol_root, or a step that
-        leaves y unchanged) within _NEWTON_MAX_ITER steps, its residual
-        exceeds tol_sys, it lies outside the validated region, or a step
-        fails to evaluate. A step takes F's values and Jacobian from one
-        kernel pass; the settled iterate's residual is one F.eval."""
+        """Newton's zero of F(x, .) from the tangent predictor
+        b + Y' (x - a), one fsum per row, or None when it is not accepted:
+        when it does not settle (step <= tol_root, or a step that leaves y
+        unchanged) within _NEWTON_MAX_ITER steps, its residual exceeds
+        tol_sys, it lies outside the validated region, or the predictor or
+        a step fails to evaluate. A step takes F's values and Jacobian from
+        one kernel pass; the settled iterate's residual is one F.eval."""
         n = self.n
         tol_root = self.options.tol_root
         values_and_jacobian = self.F._values_and_jacobian
-        y = tuple(self.seed.y)
+        dx = list(map(operator.sub, x, self.seed.x))
         try:
+            y = tuple(_affine(self.seed.y, self.tangent, dx))
             for _ in range(_NEWTON_MAX_ITER):
                 values, jac = values_and_jacobian(x + y)
                 # the dependent block of a Matrix, whose entries are finite
@@ -443,8 +451,10 @@ class SystemSolution:
             residual = max(abs(r) for r in self.F.eval(x + y))
             if residual <= self.options.tol_sys and self._in_region(x, y):
                 return y
-        # ValueError: a step that overflows to a non-finite vector
-        except (ImpliSolveError, ValueError):
+        # ValueError: a step that overflows to a non-finite vector;
+        # OverflowError: a predictor row whose fsum overflows, far outside
+        # the region
+        except (ImpliSolveError, ValueError, OverflowError):
             pass
         return None
 
@@ -481,10 +491,7 @@ class SystemSolution:
         if self.normalizer is None:
             return Vector(z)
         b = self.seed.y
-        dz = [zk - bk for zk, bk in zip(z, b)]
-        return Vector._of_floats(
-            [bk + math.fsum([a * d for a, d in zip(row, dz)]) for bk, row in zip(b, self.normalizer.rows)]
-        )
+        return Vector._of_floats(_affine(b, self.normalizer, list(map(operator.sub, z, b))))
 
     def jacobian_at(self, x: Sequence[float]) -> Matrix:
         """Jf(x) = -[dF/dy]^-1 [dF/dx] at (x, f(x)), blocks from exact partials."""
@@ -495,19 +502,11 @@ class SystemSolution:
         """Jacobian at a point whose solution value y = f(x) is already known.
 
         One read of F's Jacobian, whose blocks are dF/dx (columns below n)
-        and dF/dy. Entry (i, j) is -fsum_k inv[i][k] dF_k/dx_j, inv the
-        inverse of dF/dy: negation is exact and fsum correctly rounded, so
-        it equals -1.0 times the entry of inverse(dF/dy) @ dF/dx."""
+        and dF/dy, and -inverse(dF/dy) dF/dx from _implicit_derivative."""
         n = self.n
         rows = self.F.jacobian(x + tuple(y)).rows
         inv = inverse(Matrix._unchecked(tuple(row[n:] for row in rows)))
-        product = tuple(
-            tuple([math.fsum([a * row[j] for a, row in zip(inv_row, rows)]) for j in range(n)])
-            for inv_row in inv.rows
-        )
-        # tested before the negation, which would flip the sign the message names
-        Matrix._of_floats(product)
-        return Matrix._unchecked(tuple(tuple([-v for v in row]) for row in product))
+        return _implicit_derivative(inv, rows, n)
 
     # -- box geometry ------------------------------------------------------
 
@@ -654,15 +653,17 @@ def build_system(
 
     if m == 1:
         scalar = _build_scalar(F, seed, options, _depth)
-        fy = j_inv = child = None
+        fy = j_inv = tangent = child = None
     else:
         perm = _phi_variable_perm(n, m)
         if _depth == 1:
             G, fy, j_inv, seed_jacobian = normalize(F, seed)
+            # G's x-columns at the seed are F's, since z = b there gives y = b
+            tangent = _implicit_derivative(j_inv, seed_jacobian.rows, n)
             g1 = G.component_function(0, [G.variables[i] for i in perm])
         else:
             # the level above normalized, so F's dependent block is already I
-            G, fy, j_inv, seed_jacobian = F, None, None, F.seed_jacobian
+            G, fy, j_inv, tangent, seed_jacobian = F, None, None, None, F.seed_jacobian
             _check_identity_block(seed_jacobian, n)
             g1 = _ComponentSlice(G, 0, perm)
         a = tuple(seed.x)
@@ -685,9 +686,29 @@ def build_system(
         scalar=scalar,
         normalizer=j_inv,
         seed_fy=fy,
+        tangent=tangent,
         child=child,
         region=_region(scalar.box, n, child),
     )
+
+
+def _affine(base: Sequence[float], mat: Matrix, d: Sequence[float]) -> list[float]:
+    """base + mat d, each row of mat d one fsum."""
+    return [bk + math.fsum([a * v for a, v in zip(row, d)]) for bk, row in zip(base, mat.rows)]
+
+
+def _implicit_derivative(inv: Matrix, rows: tuple, n: int) -> Matrix:
+    """-inv dF/dx, dF/dx the first n columns of the Jacobian rows: entry
+    (i, j) is -fsum_k inv[i][k] dF_k/dx_j. Negation is exact and fsum
+    correctly rounded, so it equals -1.0 times the entry of inv @ dF/dx;
+    a ValueError where an entry is not finite."""
+    product = tuple(
+        tuple([math.fsum([a * row[j] for a, row in zip(inv_row, rows)]) for j in range(n)])
+        for inv_row in inv.rows
+    )
+    # tested before the negation, which would flip the sign the message names
+    Matrix._of_floats(product)
+    return Matrix._unchecked(tuple(tuple([-v for v in row]) for row in product))
 
 
 def _build_scalar(F, seed: SplitPoint, options: SolverOptions, depth: int) -> ImplicitSolution:

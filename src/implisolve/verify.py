@@ -19,6 +19,7 @@ from typing import Sequence
 from .errors import (
     DegenerateJacobian,
     DimensionMismatch,
+    DomainError,
     NoSignChange,
     RadiusUnderflow,
 )
@@ -195,6 +196,43 @@ def _ball_point(rng: random.Random, center: Sequence[float], r: float) -> Vector
     return Vector(c + radius * v / norm for c, v in zip(center, g))
 
 
+def _sampled_min_det(
+    F: ExprFunction,
+    p: Vector,
+    r: float,
+    samples: int,
+    rng: random.Random,
+    sign0: float,
+    min_det: float,
+) -> float | None:
+    """injectivity_radius's two checks at radius r: the smallest sampled
+    |det| (at most min_det) where both pass, else None."""
+    n = len(p)
+    try:
+        for _ in range(samples):
+            rows = []
+            for i in range(n):
+                xi = _ball_point(rng, p, r)
+                rows.append(tuple(F.jacobian(xi).rows[i]))
+            d = det(Matrix.from_rows(rows))
+            # written so that a NaN d fails
+            if not (math.isfinite(d) and sign0 * d >= 1e-12):
+                return None
+            min_det = min(min_det, abs(d))
+        for _ in range(samples):
+            a = _ball_point(rng, p, r)
+            b = _ball_point(rng, p, r)
+            gap = vec_sub(a, b).norm()
+            if gap == 0.0:
+                continue
+            if vec_sub(F.eval(a), F.eval(b)).norm() <= 1e-12 * gap:
+                return None
+    # ValueError: vec_sub of a difference that is not finite
+    except (DomainError, ValueError):
+        return None
+    return min_det
+
+
 def injectivity_radius(
     F: ExprFunction,
     p: Sequence[float],
@@ -208,9 +246,11 @@ def injectivity_radius(
     the test matrix takes row i as the gradient of component i at its own
     point. Every sampled determinant must keep the sign of det JF(p) with
     magnitude >= 1e-12. A direct check then requires F(a) != F(b) for
-    `samples` random pairs, with separation > 1e-12 |a - b|. Halve r until
-    both pass, down to MIN_RADIUS. The result is evidence, not a
-    certificate.
+    `samples` random pairs, with separation > 1e-12 |a - b|. A sampled
+    point where F or its Jacobian fails to evaluate, a determinant that is
+    not finite, or an image difference that is not finite fails r too.
+    Halve r until both pass, down to MIN_RADIUS. The result is evidence,
+    not a certificate.
     """
     n = F.n_inputs
     if F.n_outputs != n:
@@ -225,29 +265,8 @@ def injectivity_radius(
     r = r0
     halvings = 0
     while r >= MIN_RADIUS:
-        ok = True
-        min_det = abs(d0)
-        for _ in range(samples):
-            rows = []
-            for i in range(n):
-                xi = _ball_point(rng, p, r)
-                rows.append(tuple(F.jacobian(xi).rows[i]))
-            d = det(Matrix.from_rows(rows))
-            if sign0 * d < 1e-12:
-                ok = False
-                break
-            min_det = min(min_det, abs(d))
-        if ok:
-            for _ in range(samples):
-                a = _ball_point(rng, p, r)
-                b = _ball_point(rng, p, r)
-                gap = vec_sub(a, b).norm()
-                if gap == 0.0:
-                    continue
-                if vec_sub(F.eval(a), F.eval(b)).norm() <= 1e-12 * gap:
-                    ok = False
-                    break
-        if ok:
+        min_det = _sampled_min_det(F, p, r, samples, rng, sign0, abs(d0))
+        if min_det is not None:
             return InjectivityReport(
                 radius=r,
                 samples=samples,

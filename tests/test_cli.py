@@ -712,6 +712,21 @@ def test_verify_lemma4_pass_and_degenerate(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("radius,expected", [("5", (0.625, 3)), ("1e300", None)])
+def test_verify_lemma4_halves_past_points_that_overflow(tmp_path, radius, expected):
+    """At radius 1e300 the square map overflows at sampled points: each
+    such radius fails and halves, down to a positive radius that passes."""
+    spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
+    code, text = run_main(
+        ["verify", "--lemma", "lemma4", "--spec", spec, "--radius", radius, "--samples", "50"]
+    )
+    assert code == 0
+    report = json.loads(text)["report"]
+    assert report["passed"] and report["radius"] > 0.0
+    if expected is not None:
+        assert (report["radius"], report["halvings"]) == expected
+
+
 def test_output_is_deterministic_in_process(tmp_path):
     spec = write_spec(tmp_path, "quad.json", QUAD_SPEC)
     argv = ["implicit", "--spec", spec, "--query", "1", "--grid", "0.99:1.01:3"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from implisolve import (
     BoxNotFound,
     DimensionMismatch,
+    ExprFunction,
     Matrix,
     OutsideBox,
     SeedNotOnZeroSet,
@@ -25,7 +27,7 @@ from implisolve import (
 )
 from implisolve import dini
 from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam
-from implisolve.linalg import hs_norm, inverse, matvec, solve, split_columns, vec_sub
+from implisolve.linalg import hs_norm, identity, inverse, matvec, solve, split_columns, vec_sub
 from conftest import interior_grid
 from oracles import newton_solve_system
 
@@ -214,10 +216,10 @@ def test_reduced_partials_match_finite_differences(corpus_systems):
 
 def test_inner_level_checks_identity_block(monkeypatch):
     """Below level 1 a dependent block that is not I is refused, not
-    normalized again. With normalize made a no-op, level 2 inherits the
-    block [[2, 1], [1, 2]]."""
+    normalized again. With normalize made a no-op, J = J_inv = I, level 2
+    inherits the block [[2, 1], [1, 2]]."""
     monkeypatch.setattr(
-        dini, "normalize", lambda F, seed: (F, None, None, F.jacobian(seed.point()))
+        dini, "normalize", lambda F, seed: (F, identity(3), identity(3), F.jacobian(seed.point()))
     )
     F = parse(["y1 - x", "2*y2 + y3", "y2 + 2*y3"], ["x", "y1", "y2", "y3"])
     with pytest.raises(SingularMatrix, match="normalization failed"):
@@ -471,6 +473,15 @@ def test_outside_box_reports_level(quad_system):
     assert str(err.value).endswith(f"(recursion level {err.value.level})")
 
 
+def test_predictor_that_overflows_falls_back_to_the_nested_solve():
+    """Each row of the square-map inverse's tangent at (0.3, 0.3) sums two
+    terms near 1.4e308 at this query, so its fsum overflows: Newton gives
+    up, and the nested solve reports the point outside the box."""
+    system = build_inverse(SQUARE_MAP, [0.3, 0.3]).system
+    with pytest.raises(OutsideBox):
+        system.solve_at((1.7e308, 1.7e308))
+
+
 def test_box_not_found_message_names_level():
     # level 2 solves y2 = 1e30 x^2, whose root leaves every box the search tries
     F = parse(["y1 - x", "y2 - 1e30*x^2"], ["x", "y1", "y2"])
@@ -645,30 +656,35 @@ def test_newton_accepted_exactly_inside_region(corpus_systems, monkeypatch, name
     assert 0 < accepted < 81
 
 
-EXP_SHEET = parse(["exp(y1) - exp(x)", "y2 - y1"], ["x", "y1", "y2"])
+# y1 = y2 = x^2 with z1 = y1 / 10: its tangent at the seed x = 0 is flat,
+# so Newton starts from b there, far from the zero at |x| >> 0
+PARABOLIC_SHEET = parse(["exp(0.1*y1) - exp(0.1*x^2)", "y2 - y1"], ["x", "y1", "y2"])
 
 
 @pytest.mark.parametrize(
     "x,fallbacks",
     [
-        # from y1 = 0 Newton moves about -1 per step toward y1 = -8
-        (-8.0, 1),
-        # the first step overshoots to y1 = e^8 - 1, where exp overflows
-        (8.0, 1),
+        # the first step overshoots to z1 = e^3.025 - 1, and then z1 falls
+        # by about 1 per step toward 3.025
+        (5.5, 1),
+        # the first step overshoots to z1 = e^7.225 - 1, where exp overflows
+        (8.5, 1),
         (0.5, 0),
     ],
 )
 def test_newton_fallback_gives_nested_answer(monkeypatch, x, fallbacks):
-    """y1 = y2 = x on a wide validated box, where Newton from the seed does
-    not settle in _NEWTON_MAX_ITER steps far from it: solve_at falls back
-    to the nested solve and returns its answer bit for bit."""
-    system = build_system(EXP_SHEET, SplitPoint.of([0.0], [0.0, 0.0]), SolverOptions(h0=10.0))
+    """y1 = y2 = x^2 on a wide validated box, where Newton from the tangent
+    predictor, b itself, does not settle in _NEWTON_MAX_ITER steps far
+    from the seed: solve_at falls back to the nested solve and returns its
+    answer bit for bit."""
+    system = build_system(PARABOLIC_SHEET, SplitPoint.of([0.0], [0.0, 0.0]), SolverOptions(h0=10.0))
     lo, hi = system.x_box()
     assert lo[0] < x < hi[0]
+    assert all(v == 0.0 for row in system.tangent.rows for v in row)
     calls = count_nested_solves(monkeypatch)
     y = system.solve_at((x,))
     assert len(calls) == fallbacks
-    assert max(abs(v - x) for v in y) < 1e-9
+    assert max(abs(v - x * x) for v in y) < 1e-9
     if fallbacks:
         assert y == system._solve((x,))
 
@@ -719,6 +735,67 @@ def test_accepted_newton_query_evaluates_F_once(corpus_systems, monkeypatch, nam
         system.solve_at(tuple(a + t * (b - a) for a, b in zip(lo, hi)))
         assert not calls
         assert len(evals) == 1
+
+
+AFFINE_PAIR = parse(["y1 + y2 - x", "y1 - y2 - 2*x"], ["x", "y1", "y2"])
+
+
+@pytest.mark.parametrize(
+    "name,passes",
+    [("quad_pair", 3), ("cubic_triple", 3), ("square_map_inverse", 3), ("affine_pair", 1)],
+)
+def test_newton_from_the_tangent_predictor_saves_a_pass(corpus_systems, monkeypatch, name, passes):
+    """Newton starts from b + Y' (x - a), the first-order term of the
+    solution at the seed, so an accepted query at the points 0.2 and 0.8 of
+    each x-box axis takes at most 3 passes of the Jacobian kernel (4 from
+    b itself). On an affine system the predictor is the zero, and the
+    first pass settles it."""
+    if name == "square_map_inverse":
+        system = build_inverse(SQUARE_MAP, [1.0, 1.0]).system
+    elif name == "affine_pair":
+        system = build_system(AFFINE_PAIR, SplitPoint.of([0.0], [0.0, 0.0]))
+    else:
+        system = {p.name: s for p, s in corpus_systems}[name]
+    counts = []
+    plain = ExprFunction._values_and_jacobian
+
+    def counted(self, p):
+        counts[-1] += 1
+        return plain(self, p)
+
+    calls = count_nested_solves(monkeypatch)
+    monkeypatch.setattr(ExprFunction, "_values_and_jacobian", counted)
+    lo, hi = system.x_box()
+    for ts in itertools.product((0.2, 0.8), repeat=system.n):
+        counts.append(0)
+        system.solve_at(tuple(a + t * (b - a) for a, t, b in zip(lo, ts, hi)))
+    assert not calls
+    if name == "affine_pair":
+        assert counts == [1, 1]
+    else:
+        assert max(counts) <= passes
+
+
+def test_newton_answers_well_posed_systems_inside_the_region(monkeypatch):
+    """On random well-posed systems with m = 2..4, at random points of the
+    region's x-box, Newton from the tangent predictor is accepted: solve_at
+    makes no nested solve, its answer lies in the region, and it equals the
+    nested solve's within 1e-11."""
+    calls = count_nested_solves(monkeypatch)
+
+    @given(st.integers(2, 4), st.data())
+    def check(m, data):
+        F, seed = well_posed_system(m, lambda lo, hi: data.draw(st.floats(lo, hi)))
+        system = build_system(F, seed, WELL_POSED_OPTIONS)
+        lo, hi = system.x_box()
+        x = tuple(data.draw(st.floats(a, b, exclude_min=True, exclude_max=True)) for a, b in zip(lo, hi))
+        calls.clear()
+        y = system.solve_at(x)
+        assert not calls
+        assert system._in_region(x, y)
+        assert max(abs(u - v) for u, v in zip(y, system._solve(x))) <= 1e-11
+
+    check()
 
 
 def test_system_far_from_zero_builds_and_matches_newton(monkeypatch):

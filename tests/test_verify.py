@@ -11,6 +11,7 @@ from implisolve import (
     identity,
     parse,
 )
+from implisolve import verify
 from implisolve.verify import (
     check_chain_rule,
     check_operator_bound,
@@ -195,3 +196,32 @@ def test_injectivity_deterministic():
     a = injectivity_radius(F, (1.0, 1.0), samples=100, rng_seed=3)
     b = injectivity_radius(F, (1.0, 1.0), samples=100, rng_seed=3)
     assert a == b
+
+
+def test_injectivity_halves_past_points_that_fail_to_evaluate():
+    """x1^3 overflows beyond 5.6e102: a sampled point there fails the
+    radius, which halves, instead of ending the check."""
+    F = parse(["x1 + 1e-300*x1^3"], ["x1"])
+    report = injectivity_radius(F, (0.0,), r0=1e200, samples=50)
+    assert report.passed
+    assert 0.0 < report.radius < 5.6e102
+    assert report.halvings > 300
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_injectivity_non_finite_determinant_fails_the_radius(monkeypatch, bad):
+    """A linear map with det 3 everywhere, whose first sampled determinant
+    is made non-finite: that radius fails, and the next one passes."""
+    F = parse(["2*x1 + x2", "x2 - x1"], ["x1", "x2"])
+    dets = []
+    plain = verify.det
+
+    def first_sample_bad(m):
+        dets.append(m)
+        # call 1 is det JF(p), call 2 the first sampled determinant
+        return bad if len(dets) == 2 else plain(m)
+
+    monkeypatch.setattr(verify, "det", first_sample_bad)
+    report = injectivity_radius(F, (0.0, 0.0), samples=20)
+    assert report.passed
+    assert (report.radius, report.halvings, report.min_det_magnitude) == (0.25, 1, 3.0)
