@@ -7,7 +7,8 @@ the scalar machinery (all remaining variables treated as independent),
 substitute that scalar solution into the remaining equations, and recurse
 on the reduced system of size m - 1. With G_z = I, dphi/dz' =
 -G_0,z' / G_0,z1 = 0 at the seed, so the reduced system's dependent
-Jacobian there is already I_{m-1}; inner levels only check it.
+Jacobian there is already I_{m-1}, within the bound that normalize's one
+check of G_z states; no inner level checks its block again.
 
 The stack proves existence and uniqueness: on its validated region, one
 box over (x, z) where every level's scalar box holds, F(x, .) has exactly
@@ -195,17 +196,12 @@ class _ReducedFunction:
     dphi/du_j = -G_0,u_j / G_0,z1, read off the same G Jacobian that the
     chain rule needs: jacobian and partial make one solve and one pass of
     G's Jacobian per call, and _eliminate_z1 is the one elimination of z1,
-    on floats there and on intervals in enclosure.
+    on floats there and on intervals in enclosure."""
 
-    seed_jacobian is its Jacobian at the seed (a, b'), eliminated from G's
-    at z1 = b1 exactly: jacobian() takes z1 from phi, whose root misses b1
-    by up to tol_root plus the seed residual, times G's curvature."""
-
-    def __init__(self, G, phi: ImplicitSolution, n: int, seed_jacobian: Matrix):
+    def __init__(self, G, phi: ImplicitSolution, n: int):
         self.G = G
         self.phi = phi
         self.n = n
-        self.seed_jacobian = seed_jacobian
         self.n_inputs = G.n_inputs - 1
         self.n_outputs = G.n_outputs - 1
 
@@ -315,8 +311,14 @@ def normalize(F, seed: SplitPoint):
 
     F must be an ExprFunction, else TypeError; the substitution is
     performed on its trees. Returns (G, J, J_inv, JG), where JG is G's
-    Jacobian at the seed, whose dependent block is checked to be the
-    identity. Each of F's and G's Jacobians is read once.
+    Jacobian at the seed. Each of F's and G's Jacobians is read once.
+
+    SingularMatrix unless JG's dependent block is the identity within
+    eps = _NORMALIZE_TOL, entry by entry. This is the stack's one check of
+    that block: each level's elimination of z1 at z1 = b1 (_eliminate_z1)
+    moves an entry of the block below by at most eps^2 / (1 - eps) plus a
+    few ulps, so every inner level's block is I within about eps too, and
+    the scalar solver needs only a nonsingular one.
     """
     _require_expression(F, "normalize")
     n, m = seed.n, seed.m
@@ -336,26 +338,19 @@ def normalize(F, seed: SplitPoint):
         mapping[y_name] = linear_combination(b[i], terms)
     G = F.substituted(mapping, x_names + z_names)
     jg = G.jacobian(seed.point())
-    _check_identity_block(jg, n)
-    return G, fy, j_inv, jg
-
-
-def _require_expression(F, caller: str) -> None:
-    if not isinstance(F, ExprFunction):
-        raise TypeError(f"{caller} needs an ExprFunction, got {type(F).__name__}")
-
-
-def _check_identity_block(jac: Matrix, n: int) -> None:
-    """Raise SingularMatrix unless the dependent block of jac (columns n
-    onward) is the identity within _NORMALIZE_TOL."""
-    gy = split_columns(jac, n)[1]
-    for i, row in enumerate(gy.rows):
+    for i, row in enumerate(split_columns(jg, n)[1].rows):
         for j, entry in enumerate(row):
             if abs(entry - (1.0 if i == j else 0.0)) > _NORMALIZE_TOL:
                 raise SingularMatrix(
                     "normalization failed: dependent-block Jacobian too "
                     f"ill-conditioned (entry ({i},{j}) = {entry!r})"
                 )
+    return G, fy, j_inv, jg
+
+
+def _require_expression(F, caller: str) -> None:
+    if not isinstance(F, ExprFunction):
+        raise TypeError(f"{caller} needs an ExprFunction, got {type(F).__name__}")
 
 
 @dataclass(frozen=True)
@@ -627,10 +622,12 @@ def build_system(
 ) -> SystemSolution:
     """Build the recursion stack for F(x, f(x)) = 0 at the seed (a, b).
 
-    The base case m = 1 delegates to the scalar solver on F directly. For
-    m > 1 the function is normalized at level 1 (below, its dependent block
-    is only checked to be the identity), the first equation is solved for
-    its first dependent variable, and the reduced system recurses.
+    Every level builds its scalar solution by one build_implicit call, of
+    its first equation for its first dependent variable with the others
+    treated as independent; a BoxNotFound raised there without a level gets
+    this one. At m = 1 that equation is F itself. For m > 1 the function is
+    normalized at level 1, whose check of the identity block covers every
+    inner level (see normalize), and the reduced system recurses.
 
     For m > 1, F must be an ExprFunction, else TypeError before any of its
     methods is called. For m = 1, any object with n_inputs, n_outputs,
@@ -651,33 +648,36 @@ def build_system(
     if residual > options.tol_sys:
         raise SeedNotOnZeroSet(residual, options.tol_sys)
 
+    a, b = tuple(seed.x), tuple(seed.y)
+    G, fy, j_inv, tangent = F, None, None, None
     if m == 1:
-        scalar = _build_scalar(F, seed, options, _depth)
-        fy = j_inv = tangent = child = None
+        g1 = F
+    elif _depth == 1:
+        G, fy, j_inv, jg = normalize(F, seed)
+        # G's x-columns at the seed are F's, since z = b there gives y = b
+        tangent = _implicit_derivative(j_inv, jg.rows, n)
+        # its own ExprFunction, not a _ComponentSlice of G: read through the
+        # slice, which permutes every point, 16 rounds of re-seeded quad_pair
+        # and square-map builds took about 15% more CPU
+        g1 = G.component_function(0, [G.variables[i] for i in _phi_variable_perm(n, m)])
     else:
-        perm = _phi_variable_perm(n, m)
-        if _depth == 1:
-            G, fy, j_inv, seed_jacobian = normalize(F, seed)
-            # G's x-columns at the seed are F's, since z = b there gives y = b
-            tangent = _implicit_derivative(j_inv, seed_jacobian.rows, n)
-            g1 = G.component_function(0, [G.variables[i] for i in perm])
-        else:
-            # the level above normalized, so F's dependent block is already I
-            G, fy, j_inv, tangent, seed_jacobian = F, None, None, None, F.seed_jacobian
-            _check_identity_block(seed_jacobian, n)
-            g1 = _ComponentSlice(G, 0, perm)
-        a = tuple(seed.x)
-        b = tuple(seed.y)
-        scalar = _build_scalar(g1, SplitPoint.of(a + b[1:], (b[0],)), options, _depth)
+        g1 = _ComponentSlice(F, 0, _phi_variable_perm(n, m))
+    try:
+        scalar = build_implicit(g1, SplitPoint.of(a + b[1:], b[:1]), options)
+    except BoxNotFound as exc:
+        exc.level = exc.level if exc.level is not None else _depth
+        raise
 
-        seed_reduced = Matrix._of_floats(_eliminate_z1(seed_jacobian.rows, n))
-        reduced = _ReducedFunction(G, scalar, n, seed_reduced)
+    child = None
+    if m > 1:
         inner_options = replace(
             options,
             h0=options.h0 * _INNER_H0_INSET,
             h0_dep=None if options.h0_dep is None else options.h0_dep * _INNER_H0_INSET,
         )
-        child = build_system(reduced, SplitPoint.of(a, b[1:]), inner_options, _depth + 1)
+        child = build_system(
+            _ReducedFunction(G, scalar, n), SplitPoint.of(a, b[1:]), inner_options, _depth + 1
+        )
     return SystemSolution(
         F=F,
         seed=seed,
@@ -709,15 +709,6 @@ def _implicit_derivative(inv: Matrix, rows: tuple, n: int) -> Matrix:
     # tested before the negation, which would flip the sign the message names
     Matrix._of_floats(product)
     return Matrix._unchecked(tuple(tuple([-v for v in row]) for row in product))
-
-
-def _build_scalar(F, seed: SplitPoint, options: SolverOptions, depth: int) -> ImplicitSolution:
-    """build_implicit; a BoxNotFound it raises without a level gets this one."""
-    try:
-        return build_implicit(F, seed, options)
-    except BoxNotFound as exc:
-        exc.level = exc.level if exc.level is not None else depth
-        raise
 
 
 def _region(

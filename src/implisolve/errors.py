@@ -114,7 +114,7 @@ class NoSignChange(ImpliSolveError):
 
 
 class DegenerateJacobian(ImpliSolveError):
-    """det JF(p) vanishes at the base point."""
+    """det JF(p) at the base point is within 1e-12 of 0, or not finite."""
 
 
 class RadiusUnderflow(ImpliSolveError):

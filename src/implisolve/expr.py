@@ -89,7 +89,12 @@ def _prec(node: Node) -> float:
 
 def format_node(node: Node) -> str:
     if isinstance(node, Const):
-        return repr(node.value)
+        v = node.value
+        # an integral literal prints as an integer, x^2 and not x^2.0; below
+        # 2^53 in magnitude it is exact, so it parses back to the same float
+        if v.is_integer() and abs(v) < 2.0**53:
+            return repr(v)[:-2]
+        return repr(v)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

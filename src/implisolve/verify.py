@@ -244,11 +244,13 @@ def injectivity_radius(
 
     At radius r, draw `samples` tuples of independent points in B(p; r);
     the test matrix takes row i as the gradient of component i at its own
-    point. Every sampled determinant must keep the sign of det JF(p) with
-    magnitude >= 1e-12. A direct check then requires F(a) != F(b) for
-    `samples` random pairs, with separation > 1e-12 |a - b|. A sampled
-    point where F or its Jacobian fails to evaluate, a determinant that is
-    not finite, or an image difference that is not finite fails r too.
+    point. det JF(p) must be finite with magnitude above 1e-12, else
+    DegenerateJacobian before any sample. Every sampled determinant must
+    keep its sign with magnitude >= 1e-12. A direct check then requires
+    F(a) != F(b) for `samples` random pairs, with separation
+    > 1e-12 |a - b|. A sampled point where F or its Jacobian fails to
+    evaluate, a determinant that is not finite, or an image difference
+    that is not finite fails r too.
     Halve r until both pass, down to MIN_RADIUS. The result is evidence,
     not a certificate.
     """
@@ -257,7 +259,7 @@ def injectivity_radius(
         raise DimensionMismatch("injectivity radius needs a square map")
     p = Vector(p)
     d0 = det(F.jacobian(p))
-    if abs(d0) <= 1e-12:
+    if not math.isfinite(d0) or abs(d0) <= 1e-12:
         raise DegenerateJacobian(f"det JF(p) = {d0:g}")
     sign0 = 1.0 if d0 > 0 else -1.0
 

@@ -712,6 +712,17 @@ def test_verify_lemma4_pass_and_degenerate(tmp_path):
     assert code == 1
 
 
+def test_verify_lemma4_refuses_a_non_finite_base_determinant(tmp_path, capsys):
+    """det JF(p) overflows to inf at the seed: one error line that names
+    it, before any radius is sampled."""
+    spec = write_spec(
+        tmp_path, "big.json", dict(SQUARE_MAP_SPEC, functions=["1e200*x1", "1e200*x2"], seed=[0.0, 0.0])
+    )
+    code, text = run_main(["verify", "--lemma", "lemma4", "--spec", spec, "--samples", "50"])
+    assert text == ""
+    assert "det JF(p) = inf" in assert_one_line_error(capsys, code)
+
+
 @pytest.mark.parametrize("radius,expected", [("5", (0.625, 3)), ("1e300", None)])
 def test_verify_lemma4_halves_past_points_that_overflow(tmp_path, radius, expected):
     """At radius 1e300 the square map overflows at sampled points: each

@@ -214,16 +214,22 @@ def test_reduced_partials_match_finite_differences(corpus_systems):
                 assert got[i] == jac.rows[i][j]
 
 
-def test_inner_level_checks_identity_block(monkeypatch):
-    """Below level 1 a dependent block that is not I is refused, not
-    normalized again. With normalize made a no-op, J = J_inv = I, level 2
-    inherits the block [[2, 1], [1, 2]]."""
+def test_inner_level_builds_with_a_nonidentity_block(monkeypatch):
+    """Only normalize checks the identity block: an inner level builds on
+    any nonsingular one. With normalize made a no-op, J = J_inv = I, level 2
+    inherits the block [[2, 1], [1, 2]], and its zero is still found."""
     monkeypatch.setattr(
         dini, "normalize", lambda F, seed: (F, identity(3), identity(3), F.jacobian(seed.point()))
     )
     F = parse(["y1 - x", "2*y2 + y3", "y2 + 2*y3"], ["x", "y1", "y2", "y3"])
-    with pytest.raises(SingularMatrix, match="normalization failed"):
-        build_system(F, SplitPoint.of([0.0], [0.0, 0.0, 0.0]))
+    system = build_system(F, SplitPoint.of([0.0], [0.0, 0.0, 0.0]))
+    level2 = system.child
+    gy = split_columns(level2.F.jacobian(level2.seed.point()), level2.n)[1]
+    assert gy.to_lists() == [[2.0, 1.0], [1.0, 2.0]]
+    tol = system.options.tol_sys
+    for (x,) in interior_grid(system, 9, margin=0.02):
+        for y in (system.solve_at((x,)), system._solve((x,))):
+            assert max(abs(a - b) for a, b in zip(y, (x, 0.0, 0.0))) <= tol
 
 
 CUBIC_TRIPLE = parse(
@@ -245,9 +251,9 @@ CUBIC_TRIPLE = parse(
 def test_inner_check_ignores_inner_root_miss(t, dy1, options):
     """cubic_triple through (t, t, t): level 2's own Jacobian at its seed
     takes z1 from phi, off b1 by the seed residual or by tol_root, and so
-    is off I by more than _NORMALIZE_TOL. The check uses the block
-    eliminated at z1 = b1, which is I up to roundoff, so the build
-    succeeds."""
+    is off I by more than _NORMALIZE_TOL. The build succeeds because no
+    inner level re-checks its block: normalize's check at level 1 is the
+    only one."""
     seed = SplitPoint.of([t * t + 2 * t - 2], [t + dy1, t, t])
     assert max(abs(r) for r in CUBIC_TRIPLE.eval(seed.point())) <= options.tol_sys
     system = build_system(CUBIC_TRIPLE, seed, options)

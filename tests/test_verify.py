@@ -184,6 +184,25 @@ def test_injectivity_degenerate_jacobian():
         injectivity_radius(F, (0.0,))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_injectivity_refuses_a_non_finite_base_determinant(monkeypatch, bad):
+    """det JF(p) that is not finite is refused before any radius is
+    sampled: 1e200*x1, 1e200*x2 overflows it to inf, and a det made nan
+    stands for the rest."""
+    F = parse(["1e200*x1", "1e200*x2"], ["x1", "x2"])
+    if math.isnan(bad):
+        monkeypatch.setattr(verify, "det", lambda m: bad)
+    else:
+        assert verify.det(F.jacobian((0.0, 0.0))) == math.inf
+
+    def sampled(*args):
+        raise AssertionError("sampled a radius")
+
+    monkeypatch.setattr(verify, "_sampled_min_det", sampled)
+    with pytest.raises(DegenerateJacobian, match=rf"^det JF\(p\) = {bad:g}$"):
+        injectivity_radius(F, (0.0, 0.0))
+
+
 def test_injectivity_radius_underflow():
     # near-degenerate point: every radius above the floor still straddles 0
     F = parse(["x1^2"], ["x1"])
