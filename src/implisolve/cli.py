@@ -18,7 +18,8 @@ for the point-evaluating commands). Field names are pinned by
 docs/output_schema.json. Runs are deterministic: identical spec and seed
 produce byte-identical output. Exit codes: 0 full success, 1 spec error
 (parse, seed, singularity) or usage error, such as a flag or spec field the
-command or lemma does not read, on one line; 2 per-point failures
+command or lemma does not read, or standard output closed by its reader
+before the output was written, on one line; 2 per-point failures
 (itemized in rows).
 """
 
@@ -30,6 +31,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from typing import Sequence
@@ -425,10 +427,24 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "verify":
-            return _cmd_verify(args, out)
-        return _cmd_points(args, out)
+            code = _cmd_verify(args, out)
+        else:
+            code = _cmd_points(args, out)
+        # a reader that closed early fails this flush here, not at exit
+        out.flush()
+        return code
     except (SpecError, ImpliSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        # what stdout still buffers would raise again at the interpreter's
+        # final flush; on os.devnull it is dropped
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the output was written", file=sys.stderr)
         return 1
 
 

@@ -293,7 +293,8 @@ def _eliminate_z1(
     Gaussian elimination (Neumaier, Interval Methods for Systems of
     Equations, 1990, ch. 4), in the arithmetic div, add, mul and neg: on
     floats by default, where a zero pivot raises DegenerateDerivative, and
-    on intervals in enclosure."""
+    on intervals in enclosure. verify's lemma 4 certificate applies it
+    column after column, with n = 0, as the whole elimination."""
     first = rows[0]
     cols = [c for c in range(len(first)) if c != n]
     grad = [div(neg(first[c]), first[n]) for c in cols]

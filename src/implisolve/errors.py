@@ -118,7 +118,8 @@ class DegenerateJacobian(ImpliSolveError):
 
 
 class RadiusUnderflow(ImpliSolveError):
-    """Radius halving fell below the floor without passing the sampling test."""
+    """Radius halving fell below the floor with no certificate and without
+    passing the sampling test."""
 
     def __init__(self, radius: float):
         super().__init__(f"radius underflow at r = {radius:g}")

@@ -4,8 +4,10 @@ Each check is a runnable, seeded experiment: the operator-norm bound on
 random vectors, the chain rule for affine precompositions computed two
 ways, a mean-value witness found by a grid scan and the solver's ITP root
 finder, and an injectivity radius estimated by sampling mixed-row
-Jacobians and direct point pairs. The radius estimate is sampling-based,
-not a certificate; reports carry the seed and sample count so runs are
+Jacobians and direct point pairs. The injectivity radius is a
+certificate where interval Gaussian elimination proves lemma 4 over the
+box about p (the report reads certified=True); elsewhere it is sampling
+evidence. Reports carry the seed and sample count so runs are
 reproducible.
 """
 
@@ -16,6 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .dini import _eliminate_z1
+from .dual import DomainViolation
 from .errors import (
     DegenerateJacobian,
     DimensionMismatch,
@@ -182,7 +186,10 @@ class InjectivityReport:
     halvings: int
     rng_seed: int
     passed: bool
-    certified: bool = False  # sampling evidence only, never a proof
+    # True: interval elimination proved lemma 4 over the box [p - r, p + r],
+    # and min_det_magnitude bounds |det| of every mixed-row matrix there.
+    # False: sampling evidence, no proof.
+    certified: bool
 
 
 def _ball_point(rng: random.Random, center: Sequence[float], r: float) -> Vector:
@@ -194,6 +201,53 @@ def _ball_point(rng: random.Random, center: Sequence[float], r: float) -> Vector
             break
     radius = r * rng.random() ** (1.0 / n)
     return Vector(c + radius * v / norm for c, v in zip(center, g))
+
+
+def _mignitude(a: tuple[float, float]) -> float:
+    """The least |v| over the interval a: 0 where it holds 0."""
+    lo, hi = a
+    return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+
+
+def _certified_min_det(F: ExprFunction, p: Vector, r: float) -> float | None:
+    """Lemma 4 proved over the box [p - r, p + r], which holds B(p; r): a
+    lower bound on |det| of every matrix whose row i is grad F_i at some
+    point of the box, or None where the proof fails.
+
+    Every such matrix lies in the interval Jacobian over the box. Gaussian
+    elimination on it (_eliminate_z1, one column at a time), pivoting on the
+    row of largest mignitude, finds no pivot holding 0, so every matrix in
+    it is nonsingular and |det| is at least the product of the pivots'
+    mignitudes (Neumaier, Interval Methods for Systems of Equations, 1990,
+    ch. 4). Its determinants then keep one sign, that of det JF(p)."""
+    from . import interval
+
+    box = F.enclosure(
+        [math.nextafter(v - r, -math.inf) for v in p],
+        [math.nextafter(v + r, math.inf) for v in p],
+    )
+    if box is None:
+        return None
+    rows = box[1]
+    bound = 1.0
+    try:
+        while rows:
+            k = max(range(len(rows)), key=lambda i: _mignitude(rows[i][0]))
+            pivot = _mignitude(rows[k][0])
+            if pivot == 0.0:
+                return None
+            bound = math.nextafter(bound * pivot, 0.0)
+            rows = _eliminate_z1(
+                (rows[k],) + rows[:k] + rows[k + 1 :],
+                0,
+                interval.div,
+                interval.add,
+                interval.mul,
+                interval.neg,
+            )
+    except DomainViolation:
+        return None
+    return bound
 
 
 def _sampled_min_det(
@@ -240,19 +294,28 @@ def injectivity_radius(
     samples: int = 2000,
     rng_seed: int = 0,
 ) -> InjectivityReport:
-    """Estimate a radius on which F is injective, by sampling.
+    """A radius on which F is injective: proved where it can be, else
+    estimated by sampling.
 
-    At radius r, draw `samples` tuples of independent points in B(p; r);
-    the test matrix takes row i as the gradient of component i at its own
-    point. det JF(p) must be finite with magnitude above 1e-12, else
-    DegenerateJacobian before any sample. Every sampled determinant must
-    keep its sign with magnitude >= 1e-12. A direct check then requires
-    F(a) != F(b) for `samples` random pairs, with separation
-    > 1e-12 |a - b|. A sampled point where F or its Jacobian fails to
-    evaluate, a determinant that is not finite, or an image difference
-    that is not finite fails r too.
-    Halve r until both pass, down to MIN_RADIUS. The result is evidence,
-    not a certificate.
+    det JF(p) must be finite with magnitude above 1e-12, else
+    DegenerateJacobian before any radius is tried.
+
+    First, halve r from r0 down to MIN_RADIUS until interval elimination
+    proves lemma 4 over the box [p - r, p + r] (_certified_min_det). That r
+    is a certificate: the report reads certified=True, min_det_magnitude is
+    a proven lower bound on |det| of every mixed-row matrix in the box, and
+    samples and rng_seed are echoed, unread.
+
+    Where no r certifies, sample, again from r0. At radius r, draw
+    `samples` tuples of independent points in B(p; r); the test matrix
+    takes row i as the gradient of component i at its own point. Every
+    sampled determinant must keep the sign of det JF(p) with magnitude
+    >= 1e-12. A direct check then requires F(a) != F(b) for `samples`
+    random pairs, with separation > 1e-12 |a - b|. A sampled point where F
+    or its Jacobian fails to evaluate, a determinant that is not finite,
+    or an image difference that is not finite fails r too. Halve r until
+    both pass, down to MIN_RADIUS, else RadiusUnderflow. The result is
+    evidence, not a certificate: certified=False.
     """
     n = F.n_inputs
     if F.n_outputs != n:
@@ -264,19 +327,24 @@ def injectivity_radius(
     sign0 = 1.0 if d0 > 0 else -1.0
 
     rng = random.Random(rng_seed)
-    r = r0
-    halvings = 0
-    while r >= MIN_RADIUS:
-        min_det = _sampled_min_det(F, p, r, samples, rng, sign0, abs(d0))
-        if min_det is not None:
-            return InjectivityReport(
-                radius=r,
-                samples=samples,
-                min_det_magnitude=min_det,
-                halvings=halvings,
-                rng_seed=rng_seed,
-                passed=True,
-            )
-        r /= 2
-        halvings += 1
+    for certified in (True, False):
+        r = r0
+        halvings = 0
+        while r >= MIN_RADIUS:
+            if certified:
+                min_det = _certified_min_det(F, p, r)
+            else:
+                min_det = _sampled_min_det(F, p, r, samples, rng, sign0, abs(d0))
+            if min_det is not None:
+                return InjectivityReport(
+                    radius=r,
+                    samples=samples,
+                    min_det_magnitude=min_det,
+                    halvings=halvings,
+                    rng_seed=rng_seed,
+                    passed=True,
+                    certified=certified,
+                )
+            r /= 2
+            halvings += 1
     raise RadiusUnderflow(r)

@@ -427,6 +427,25 @@ def test_grid_too_large_exit_1(tmp_path):
     )
 
 
+def test_reader_closing_early_exits_1_without_traceback(tmp_path):
+    """A reader that closes stdout after 100 bytes of a 150 KB document,
+    more than a pipe holds: one error line, exit 1, no traceback, also
+    none from the interpreter's final flush."""
+    spec = write_spec(tmp_path, "quad.json", QUAD_SPEC)
+    cmd = [sys.executable, "-m", "implisolve.cli", "implicit", "--spec", spec,
+           "--grid=0.9:1.1:400"]
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=20)
+        err.seek(0)
+        text = err.read().decode()
+    assert code == 1
+    assert "Traceback" not in text
+    assert text == "error: standard output closed before the output was written\n"
+
+
 @pytest.mark.parametrize(
     "options,flags",
     [({"grid_density": 10000}, []), ({}, ["--grid-density", "10000"])],
@@ -710,6 +729,22 @@ def test_verify_lemma4_pass_and_degenerate(tmp_path):
     spec = write_spec(tmp_path, "deg.json", degenerate)
     code, _ = run_main(["verify", "--lemma", "lemma4", "--spec", spec])
     assert code == 1
+
+
+def test_verify_lemma4_certifies_the_square_map(tmp_path):
+    """The box [0.5, 1.5]^2 about the seed (1, 1) certifies at once;
+    --samples and --seed are echoed, unread."""
+    spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
+    code, text = run_main(["verify", "--lemma", "lemma4", "--spec", spec, "--seed", "7"])
+    assert code == 0
+    assert '"certified": true' in text
+    doc = json.loads(text)
+    report = doc["report"]
+    assert doc["passed"] and report["passed"] and report["certified"]
+    assert (report["radius"], report["halvings"], report["samples"], report["rng_seed"]) == (
+        0.5, 0, 2000, 7,
+    )
+    assert 1.333 <= report["min_det_magnitude"] <= 4.0 / 3.0
 
 
 def test_verify_lemma4_refuses_a_non_finite_base_determinant(tmp_path, capsys):

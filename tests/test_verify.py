@@ -1,6 +1,9 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from implisolve import (
     DegenerateJacobian,
@@ -160,7 +163,7 @@ def test_injectivity_linear_returns_initial_radius():
     report = injectivity_radius(F, (0.0, 0.0), samples=200)
     assert report.radius == 0.5
     assert report.passed
-    assert not report.certified
+    assert report.certified
 
 
 def test_injectivity_square_function_one_dim():
@@ -203,11 +206,38 @@ def test_injectivity_refuses_a_non_finite_base_determinant(monkeypatch, bad):
         injectivity_radius(F, (0.0, 0.0))
 
 
-def test_injectivity_radius_underflow():
-    # near-degenerate point: every radius above the floor still straddles 0
+def test_injectivity_radius_underflow(monkeypatch):
+    """Near-degenerate point: every radius above the floor still straddles
+    0, so no box certifies, and the sampled fallback underflows too."""
     F = parse(["x1^2"], ["x1"])
+    certify = verify._certified_min_det
+    tried = []
+
+    def spy(F, p, r):
+        tried.append(r)
+        return certify(F, p, r)
+
+    monkeypatch.setattr(verify, "_certified_min_det", spy)
     with pytest.raises(RadiusUnderflow):
         injectivity_radius(F, (1e-9,), samples=200)
+    assert tried == [0.5 / 2**k for k in range(len(tried))]
+    assert verify.MIN_RADIUS <= tried[-1] < 2 * verify.MIN_RADIUS
+
+
+def test_injectivity_square_map_certifies_short_of_its_critical_point(monkeypatch):
+    """det JF = 4 |x|^2 vanishes at the origin, at distance 1 from
+    p = (1, 0): the box of half-width 0.5 reaches det 0 in interval
+    arithmetic, so the certified radius is below 1, and no larger than
+    the radius the sampled fallback accepts there."""
+    F = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+    report = injectivity_radius(F, (1.0, 0.0), samples=500)
+    assert report.certified and report.passed
+    assert (report.radius, report.halvings) == (0.25, 1)
+    assert 0.0 < report.min_det_magnitude <= 4.0
+    monkeypatch.setattr(verify, "_certified_min_det", lambda F, p, r: None)
+    sampled = injectivity_radius(F, (1.0, 0.0), samples=500)
+    assert sampled.passed and not sampled.certified
+    assert report.radius <= sampled.radius
 
 
 def test_injectivity_deterministic():
@@ -230,8 +260,10 @@ def test_injectivity_halves_past_points_that_fail_to_evaluate():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_injectivity_non_finite_determinant_fails_the_radius(monkeypatch, bad):
     """A linear map with det 3 everywhere, whose first sampled determinant
-    is made non-finite: that radius fails, and the next one passes."""
+    is made non-finite: that radius fails, and the next one passes. The
+    certificate, which would prove r0 at once, is made to fail."""
     F = parse(["2*x1 + x2", "x2 - x1"], ["x1", "x2"])
+    monkeypatch.setattr(verify, "_certified_min_det", lambda F, p, r: None)
     dets = []
     plain = verify.det
 
@@ -244,3 +276,66 @@ def test_injectivity_non_finite_determinant_fails_the_radius(monkeypatch, bad):
     report = injectivity_radius(F, (0.0, 0.0), samples=20)
     assert report.passed
     assert (report.radius, report.halvings, report.min_det_magnitude) == (0.25, 1, 3.0)
+
+
+# A quadratic map of (x1, x2): per component, coefficients of these terms
+_TERMS = ("1", "x1", "x2", "x1^2", "x1*x2", "x2^2")
+
+
+def _exact_value(c, x):
+    x1, x2 = x
+    return c[0] + c[1] * x1 + c[2] * x2 + c[3] * x1 * x1 + c[4] * x1 * x2 + c[5] * x2 * x2
+
+
+def _exact_gradient(c, x):
+    x1, x2 = x
+    return c[1] + 2 * c[3] * x1 + c[4] * x2, c[2] + c[4] * x1 + 2 * c[5] * x2
+
+
+def _exact_det(rows):
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
+@given(
+    coeffs=st.lists(
+        st.lists(st.integers(-4, 4), min_size=6, max_size=6), min_size=2, max_size=2
+    ),
+    quadratic=st.booleans(),
+    p=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_box_holds_lemma_4_exactly(coeffs, quadratic, p, rng_seed):
+    """On random 2 x 2 affine and quadratic maps, wherever the certificate
+    holds at r, every mixed-row matrix sampled in the box [p - r, p + r]
+    (corners included) has a determinant of the sign of det JF(p) and of
+    magnitude at least the proven bound, and no two distinct sampled
+    points share an image. Gradients, determinants and images are
+    computed exactly, with Fractions, at the sampled float points."""
+    if not quadratic:
+        coeffs = [c[:3] + [0, 0, 0] for c in coeffs]
+    F = parse(
+        [" + ".join(f"({k})*{t}" for k, t in zip(c, _TERMS)) for c in coeffs], ["x1", "x2"]
+    )
+    p = tuple(v / 4 for v in p)
+    d0 = _exact_det([_exact_gradient(c, [Fraction(v) for v in p]) for c in coeffs])
+    assume(d0 != 0)
+    r = 1.0
+    while (bound := verify._certified_min_det(F, p, r)) is None:
+        r /= 2
+        if r < 2**-12:
+            return
+
+    rng = random.Random(rng_seed)
+
+    def box_point():
+        return [Fraction(rng.choice((v - r, v + r, rng.uniform(v - r, v + r)))) for v in p]
+
+    for _ in range(50):
+        d = _exact_det([_exact_gradient(c, box_point()) for c in coeffs])
+        assert d * d0 > 0
+        assert abs(d) >= bound
+    for _ in range(50):
+        a, b = box_point(), box_point()
+        if a != b:
+            assert [_exact_value(c, a) for c in coeffs] != [_exact_value(c, b) for c in coeffs]
