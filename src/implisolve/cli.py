@@ -18,9 +18,9 @@ for the point-evaluating commands). Field names are pinned by
 docs/output_schema.json. Runs are deterministic: identical spec and seed
 produce byte-identical output. Exit codes: 0 full success, 1 spec error
 (parse, seed, singularity) or usage error, such as a flag or spec field the
-command or lemma does not read, or standard output closed by its reader
-before the output was written, on one line; 2 per-point failures
-(itemized in rows).
+command or lemma does not read, or standard output that is closed, closed
+by its reader before the output was written, or cannot be written (a full
+device), on one line; 2 per-point failures (itemized in rows).
 """
 
 from __future__ import annotations
@@ -423,20 +423,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    if out is None:
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            print("error: standard output is closed", file=sys.stderr)
+            return 1
+        out = sys.stdout
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "verify":
             code = _cmd_verify(args, out)
         else:
             code = _cmd_points(args, out)
-        # a reader that closed early fails this flush here, not at exit
+        # a reader that closed early, or a full device, fails this flush
+        # here, not at exit
         out.flush()
         return code
     except (SpecError, ImpliSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
+    # the commands do no other I/O once the spec is read (load_spec turns
+    # its OSError into a SpecError), so this is writing the output
+    except OSError as exc:
         if out is not sys.stdout:
             raise
         # what stdout still buffers would raise again at the interpreter's
@@ -444,7 +451,11 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: standard output closed before the output was written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            reason = "closed before the output was written"
+        else:
+            reason = f"could not be written: {exc.strerror or exc}"
+        print(f"error: standard output {reason}", file=sys.stderr)
         return 1
 
 

@@ -630,6 +630,13 @@ def build_system(
     normalized at level 1, whose check of the identity block covers every
     inner level (see normalize), and the reduced system recurses.
 
+    The seed is checked on the zero set once per equation: every equation
+    of the caller's F at level 1 when m > 1 (SeedNotOnZeroSet, before any
+    other work), and each level's own equation by build_implicit, which
+    at m = 1 is the only check. An inner level's F, the reduced function,
+    is not evaluated at the seed here: that would cost a nested solve and
+    check equations the levels check again.
+
     For m > 1, F must be an ExprFunction, else TypeError before any of its
     methods is called. For m = 1, any object with n_inputs, n_outputs,
     eval and partial will do, plus jacobian for jacobian_at and
@@ -643,11 +650,12 @@ def build_system(
             f"need {m} components in {n + m} variables, got "
             f"{F.n_outputs} in {F.n_inputs}"
         )
-    if _depth == 1 and m > MAX_DEPTH:
-        raise ValueError(f"dependent dimension {m} exceeds the cap {MAX_DEPTH}")
-    residual = max(abs(r) for r in F.eval(seed.point()))
-    if residual > options.tol_sys:
-        raise SeedNotOnZeroSet(residual, options.tol_sys)
+    if _depth == 1 and m > 1:
+        if m > MAX_DEPTH:
+            raise ValueError(f"dependent dimension {m} exceeds the cap {MAX_DEPTH}")
+        residual = max(abs(r) for r in F.eval(seed.point()))
+        if residual > options.tol_sys:
+            raise SeedNotOnZeroSet(residual, options.tol_sys)
 
     a, b = tuple(seed.x), tuple(seed.y)
     G, fy, j_inv, tangent = F, None, None, None
@@ -702,11 +710,14 @@ def _implicit_derivative(inv: Matrix, rows: tuple, n: int) -> Matrix:
     """-inv dF/dx, dF/dx the first n columns of the Jacobian rows: entry
     (i, j) is -fsum_k inv[i][k] dF_k/dx_j. Negation is exact and fsum
     correctly rounded, so it equals -1.0 times the entry of inv @ dF/dx;
-    a ValueError where an entry is not finite."""
-    product = tuple(
-        tuple([math.fsum([a * row[j] for a, row in zip(inv_row, rows)]) for j in range(n)])
-        for inv_row in inv.rows
-    )
+    a ValueError where an entry, or a partial sum of one, is not finite."""
+    try:
+        product = tuple(
+            tuple([math.fsum([a * row[j] for a, row in zip(inv_row, rows)]) for j in range(n)])
+            for inv_row in inv.rows
+        )
+    except OverflowError:  # fsum's, where a partial sum overflows
+        raise ValueError("implicit derivative at the seed overflows") from None
     # tested before the negation, which would flip the sign the message names
     Matrix._of_floats(product)
     return Matrix._unchecked(tuple(tuple([-v for v in row]) for row in product))

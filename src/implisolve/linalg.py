@@ -2,16 +2,20 @@
 
 Everything here targets desk-scale dimensions (a handful of rows): LU with
 partial pivoting, a pivot threshold relative to the Hilbert-Schmidt norm,
-which dominates the operator norm, and math.fsum for every sum of products.
+which dominates the operator norm, math.fsum for every sum of products,
+and math.hypot for every norm.
 
 Inputs are validated where they enter: the Vector and Matrix constructors
 convert every entry to float and refuse a non-finite one, and each
 function checks the shapes it combines. Results are built from those
 floats without converting them again. A result whose arithmetic can
 overflow (solve, inverse, matmul, matvec, scale, vec_sub) is tested finite
-and raises the constructor's ValueError where it is not; split_columns
-only slices finite entries, so it is not tested. solve and inverse factor
-once and test the pivots against the threshold once per factorization.
+and raises the constructor's ValueError where it is not; matvec and matmul
+raise fsum's OverflowError instead where a partial sum overflows on the
+way. split_columns only slices finite entries, so it is not tested. A
+norm neither overflows nor underflows on the way, and is inf only where
+the norm itself exceeds the largest float. solve and inverse factor once
+and test the pivots against the threshold once per factorization.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class Vector(tuple):
         return cls(vals)
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self))
+        return math.hypot(*self)
 
 
 def vec_sub(a: Sequence[float], b: Sequence[float]) -> Vector:
@@ -122,20 +126,9 @@ def identity(n: int) -> Matrix:
 
 
 def hs_norm(m: Matrix) -> float:
-    """Hilbert-Schmidt norm: sqrt of the sum of squared entries. Where a
-    square or their sum overflows (entries from about 1e154), the entries
-    are first divided by the largest magnitude, and the norm is that
-    magnitude times the norm of the quotients; inf only where the norm
-    itself exceeds the largest float."""
-    try:
-        total = math.fsum([v * v for row in m.rows for v in row])
-    except OverflowError:  # finite squares whose sum overflows
-        total = math.inf
-    if total != math.inf:
-        return math.sqrt(total)
-    entries = [v for row in m.rows for v in row]
-    top = max(map(abs, entries))
-    return top * math.sqrt(math.fsum([(v / top) * (v / top) for v in entries]))
+    """Hilbert-Schmidt norm: sqrt of the sum of squared entries, as
+    math.hypot over the entries (within 1 ulp of the exact norm)."""
+    return math.hypot(*[v for row in m.rows for v in row])
 
 
 def matvec(m: Matrix, v: Sequence[float]) -> Vector:
@@ -208,15 +201,15 @@ def det(m: Matrix) -> float:
     if m.n_rows != m.n_cols:
         raise NotSquare(f"det of a {m.shape} matrix")
     lu, _, sign = _factor(m)
-    d = float(sign)
-    for k in range(m.n_rows):
-        d *= lu[k][k]
-    return d
+    return math.prod([row[k] for k, row in enumerate(lu)], start=float(sign))
 
 
 def _factor_nonsingular(m: Matrix) -> tuple[list[list[float]], list[int]]:
     """_factor's (lu, perm), after one test of every pivot: SingularMatrix
-    at the first below PIVOT_EPS_FACTOR * max(hs_norm(M), 1e-300)."""
+    at the first below PIVOT_EPS_FACTOR * max(hs_norm(M), 1e-300). The
+    norm does not underflow, so the 1e-300 floor serves only the zero
+    matrix and matrices whose entries all lie below about 1e-300; every
+    other matrix gets the relative threshold."""
     lu, perm, _ = _factor(m)
     eps = PIVOT_EPS_FACTOR * max(hs_norm(m), 1e-300)
     for k in range(len(lu)):

@@ -49,8 +49,9 @@ def check_operator_bound(
 
     M is first scaled by the power of two that brings its largest |entry|
     into [0.5, 1): the ratio does not change, the scaling is exact for every
-    entry it keeps out of the subnormal range, and the norms can then
-    neither overflow nor underflow to 0."""
+    entry it keeps out of the subnormal range, and matvec's sums and the
+    product of the two norms then stay finite (the norms themselves, from
+    math.hypot, neither overflow nor underflow on the way)."""
     _, e = math.frexp(max((abs(v) for row in m.rows for v in row), default=0.0))
     m = Matrix.from_rows([[math.ldexp(v, -e) for v in row] for row in m.rows])
     rng = random.Random(rng_seed)

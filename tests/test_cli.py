@@ -447,6 +447,31 @@ def test_reader_closing_early_exits_1_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "stdout,message",
+    [
+        ("full", "error: standard output could not be written: No space left on device\n"),
+        ("closed", "error: standard output is closed\n"),
+    ],
+    ids=["dev_full", "fd_1_closed"],
+)
+def test_unwritable_stdout_exits_1_without_traceback(stdout, message):
+    """stdout on a full device, or file descriptor 1 closed in the child:
+    one error line, exit 1, no traceback."""
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    cmd = [sys.executable, "-m", "implisolve.cli", *LEMMA1]
+    if stdout == "full":
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, timeout=20)
+    else:
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+        run = subprocess.run(cmd, stderr=subprocess.PIPE, text=True, timeout=20)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr == message
+
+
+@pytest.mark.parametrize(
     "options,flags",
     [({"grid_density": 10000}, []), ({}, ["--grid-density", "10000"])],
     ids=["spec_option", "flag"],
@@ -537,8 +562,8 @@ def test_invert_square_map(tmp_path):
 
 
 def test_invert_with_entries_near_1e154_exits_0(tmp_path):
-    # the squares of dF/dx sum past the largest float, so the pivot
-    # threshold's norm is taken from the entries scaled down first
+    # the squares of dF/dx sum past the largest float; the pivot
+    # threshold's norm does not overflow with them
     spec = write_spec(
         tmp_path,
         "big.json",
@@ -771,6 +796,45 @@ def test_verify_lemma4_halves_past_points_that_overflow(tmp_path, radius, expect
     assert report["passed"] and report["radius"] > 0.0
     if expected is not None:
         assert (report["radius"], report["halvings"]) == expected
+
+
+def test_verify_lemma4_sampled_fallback_on_entries_near_1e154(tmp_path):
+    """The x*x - x*x terms widen every interval Jacobian past 0, so no
+    radius certifies; the sampled fallback's point gaps and image
+    differences, near 1.2e154 per coordinate, have norms whose squares
+    overflow."""
+    spec = write_spec(
+        tmp_path,
+        "big.json",
+        {
+            "functions": ["1.2e154*x1 + 1e164*(x2*x2 - x2*x2)", "1.2e154*x2 + 1e164*(x1*x1 - x1*x1)"],
+            "variables": ["x1", "x2"],
+            "seed": [0, 0],
+        },
+    )
+    code, text = run_main(["verify", "--lemma", "lemma4", "--spec", spec, "--radius", "0.6"])
+    assert code == 0
+    report = json.loads(text)["report"]
+    assert report["certified"] is False
+    assert (report["passed"], report["radius"]) == (True, 0.6)
+
+
+def test_implicit_tangent_that_overflows_exit_1(tmp_path, capsys):
+    # dF/dx = -1e308 in both rows and J^-1 = [[1, 0], [1, 1]]: the second
+    # row of the tangent sums two terms of 1e308
+    spec = write_spec(
+        tmp_path,
+        "steep.json",
+        {
+            "functions": ["y1 - 1e308*x", "y2 - y1 - 1e308*x"],
+            "variables": ["x", "y1", "y2"],
+            "split_n": 1,
+            "seed": [0, 0, 0],
+        },
+    )
+    code, text = run_main(["implicit", "--spec", spec, "--query", "0"])
+    assert text == ""
+    assert "implicit derivative at the seed overflows" in assert_one_line_error(capsys, code)
 
 
 def test_output_is_deterministic_in_process(tmp_path):

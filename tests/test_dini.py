@@ -501,6 +501,44 @@ def test_box_not_found_message_names_level():
 def test_seed_not_on_zero_set():
     with pytest.raises(SeedNotOnZeroSet):
         build_system(QUAD, SplitPoint.of([1.5], [1.0, 1.0]))
+    # at m = 1 the check is build_implicit's
+    circle = parse(["x^2 + y^2 - 1"], ["x", "y"])
+    with pytest.raises(SeedNotOnZeroSet, match=r"^seed residual 0\.75 exceeds tolerance 1e-09$"):
+        build_system(circle, SplitPoint.of([0.0], [0.5]))
+
+
+def test_inner_levels_leave_the_seed_check_to_build_implicit(monkeypatch):
+    """Each level's own equation is checked at the seed by its
+    build_implicit call; between level k's build_implicit and level
+    k + 1's, build_system evaluates no reduced function, each of whose
+    evaluations costs a nested solve."""
+    evals, spans = [], []
+    real_eval, real_build = dini._ReducedFunction.eval, dini.build_implicit
+
+    def counted_eval(self, u):
+        evals.append(u)
+        return real_eval(self, u)
+
+    def spied_build(F, seed, options):
+        start = len(evals)
+        try:
+            return real_build(F, seed, options)
+        finally:
+            spans.append((start, len(evals)))
+
+    monkeypatch.setattr(dini._ReducedFunction, "eval", counted_eval)
+    monkeypatch.setattr(dini, "build_implicit", spied_build)
+    build_system(CUBIC_TRIPLE, SplitPoint.of([1.0], [1.0, 1.0, 1.0]))
+    assert len(spans) == 3
+    assert all(start == end for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+def test_tangent_that_overflows_raises_value_error():
+    # dF/dx = -1e308 in both rows and J^-1 = [[1, 0], [1, 1]]: the second
+    # row of the tangent sums two terms of 1e308, so fsum overflows partway
+    F = parse(["y1 - 1e308*x", "y2 - y1 - 1e308*x"], ["x", "y1", "y2"])
+    with pytest.raises(ValueError, match="^implicit derivative at the seed overflows$"):
+        build_system(F, SplitPoint.of([0.0], [0.0, 0.0]))
 
 
 def test_singular_dependent_block():
@@ -782,6 +820,7 @@ def test_newton_from_the_tangent_predictor_saves_a_pass(corpus_systems, monkeypa
         assert max(counts) <= passes
 
 
+@pytest.mark.hypothesis  # its @given is on the inner function
 def test_newton_answers_well_posed_systems_inside_the_region(monkeypatch):
     """On random well-posed systems with m = 2..4, at random points of the
     region's x-box, Newton from the tangent predictor is accepted: solve_at

@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from implisolve import (
     DimensionMismatch,
@@ -29,7 +30,7 @@ def rand_matrix(rng, rows, cols):
 
 def test_hs_norm():
     assert abs(hs_norm(identity(2)) - math.sqrt(2)) < 1e-15
-    # squares that overflow, alone or summed, scale by the largest entry
+    # squares that overflow, alone or summed, do not overflow the norm
     for big in (1e154, 1e200):
         norm = hs_norm(Matrix.from_rows([[3 * big, -4 * big]]))
         assert abs(norm - 5 * big) <= 1e-15 * 5 * big
@@ -38,6 +39,39 @@ def test_hs_norm():
     zero = Matrix.from_rows([[0.0] * 4 for _ in range(3)])
     assert hs_norm(zero) == 0.0
     assert hs_norm(Matrix.from_rows([[3.0, 4.0]])) == 5.0  # sqrt(9 + 16)
+
+
+_magnitudes = st.floats(1e-310, 1e307)
+_signed_entries = st.one_of(st.just(0.0), _magnitudes, _magnitudes.map(lambda v: -v))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.lists(_signed_entries, min_size=c, max_size=c), min_size=1, max_size=6)
+    )
+)
+@example([[1e-200]])
+def test_hs_norm_within_one_ulp_of_the_exact_norm(rows):
+    # the float neighbours of the result bracket the exact norm
+    h = hs_norm(Matrix.from_rows(rows))
+    exact = sum(Fraction(v) ** 2 for row in rows for v in row)
+    below = max(math.nextafter(h, -math.inf), 0.0)
+    assert Fraction(below) ** 2 <= exact <= Fraction(math.nextafter(h, math.inf)) ** 2
+
+
+def test_vector_norm_neither_overflows_nor_underflows():
+    for e in (600, -700):
+        assert Vector([math.ldexp(3.0, e), math.ldexp(-4.0, e)]).norm() == math.ldexp(5.0, e)
+    assert Vector([1.2e154, 1.2e154]).norm() == math.hypot(1.2e154, 1.2e154)
+
+
+def test_pivot_threshold_is_relative_below_squares_that_underflow():
+    # diag(1e-200, 1e-215) is diag(1, 1e-15) scaled: its second pivot is
+    # below 1e-12 times its norm, as diag(1, 1e-15)'s is
+    for scale_by in (1.0, 1e-200):
+        m = Matrix(((scale_by, 0.0), (0.0, 1e-15 * scale_by)))
+        with pytest.raises(SingularMatrix):
+            solve(m, (1.0, 1.0))
 
 
 def test_matvec():
@@ -155,18 +189,7 @@ def _ref_matrix(rows):
 
 
 def _ref_hs_norm(rows):
-    """The plain norm where it is finite; else the largest magnitude times
-    the norm of the entries divided by it."""
-    entries = [v for row in rows for v in row]
-    try:
-        norm = math.sqrt(math.fsum([v * v for v in entries]))
-    except OverflowError:
-        norm = math.inf
-    if math.isfinite(norm):
-        return norm
-    top = max(abs(v) for v in entries)
-    quotients = [v / top for v in entries]
-    return top * math.sqrt(math.fsum([q * q for q in quotients]))
+    return math.hypot(*[v for row in rows for v in row])
 
 
 def _ref_vec_sub(a, b):
@@ -374,7 +397,7 @@ def test_linalg_matches_reference_on_edge_cases():
     cases = [
         ("SingularMatrix", lambda: solve(Matrix(((1.0, 2.0), (2.0, 4.0))), (1.0, 1.0)),
          lambda: _ref_solve(((1.0, 2.0), (2.0, 4.0)), (1.0, 1.0))),
-        # squares near 1e308 whose sum overflows: the norm is scaled first
+        # squares near 1e308 whose sum overflows: the norm stays finite
         ("ok", lambda: inverse(Matrix(huge)), lambda: _ref_inverse(huge)),
         ("OverflowError", lambda: matvec(Matrix(huge), (1e154, 1e154)),
          lambda: _ref_matvec(huge, (1e154, 1e154))),
