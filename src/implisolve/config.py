@@ -30,8 +30,9 @@ class SolverOptions:
     [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
 
     The root finders need no iteration budget: ITP ends within its own
-    step bound and Newton within a fixed few steps, both also stopping
-    where floats cannot resolve tol_root. The box-halving cap and the cap
+    step bound and the chord (simplified Newton) iteration of a system
+    query within dini._NEWTON_MAX_ITER steps, both also stopping where
+    floats cannot resolve tol_root. The box-halving cap and the cap
     on the dependent dimension are the constants
     scalar_implicit.MAX_SHRINK and dini.MAX_DEPTH.
     """

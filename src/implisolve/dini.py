@@ -13,20 +13,23 @@ check of G_z states; no inner level checks its block again.
 The stack proves existence and uniqueness: on its validated region, one
 box over (x, z) where every level's scalar box holds, F(x, .) has exactly
 one zero. build_system computes that box once per level and stores it on
-the solution. The stack is not the evaluator. For m > 1 a query runs plain
-Newton on F(x, .) from the tangent predictor b + Y' (x - a), where
-Y' = -J^-1 F_x is the implicit function's derivative at the seed (Ortega &
-Rheinboldt, Iterative Solution of Nonlinear Equations in Several
-Variables, ch. 10): the first-order term of the solution sheet, so Newton
-spends no step recovering the slope. Each step reads F's values and the
-dependent block of its Jacobian from one pass of the Jacobian kernel and
-makes one LU solve; the only other evaluation of F is the residual of the
-final iterate. The query accepts that iterate when its residual is within
-tol_sys and it lies in the stored region: z = b + J (y - b), with
-J = dF/dy at the seed, is one fsum per row, compared without root solves.
-Otherwise the query falls back to the nested solve, one ITP solve
-(bracketed, bisection worst case) per level, whose cost grows like
-iterations^m (m is capped by MAX_DEPTH).
+the solution. The stack is not the evaluator. For m > 1 a query whose x
+lies inside the region runs the chord (simplified Newton) iteration on
+F(x, .) from the tangent predictor b + Y' (x - a), where Y' = -J^-1 F_x
+is the implicit function's derivative at the seed (Ortega & Rheinboldt,
+Iterative Solution of Nonlinear Equations in Several Variables, ch. 10):
+the first-order term of the solution sheet, so the iteration spends no
+step recovering the slope. One pass of the Jacobian kernel at the
+predictor gives F's values and the dependent block of its Jacobian,
+factored once; each step is one back-substitution and one evaluation of
+F at the new iterate (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, ch. 5). The uniqueness proof does not depend on how the
+zero is found, so the query accepts the final iterate when its residual,
+the last step's evaluation, is within tol_sys and it lies in the stored
+region: z = b + J (y - b), with J = dF/dy at the seed, is one fsum per
+row, compared without root solves. Otherwise the query falls back to the
+nested solve, one ITP solve (bracketed, bisection worst case) per level,
+whose cost grows like iterations^m (m is capped by MAX_DEPTH).
 
 Reduced functions have no closed form (they contain a numerically defined
 scalar solution), so inner recursion levels operate on composed function
@@ -76,11 +79,12 @@ from .expr import BinOp, ExprFunction, Var, const, fresh_names, linear_combinati
 from .linalg import (
     Matrix,
     Vector,
+    _factor_nonsingular,
+    _substitute,
     hs_norm,
     inverse,
     matmul,
     matvec,
-    solve,
     split_columns,
     vec_sub,
 )
@@ -98,10 +102,11 @@ _NORMALIZE_TOL = 1e-10
 # grows like (iterations per level)^m.
 MAX_DEPTH = 6
 
-# Newton from the tangent predictor settles in a few steps anywhere in the
-# validated region of a well-posed system; a query that needs more than this
-# falls back to the nested solve. A step that leaves y unchanged also settles
-# it: far from 0, tol_root can be below the spacing of floats.
+# The chord from the tangent predictor settles in a few steps (one F.eval
+# each) anywhere in the validated region of a well-posed system; a query
+# that needs more than this falls back to the nested solve. A step that
+# leaves y unchanged also settles it: far from 0, tol_root can be below the
+# spacing of floats.
 _NEWTON_MAX_ITER = 8
 
 # Inner recursion levels start from slightly smaller initial half-widths.
@@ -366,15 +371,15 @@ class SystemSolution:
     reduced function of the level above at every inner level. region is
     the open box (lo, hi) over this level's (x, z) where the zero is
     unique: the scalar box with z_1's interval at position n, intersected
-    with the child's region. Newton evaluates queries inside it and the
-    nested solve is the fallback (see solve_at). normalizer is the J_inv
-    of y = b + J_inv (z - b) at level 1 when m > 1, and None at every
-    other level, which solves its F as it is. seed_fy is J = dF/dy at the
-    seed where normalizer is set, else None: z = b + J (y - b) maps an
-    answer back to z. tangent is Y' = -J_inv dF/dx at the seed, the m x n
-    derivative of the solution there, where normalizer is set, else None:
-    Newton starts from b + Y' (x - a). Immutable; evaluations at distinct
-    points may run concurrently.
+    with the child's region. The chord iteration evaluates queries inside
+    it and the nested solve is the fallback (see solve_at). normalizer is
+    the J_inv of y = b + J_inv (z - b) at level 1 when m > 1, and None at
+    every other level, which solves its F as it is. seed_fy is J = dF/dy
+    at the seed where normalizer is set, else None: z = b + J (y - b) maps
+    an answer back to z. tangent is Y' = -J_inv dF/dx at the seed, the
+    m x n derivative of the solution there, where normalizer is set, else
+    None: the chord iteration starts from b + Y' (x - a). Immutable;
+    evaluations at distinct points may run concurrently.
     """
 
     F: object
@@ -399,17 +404,22 @@ class SystemSolution:
     def solve_at(self, x: Sequence[float]) -> Vector:
         """y with F(x, y) = 0: the unique zero in the stack's validated region.
 
-        For m > 1, Newton's answer where _newton accepts it; otherwise the
-        nested solve, assembled from the recursion and mapped back through
-        the level-1 normalizer, which raises OutsideBox or NoConvergence
-        with the failing level."""
+        For m > 1, the chord's answer where _newton accepts it; otherwise
+        the nested solve, assembled from the recursion and mapped back
+        through the level-1 normalizer, which raises OutsideBox or
+        NoConvergence with the failing level. _newton runs only where x
+        lies strictly inside x_box(), the only place _in_region can accept
+        its answer."""
         x = tuple(float(v) for v in x)
         if len(x) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinates, got {len(x)}")
         if self.depth == 1 and self.child is not None:
-            y = self._newton(x)
-            if y is not None:
-                return y
+            lo, hi = self.region
+            # map stops at x's n coordinates; a NaN compares false
+            if all(map(operator.lt, lo, x)) and all(map(operator.lt, x, hi)):
+                y = self._newton(x)
+                if y is not None:
+                    return y
         y = self._solve(x)
         if self.depth == 1:
             residual = max(abs(r) for r in self.F.eval(x + tuple(y)))
@@ -421,31 +431,38 @@ class SystemSolution:
         return y
 
     def _newton(self, x: tuple[float, ...]) -> Vector | None:
-        """Newton's zero of F(x, .) from the tangent predictor
-        b + Y' (x - a), one fsum per row, or None when it is not accepted:
-        when it does not settle (step <= tol_root, or a step that leaves y
-        unchanged) within _NEWTON_MAX_ITER steps, its residual exceeds
-        tol_sys, it lies outside the validated region, or the predictor or
-        a step fails to evaluate. A step takes F's values and Jacobian from
-        one kernel pass; the settled iterate's residual is one F.eval."""
+        """The chord (simplified Newton) zero of F(x, .) from the tangent
+        predictor b + Y' (x - a), one fsum per row, or None when it is not
+        accepted: when it does not settle (step <= tol_root, or a step that
+        leaves y unchanged) within _NEWTON_MAX_ITER steps, its residual
+        exceeds tol_sys, it lies outside the validated region, or the
+        predictor or a step fails to evaluate. One pass of the Jacobian
+        kernel at the predictor gives F's values there and the dependent
+        block, factored once; each step is one back-substitution on the
+        current values and one F.eval at the new iterate, which is the next
+        step's right-hand side and, at the last step, the residual. A step
+        that leaves y unchanged keeps the values already read at y."""
         n = self.n
         tol_root = self.options.tol_root
-        values_and_jacobian = self.F._values_and_jacobian
+        F = self.F
         dx = list(map(operator.sub, x, self.seed.x))
         try:
             y = tuple(_affine(self.seed.y, self.tangent, dx))
+            values, jac = F._values_and_jacobian(x + y)
+            # the dependent block of a Matrix, whose entries are finite
+            lu, perm = _factor_nonsingular(Matrix._unchecked(tuple(row[n:] for row in jac.rows)))
             for _ in range(_NEWTON_MAX_ITER):
-                values, jac = values_and_jacobian(x + y)
-                # the dependent block of a Matrix, whose entries are finite
-                step = solve(Matrix._unchecked(tuple(row[n:] for row in jac.rows)), values)
+                step = Vector._of_floats(_substitute(lu, [values[i] for i in perm]))
                 prev, y = y, tuple(map(operator.sub, y, step))
-                if y == prev or max(map(abs, step)) <= tol_root:
+                if y == prev:
+                    break
+                values = F.eval(x + y)
+                if max(map(abs, step)) <= tol_root:
                     break
             else:
                 return None
             y = Vector(y)
-            residual = max(abs(r) for r in self.F.eval(x + y))
-            if residual <= self.options.tol_sys and self._in_region(x, y):
+            if max(map(abs, values)) <= self.options.tol_sys and self._in_region(x, y):
                 return y
         # ValueError: a step that overflows to a non-finite vector;
         # OverflowError: a predictor row whose fsum overflows, far outside

@@ -466,10 +466,11 @@ class ExprFunction:
         return self._jacobian_columns(p) if out is None else out[1]
 
     def _values_and_jacobian(self, p: Sequence[float]) -> tuple:
-        """eval(p) and jacobian(p), for Newton's step: the values as a tuple
-        of floats, from the same pass of the Jacobian kernel. Where that
-        pass fails, eval and then the column passes give them, so a
-        failing value raises eval's DomainError."""
+        """eval(p) and jacobian(p), for the chord iteration's predictor in
+        SystemSolution._newton: the values as a tuple of floats, from the
+        same pass of the Jacobian kernel. Where that pass fails, eval and
+        then the column passes give them, so a failing value raises
+        eval's DomainError."""
         n = len(self.variables)
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")

@@ -11,11 +11,12 @@ float, performing the same operations as a pass over dual numbers. The
 Jacobian kernel carries all n unit vectors at once, so one pass gives
 every partial of every component, each equal bit for bit to a dual pass
 along its unit vector, and every value, equal to eval's: partial reads
-its column, and a Newton step reads the values from the same pass. All
-are exact to roundoff. A power calls math.pow inline, under a test on
-its base that keeps the helper's results: a base other than zero
-under a nonzero integer literal, a positive base otherwise; other bases,
-and zero exponents, call the helper. Each kernel finishes its call: it
+its column, and a system query's chord iteration reads the values at
+its predictor from the same pass. All are exact to roundoff. A power
+calls math.pow inline, under a test on its base that keeps the helper's
+results: a base other than zero under a nonzero integer literal, a
+positive base otherwise; other bases, and zero exponents, call the
+helper. Each kernel finishes its call: it
 tests every output finite and returns the Vector or Matrix its method
 returns (the Jacobian kernel with the values beside it), or None. The
 tree walker of expr.py over dual numbers is the semantics they compile.

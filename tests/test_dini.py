@@ -701,18 +701,25 @@ def test_newton_accepted_exactly_inside_region(corpus_systems, monkeypatch, name
 
 
 # y1 = y2 = x^2 with z1 = y1 / 10: its tangent at the seed x = 0 is flat,
-# so Newton starts from b there, far from the zero at |x| >> 0
+# so Newton starts from b there, far from the zero at |x| >> 0. The chord
+# keeps the slope 0.1 of exp(0.1*y1) at y1 = 0, so each step maps
+# z1 to z1 - (e^z1 - e^c), c = 0.1 x^2, whose slope 1 - e^c at the zero
+# z1 = c contracts only where e^c < 2, that is |x| < 2.63; it settles
+# within _NEWTON_MAX_ITER steps only for |x| below about 0.54
 PARABOLIC_SHEET = parse(["exp(0.1*y1) - exp(0.1*x^2)", "y2 - y1"], ["x", "y1", "y2"])
 
 
 @pytest.mark.parametrize(
     "x,fallbacks",
     [
-        # the first step overshoots to z1 = e^3.025 - 1, and then z1 falls
-        # by about 1 per step toward 3.025
+        # the first step overshoots to z1 = e^3.025 - 1 = 19.6, the second
+        # to z1 = -3.2e8, where e^z1 = 0, and from there each step climbs
+        # by only e^3.025 = 20.6 toward 3.025
         (5.5, 1),
         # the first step overshoots to z1 = e^7.225 - 1, where exp overflows
         (8.5, 1),
+        # the error shrinks by 1 - e^0.025 = -0.025 per step, and the eighth
+        # step, the last allowed, is the first below tol_root
         (0.5, 0),
     ],
 )
@@ -756,77 +763,166 @@ def test_newton_agrees_with_nested_solve(corpus_systems, monkeypatch, name):
         assert max(abs(a - b) for a, b in zip(fast, nested)) <= 1e-11
 
 
-@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
-def test_accepted_newton_query_evaluates_F_once(corpus_systems, monkeypatch, name):
-    """Each Newton step reads F's values and Jacobian from one pass of the
-    Jacobian kernel, so an accepted query calls F.eval once: the residual
-    check of the settled iterate."""
-    system = {p.name: s for p, s in corpus_systems}[name]
-    F = system.F
-    evals = []
-    plain_eval = type(F).eval
+def count_kernel_calls(monkeypatch, F):
+    """The points of F's Jacobian passes and of its F.eval calls, in order."""
+    passes, evals = [], []
+    plain_pass, plain_eval = type(F)._values_and_jacobian, type(F).eval
 
-    def counted(self, p):
+    def counted_pass(self, p):
         if self is F:
-            evals.append(p)
+            passes.append(tuple(p))
+        return plain_pass(self, p)
+
+    def counted_eval(self, p):
+        if self is F:
+            evals.append(tuple(p))
         return plain_eval(self, p)
 
+    monkeypatch.setattr(type(F), "_values_and_jacobian", counted_pass)
+    monkeypatch.setattr(type(F), "eval", counted_eval)
+    return passes, evals
+
+
+@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
+def test_accepted_chord_query_makes_one_jacobian_pass(corpus_systems, monkeypatch, name):
+    """The chord reads F's values and Jacobian once, at the tangent
+    predictor b + Y' (x - a), and factors the dependent block once. Each
+    step then evaluates F at the new iterate: every F.eval is at (x, y_k)
+    with y_k nearer the answer than the one before, and the last point
+    read is the returned y, whose residual it checks. At t = 0.5, the seed,
+    the first step leaves the predictor unchanged, so no F.eval follows the
+    pass."""
+    system = {p.name: s for p, s in corpus_systems}[name]
     calls = count_nested_solves(monkeypatch)
-    monkeypatch.setattr(type(F), "eval", counted)
+    passes, evals = count_kernel_calls(monkeypatch, system.F)
     lo, hi = system.x_box()
     for t in (0.1, 0.5, 0.9):
+        x = tuple(a + t * (b - a) for a, b in zip(lo, hi))
+        passes.clear()
         evals.clear()
-        system.solve_at(tuple(a + t * (b - a) for a, b in zip(lo, hi)))
+        y = system.solve_at(x)
         assert not calls
-        assert len(evals) == 1
+        dx = [u - a for u, a in zip(x, system.seed.x)]
+        assert passes == [x + tuple(dini._affine(system.seed.y, system.tangent, dx))]
+        assert len(evals) <= dini._NEWTON_MAX_ITER
+        assert (len(evals) == 0) == (t == 0.5)
+        assert all(p[: system.n] == x for p in evals)
+        assert (passes + evals)[-1] == x + tuple(y)
+        gaps = [max(abs(u - v) for u, v in zip(p[system.n :], y)) for p in passes + evals]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 AFFINE_PAIR = parse(["y1 + y2 - x", "y1 - y2 - 2*x"], ["x", "y1", "y2"])
 
 
 @pytest.mark.parametrize(
-    "name,passes",
-    [("quad_pair", 3), ("cubic_triple", 3), ("square_map_inverse", 3), ("affine_pair", 1)],
+    "name,steps",
+    [("quad_pair", 4), ("cubic_triple", 3), ("square_map_inverse", 5), ("affine_pair", 1)],
 )
-def test_newton_from_the_tangent_predictor_saves_a_pass(corpus_systems, monkeypatch, name, passes):
-    """Newton starts from b + Y' (x - a), the first-order term of the
-    solution at the seed, so an accepted query at the points 0.2 and 0.8 of
-    each x-box axis takes at most 3 passes of the Jacobian kernel (4 from
-    b itself). On an affine system the predictor is the zero, and the
-    first pass settles it."""
+def test_newton_from_the_tangent_predictor_saves_a_pass(corpus_systems, monkeypatch, name, steps):
+    """The chord starts from b + Y' (x - a), the first-order term of the
+    solution at the seed, so it settles from one pass of the
+    Jacobian kernel at the points 0.2 and 0.8 of each x-box axis; the
+    most F.eval calls any of them makes is the given number (measured).
+    On an affine system the predictor is the zero up to rounding: the
+    first step leaves y unchanged at 0.2, and at 0.8 moves it once, by
+    less than tol_root."""
     if name == "square_map_inverse":
         system = build_inverse(SQUARE_MAP, [1.0, 1.0]).system
     elif name == "affine_pair":
         system = build_system(AFFINE_PAIR, SplitPoint.of([0.0], [0.0, 0.0]))
     else:
         system = {p.name: s for p, s in corpus_systems}[name]
-    counts = []
-    plain = ExprFunction._values_and_jacobian
-
-    def counted(self, p):
-        counts[-1] += 1
-        return plain(self, p)
-
     calls = count_nested_solves(monkeypatch)
-    monkeypatch.setattr(ExprFunction, "_values_and_jacobian", counted)
+    passes, evals = count_kernel_calls(monkeypatch, system.F)
+    counts = []
     lo, hi = system.x_box()
     for ts in itertools.product((0.2, 0.8), repeat=system.n):
-        counts.append(0)
+        passes.clear()
+        evals.clear()
         system.solve_at(tuple(a + t * (b - a) for a, t, b in zip(lo, ts, hi)))
+        counts.append((len(passes), len(evals)))
     assert not calls
+    assert all(p == 1 for p, _ in counts)
     if name == "affine_pair":
-        assert counts == [1, 1]
+        assert counts == [(1, 0), (1, 1)]
     else:
-        assert max(counts) <= passes
+        assert max(e for _, e in counts) == steps
+
+
+def recent_system(m):
+    """y_i^2 + sum_{j != i} y_j - x - (m - 1) = 0, seeded at x = 1, y = 1."""
+    ys = [f"y{i}" for i in range(1, m + 1)]
+    rows = [" + ".join([f"{y}^2"] + [v for v in ys if v != y]) + f" - x - {m - 1}" for y in ys]
+    return parse(rows, ["x"] + ys), SplitPoint.of([1.0], [1.0] * m)
+
+
+# the nested solve costs about 0.2 ms at m = 2 and 0.4 s at m = 5, so the
+# deep systems compare with it at every nested_every-th point
+@pytest.mark.parametrize("m,nested_every", [(2, 1), (3, 1), (4, 10), (5, 40), ("exp_pair", 1)])
+def test_chord_matches_closed_form_across_the_region(corpus_systems, monkeypatch, m, nested_every):
+    """At 200 points across 2-98% of the x-box, the chord is accepted
+    without a nested solve in at most _NEWTON_MAX_ITER F.eval calls. On the
+    Recent system each y_i is (-(m-1) + sqrt((m-1)^2 + 4(x+m-1)))/2 within
+    1e-12; exp_pair has no closed form. Each answer checked against the
+    nested solve equals it within 1e-11."""
+    if m == "exp_pair":
+        system, closed = {p.name: s for p, s in corpus_systems}[m], None
+    else:
+        system = build_system(*recent_system(m))
+        closed = lambda x: (-(m - 1) + math.sqrt((m - 1) ** 2 + 4 * (x + m - 1))) / 2  # noqa: E731
+    calls = count_nested_solves(monkeypatch)
+    passes, evals = count_kernel_calls(monkeypatch, system.F)
+    (lo,), (hi,) = system.x_box()
+    for i in range(200):
+        x = (lo + (0.02 + 0.96 * i / 199) * (hi - lo),)
+        evals.clear()
+        y = system.solve_at(x)
+        assert not calls
+        assert len(evals) <= dini._NEWTON_MAX_ITER
+        if closed is not None:
+            assert max(abs(v - closed(x[0])) for v in y) <= 1e-12
+        if i % nested_every == 0:
+            assert max(abs(u - v) for u, v in zip(y, system._solve(x))) <= 1e-11
+            calls.clear()
+    assert len(passes) == 200
+
+
+@pytest.mark.parametrize("name", ["quad_pair", "cubic_triple"])
+def test_query_outside_the_x_box_skips_newton(corpus_systems, monkeypatch, name):
+    """Where x is not strictly inside x_box(), no answer of Newton's could
+    lie in the region: solve_at makes no Jacobian pass and raises the
+    nested solve's OutsideBox, at the level whose box excludes x."""
+    system = {p.name: s for p, s in corpus_systems}[name]
+    (lo,), (hi,) = system.x_box()
+    points = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    points += [1e308, -1e308, math.nan, math.inf]
+    passes, _ = count_kernel_calls(monkeypatch, system.F)
+    for v in points:
+        with pytest.raises(OutsideBox) as fast:
+            system.solve_at((v,))
+        with pytest.raises(OutsideBox) as nested:
+            system._solve((v,))
+        assert (fast.value.level, str(fast.value)) == (nested.value.level, str(nested.value))
+        assert fast.value.level is not None
+    assert not passes
 
 
 @pytest.mark.hypothesis  # its @given is on the inner function
 def test_newton_answers_well_posed_systems_inside_the_region(monkeypatch):
     """On random well-posed systems with m = 2..4, at random points of the
     region's x-box, Newton from the tangent predictor is accepted: solve_at
-    makes no nested solve, its answer lies in the region, and it equals the
-    nested solve's within 1e-11."""
+    makes one Jacobian pass and no nested solve, its answer lies in the
+    region, and it equals the nested solve's within 1e-11."""
     calls = count_nested_solves(monkeypatch)
+    passes = []
+    plain_pass = ExprFunction._values_and_jacobian
+
+    def counted_pass(self, p):
+        passes.append(p)
+        return plain_pass(self, p)
+
+    monkeypatch.setattr(ExprFunction, "_values_and_jacobian", counted_pass)
 
     @given(st.integers(2, 4), st.data())
     def check(m, data):
@@ -835,8 +931,10 @@ def test_newton_answers_well_posed_systems_inside_the_region(monkeypatch):
         lo, hi = system.x_box()
         x = tuple(data.draw(st.floats(a, b, exclude_min=True, exclude_max=True)) for a, b in zip(lo, hi))
         calls.clear()
+        passes.clear()
         y = system.solve_at(x)
         assert not calls
+        assert len(passes) == 1
         assert system._in_region(x, y)
         assert max(abs(u - v) for u, v in zip(y, system._solve(x))) <= 1e-11
 
