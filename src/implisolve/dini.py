@@ -103,11 +103,13 @@ _NORMALIZE_TOL = 1e-10
 MAX_DEPTH = 6
 
 # The chord from the tangent predictor settles in a few steps (one F.eval
-# each) anywhere in the validated region of a well-posed system; a query
-# that needs more than this falls back to the nested solve. A step that
-# leaves y unchanged also settles it: far from 0, tol_root can be below the
-# spacing of floats.
-_NEWTON_MAX_ITER = 8
+# each) anywhere in the validated region of a well-posed system, but only
+# linearly: on 3,600 queries of random well-posed systems with m = 2..4,
+# a third of them at the x-box's edges, 99% settled within 8 steps and the
+# slowest took 11. A query that needs more than this falls back to the
+# nested solve. A step that leaves y unchanged also settles it: far from 0,
+# tol_root can be below the spacing of floats.
+_NEWTON_MAX_ITER = 16
 
 # Inner recursion levels start from slightly smaller initial half-widths.
 # Reduced functions are only evaluable strictly inside the enclosing scalar

@@ -16,14 +16,14 @@ Parsed functions are immutable, and the only state a call leaves behind
 is a kernel made on demand, which any caller may make again with the
 same result, so an ExprFunction may be shared freely across threads.
 The kernels that evaluate and differentiate the components come from
-the one emitter of kernels.py, whose compiled code is cached by shape,
-the constants being kernel defaults; a function numbers its trees once,
-for all its kernels. The tree walker over dual numbers here is the
-reference semantics they compile, and where a kernel returns None or
-raises, it computes the result or locates the failure. jvp, whose
-direction need not be a unit vector, runs on the walker alone. enclosure
-runs the interval kernel, which bounds every value and partial over a
-box.
+the one emitter of kernels.py, whose compiled factories one
+functools.lru_cache keeps by shape and mode, the constants being kernel
+defaults; a function numbers its trees once, for all its kernels. The
+tree walker over dual numbers here is the reference semantics they
+compile, and where a kernel returns None or raises, it computes the
+result or locates the failure. jvp, whose direction need not be a unit
+vector, runs on the walker alone. enclosure runs the interval kernel,
+which bounds every value and partial over a box.
 """
 
 from __future__ import annotations
@@ -304,7 +304,9 @@ class ExprFunction:
     """A parsed vector-valued function of named variables.
 
     `variables` fixes the input order; evaluation accepts exactly that many
-    real values and returns one value per component. At construction one
+    real values and returns one value per component. Construction raises
+    ValueError where `variables` repeats a name or a component reads a
+    variable not among them, whichever way the function is made. One
     numbering pass over the components gives the key of their shape in
     the kernel cache and their constants, which the function keeps, and
     `_kernel` makes the value kernel, a positional Python function, for
@@ -339,6 +341,9 @@ class ExprFunction:
     ):
         self.components = tuple(components)
         self.variables = tuple(variables)
+        if len(set(self.variables)) < len(self.variables):
+            name = next(v for k, v in enumerate(self.variables) if v in self.variables[:k])
+            raise ValueError(f"duplicate variable name {name!r}")
         # None until read: source_text formats the components then
         self._source_text = None if source_text is None else tuple(source_text)
         self._shape, self._constants = _number(self.components, self.variables)
@@ -539,18 +544,16 @@ class ExprFunction:
 
 def parse(text: Sequence[str] | str, variables: Sequence[str]) -> ExprFunction:
     """Parse expression strings over the declared, ordered variables. A
-    parse error carries the index of the failing string as .component."""
+    parse error carries the index of the failing string as .component.
+    ValueError where a variable name is not a name, is a function's, or
+    repeats, which ExprFunction finds."""
     texts = [text] if isinstance(text, str) else list(text)
     names = list(variables)
-    seen = set()
     for name in names:
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
         if name in FUNCTIONS:
             raise ValueError(f"variable name {name!r} collides with a function")
-        if name in seen:
-            raise ValueError(f"duplicate variable name {name!r}")
-        seen.add(name)
     components = []
     for i, t in enumerate(texts):
         try:

@@ -27,21 +27,21 @@ pass over a box encloses every value and partial the float kernels
 compute anywhere in the box, or raises where an interval crosses a
 domain edge.
 
-Compiled code is cached by shape. `_number` numbers a function's trees
-once, for all its kernels: it gives the key of their shape, where each
-finite literal that is not a power's exponent is a slot, and the slots'
-values. The cache holds the factory of each key and mode, which makes a
-kernel with those values as defaults; the emitter writes a source from
-the key only on a miss. Re-seeding a build derives the same trees with
+Compiled code is cached by shape and mode. `_number` numbers a function's
+trees once, for all its kernels: it gives the key of their shape, where
+each finite literal that is not a power's exponent is a slot, and the
+slots' values. The cache, one `functools.lru_cache`, holds the factory of
+each key and mode, which makes a kernel with those values as defaults;
+each factory ages on its own, and the emitter writes a source from the
+key only on a miss. Re-seeding a build derives the same trees with
 new constants, so its functions pay for a numbering pass and a factory
 call, and each still owns its kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from typing import Sequence
 
 from . import dual
@@ -124,7 +124,8 @@ def _is_slot(node: Node, exponent: bool) -> bool:
 
 
 def _number(components: Sequence[Node], variables: Sequence[str]) -> tuple[tuple, tuple]:
-    """The shape key of the components over variables, and their constants.
+    """The shape key of the components over variables, and their constants;
+    ValueError where a component reads a variable not among them.
 
     The key is (n, table, roots), n the number of variables. table has an
     entry per class of equal subtrees, each after its children's:
@@ -155,7 +156,10 @@ def _number(components: Sequence[Node], variables: Sequence[str]) -> tuple[tuple
             return c
         kind = type(node)
         if kind is Var:
-            label = entry = ("var", position[node.name])
+            k = position.get(node.name)
+            if k is None:
+                raise ValueError(f"undeclared variable {node.name!r}")
+            label = entry = ("var", k)
             values = ()
         elif kind is Const:
             label = entry = ("lit", repr(node.value))
@@ -453,28 +457,20 @@ def _kernel_source(key: tuple, mode: str) -> str:
     )
 
 
-# Most shapes kept at once. A shape's key and the factories of the modes
-# asked of it take about 12 KB for the m = 2 kernels of a re-seeded build
-# (tracemalloc, Python 3.11). The cap keeps a process that parses ever new
-# shapes near 1.5 MB of them, and holds ten times the 11 shapes, 30
-# factories, that re-seeding quad_pair and inverting the square map come
-# back to.
-_CACHE_SIZE = 128
+# Most factories kept at once. A factory and its key take about 4.4 KB for
+# the m = 2 kernels of a re-seeded build (tracemalloc, Python 3.11), so the
+# cap keeps a process that parses ever new shapes near 1.7 MB of them. It
+# holds 3 modes of 128 shapes, more than ten times the 30 factories, of 11
+# shapes, that re-seeding quad_pair and inverting the square map come back to.
+_CACHE_SIZE = 384
 
 
-# The kernel cache: for each of the _CACHE_SIZE shape keys used last, the
-# factories compiled for it so far, by mode, and the counts of kernel
-# requests served by a cached factory and of those that compiled one. The
-# lock guards both; a compile runs outside it, so threads that race to one
-# compile each make an equal factory.
-_shapes: OrderedDict = OrderedDict()
-_counts = [0, 0]  # hits, misses
-_lock = threading.Lock()
-
-
-def _compile(key: tuple, mode: str):
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _factory(key: tuple, mode: str):
     """The `_make` of the source `_kernel_source` writes for key and mode,
-    compiled over the interval helpers or the float ones."""
+    compiled over the interval helpers or the float ones. The cache holds
+    the _CACHE_SIZE factories used last; a compile runs outside its lock,
+    so threads that race to one compile each make an equal factory."""
     namespace: dict = {}
     helpers = _interval_helpers() if mode == "interval" else _HELPERS
     exec(compile(_kernel_source(key, mode), "<kernel>", "exec"), helpers, namespace)
@@ -483,28 +479,6 @@ def _compile(key: tuple, mode: str):
 
 def _kernel(key: tuple, constants: tuple, mode: str):
     """The kernel of mode over a function of shape key, a `_number` key,
-    with its constants: a new function object. Its factory is compiled
-    only where the cache holds none for the key and mode, the only time a
-    source is written."""
-    with _lock:
-        factories = _shapes.get(key)
-        if factories is None:
-            factories = _shapes[key] = {}
-            if len(_shapes) > _CACHE_SIZE:
-                _shapes.popitem(last=False)
-        else:
-            _shapes.move_to_end(key)
-        factory = factories.get(mode)
-        _counts[factory is None] += 1
-    if factory is None:
-        factory = factories[mode] = _compile(key, mode)
-    return factory(*[(c, c) for c in constants] if mode == "interval" else constants)
-
-
-def _cache_info() -> dict:
-    """Kernel requests served by a cached factory (hits) and compiles
-    (misses) so far, the bound on shapes kept (maxsize) and the number
-    kept (currsize)."""
-    with _lock:
-        hits, misses = _counts
-        return {"hits": hits, "misses": misses, "maxsize": _CACHE_SIZE, "currsize": len(_shapes)}
+    with its constants: a new function object, made by the cached
+    factory of the key and mode."""
+    return _factory(key, mode)(*[(c, c) for c in constants] if mode == "interval" else constants)

@@ -51,7 +51,11 @@ def check_operator_bound(
     into [0.5, 1): the ratio does not change, the scaling is exact for every
     entry it keeps out of the subnormal range, and matvec's sums and the
     product of the two norms then stay finite (the norms themselves, from
-    math.hypot, neither overflow nor underflow on the way)."""
+    math.hypot, neither overflow nor underflow on the way).
+
+    ValueError where trials is below 1, a check of nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     _, e = math.frexp(max((abs(v) for row in m.rows for v in row), default=0.0))
     m = Matrix.from_rows([[math.ldexp(v, -e) for v in row] for row in m.rows])
     rng = random.Random(rng_seed)
@@ -79,7 +83,10 @@ def check_chain_rule(
 ) -> ChainRuleReport:
     """Compare JG for G(x) = F(y + Mx) computed two ways: differentiating
     the composed expression built by substitution, and the matrix product
-    JF(y + Mx) M."""
+    JF(y + Mx) M. ValueError where x_samples is empty, a check of
+    nothing."""
+    if not x_samples:
+        raise ValueError("x_samples must hold at least one sample")
     n = F.n_inputs
     if m.n_rows != n or len(y) != n:
         raise DimensionMismatch(
@@ -136,7 +143,10 @@ def mvt_witness(
     solves the first bracket with scalar_implicit.itp; each g(t) is one
     dual-number pass of the tree walker, F.jvp, and samples_used counts
     them all. Passes when |g(t)| <= 1e-10 max(1, |F(b) - F(a)|), relative
-    to the size of g's terms. Affine F (g identically zero on the grid) reports t = 0.5."""
+    to the size of g's terms. Affine F (g identically zero on the grid) reports t = 0.5.
+    ValueError where grid is below 2, the fewest points that bracket."""
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
     if F.n_outputs != 1:
         raise DimensionMismatch("mean-value witness needs a scalar function")
     a = Vector(a)
@@ -317,7 +327,15 @@ def injectivity_radius(
     or an image difference that is not finite fails r too. Halve r until
     both pass, down to MIN_RADIUS, else RadiusUnderflow. The result is
     evidence, not a certificate: certified=False.
+
+    ValueError before any work where r0 is not finite and positive, or
+    where samples is below 1: halving an infinite r0 never ends, an r0 of
+    0 or below or NaN is no radius, and no samples check nothing.
     """
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"r0 must be finite and positive, got {r0}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     n = F.n_inputs
     if F.n_outputs != n:
         raise DimensionMismatch("injectivity radius needs a square map")

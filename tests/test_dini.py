@@ -705,7 +705,7 @@ def test_newton_accepted_exactly_inside_region(corpus_systems, monkeypatch, name
 # keeps the slope 0.1 of exp(0.1*y1) at y1 = 0, so each step maps
 # z1 to z1 - (e^z1 - e^c), c = 0.1 x^2, whose slope 1 - e^c at the zero
 # z1 = c contracts only where e^c < 2, that is |x| < 2.63; it settles
-# within _NEWTON_MAX_ITER steps only for |x| below about 0.54
+# within _NEWTON_MAX_ITER steps only for |x| below about 1.2
 PARABOLIC_SHEET = parse(["exp(0.1*y1) - exp(0.1*x^2)", "y2 - y1"], ["x", "y1", "y2"])
 
 
@@ -719,7 +719,7 @@ PARABOLIC_SHEET = parse(["exp(0.1*y1) - exp(0.1*x^2)", "y2 - y1"], ["x", "y1", "
         # the first step overshoots to z1 = e^7.225 - 1, where exp overflows
         (8.5, 1),
         # the error shrinks by 1 - e^0.025 = -0.025 per step, and the eighth
-        # step, the last allowed, is the first below tol_root
+        # step is the first below tol_root
         (0.5, 0),
     ],
 )
@@ -939,6 +939,25 @@ def test_newton_answers_well_posed_systems_inside_the_region(monkeypatch):
         assert max(abs(u - v) for u, v in zip(y, system._solve(x))) <= 1e-11
 
     check()
+
+
+def test_a_slowly_contracting_chord_is_accepted(monkeypatch):
+    """A well-posed system the test above drew: F1 = v1 - v2/8 + v2^2/2 +
+    u^2/2 and F2 = v2 + v1^2/2 + u^2/2, seeded at 0 with a flat tangent.
+    At x = 0.25 the chord keeps the Jacobian at y = 0, off by about 0.035
+    from the root's, so the error shrinks by that factor per step and the
+    ninth step is the first below tol_root. The query is accepted with no
+    nested solve and equals it within 1e-11."""
+    draws = iter([0.0] * 4 + [-0.125, 0.0, 0.5, 0.0, 0.5] + [0.0] * 3 + [0.5, 0.0, 0.5])
+    F, seed = well_posed_system(2, lambda lo, hi: next(draws))
+    system = build_system(F, seed, WELL_POSED_OPTIONS)
+    x = (0.25,)
+    calls = count_nested_solves(monkeypatch)
+    passes, evals = count_kernel_calls(monkeypatch, system.F)
+    y = system.solve_at(x)
+    assert not calls
+    assert (len(passes), len(evals)) == (1, 9)
+    assert max(abs(u - v) for u, v in zip(y, system._solve(x))) <= 1e-11
 
 
 def test_system_far_from_zero_builds_and_matches_newton(monkeypatch):

@@ -36,8 +36,7 @@ from implisolve.expr import MAX_DEPTH, _Parser
 from implisolve.inverse import build_inverse
 from implisolve.kernels import (
     _CACHE_SIZE,
-    _cache_info,
-    _compile,
+    _factory,
     _kernel_source,
     _number,
 )
@@ -53,6 +52,29 @@ def test_parse_eval_circle_points():
 def test_parse_single_string_convenience():
     F = parse("x + 1", ["x"])
     assert F.eval((2.0,))[0] == 3.0
+
+
+def test_an_undeclared_variable_is_refused():
+    """However a function is made, a component that reads a variable not
+    among its variables is refused by name, not by a KeyError."""
+    made = (
+        lambda: ExprFunction([BinOp("+", Var("q"), Const(1.0))], ["x"]),
+        lambda: parse(["x + y"], ["x", "y"]).substituted({"x": Var("t")}, ["t"]),
+        lambda: parse(["x * y"], ["x", "y"]).component_function(0, ["x"]),
+    )
+    for make, name in zip(made, "qyy"):
+        with pytest.raises(ValueError, match=f"^undeclared variable '{name}'$"):
+            make()
+
+
+def test_a_repeated_variable_name_is_refused():
+    """A repeated name would bind every occurrence to its last position;
+    parse and direct construction meet the one check."""
+    x, y = Var("x"), Var("y")
+    with pytest.raises(ValueError, match="^duplicate variable name 'x'$"):
+        ExprFunction([BinOp("-", x, y)], ["x", "y", "x"])
+    with pytest.raises(ValueError, match="^duplicate variable name 'y'$"):
+        parse(["x - y"], ["y", "x", "y"])
 
 
 def test_parse_syntax_error_has_position():
@@ -610,17 +632,17 @@ def _share_factories(F, G):
 
 def test_one_shape_shares_one_factory():
     first = parse(["3.25 * u * v + sin(u - 0.125) - 7.5"], _VARS)
-    before = _cache_info()
+    before = _factory.cache_info()
     second = parse(["1.5 * u * v + sin(u - 2.75) - 0.25"], _VARS)
-    after = _cache_info()
+    after = _factory.cache_info()
     # the value kernel, the one a parse makes, comes from the cache
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     first.partial((0.5, 2.0), 0)
-    before = _cache_info()
+    before = _factory.cache_info()
     second.partial((0.5, 2.0), 0)
-    after = _cache_info()
+    after = _factory.cache_info()
     # and so does the Jacobian kernel, which the first partial makes
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert _sources(first) == _sources(second)
     assert first._shape == second._shape
     assert _share_factories(first, second)
@@ -734,13 +756,33 @@ def test_kernel_cache_is_bounded():
     parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
     for k in range(_CACHE_SIZE + 8):
         parse([f"u ^ {k + 4}"], _VARS)
-        parse(["u ^ 3.5"], _VARS)  # a hit, so this shape goes out last
-    info = _cache_info()
-    assert info["maxsize"] == _CACHE_SIZE
-    assert info["currsize"] <= _CACHE_SIZE
-    before = info["misses"]
+        # a hit on both of its factories, so neither goes out
+        parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
+    info = _factory.cache_info()
+    assert info.maxsize == _CACHE_SIZE
+    assert info.currsize <= _CACHE_SIZE
+    before = info.misses
     parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
-    assert _cache_info()["misses"] == before
+    assert _factory.cache_info().misses == before
+
+
+def test_each_mode_of_a_shape_ages_on_its_own():
+    """The cache holds factories, not shapes: where new shapes push out a
+    shape's Jacobian factory while its value factory stays warm, its next
+    function compiles that one factory again, and the kernel it makes
+    equals one compiled afresh."""
+    p = (0.5, 0.25)
+    parse(["u ^ 2.5 + v"], _VARS).jacobian(p)
+    for k in range(_CACHE_SIZE):
+        parse([f"u ^ {k + 0.375}"], _VARS)
+        parse(["u ^ 2.5 + v"], _VARS)  # a hit on the value factory only
+    before = _factory.cache_info()
+    F = parse(["u ^ 2.5 + v"], _VARS)
+    F.jacobian(p)
+    after = _factory.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    fresh = _factory.__wrapped__(F._shape, "jacobian")(*F._constants)
+    assert repr(F._jacobian_kernel(*p)) == repr(fresh(*p))
 
 
 _factors = st.one_of(st.floats(0.25, 4), st.floats(-4, -0.25))
@@ -758,7 +800,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
     _outcome(lambda: F.jacobian((u, v)).rows)
     F.enclosure((u, v), (u, v))
     G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
-    before = _cache_info()["misses"]
+    before = _factory.cache_info().misses
     p = (u, v)
     env = {"u": u, "v": v}
     assert repr(_outcome(lambda: G.eval(p))) == repr(_walked(G, env))
@@ -774,7 +816,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
 
     lo, hi = (u - halfwidth, v - halfwidth), (u + halfwidth, v + halfwidth)
     enclosed = G.enclosure(lo, hi)
-    assert _cache_info()["misses"] == before  # every kernel was warm
+    assert _factory.cache_info().misses == before  # every kernel was warm
     if enclosed is None or failed or _outcome(lambda: G.eval(p))[0] != "ok":
         return
     values, rows = enclosed
@@ -810,7 +852,7 @@ def _assert_hit_path_equals_emitting(F, points, boxes):
     }
     for mode, (kernel, inputs) in made.items():
         defaults = [(c, c) for c in constants] if mode == "interval" else constants
-        fresh = _compile(key, mode)(*defaults)
+        fresh = _factory.__wrapped__(key, mode)(*defaults)
         for args in inputs:
             assert _made(kernel, args) == _made(fresh, args)
 
@@ -891,8 +933,8 @@ def test_threads_through_a_full_cache_get_the_sequential_results():
     # shapes enough to fill the cache push out every shape above
     for k in range(_CACHE_SIZE):
         parse([f"u ^ {k + 0.5}"], _VARS)
-    before = _cache_info()
-    assert before["currsize"] == _CACHE_SIZE
+    before = _factory.cache_info()
+    assert before.currsize == _CACHE_SIZE
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -901,10 +943,10 @@ def test_threads_through_a_full_cache_get_the_sequential_results():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential * 2
-    after = _cache_info()
-    assert after["currsize"] == _CACHE_SIZE
+    after = _factory.cache_info()
+    assert after.currsize == _CACHE_SIZE
     # three kernels a function, none of them lost from the counts
-    requests = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+    requests = after.hits + after.misses - before.hits - before.misses
     assert requests == 3 * len(texts) * 2
 
 

@@ -59,6 +59,12 @@ def test_operator_bound_is_scale_free():
     assert 0.0 < reports[1].max_ratio <= 1.0
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_operator_bound_refuses_a_check_of_nothing(trials):
+    with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+        check_operator_bound(identity(2), trials=trials)
+
+
 def test_chain_rule_identity_composition():
     F = parse(["x1^2 - x2", "x1*x2"], ["x1", "x2"])
     report = check_chain_rule(F, identity(2), (0.0, 0.0), [(0.3, -0.4), (1.1, 0.2)])
@@ -79,6 +85,12 @@ def test_chain_rule_dimension_mismatch():
     F = parse(["x1 + x2"], ["x1", "x2"])
     with pytest.raises(DimensionMismatch):
         check_chain_rule(F, Matrix.from_rows([[1.0]]), (0.0, 0.0), [(0.1,)])
+
+
+def test_chain_rule_refuses_a_check_of_nothing():
+    F = parse(["x1 + x2"], ["x1", "x2"])
+    with pytest.raises(ValueError, match="^x_samples must hold at least one sample$"):
+        check_chain_rule(F, identity(2), (0.0, 0.0), [])
 
 
 def test_mvt_witness_quadratic_midpoint():
@@ -153,6 +165,15 @@ def test_mvt_witness_tolerance_scales_with_gap():
     assert report.residual <= 1e-10 * (math.exp(30.0) - 1.0)
 
 
+@pytest.mark.parametrize("grid", [1, 0, -4])
+def test_mvt_witness_refuses_a_grid_that_cannot_bracket(grid):
+    """A grid of one point divides by zero and one of none finds no sign
+    change; both are refused before g is evaluated."""
+    F = parse(["x^2"], ["x"])
+    with pytest.raises(ValueError, match=f"^grid must be at least 2, got {grid}$"):
+        mvt_witness(F, (0.0,), (1.0,), grid=grid)
+
+
 def test_mvt_witness_rejects_equal_endpoints():
     with pytest.raises(ValueError):
         mvt_witness(parse(["x^2"], ["x"]), (1.0,), (1.0,))
@@ -204,6 +225,34 @@ def test_injectivity_refuses_a_non_finite_base_determinant(monkeypatch, bad):
     monkeypatch.setattr(verify, "_sampled_min_det", sampled)
     with pytest.raises(DegenerateJacobian, match=rf"^det JF\(p\) = {bad:g}$"):
         injectivity_radius(F, (0.0, 0.0))
+
+
+def _refused_before_any_work(monkeypatch, **kwargs):
+    """injectivity_radius on the square map at (1, 0) with kwargs raises
+    ValueError without computing a determinant."""
+
+    def det(m):
+        raise AssertionError("computed a determinant")
+
+    monkeypatch.setattr(verify, "det", det)
+    F = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+    with pytest.raises(ValueError) as excinfo:
+        injectivity_radius(F, (1.0, 0.0), **kwargs)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("r0", [math.inf, 0.0, -1.0, math.nan])
+def test_injectivity_refuses_an_r0_that_is_no_radius(monkeypatch, r0):
+    """Halving an infinite r0 never ends, and an r0 of 0 or below or NaN
+    would end in a RadiusUnderflow that blames F."""
+    message = _refused_before_any_work(monkeypatch, r0=r0)
+    assert message == f"r0 must be finite and positive, got {r0}"
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_injectivity_refuses_a_sampling_of_nothing(monkeypatch, samples):
+    message = _refused_before_any_work(monkeypatch, samples=samples)
+    assert message == f"samples must be at least 1, got {samples}"
 
 
 def test_injectivity_radius_underflow(monkeypatch):
