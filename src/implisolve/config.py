@@ -29,6 +29,13 @@ class SolverOptions:
     bool, in (0, sys.float_info.max], and grid_density an int in
     [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
 
+    ITP returns the midpoint of a bracket no wider than tol_root, so an
+    answer's residual can reach |dF/dy| * tol_root / 2, and solve_at raises
+    NoConvergence where that exceeds tol_sys: with the defaults, once
+    |dF/dy| passes 2 * tol_sys / tol_root = 2000. README's Options
+    paragraph gives measured failure rates; raise tol_sys or lower
+    tol_root for such an F.
+
     The root finders need no iteration budget: ITP ends within its own
     step bound and the chord (simplified Newton) iteration of a system
     query within dini._NEWTON_MAX_ITER steps, both also stopping where

@@ -570,7 +570,10 @@ class SystemSolution:
         cluster analysis: points below a threshold tied to the best sampled
         residual must all fall within a first-order distance bound of the
         solver's answer, evidence that the scan sees a single zero cluster.
+        ValueError before any work where samples is below 1.
         """
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         x = tuple(float(v) for v in x)
         y_star = self.solve_at(x)
         tol = self.options.tol_sys

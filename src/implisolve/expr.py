@@ -12,13 +12,13 @@ NUMBER is a decimal literal with optional fraction and exponent. NAME is a
 declared variable or one of sin, cos, exp, ln, sqrt, abs. Variable names
 start with a letter.
 
-Parsed functions are immutable, and the only state a call leaves behind
-is a kernel made on demand, which any caller may make again with the
-same result, so an ExprFunction may be shared freely across threads.
-The kernels that evaluate and differentiate the components come from
-the one emitter of kernels.py, whose compiled factories one
-functools.lru_cache keeps by shape and mode, the constants being kernel
-defaults; a function numbers its trees once, for all its kernels. The
+Parsed functions are immutable: construction makes everything a call
+reads, and no call writes to the function, so an ExprFunction may be
+shared freely across threads. The kernels that evaluate and
+differentiate the components come from the one emitter of kernels.py,
+whose compiled factories one functools.lru_cache keeps by shape and
+mode, the constants being kernel defaults; a function numbers its trees
+once, for all three of its kernels. The
 tree walker over dual numbers here is the reference semantics they
 compile, and where a kernel returns None or raises, it computes the
 result or locates the failure. jvp, whose direction need not be a unit
@@ -108,8 +108,6 @@ def format_node(node: Node) -> str:
     ls = format_node(left)
     rs = format_node(right)
     if op in "+-":
-        if _prec(left) < 1:
-            ls = f"({ls})"
         if _prec(right) <= 1:  # keep left associativity on reparse
             rs = f"({rs})"
         return f"{ls} {op} {rs}"
@@ -308,26 +306,24 @@ class ExprFunction:
     ValueError where `variables` repeats a name or a component reads a
     variable not among them, whichever way the function is made. One
     numbering pass over the components gives the key of their shape in
-    the kernel cache and their constants, which the function keeps, and
-    `_kernel` makes the value kernel, a positional Python function, for
-    eval. The Jacobian kernel, which carries one tangent per variable as
-    plain floats beside the values, is made by the first partial or
-    jacobian call; partial reads its column. Each kernel returns its
-    method's finished result, or None where an output is not finite;
-    there, and where a kernel raises, the method falls back to the walker,
-    which partial and jvp run along their one direction only. The interval
+    the kernel cache and their constants, from which `_kernel` makes the
+    function's three kernels, positional Python functions, at
+    construction: the value kernel for eval; the Jacobian kernel, which
+    carries one tangent per variable as plain floats beside the values,
+    for partial, which reads its column, and jacobian; and the interval
     kernel, which carries intervals where the Jacobian kernel carries
-    floats, is made by the first enclosure call. Every kernel comes from
-    the same key and constants, the constants being kernel defaults, so a
-    function of a shape built before writes no source and pays no compile.
+    floats, for enclosure. Each float kernel returns its method's finished
+    result, or None where an output is not finite; there, and where a
+    kernel raises, the method falls back to the walker, which partial and
+    jvp run along their one direction only. The constants are kernel
+    defaults, so a function of a shape built before writes no source and
+    pays no compile. Nothing writes to a function once it is built.
     """
 
     __slots__ = (
         "components",
         "variables",
         "_source_text",
-        "_shape",
-        "_constants",
         "_value_kernel",
         "_jacobian_kernel",
         "_interval_kernel",
@@ -344,14 +340,12 @@ class ExprFunction:
         if len(set(self.variables)) < len(self.variables):
             name = next(v for k, v in enumerate(self.variables) if v in self.variables[:k])
             raise ValueError(f"duplicate variable name {name!r}")
-        # None until read: source_text formats the components then
+        # None where the function was not parsed: source_text formats it
         self._source_text = None if source_text is None else tuple(source_text)
-        self._shape, self._constants = _number(self.components, self.variables)
-        self._value_kernel = _kernel(self._shape, self._constants, "value")
-        # None until made: the Jacobian kernel by the first partial or
-        # jacobian call, the interval kernel by the first enclosure call
-        self._jacobian_kernel = None
-        self._interval_kernel = None
+        shape, constants = _number(self.components, self.variables)
+        self._value_kernel = _kernel(shape, constants, "value")
+        self._jacobian_kernel = _kernel(shape, constants, "jacobian")
+        self._interval_kernel = _kernel(shape, constants, "interval")
 
     @property
     def n_inputs(self) -> int:
@@ -364,12 +358,8 @@ class ExprFunction:
     @property
     def source_text(self) -> tuple[str, ...]:
         """Each component's text: the strings it was parsed from, or else
-        texts(), formatted on the first read."""
-        text = self._source_text
-        if text is None:
-            # idempotent, so readers racing here store equal tuples
-            text = self._source_text = self.texts()
-        return text
+        texts(), formatted on each read."""
+        return self.texts() if self._source_text is None else self._source_text
 
     def texts(self) -> tuple[str, ...]:
         """Canonical textual form of each component."""
@@ -460,10 +450,10 @@ class ExprFunction:
         """Rows are components, columns the partials, already floats. With
         no variables every row is empty.
 
-        One pass of the Jacobian kernel, which computes each value once and
-        carries a tangent per variable; the first call makes it. Where it
-        raises or gives a non-finite number, the walker's column passes give
-        the result or locate the DomainError."""
+        One pass of the Jacobian kernel, made at construction, which
+        computes each value once and carries a tangent per variable. Where
+        it raises or gives a non-finite number, the walker's column passes
+        give the result or locate the DomainError."""
         n = len(self.variables)
         if len(p) != n:
             raise DimensionMismatch(f"function of {n} variables called with {len(p)} values")
@@ -483,14 +473,10 @@ class ExprFunction:
         return (self.eval(p), self._jacobian_columns(p)) if out is None else out
 
     def _jacobian_pass(self, p: Sequence[float]) -> tuple | None:
-        """The Jacobian kernel's (values, Matrix) at p, or None where the
-        kernel raises or gives a non-finite number."""
-        kernel = self._jacobian_kernel
-        if kernel is None:
-            # idempotent, so callers racing here make equal kernels
-            kernel = self._jacobian_kernel = _kernel(self._shape, self._constants, "jacobian")
+        """The pass at p of the Jacobian kernel made at construction:
+        (values, Matrix), or None where it raises or gives a non-finite number."""
         try:
-            return kernel(*map(float, p))
+            return self._jacobian_kernel(*map(float, p))
         except _KERNEL_ERRORS:
             return None
 
@@ -507,7 +493,7 @@ class ExprFunction:
         pair (low, high). Each holds what eval, partial and jacobian compute
         at every float point of the box, and the exact result of their
         operations at every real point. One pass of the "interval" kernel,
-        made by the first call.
+        made at construction.
 
         None where a bound of the box is not finite, or where an interval
         crosses the edge of a domain or overflows: the enclosure proves
@@ -520,12 +506,8 @@ class ExprFunction:
             return None
         if any(a > b for a, b in box):
             raise ValueError(f"empty box: {box}")
-        kernel = self._interval_kernel
-        if kernel is None:
-            # idempotent, so callers racing here make equal kernels
-            kernel = self._interval_kernel = _kernel(self._shape, self._constants, "interval")
         try:
-            return kernel(*box)
+            return self._interval_kernel(*box)
         except DomainViolation:
             return None
 

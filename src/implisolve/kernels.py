@@ -33,9 +33,11 @@ each finite literal that is not a power's exponent is a slot, and the
 slots' values. The cache, one `functools.lru_cache`, holds the factory of
 each key and mode, which makes a kernel with those values as defaults;
 each factory ages on its own, and the emitter writes a source from the
-key only on a miss. Re-seeding a build derives the same trees with
-new constants, so its functions pay for a numbering pass and a factory
-call, and each still owns its kernels.
+key only on a miss. An ExprFunction's construction takes all three
+factories of its shape, value, Jacobian and interval in that order.
+Re-seeding a build derives the same trees with new constants, so its
+functions pay for a numbering pass and three factory calls, and each
+still owns its kernels.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ _HELPERS = {
 }
 
 # The "interval" mode's kernel runs with interval.py's helpers under the
-# same names, bound on its first compile so that parsing never imports
-# them, and with its arithmetic operators spelled as these helpers. The
-# zero and unit tangents are names, not tuple literals, which keeps the
-# compile of a kernel with many of them small.
+# same names, bound on its first compile so that importing the package
+# never imports them, and with its arithmetic operators spelled as these
+# helpers. The zero and unit tangents are names, not tuple literals,
+# which keeps the compile of a kernel with many of them small.
 _INTERVAL_OPS = {"+": "_add", "-": "_sub", "*": "_mul", "/": "_div"}
 _ZERO_INTERVAL = "_zero"
 

@@ -311,8 +311,9 @@ def injectivity_radius(
     det JF(p) must be finite with magnitude above 1e-12, else
     DegenerateJacobian before any radius is tried.
 
-    First, halve r from r0 down to MIN_RADIUS until interval elimination
-    proves lemma 4 over the box [p - r, p + r] (_certified_min_det). That r
+    First, try r0, then halve r while it stays at least MIN_RADIUS, until
+    interval elimination proves lemma 4 over the box [p - r, p + r]
+    (_certified_min_det). That r
     is a certificate: the report reads certified=True, min_det_magnitude is
     a proven lower bound on |det| of every mixed-row matrix in the box, and
     samples and rng_seed are echoed, unread.
@@ -324,9 +325,9 @@ def injectivity_radius(
     >= 1e-12. A direct check then requires F(a) != F(b) for `samples`
     random pairs, with separation > 1e-12 |a - b|. A sampled point where F
     or its Jacobian fails to evaluate, a determinant that is not finite,
-    or an image difference that is not finite fails r too. Halve r until
-    both pass, down to MIN_RADIUS, else RadiusUnderflow. The result is
-    evidence, not a certificate: certified=False.
+    or an image difference that is not finite fails r too. Halve r, as
+    the first pass does, until both pass, else RadiusUnderflow. The result
+    is evidence, not a certificate: certified=False.
 
     ValueError before any work where r0 is not finite and positive, or
     where samples is below 1: halving an infinite r0 never ends, an r0 of
@@ -349,7 +350,7 @@ def injectivity_radius(
     for certified in (True, False):
         r = r0
         halvings = 0
-        while r >= MIN_RADIUS:
+        while r >= MIN_RADIUS or halvings == 0:
             if certified:
                 min_det = _certified_min_det(F, p, r)
             else:

@@ -292,6 +292,41 @@ def test_checks_proved_is_false_where_it_cannot_prove(monkeypatch):
     assert not square.child.F.checks_proved(*_closed(square.child.scalar.box), TOL)
 
 
+def test_reduced_enclosure_is_none_where_it_proves_nothing():
+    """Far from the seed a reduced function's enclosure proves nothing,
+    two ways: G has no enclosure over the lifted box, since exp(-z2)
+    overflows there on the skew triple, or, on quad_pair, the pivot
+    dG_0/dz1 encloses an interval that holds 0, so z1 cannot be
+    eliminated."""
+    F = _reduced("skew triple")
+    box = F.phi.box
+    lo, hi = [box.x_lo[0], -800.0, box.x_lo[2]], [box.x_hi[0], -400.0, box.x_hi[2]]
+    assert F.G.enclosure(F._assemble(lo, box.y_lo), F._assemble(hi, box.y_hi)) is None
+    assert F.enclosure(lo, hi) is None
+
+    F = _reduced("quad_pair")
+    box = F.phi.box
+    for z2, proved in ((2.0, True), (5.0, False)):
+        lo, hi = [box.x_lo[0], -z2], [box.x_hi[0], z2]
+        _, rows = F.G.enclosure(F._assemble(lo, box.y_lo), F._assemble(hi, box.y_hi))
+        low, high = rows[0][1]
+        assert (low > 0.0) == proved and high > 0.0
+        assert (F.enclosure(lo, hi) is not None) == proved
+
+
+def test_deep_checks_fail_where_the_level_above_fails_its_own(monkeypatch):
+    """Below level 2 the checks of phi's F come first: where they fail,
+    the level's checks fail without a face proof of their own."""
+    F = _reduced("cubic_triple", 3)
+    lo, hi = _closed(_solution("cubic_triple", 3).box)
+    assert F.checks_proved(lo, hi, TOL)
+    faces = []
+    monkeypatch.setattr(dini, "_faces_proved", lambda *args: faces.append(args))
+    monkeypatch.setattr(F.phi.F.fn, "checks_proved", lambda lo, hi, margin: False)
+    assert not F.checks_proved(lo, hi, TOL)
+    assert faces == []
+
+
 @pytest.mark.parametrize(
     "name, depth", [("cubic_triple", 3), ("sum m=4", 3), ("sum m=4", 4), ("skew triple", 3)]
 )

@@ -772,6 +772,18 @@ def test_verify_lemma4_certifies_the_square_map(tmp_path):
     assert 1.333 <= report["min_det_magnitude"] <= 4.0 / 3.0
 
 
+def test_verify_lemma4_certifies_a_radius_below_the_floor(tmp_path):
+    """--radius 5e-9 lies below the halving floor of 1e-8, and the box of
+    that half-width about the seed (1, 1) certifies at once."""
+    spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
+    code, text = run_main(["verify", "--lemma", "lemma4", "--spec", spec, "--radius", "5e-9"])
+    assert code == 0
+    report = json.loads(text)["report"]
+    assert (report["passed"], report["certified"]) == (True, True)
+    assert (report["radius"], report["halvings"]) == (5e-9, 0)
+    assert report["min_det_magnitude"] >= 7.9999998
+
+
 def test_verify_lemma4_refuses_a_non_finite_base_determinant(tmp_path, capsys):
     """det JF(p) overflows to inf at the seed: one error line that names
     it, before any radius is sampled."""

@@ -13,6 +13,7 @@ from implisolve import (
     DimensionMismatch,
     ExprFunction,
     Matrix,
+    NoConvergence,
     OutsideBox,
     SeedNotOnZeroSet,
     SingularMatrix,
@@ -81,6 +82,16 @@ def test_normalize_singular_jacobian():
     F = parse(["y1 + y2", "y1 + y2"], ["y1", "y2"])
     with pytest.raises(SingularMatrix):
         normalize(F, SplitPoint.of([], [0.0, 0.0]))
+
+
+def test_normalize_refuses_a_block_that_rounds_off_the_identity():
+    """det J = 5e-7 against entries near 1, so the substituted block
+    J J^-1 misses the identity by more than _NORMALIZE_TOL in rounding
+    alone: the one identity check refuses it, naming the entry."""
+    F = parse(["0.7*y1 + 1.7*y2 - x", "0.9*y1 + 2.185715*y2 - x"], ["x", "y1", "y2"])
+    message = r"^normalization failed: dependent-block Jacobian too ill-conditioned \(entry \(0,1\) = "
+    with pytest.raises(SingularMatrix, match=message):
+        build_system(F, SplitPoint.of([0.0], [0.0, 0.0]))
 
 
 def test_normalize_keeps_seed_value():
@@ -477,6 +488,16 @@ def test_outside_box_reports_level(quad_system):
         quad_system.solve_at((2.0,))
     assert err.value.level is not None
     assert str(err.value).endswith(f"(recursion level {err.value.level})")
+
+
+def test_assembled_residual_above_tol_sys_raises():
+    """ITP returns the midpoint of a bracket no wider than tol_root, so
+    where dF/dy is large the answer's residual can exceed tol_sys: here
+    dF/dy >= 1e4, and solve_at raises rather than return it."""
+    system = build_system(parse(["1e4*(y^3 + y - x)"], ["x", "y"]), SplitPoint.of([0.0], [0.0]))
+    message = r"^assembled residual 1\.69587e-09 exceeds tol_sys 1e-09$"
+    with pytest.raises(NoConvergence, match=message):
+        system.solve_at((-0.4625,))
 
 
 def test_predictor_that_overflows_falls_back_to_the_nested_solve():
@@ -998,6 +1019,17 @@ def test_verify_uniqueness_quad_pair(quad_system):
     assert max(abs(v - 1.0) for v in report.best_point) < 0.05
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_uniqueness_refuses_a_scan_of_nothing(quad_system, monkeypatch, samples):
+    """No samples would pass having checked nothing; the refusal comes
+    before the query is solved."""
+    solved = []
+    monkeypatch.setattr(dini.SystemSolution, "solve_at", lambda self, x: solved.append(x))
+    with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+        quad_system.verify_uniqueness((1.0,), samples=samples)
+    assert solved == []
+
+
 def test_verify_uniqueness_excludes_other_branch():
     # y^2 = x has roots +-sqrt(x); the box around (1, 1) keeps only +sqrt(x)
     F = parse(["y^2 - x"], ["x", "y"])
@@ -1112,9 +1144,8 @@ def test_verify_uniqueness_streaming_keeps_every_hit():
 
 
 def test_concurrent_evaluations_match_sequential(quad_system):
-    """Eight threads query a system whose F has not yet made its Jacobian
-    kernel, so they race to make it, with thread switches forced often;
-    every answer equals the sequential one."""
+    """Eight threads query one freshly built system, with thread switches
+    forced often; every answer equals the sequential one."""
     xs = [(x,) for (x,) in interior_grid(quad_system, 16)]
     sequential = [(quad_system.solve_at(x), quad_system.jacobian_at(x)) for x in xs]
     fresh = build_system(parse(list(QUAD.source_text), list(QUAD.variables)), QUAD_SEED)

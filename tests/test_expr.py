@@ -192,7 +192,7 @@ def test_jvp_of_no_variables():
     # one derivative per component, all 0.0, as jacobian gives empty rows
     F = parse(["1", "2"], [])
     assert tuple(F.jvp((), ())) == (0.0, 0.0)
-    for _ in range(2):  # the Jacobian kernel, made by the first call
+    for _ in range(2):  # a second pass of the Jacobian kernel gives the same rows
         assert F.jacobian(()).rows == ((), ())
     with pytest.raises(DomainError) as err:
         parse(["1e999"], []).jvp((), ())
@@ -550,9 +550,9 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
         assert repr(partial) == repr(_walked(F, seeded, _derivative))
         partials.append(partial)
 
-    # the Jacobian kernel, made by the first partial and reused since,
-    # gives the columns' numbers, or the DomainError of the first column
-    # that fails
+    # the Jacobian kernel, made with the function and read by each
+    # partial, gives the columns' numbers, or the DomainError of the first
+    # column that fails
     failed = [partial for partial in partials if partial[0] != "ok"]
     columns = failed[0] if failed else ("ok", tuple(zip(*(c for _, c in partials))))
     for _ in range(2):
@@ -560,7 +560,7 @@ def test_compiled_eval_matches_tree_walker(F, u, v, du, dv):
 
     # a Newton step reads the values from the same Jacobian kernel pass:
     # they equal eval's, whose DomainError comes first where the values
-    # fail. A fresh function makes its own kernel from the cached code.
+    # fail. A fresh function makes its own kernels from the cached code.
     evaluated = _outcome(lambda: F.eval(p))
     if evaluated[0] != "ok":
         combined = evaluated
@@ -611,18 +611,24 @@ def _scaled_constants(node, factor):
 _MODES = ("value", "jacobian", "interval")
 
 
+def _shape(F):
+    """The key of F's shape in the kernel cache, from a numbering of its own."""
+    return _number(F.components, F.variables)[0]
+
+
+def _constants(F):
+    """F's constants, the defaults of its kernels, from a numbering of its own."""
+    return _number(F.components, F.variables)[1]
+
+
 def _sources(F):
     """The sources emitting gives F's kernels, from a numbering of its own."""
-    key = _number(F.components, F.variables)[0]
-    return [_kernel_source(key, mode) for mode in _MODES]
+    return [_kernel_source(_shape(F), mode) for mode in _MODES]
 
 
 def _codes(F):
-    """The code of F's three kernels, once F has made them: one code object
-    per factory, which every kernel the factory makes shares."""
-    p = (0.5, 0.25, 2.0, 1.5)[: F.n_inputs]
-    _outcome(lambda: F.jacobian(p).rows)
-    F.enclosure(p, p)
+    """The code of F's three kernels, which F made when it was built: one
+    code object per factory, which every kernel the factory makes shares."""
     return (F._value_kernel.__code__, F._jacobian_kernel.__code__, F._interval_kernel.__code__)
 
 
@@ -635,16 +641,16 @@ def test_one_shape_shares_one_factory():
     before = _factory.cache_info()
     second = parse(["1.5 * u * v + sin(u - 2.75) - 0.25"], _VARS)
     after = _factory.cache_info()
-    # the value kernel, the one a parse makes, comes from the cache
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    first.partial((0.5, 2.0), 0)
+    # the three kernels a parse makes come from the cache
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
     before = _factory.cache_info()
     second.partial((0.5, 2.0), 0)
+    second.enclosure((0.5, 2.0), (0.75, 2.5))
     after = _factory.cache_info()
-    # and so does the Jacobian kernel, which the first partial makes
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    # and a call looks up none
+    assert after == before
     assert _sources(first) == _sources(second)
-    assert first._shape == second._shape
+    assert _shape(first) == _shape(second)
     assert _share_factories(first, second)
     assert first._value_kernel is not second._value_kernel
     p = (0.5, 2.0)
@@ -718,7 +724,7 @@ def _u_plus_twice(first, second):
 def test_functions_share_a_factory_exactly_when_their_sources_match(make_f, make_g, shared):
     F, G = make_f(), make_g()
     assert _share_factories(F, G) == (_sources(F) == _sources(G)) == shared
-    assert (F._shape == G._shape) == shared
+    assert (_shape(F) == _shape(G)) == shared
 
 
 def test_cache_keeps_signed_zeros_apart():
@@ -753,36 +759,48 @@ def test_infinite_literal_is_located_from_a_warm_cache():
 
 def test_kernel_cache_is_bounded():
     # a literal exponent makes each function a new shape
-    parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
+    parse(["u ^ 3.5"], _VARS)
     for k in range(_CACHE_SIZE + 8):
         parse([f"u ^ {k + 4}"], _VARS)
-        # a hit on both of its factories, so neither goes out
-        parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
+        # a hit on its three factories, so none goes out
+        parse(["u ^ 3.5"], _VARS)
     info = _factory.cache_info()
     assert info.maxsize == _CACHE_SIZE
     assert info.currsize <= _CACHE_SIZE
     before = info.misses
-    parse(["u ^ 3.5"], _VARS).jacobian((0.5, 0.25))
+    parse(["u ^ 3.5"], _VARS)
     assert _factory.cache_info().misses == before
 
 
 def test_each_mode_of_a_shape_ages_on_its_own():
-    """The cache holds factories, not shapes: where new shapes push out a
-    shape's Jacobian factory while its value factory stays warm, its next
-    function compiles that one factory again, and the kernel it makes
-    equals one compiled afresh."""
+    """The cache holds factories, not shapes. A construction looks up its
+    shape's value, Jacobian and interval factories in that order, so new
+    shapes push out the oldest shape's value factory first. Where that one
+    goes out while the other two stay warm, the next function of the shape
+    compiles that one factory again, and the kernel it makes equals one
+    compiled afresh."""
     p = (0.5, 0.25)
-    parse(["u ^ 2.5 + v"], _VARS).jacobian(p)
-    for k in range(_CACHE_SIZE):
-        parse([f"u ^ {k + 0.375}"], _VARS)
-        parse(["u ^ 2.5 + v"], _VARS)  # a hit on the value factory only
-    before = _factory.cache_info()
+    # 128 shapes fill the cache; the first goes out for the three factories
+    # of F's shape, and 127 more push out the rest, so F's are the oldest
+    for k in range(_CACHE_SIZE // 3):
+        parse([f"u ^ {k + 0.625}"], _VARS)
     F = parse(["u ^ 2.5 + v"], _VARS)
-    F.jacobian(p)
+    for k in range(_CACHE_SIZE // 3 - 1):
+        parse([f"v ^ {k + 0.625}"], _VARS)
+    key, constants = _number(F.components, F.variables)
+    # lookups of their own keep the Jacobian and interval factories warm,
+    # and the next new shape pushes out the value factory
+    _factory(key, "jacobian")
+    _factory(key, "interval")
+    parse(["v ^ 1000.625"], _VARS)
+    before = _factory.cache_info()
+    G = parse(["u ^ 2.5 + v"], _VARS)
     after = _factory.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
-    fresh = _factory.__wrapped__(F._shape, "jacobian")(*F._constants)
-    assert repr(F._jacobian_kernel(*p)) == repr(fresh(*p))
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
+    assert G._value_kernel.__code__ is not F._value_kernel.__code__
+    assert G._jacobian_kernel.__code__ is F._jacobian_kernel.__code__
+    fresh = _factory.__wrapped__(key, "value")(*constants)
+    assert repr(G._value_kernel(*p)) == repr(fresh(*p)) == repr(F.eval(p))
 
 
 _factors = st.one_of(st.floats(0.25, 4), st.floats(-4, -0.25))
@@ -795,10 +813,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
     """A function of a shape whose kernels are cached computes with its own
     constants: eval, partial and jacobian equal the tree walker's, and the
     enclosure holds them."""
-    # F makes all three kernels, which G then finds cached
-    _outcome(lambda: F.eval((u, v)))
-    _outcome(lambda: F.jacobian((u, v)).rows)
-    F.enclosure((u, v), (u, v))
+    # F made all three kernels when it was built, so G finds them cached
     G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
     before = _factory.cache_info().misses
     p = (u, v)
@@ -842,9 +857,6 @@ def _assert_hit_path_equals_emitting(F, points, boxes):
     same source, and F calls them with the constants that source names,
     which give the same results at every point and box."""
     key, constants = _number(F.components, F.variables)
-    assert F._shape == key
-    assert repr(F._constants) == repr(constants)
-    _codes(F)
     made = {
         "value": (F._value_kernel, points),
         "jacobian": (F._jacobian_kernel, points),
@@ -863,9 +875,9 @@ def test_kernels_from_the_cache_equal_kernels_emitted_afresh(F, factor, u, v, ha
     fill the slots its twin's fill, each scaled by the factor, and its
     kernels equal those emitted from its own source."""
     G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
-    assert G._shape == F._shape
+    assert _shape(G) == _shape(F)
     assert _share_factories(F, G)
-    assert repr(G._constants) == repr(tuple(c * factor for c in F._constants))
+    assert repr(_constants(G)) == repr(tuple(c * factor for c in _constants(F)))
     box = ((u - halfwidth, v - halfwidth), (u + halfwidth, v + halfwidth))
     _assert_hit_path_equals_emitting(G, [(u, v), (0.0, -0.0)], [box])
 
@@ -910,7 +922,7 @@ def test_reseeded_systems_take_their_kernels_from_the_cache(x0, x1, first, secon
         _, before = make(*old_seed)
         seed, after = make(*new_seed)
         for F, G in zip(before, after):
-            assert _share_factories(F, G) == (G._shape == F._shape)
+            assert _share_factories(F, G) == (_shape(G) == _shape(F))
             n = G.n_inputs
             point = (seed * 2)[:n] if G is after[-1] else seed[:n]
             lo = tuple(a - halfwidth for a in point)
@@ -973,10 +985,10 @@ def test_a_second_reseeded_build_emits_no_kernel_source(monkeypatch):
     assert emitted == []
 
 
-def test_source_text_is_formatted_on_first_read(monkeypatch):
-    """A function made without texts formats none when it is built;
-    source_text formats them once, as texts() does, and a parsed function
-    keeps the strings it was parsed from."""
+def test_source_text_is_formatted_on_each_read(monkeypatch):
+    """A function made without texts formats none when it is built; each
+    read of its source_text formats them, as texts() does, and a parsed
+    function keeps the strings it was parsed from."""
     from implisolve import expr
 
     formatted = []
@@ -994,6 +1006,42 @@ def test_source_text_is_formatted_on_first_read(monkeypatch):
     assert G.source_text == ("x * (z - 2) + 1", "ln(x)")
     first_read = len(formatted)
     assert first_read > 0
+    # the second read formats as much again, and so does texts()
     assert G.source_text == G.texts()
-    # the second read formats nothing; texts() formats afresh
-    assert len(formatted) == 2 * first_read
+    assert len(formatted) == 3 * first_read
+
+
+def test_no_call_writes_to_a_function():
+    """A function is complete when it is built: every slot keeps its
+    object across every method, a call that raises DomainError included,
+    so a function shared across threads holds no state that a call
+    writes."""
+    parsed = parse(["x*y + ln(x)", "sqrt(y) - x"], ["x", "y"])
+    derived = parsed.substituted({"y": BinOp("+", Var("z"), const(1.0))}, ["x", "z"])
+    p, outside = (1.5, 0.5), (-1.0, 0.5)
+    calls = (
+        lambda F: F.eval(p),
+        lambda F: F.partial(p, 1),
+        lambda F: F.jacobian(p),
+        lambda F: F._values_and_jacobian(p),
+        lambda F: F.jvp(p, (1.0, -2.0)),
+        lambda F: F.enclosure((1.0, 0.25), (2.0, 0.75)),
+        lambda F: F.source_text,
+        lambda F: F.texts(),
+        repr,
+    )
+    failing = (
+        lambda F: F.eval(outside),
+        lambda F: F.partial(outside, 0),
+        lambda F: F.jacobian(outside),
+        lambda F: F._values_and_jacobian(outside),
+    )
+    for F in (parsed, derived):
+        slots = [getattr(F, name) for name in ExprFunction.__slots__]
+        for call in calls:
+            call(F)
+        for call in failing:
+            with pytest.raises(DomainError):
+                call(F)
+        for name, slot in zip(ExprFunction.__slots__, slots):
+            assert getattr(F, name) is slot, name

@@ -25,6 +25,7 @@ from implisolve.scalar_implicit import (
     MAX_SHRINK,
     ImplicitSolution,
     SolutionBox,
+    itp,
 )
 
 CIRCLE = parse(["x^2 + y^2 - 1"], ["x", "y"])
@@ -277,6 +278,17 @@ def test_itp_circle_solve_eval_count():
         y = sol.solve_at((x,))
         assert F.evals <= 15  # bisection took 43
         assert abs(y - math.sqrt(1 - x * x)) <= sol.tol_root
+
+
+def test_itp_returns_a_bracket_end_that_is_a_root():
+    """An end whose value is exactly 0 is the root: itp returns it and
+    evaluates nothing."""
+
+    def f(y):
+        raise AssertionError("itp evaluated f")
+
+    assert itp(f, -0.5, 0.75, 0.0, 2.0, 1e-12) == -0.5
+    assert itp(f, -0.5, 0.75, -2.0, 0.0, 1e-12) == 0.75
 
 
 def itp_step_bound(sol):

@@ -273,6 +273,23 @@ def test_injectivity_radius_underflow(monkeypatch):
     assert verify.MIN_RADIUS <= tried[-1] < 2 * verify.MIN_RADIUS
 
 
+def test_injectivity_tries_an_r0_below_the_floor(monkeypatch):
+    """An r0 below MIN_RADIUS is a radius like any other: the square map
+    certifies at once there. Where it fails, each pass tries it alone,
+    and the underflow names the first halving."""
+    F = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
+    report = injectivity_radius(F, (1.0, 1.0), r0=5e-9)
+    assert report.certified and report.passed
+    assert (report.radius, report.halvings) == (5e-9, 0)
+    assert 7.9999998 <= report.min_det_magnitude <= 8.0
+    tried = []
+    for name in ("_certified_min_det", "_sampled_min_det"):
+        monkeypatch.setattr(verify, name, lambda F, p, r, *rest: tried.append(r))
+    with pytest.raises(RadiusUnderflow, match="^radius underflow at r = 2.5e-09$"):
+        injectivity_radius(F, (1.0, 1.0), r0=5e-9)
+    assert tried == [5e-9, 5e-9]
+
+
 def test_injectivity_square_map_certifies_short_of_its_critical_point(monkeypatch):
     """det JF = 4 |x|^2 vanishes at the origin, at distance 1 from
     p = (1, 0): the box of half-width 0.5 reaches det 0 in interval
