@@ -16,14 +16,14 @@ Parsed functions are immutable: construction makes everything a call
 reads, and no call writes to the function, so an ExprFunction may be
 shared freely across threads. The kernels that evaluate and
 differentiate the components come from the one emitter of kernels.py,
-whose compiled factories one functools.lru_cache keeps by shape and
-mode, the constants being kernel defaults; a function numbers its trees
-once, for all three of its kernels. The
-tree walker over dual numbers here is the reference semantics they
-compile, and where a kernel returns None or raises, it computes the
-result or locates the failure. jvp, whose direction need not be a unit
-vector, runs on the walker alone. enclosure runs the interval kernel,
-which bounds every value and partial over a box.
+whose compiled factories one functools.lru_cache keeps by shape, the
+constants being kernel defaults; a function numbers its trees once and
+takes its three kernels with one lookup. The tree walker over dual
+numbers here is the reference semantics they compile, and where a kernel
+returns None or raises, it computes the result or locates the failure.
+jvp, whose direction need not be a unit vector, runs on the walker alone.
+enclosure runs the interval kernel, which bounds every value and partial
+over a box.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .kernels import _KERNEL_ERRORS, _kernel, _number
+from .kernels import _KERNEL_ERRORS, _kernels, _number
 from .linalg import Matrix, Vector
 # the syntax trees, also imported from here by the rest of the package
 from .nodes import (
@@ -306,7 +306,7 @@ class ExprFunction:
     ValueError where `variables` repeats a name or a component reads a
     variable not among them, whichever way the function is made. One
     numbering pass over the components gives the key of their shape in
-    the kernel cache and their constants, from which `_kernel` makes the
+    the kernel cache and their constants, from which `_kernels` makes the
     function's three kernels, positional Python functions, at
     construction: the value kernel for eval; the Jacobian kernel, which
     carries one tangent per variable as plain floats beside the values,
@@ -343,9 +343,9 @@ class ExprFunction:
         # None where the function was not parsed: source_text formats it
         self._source_text = None if source_text is None else tuple(source_text)
         shape, constants = _number(self.components, self.variables)
-        self._value_kernel = _kernel(shape, constants, "value")
-        self._jacobian_kernel = _kernel(shape, constants, "jacobian")
-        self._interval_kernel = _kernel(shape, constants, "interval")
+        self._value_kernel, self._jacobian_kernel, self._interval_kernel = _kernels(
+            shape, constants
+        )
 
     @property
     def n_inputs(self) -> int:

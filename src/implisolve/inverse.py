@@ -56,7 +56,6 @@ def build_inverse(
         )
     p = Vector(p)
     q = F.eval(p)
-    mat_inverse(F.jacobian(p))  # raises SingularMatrix early when JF(p) degenerate
 
     y_names = fresh_names("y", n, F.variables)
     components = [

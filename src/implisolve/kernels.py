@@ -27,17 +27,16 @@ pass over a box encloses every value and partial the float kernels
 compute anywhere in the box, or raises where an interval crosses a
 domain edge.
 
-Compiled code is cached by shape and mode. `_number` numbers a function's
-trees once, for all its kernels: it gives the key of their shape, where
-each finite literal that is not a power's exponent is a slot, and the
-slots' values. The cache, one `functools.lru_cache`, holds the factory of
-each key and mode, which makes a kernel with those values as defaults;
-each factory ages on its own, and the emitter writes a source from the
-key only on a miss. An ExprFunction's construction takes all three
-factories of its shape, value, Jacobian and interval in that order.
-Re-seeding a build derives the same trees with new constants, so its
-functions pay for a numbering pass and three factory calls, and each
-still owns its kernels.
+Compiled code is cached by shape. `_number` numbers a function's trees
+once, for all its kernels: it gives the key of their shape, where each
+finite literal that is not a power's exponent is a slot, and the slots'
+values. The cache, one `functools.lru_cache`, holds one entry per key:
+its value, Jacobian and interval factories, each of which makes a kernel
+with those values as defaults. The emitter writes a key's three sources
+only on a miss. An ExprFunction's construction takes its shape's entry
+with one lookup. Re-seeding a build derives the same trees with new
+constants, so its functions pay for a numbering pass, one lookup and
+three factory calls, and each still owns its kernels.
 """
 
 from __future__ import annotations
@@ -459,28 +458,29 @@ def _kernel_source(key: tuple, mode: str) -> str:
     )
 
 
-# Most factories kept at once. A factory and its key take about 4.4 KB for
-# the m = 2 kernels of a re-seeded build (tracemalloc, Python 3.11), so the
-# cap keeps a process that parses ever new shapes near 1.7 MB of them. It
-# holds 3 modes of 128 shapes, more than ten times the 30 factories, of 11
-# shapes, that re-seeding quad_pair and inverting the square map come back to.
-_CACHE_SIZE = 384
+# Most shapes kept at once. A shape's three factories and its key take
+# about 11 KB for the m = 2 kernels of a re-seeded build (tracemalloc,
+# Python 3.11), so the cap keeps a process that parses ever new shapes near
+# 1.4 MB of them: more than ten times the 11 shapes that re-seeding
+# quad_pair and inverting the square map come back to.
+_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _factory(key: tuple, mode: str):
-    """The `_make` of the source `_kernel_source` writes for key and mode,
-    compiled over the interval helpers or the float ones. The cache holds
-    the _CACHE_SIZE factories used last; a compile runs outside its lock,
-    so threads that race to one compile each make an equal factory."""
-    namespace: dict = {}
-    helpers = _interval_helpers() if mode == "interval" else _HELPERS
-    exec(compile(_kernel_source(key, mode), "<kernel>", "exec"), helpers, namespace)
-    return namespace["_make"]
+def _factories(key: tuple) -> tuple:
+    """The value, Jacobian and interval `_make` of the sources
+    `_kernel_source` writes for key. The cache holds those of the
+    _CACHE_SIZE shapes used last; a compile runs outside its lock, so
+    threads that race to one shape each make equal factories."""
+    namespaces: tuple = ({}, {}, {})
+    for mode, namespace in zip(("value", "jacobian", "interval"), namespaces):
+        helpers = _interval_helpers() if mode == "interval" else _HELPERS
+        exec(compile(_kernel_source(key, mode), "<kernel>", "exec"), helpers, namespace)
+    return tuple(namespace["_make"] for namespace in namespaces)
 
 
-def _kernel(key: tuple, constants: tuple, mode: str):
-    """The kernel of mode over a function of shape key, a `_number` key,
-    with its constants: a new function object, made by the cached
-    factory of the key and mode."""
-    return _factory(key, mode)(*[(c, c) for c in constants] if mode == "interval" else constants)
+def _kernels(key: tuple, constants: tuple) -> tuple:
+    """The value, Jacobian and interval kernels of shape key, a `_number`
+    key, with constants: new functions, from the key's cached factories."""
+    value, jacobian, interval = _factories(key)
+    return value(*constants), jacobian(*constants), interval(*[(c, c) for c in constants])

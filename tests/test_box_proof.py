@@ -314,6 +314,25 @@ def test_reduced_enclosure_is_none_where_it_proves_nothing():
         assert (F.enclosure(lo, hi) is not None) == proved
 
 
+def test_component_slice_enclosure_is_none_where_the_wrapped_one_is():
+    """Below level 2, phi's F is a slice of the reduced function one level
+    up, its inputs permuted: its enclosure is that function's, cut to one
+    component, and None where that function has none."""
+    F = _reduced("skew triple", 3)
+    g1, reduced = F.phi.F, F.phi.F.fn
+    assert (type(g1).__name__, type(reduced).__name__) == ("_ComponentSlice", "_ReducedFunction")
+    assert g1.perm == (0, 2, 1)
+    box = reduced.phi.box
+    # exp(-z2) overflows over the lifted box, as in the test above
+    lo, hi = [box.x_lo[0], -800.0, box.x_lo[2]], [box.x_hi[0], -400.0, box.x_hi[2]]
+    assert reduced.enclosure(lo, hi) is None
+    assert g1.enclosure([lo[k] for k in g1.perm], [hi[k] for k in g1.perm]) is None
+    # over phi's own box both have one, and the slice's is the cut
+    lo, hi = _closed(F.phi.box)
+    values, rows = reduced.enclosure(g1._unpermute(lo), g1._unpermute(hi))
+    assert g1.enclosure(lo, hi) == ((values[0],), (tuple(rows[0][k] for k in g1.perm),))
+
+
 def test_deep_checks_fail_where_the_level_above_fails_its_own(monkeypatch):
     """Below level 2 the checks of phi's F come first: where they fail,
     the level's checks fail without a face proof of their own."""

@@ -623,6 +623,22 @@ def test_csv_header(tmp_path, command, spec, query, header):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize(
+    "seed, functions, message",
+    [
+        ([0.0, 0.0], SQUARE_MAP_SPEC["functions"], "pivot 0 below threshold 1e-312"),
+        ([0.0, 1.0], ["sqrt(x1) + x2", "x2"],
+         "component 0: sqrt derivative needs a positive argument in 'sqrt(x1)'"),
+    ],
+    ids=["singular", "no_jacobian"],
+)
+def test_invert_at_a_degenerate_seed_exit_1(tmp_path, capsys, seed, functions, message):
+    spec = write_spec(tmp_path, "sq.json", dict(SQUARE_MAP_SPEC, functions=functions, seed=seed))
+    code, text = run_main(["invert", "--spec", spec, "--query", "0,1"])
+    assert text == ""
+    assert assert_one_line_error(capsys, code) == f"error: {message}\n"
+
+
 def test_invert_outside_box_exit_2(tmp_path):
     spec = write_spec(tmp_path, "sq.json", SQUARE_MAP_SPEC)
     code, _ = run_main(["invert", "--spec", spec, "--query", "50,50"])

@@ -36,7 +36,7 @@ from implisolve.expr import MAX_DEPTH, _Parser
 from implisolve.inverse import build_inverse
 from implisolve.kernels import (
     _CACHE_SIZE,
-    _factory,
+    _factories,
     _kernel_source,
     _number,
 )
@@ -407,6 +407,10 @@ general_trees = st.recursive(_general_leaves, _extend, max_leaves=10)
 # the largest integer printed without ".0", and the first printed with it
 @example(BinOp("^", Var("u"), const(2.0**53 - 1)))
 @example(BinOp("^", Var("u"), const(2.0**53)))
+# a sum as the right operand of "-", printed u - (v + 1)
+@example(BinOp("-", Var("u"), BinOp("+", Var("v"), const(1.0))))
+# a sum as the left factor of "*", printed (u + 1) * v
+@example(BinOp("*", BinOp("+", Var("u"), const(1.0)), Var("v")))
 def test_print_parse_round_trip(tree):
     text = format_node(tree)
     reparsed = _Parser(text, _VARS).parse()
@@ -638,15 +642,15 @@ def _share_factories(F, G):
 
 def test_one_shape_shares_one_factory():
     first = parse(["3.25 * u * v + sin(u - 0.125) - 7.5"], _VARS)
-    before = _factory.cache_info()
+    before = _factories.cache_info()
     second = parse(["1.5 * u * v + sin(u - 2.75) - 0.25"], _VARS)
-    after = _factory.cache_info()
-    # the three kernels a parse makes come from the cache
-    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
-    before = _factory.cache_info()
+    after = _factories.cache_info()
+    # the three kernels a parse makes come from one hit on the cache
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    before = _factories.cache_info()
     second.partial((0.5, 2.0), 0)
     second.enclosure((0.5, 2.0), (0.75, 2.5))
-    after = _factory.cache_info()
+    after = _factories.cache_info()
     # and a call looks up none
     assert after == before
     assert _sources(first) == _sources(second)
@@ -762,45 +766,14 @@ def test_kernel_cache_is_bounded():
     parse(["u ^ 3.5"], _VARS)
     for k in range(_CACHE_SIZE + 8):
         parse([f"u ^ {k + 4}"], _VARS)
-        # a hit on its three factories, so none goes out
+        # a hit on its shape, so it does not go out
         parse(["u ^ 3.5"], _VARS)
-    info = _factory.cache_info()
+    info = _factories.cache_info()
     assert info.maxsize == _CACHE_SIZE
     assert info.currsize <= _CACHE_SIZE
     before = info.misses
     parse(["u ^ 3.5"], _VARS)
-    assert _factory.cache_info().misses == before
-
-
-def test_each_mode_of_a_shape_ages_on_its_own():
-    """The cache holds factories, not shapes. A construction looks up its
-    shape's value, Jacobian and interval factories in that order, so new
-    shapes push out the oldest shape's value factory first. Where that one
-    goes out while the other two stay warm, the next function of the shape
-    compiles that one factory again, and the kernel it makes equals one
-    compiled afresh."""
-    p = (0.5, 0.25)
-    # 128 shapes fill the cache; the first goes out for the three factories
-    # of F's shape, and 127 more push out the rest, so F's are the oldest
-    for k in range(_CACHE_SIZE // 3):
-        parse([f"u ^ {k + 0.625}"], _VARS)
-    F = parse(["u ^ 2.5 + v"], _VARS)
-    for k in range(_CACHE_SIZE // 3 - 1):
-        parse([f"v ^ {k + 0.625}"], _VARS)
-    key, constants = _number(F.components, F.variables)
-    # lookups of their own keep the Jacobian and interval factories warm,
-    # and the next new shape pushes out the value factory
-    _factory(key, "jacobian")
-    _factory(key, "interval")
-    parse(["v ^ 1000.625"], _VARS)
-    before = _factory.cache_info()
-    G = parse(["u ^ 2.5 + v"], _VARS)
-    after = _factory.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
-    assert G._value_kernel.__code__ is not F._value_kernel.__code__
-    assert G._jacobian_kernel.__code__ is F._jacobian_kernel.__code__
-    fresh = _factory.__wrapped__(key, "value")(*constants)
-    assert repr(G._value_kernel(*p)) == repr(fresh(*p)) == repr(F.eval(p))
+    assert _factories.cache_info().misses == before
 
 
 _factors = st.one_of(st.floats(0.25, 4), st.floats(-4, -0.25))
@@ -815,7 +788,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
     enclosure holds them."""
     # F made all three kernels when it was built, so G finds them cached
     G = ExprFunction([_scaled_constants(c, factor) for c in F.components], F.variables)
-    before = _factory.cache_info().misses
+    before = _factories.cache_info().misses
     p = (u, v)
     env = {"u": u, "v": v}
     assert repr(_outcome(lambda: G.eval(p))) == repr(_walked(G, env))
@@ -831,7 +804,7 @@ def test_warm_cache_kernels_match_tree_walker(F, factor, u, v, halfwidth):
 
     lo, hi = (u - halfwidth, v - halfwidth), (u + halfwidth, v + halfwidth)
     enclosed = G.enclosure(lo, hi)
-    assert _factory.cache_info().misses == before  # every kernel was warm
+    assert _factories.cache_info().misses == before  # every kernel was warm
     if enclosed is None or failed or _outcome(lambda: G.eval(p))[0] != "ok":
         return
     values, rows = enclosed
@@ -857,14 +830,15 @@ def _assert_hit_path_equals_emitting(F, points, boxes):
     same source, and F calls them with the constants that source names,
     which give the same results at every point and box."""
     key, constants = _number(F.components, F.variables)
-    made = {
-        "value": (F._value_kernel, points),
-        "jacobian": (F._jacobian_kernel, points),
-        "interval": (F._interval_kernel, [tuple(zip(lo, hi)) for lo, hi in boxes]),
-    }
-    for mode, (kernel, inputs) in made.items():
-        defaults = [(c, c) for c in constants] if mode == "interval" else constants
-        fresh = _factory.__wrapped__(key, mode)(*defaults)
+    intervals = [(c, c) for c in constants]
+    # the factories of a fresh compile, by position: value, Jacobian, interval
+    value, jacobian, interval = _factories.__wrapped__(key)
+    made = [
+        (F._value_kernel, value(*constants), points),
+        (F._jacobian_kernel, jacobian(*constants), points),
+        (F._interval_kernel, interval(*intervals), [tuple(zip(lo, hi)) for lo, hi in boxes]),
+    ]
+    for kernel, fresh, inputs in made:
         for args in inputs:
             assert _made(kernel, args) == _made(fresh, args)
 
@@ -945,7 +919,7 @@ def test_threads_through_a_full_cache_get_the_sequential_results():
     # shapes enough to fill the cache push out every shape above
     for k in range(_CACHE_SIZE):
         parse([f"u ^ {k + 0.5}"], _VARS)
-    before = _factory.cache_info()
+    before = _factories.cache_info()
     assert before.currsize == _CACHE_SIZE
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -955,11 +929,11 @@ def test_threads_through_a_full_cache_get_the_sequential_results():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential * 2
-    after = _factory.cache_info()
+    after = _factories.cache_info()
     assert after.currsize == _CACHE_SIZE
-    # three kernels a function, none of them lost from the counts
+    # one request a function, none of them lost from the counts
     requests = after.hits + after.misses - before.hits - before.misses
-    assert requests == 3 * len(texts) * 2
+    assert requests == len(texts) * 2
 
 
 def test_a_second_reseeded_build_emits_no_kernel_source(monkeypatch):

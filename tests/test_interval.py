@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -58,6 +59,35 @@ def test_enclosure_holds_the_float_kernels(F, us, vs, s):
         for row, enclosed_row in zip(F.jacobian(p).rows, rows):
             for partial, enclosed in zip(row, enclosed_row):
                 assert _inside(enclosed, partial)
+
+
+# each exponent's partial along v holds 0 and more over a box about v0
+@pytest.mark.parametrize("text, v0", [("u ^ (v ^ 2)", 0.0), ("(u + 1) ^ sin(v)", 0.5 * math.pi)])
+@given(
+    u=st.tuples(st.floats(0.25, 2), st.floats(0.25, 2)),
+    dv=st.tuples(st.floats(-1, -0.01), st.floats(0.01, 1)),
+    s=st.tuples(_fraction, _fraction),
+)
+def test_enclosure_of_a_power_whose_exponent_partial_holds_zero(text, v0, u, dv, s):
+    """Where the exponent's partial holds 0 and more, pow_pair takes the
+    hull of the constant-exponent rule and the varying-exponent one; the
+    enclosure holds eval's values and the Jacobian kernel's partials."""
+    F = parse([text], _VARS)
+    lo, hi = (min(u), v0 + dv[0]), (max(u), v0 + dv[1])
+    hulls = []
+    hull = interval.hull
+
+    def counted(a, b):
+        hulls.append((a, b))
+        return hull(a, b)
+
+    with mock.patch.object(interval, "hull", counted):
+        values, rows = F.enclosure(lo, hi)
+    assert hulls
+    p = _between(lo, hi, s)
+    assert _inside(values[0], F.eval(p)[0])
+    for partial, enclosed in zip(F.jacobian(p).rows[0], rows[0]):
+        assert _inside(enclosed, partial)
 
 
 _floats = st.floats(-1e6, 1e6, allow_nan=False)

@@ -4,11 +4,13 @@ import pytest
 
 from implisolve import (
     DimensionMismatch,
+    DomainError,
     SingularMatrix,
     SolverOptions,
     build_inverse,
     parse,
 )
+from implisolve.linalg import inverse as mat_inverse
 
 SQUARE_MAP = parse(["x1^2 - x2^2", "2*x1*x2"], ["x1", "x2"])
 
@@ -32,6 +34,33 @@ def test_not_square_rejected():
 def test_singular_jacobian_rejected():
     with pytest.raises(SingularMatrix):
         build_inverse(SQUARE_MAP, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "functions, p, error, message",
+    [
+        (["x1^2 - x2^2", "2*x1*x2"], [0.0, 0.0], SingularMatrix,
+         "pivot 0 below threshold 1e-312"),
+        (["x1 + x2", "2*x1 + 2*x2"], [0.0, 0.0], SingularMatrix,
+         "pivot 0 below threshold 3.16228e-12"),
+        (["x1^3", "x2"], [0.0, 1.0], SingularMatrix, "pivot 0 below threshold 1e-12"),
+        (["x1*x2", "x1 + x2"], [1.0, 1.0], SingularMatrix, "pivot 0 below threshold 2e-12"),
+        (["sqrt(x1) + x2", "x2"], [0.0, 1.0], DomainError,
+         "component 0: sqrt derivative needs a positive argument in 'sqrt(x1)'"),
+    ],
+    ids=["square_map", "rank_one", "cube", "product_on_diagonal", "sqrt_at_edge"],
+)
+def test_a_degenerate_seed_is_refused_by_normalization(functions, p, error, message):
+    """JF(p) is the dependent block of Phi's Jacobian at the seed, so
+    normalizing Phi in build_system refuses a seed where JF(p) is singular,
+    or has no value, with the error that inverting JF(p) directly raises."""
+    F = parse(functions, ["x1", "x2"])
+    with pytest.raises(error) as err:
+        build_inverse(F, p)
+    assert str(err.value) == message
+    with pytest.raises(error) as err:
+        mat_inverse(F.jacobian(p))
+    assert str(err.value) == message
 
 
 def test_exp_inverse_is_log():
