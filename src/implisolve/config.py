@@ -29,19 +29,23 @@ class SolverOptions:
     bool, in (0, sys.float_info.max], and grid_density an int in
     [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
 
-    ITP returns the midpoint of a bracket no wider than tol_root, so an
-    answer's residual can reach |dF/dy| * tol_root / 2, and solve_at raises
-    NoConvergence where that exceeds tol_sys: with the defaults, once
-    |dF/dy| passes 2 * tol_sys / tol_root = 2000. README's Options
+    Where a query runs ITP (at m = 1 for a function that is not an
+    ExprFunction, and in the nested solve that a system query falls back
+    to), ITP returns the midpoint of a bracket no wider than tol_root, so
+    an answer's residual can reach |dF/dy| * tol_root / 2, and solve_at
+    raises NoConvergence where that exceeds tol_sys: with the defaults,
+    once |dF/dy| passes 2 * tol_sys / tol_root = 2000. README's Options
     paragraph gives measured failure rates; raise tol_sys or lower
-    tol_root for such an F.
+    tol_root for such an F. Newton's method at m = 1 for an ExprFunction
+    returns the root to within rounding, so there the residual is F's
+    own rounding error at the root.
 
-    The root finders need no iteration budget: ITP ends within its own
-    step bound and the chord (simplified Newton) iteration of a system
-    query within dini._NEWTON_MAX_ITER steps, both also stopping where
-    floats cannot resolve tol_root. The box-halving cap and the cap
-    on the dependent dimension are the constants
-    scalar_implicit.MAX_SHRINK and dini.MAX_DEPTH.
+    ITP needs no iteration budget: it ends within its own step bound. The
+    Newton iterations of a query, bracketed at m = 1 and the chord for
+    m > 1, take at most dini._NEWTON_MAX_ITER steps; both also stop where
+    floats cannot resolve tol_root. The box-halving cap and the cap on
+    the dependent dimension are the constants scalar_implicit.MAX_SHRINK
+    and dini.MAX_DEPTH.
     """
 
     tol_root: float = 1e-12

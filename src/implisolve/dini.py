@@ -13,16 +13,27 @@ check of G_z states; no inner level checks its block again.
 The stack proves existence and uniqueness: on its validated region, one
 box over (x, z) where every level's scalar box holds, F(x, .) has exactly
 one zero. build_system computes that box once per level and stores it on
-the solution. The stack is not the evaluator. For m > 1 a query whose x
-lies inside the region runs the chord (simplified Newton) iteration on
-F(x, .) from the tangent predictor b + Y' (x - a), where Y' = -J^-1 F_x
-is the implicit function's derivative at the seed (Ortega & Rheinboldt,
-Iterative Solution of Nonlinear Equations in Several Variables, ch. 10):
-the first-order term of the solution sheet, so the iteration spends no
-step recovering the slope. One pass of the Jacobian kernel at the
-predictor gives F's values and the dependent block of its Jacobian,
-factored once; each step is one back-substitution and one evaluation of
-F at the new iterate (Kelley, Iterative Methods for Linear and Nonlinear
+the solution. The stack is not the evaluator. A query starts from the
+tangent predictor b + Y' (x - a), where Y' = -J^-1 F_x is the implicit
+function's derivative at the seed (Ortega & Rheinboldt, Iterative
+Solution of Nonlinear Equations in Several Variables, ch. 10): the
+first-order term of the solution sheet, so the iteration spends no step
+recovering the slope. build_system computes Y' once, by one
+factorization of J (_implicit_derivative, which jacobian_known shares).
+
+At m = 1, for an ExprFunction F, the query makes the scalar solution's
+checks at the box's two ends, then runs Newton's method kept inside
+that bracket (scalar_implicit.bracketed_newton): each step is one pass
+of the Jacobian kernel, which gives F and dF/dy together, a step that
+would leave the bracket is replaced by bisection, and ITP finishes on
+the bracket left if _NEWTON_MAX_ITER passes do not settle it. A function
+of another type has no Jacobian kernel and runs ITP on the box.
+
+For m > 1 a query whose x lies inside the region runs the chord
+(simplified Newton) iteration on F(x, .) from the predictor. One pass of
+the Jacobian kernel at the predictor gives F's values and the dependent
+block of its Jacobian, factored once; each step is one back-substitution
+and one evaluation of F at the new iterate (Kelley, Iterative Methods for Linear and Nonlinear
 Equations, 1995, ch. 5). The uniqueness proof does not depend on how the
 zero is found, so the query accepts the final iterate when its residual,
 the last step's evaluation, is within tol_sys and it lies in the stored
@@ -93,6 +104,7 @@ from .scalar_implicit import (
     SolutionBox,
     SplitPoint,
     _faces_proved,
+    bracketed_newton,
     build_implicit,
 )
 
@@ -108,7 +120,10 @@ MAX_DEPTH = 6
 # a third of them at the x-box's edges, 99% settled within 8 steps and the
 # slowest took 11. A query that needs more than this falls back to the
 # nested solve. A step that leaves y unchanged also settles it: far from 0,
-# tol_root can be below the spacing of floats.
+# tol_root can be below the spacing of floats. It is also the budget of
+# Jacobian passes of the bracketed Newton iteration at m = 1, after which
+# ITP finishes: on the benchmark's four m = 1 curves that iteration
+# settled in at most 4.6 passes on average, and never used ITP.
 _NEWTON_MAX_ITER = 16
 
 # Inner recursion levels start from slightly smaller initial half-widths.
@@ -373,15 +388,17 @@ class SystemSolution:
     reduced function of the level above at every inner level. region is
     the open box (lo, hi) over this level's (x, z) where the zero is
     unique: the scalar box with z_1's interval at position n, intersected
-    with the child's region. The chord iteration evaluates queries inside
-    it and the nested solve is the fallback (see solve_at). normalizer is
-    the J_inv of y = b + J_inv (z - b) at level 1 when m > 1, and None at
-    every other level, which solves its F as it is. seed_fy is J = dF/dy
-    at the seed where normalizer is set, else None: z = b + J (y - b) maps
-    an answer back to z. tangent is Y' = -J_inv dF/dx at the seed, the
-    m x n derivative of the solution there, where normalizer is set, else
-    None: the chord iteration starts from b + Y' (x - a). Immutable;
-    evaluations at distinct points may run concurrently.
+    with the child's region. For m > 1 the chord iteration evaluates
+    queries inside it and the nested solve is the fallback (see solve_at).
+    normalizer is the J_inv of y = b + J_inv (z - b) at level 1 when m > 1,
+    and None at every other level, which solves its F as it is. seed_fy is
+    J = dF/dy at the seed where normalizer is set, else None:
+    z = b + J (y - b) maps an answer back to z. tangent is
+    Y' = -J^-1 dF/dx at the seed, the m x n derivative of the solution
+    there, at level 1 where F is an ExprFunction (every level 1 when
+    m > 1, and m = 1 for an ExprFunction), else None: the Newton
+    iterations start from b + Y' (x - a). Immutable; evaluations at
+    distinct points may run concurrently.
     """
 
     F: object
@@ -411,8 +428,11 @@ class SystemSolution:
         through the level-1 normalizer, which raises OutsideBox or
         NoConvergence with the failing level. _newton runs only where x
         lies strictly inside x_box(), the only place _in_region can accept
-        its answer."""
-        x = tuple(float(v) for v in x)
+        its answer. At m = 1 the nested solve is the one scalar solve:
+        _bracketed_newton where tangent is set (an ExprFunction), ITP
+        otherwise. At level 1 an answer whose residual exceeds tol_sys
+        raises NoConvergence."""
+        x = tuple(map(float, x))
         if len(x) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinates, got {len(x)}")
         if self.depth == 1 and self.child is not None:
@@ -424,7 +444,7 @@ class SystemSolution:
                     return y
         y = self._solve(x)
         if self.depth == 1:
-            residual = max(abs(r) for r in self.F.eval(x + tuple(y)))
+            residual = max(map(abs, self.F.eval(x + y)))
             if residual > self.options.tol_sys:
                 raise NoConvergence(
                     f"assembled residual {residual:g} exceeds tol_sys "
@@ -492,11 +512,37 @@ class SystemSolution:
     def _solve(self, x: tuple[float, ...]) -> Vector:
         z_rest = () if self.child is None else tuple(self.child._solve(x))
         try:
-            z1 = self.scalar.solve_at(x + z_rest)
+            if self.child is None and self.tangent is not None:
+                z1 = self._bracketed_newton(x)
+            else:
+                z1 = self.scalar.solve_at(x + z_rest)
         except (OutsideBox, NoConvergence) as exc:
             exc.level = exc.level if exc.level is not None else self.depth
             raise
         return self._to_y((z1,) + z_rest)
+
+    def _bracketed_newton(self, x: tuple[float, ...]) -> float:
+        """The root of F(x, .) at m = 1 for an ExprFunction F: the scalar
+        solution's checks (ImplicitSolution._bracket: OutsideBox, and
+        NoConvergence where the box's ends do not bracket a root), then
+        scalar_implicit.bracketed_newton from the tangent predictor
+        b + Y' (x - a), each pass one pass of F's Jacobian kernel, within
+        _NEWTON_MAX_ITER passes before ITP finishes on the bracket left."""
+        scalar = self.scalar
+        f, lo, hi, f_lo, f_hi = scalar._bracket(x)
+        s = scalar.box.sign
+        n = self.n
+        values_and_jacobian = self.F._values_and_jacobian
+
+        def fg(y: float) -> tuple[float, float]:
+            values, jac = values_and_jacobian(x + (y,))
+            return s * values[0], s * jac.rows[0][n]
+
+        # a plain sum: a predictor that overflows, inf or nan, starts
+        # bracketed_newton at the bracket's midpoint
+        dx = map(operator.sub, x, self.seed.x)
+        y = self.seed.y[0] + sum(map(operator.mul, self.tangent.rows[0], dx))
+        return bracketed_newton(fg, f, lo, hi, f_lo, f_hi, y, scalar.tol_root, _NEWTON_MAX_ITER)
 
     def _to_y(self, z: Sequence[float]) -> Vector:
         """This level's solved coordinates z as F's dependent variables:
@@ -517,11 +563,9 @@ class SystemSolution:
         """Jacobian at a point whose solution value y = f(x) is already known.
 
         One read of F's Jacobian, whose blocks are dF/dx (columns below n)
-        and dF/dy, and -inverse(dF/dy) dF/dx from _implicit_derivative."""
-        n = self.n
-        rows = self.F.jacobian(x + tuple(y)).rows
-        inv = inverse(Matrix._unchecked(tuple(row[n:] for row in rows)))
-        return _implicit_derivative(inv, rows, n)
+        and dF/dy, and -[dF/dy]^-1 dF/dx from _implicit_derivative: one
+        factorization of dF/dy and one back-substitution per column."""
+        return _implicit_derivative(self.F.jacobian(x + tuple(y)).rows, self.n)
 
     # -- box geometry ------------------------------------------------------
 
@@ -662,7 +706,9 @@ def build_system(
     For m > 1, F must be an ExprFunction, else TypeError before any of its
     methods is called. For m = 1, any object with n_inputs, n_outputs,
     eval and partial will do, plus jacobian for jacobian_at and
-    verify_uniqueness.
+    verify_uniqueness. For an ExprFunction at m = 1, once its scalar
+    solution is built, one Jacobian pass at the seed gives the tangent
+    that solve_at's bracketed Newton iteration starts from.
     """
     n, m = seed.n, seed.m
     if _depth == 1 and m > 1:
@@ -685,8 +731,9 @@ def build_system(
         g1 = F
     elif _depth == 1:
         G, fy, j_inv, jg = normalize(F, seed)
-        # G's x-columns at the seed are F's, since z = b there gives y = b
-        tangent = _implicit_derivative(j_inv, jg.rows, n)
+        # F's Jacobian at the seed: G's x-columns there are F's, since z = b
+        # gives y = b
+        tangent = _implicit_derivative(tuple(g[:n] + f for g, f in zip(jg.rows, fy.rows)), n)
         # its own ExprFunction, not a _ComponentSlice of G: read through the
         # slice, which permutes every point, 16 rounds of re-seeded quad_pair
         # and square-map builds took about 15% more CPU
@@ -698,6 +745,9 @@ def build_system(
     except BoxNotFound as exc:
         exc.level = exc.level if exc.level is not None else _depth
         raise
+    if m == 1 and _depth == 1 and isinstance(F, ExprFunction):
+        # the predictor of solve_at's bracketed Newton iteration
+        tangent = _implicit_derivative(F.jacobian(seed.point()).rows, n)
 
     child = None
     if m > 1:
@@ -728,21 +778,17 @@ def _affine(base: Sequence[float], mat: Matrix, d: Sequence[float]) -> list[floa
     return [bk + math.fsum([a * v for a, v in zip(row, d)]) for bk, row in zip(base, mat.rows)]
 
 
-def _implicit_derivative(inv: Matrix, rows: tuple, n: int) -> Matrix:
-    """-inv dF/dx, dF/dx the first n columns of the Jacobian rows: entry
-    (i, j) is -fsum_k inv[i][k] dF_k/dx_j. Negation is exact and fsum
-    correctly rounded, so it equals -1.0 times the entry of inv @ dF/dx;
-    a ValueError where an entry, or a partial sum of one, is not finite."""
-    try:
-        product = tuple(
-            tuple([math.fsum([a * row[j] for a, row in zip(inv_row, rows)]) for j in range(n)])
-            for inv_row in inv.rows
-        )
-    except OverflowError:  # fsum's, where a partial sum overflows
-        raise ValueError("implicit derivative at the seed overflows") from None
-    # tested before the negation, which would flip the sign the message names
-    Matrix._of_floats(product)
-    return Matrix._unchecked(tuple(tuple([-v for v in row]) for row in product))
+def _implicit_derivative(rows: tuple, n: int) -> Matrix:
+    """-[dF/dy]^-1 dF/dx from the rows of F's Jacobian, dF/dx their first
+    n columns and dF/dy the rest: one factorization of dF/dy
+    (_factor_nonsingular, so SingularMatrix where it is singular) and one
+    back-substitution per column of dF/dx, on the column negated, which is
+    exact. A ValueError where an entry is not finite."""
+    lu, perm = _factor_nonsingular(Matrix._unchecked(tuple([row[n:] for row in rows])))
+    cols = [_substitute(lu, [-rows[i][j] for i in perm]) for j in range(n)]
+    if not all(all(map(math.isfinite, col)) for col in cols):
+        raise ValueError("implicit derivative at the seed overflows")
+    return Matrix._unchecked(tuple(zip(*cols)) if cols else ((),) * len(rows))
 
 
 def _region(

@@ -3,10 +3,15 @@
 Given F(x, y) = 0 at a seed (a, b) with dF/dy(a, b) != 0, find_box grows a
 product box X x [y_lo, y_hi] around the seed on which (by grid sampling)
 dF/dy keeps one sign and F has opposite signs at the two y-faces. On such
-a box every x in X brackets exactly one root, so evaluation is ITP
-(bracketed, bisection worst case; Oliveira & Takahashi, ACM TOMS 47(1),
-2020) and is unconditionally convergent. The gradient comes from the
-quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at (x, f(x)).
+a box every x in X brackets exactly one root, so ImplicitSolution
+evaluates by ITP (bracketed, bisection worst case; Oliveira & Takahashi,
+ACM TOMS 47(1), 2020), which is unconditionally convergent. The gradient
+comes from the quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at
+(x, f(x)). bracketed_newton is the other root finder on such a bracket:
+Newton's method from a given start, bisection where a step would leave
+the bracket, and ITP after a budget of passes. dini uses it at m = 1 for
+an ExprFunction, whose one Jacobian pass gives F and dF/dy together;
+every other F, and every nested level of a system, runs ITP.
 
 The sign of dF/dy is the Mean-Value Theorem's hypothesis. Where F offers
 an interval enclosure of its partials over a box (Moore, Interval
@@ -511,6 +516,54 @@ def itp(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
         "ITP (bracketed, bisection worst case) did not converge in "
         f"{n_max + 1} iterations"
     )
+
+
+def bracketed_newton(
+    fg, f, lo: float, hi: float, f_lo: float, f_hi: float, y: float, tol: float, passes: int
+) -> float:
+    """Root of f in [lo, hi] by Newton's method kept inside the bracket,
+    given itp's arguments, a start y and fg(y) = (f(y), f'(y)) from one
+    pass (Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4).
+
+    A start outside the open bracket is replaced by its midpoint. Each pass
+    reads f and f' at y and moves the end of the bracket on y's side to y,
+    so the bracket keeps the root. The next iterate is the Newton step
+    y - f/f' where f' > 0 and the step lands strictly inside the bracket,
+    and the bracket's midpoint elsewhere. It returns y where f(y) is 0 or
+    the step leaves y unchanged (far from 0, tol can be below the spacing
+    of floats), the new iterate after a Newton step no longer than tol, and
+    the midpoint once the bracket is no wider than tol or holds no float
+    between its ends. After `passes` passes, or at a pass that raises
+    DomainError (where f' is not finite though f may be), itp finishes on
+    the bracket that is left."""
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not lo < y < hi:
+        y = lo + 0.5 * (hi - lo)
+    for _ in range(passes):
+        try:
+            value, slope = fg(y)
+        except DomainError:
+            break
+        if value == 0.0:
+            return y
+        if value < 0.0:
+            lo, f_lo = y, value
+        else:
+            hi, f_hi = y, value
+        new = y - value / slope if slope > 0.0 else math.nan
+        if new == y:
+            return y
+        if not lo < new < hi:  # NaN compares false too
+            new = lo + 0.5 * (hi - lo)
+            if hi - lo <= tol or not lo < new < hi:
+                return new
+        elif abs(new - y) <= tol:
+            return new
+        y = new
+    return itp(f, lo, hi, f_lo, f_hi, tol)
 
 
 @dataclass(frozen=True)

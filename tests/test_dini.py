@@ -4,6 +4,7 @@ import operator
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from implisolve import (
     normalize,
     parse,
 )
-from implisolve import dini
+from implisolve import dini, scalar_implicit
 from implisolve.dini import _NORMALIZE_TOL, UniquenessReport, _AffineReparam
 from implisolve.linalg import hs_norm, identity, inverse, matvec, solve, split_columns, vec_sub
 from conftest import interior_grid
@@ -40,6 +41,29 @@ def quad_closed_form(x):
     # symmetric root of y^2 + y - x - 1 = 0, the branch through (1, 1)
     y = (-1 + math.sqrt(5 + 4 * x)) / 2
     return (y, y)
+
+
+class _Opaque:
+    """A function that is not an ExprFunction: the function protocol
+    forwarded to one, and a record of each method called."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.n_inputs = fn.n_inputs
+        self.n_outputs = fn.n_outputs
+        self.calls = []
+
+    def eval(self, p):
+        self.calls.append("eval")
+        return self.fn.eval(p)
+
+    def partial(self, p, j):
+        self.calls.append("partial")
+        return self.fn.partial(p, j)
+
+    def jacobian(self, p):
+        self.calls.append("jacobian")
+        return self.fn.jacobian(p)
 
 
 @pytest.fixture(scope="module")
@@ -103,17 +127,26 @@ def test_normalize_keeps_seed_value():
 
 
 def test_base_case_delegates_to_scalar_exactly():
+    """At m = 1 a function that is not an ExprFunction is solved by the
+    scalar solution's ITP, bit for bit. An ExprFunction is solved by
+    bracketed Newton from the tangent predictor instead, within tol_root / 2
+    of the closed form. Either Jacobian is the scalar gradient at the same
+    answer."""
     F = parse(["x^2 + y^2 - 1"], ["x", "y"])
     opts = SolverOptions(h0=0.8)
     seed = SplitPoint.of([0.0], [1.0])
+    opaque = build_system(_Opaque(F), seed, opts)
     system = build_system(F, seed, opts)
     scalar = build_implicit(F, seed, opts)
+    assert opaque.tangent is None and system.tangent is not None
     for x in (-0.5, 0.0, 0.25, 0.6):
-        assert system.solve_at((x,))[0] == scalar.solve_at((x,))
-        # same value, same formula; arithmetic order differs by one rounding
-        jac = system.jacobian_at((x,)).rows[0][0]
-        grad = scalar.gradient_at((x,))[0]
-        assert abs(jac - grad) <= 1e-15 * max(1.0, abs(grad))
+        assert opaque.solve_at((x,))[0] == scalar.solve_at((x,))
+        assert abs(system.solve_at((x,))[0] - math.sqrt(1 - x * x)) <= opts.tol_root / 2
+        for solution in (opaque, system):
+            # same value, same formula; arithmetic order differs by one rounding
+            jac = solution.jacobian_at((x,)).rows[0][0]
+            grad = scalar.gradient_known((x,), solution.solve_at((x,))[0])[0]
+            assert abs(jac - grad) <= 1e-15 * max(1.0, abs(grad))
 
 
 def test_quad_pair_at_seed(quad_system):
@@ -280,16 +313,20 @@ STEEP_CURVE = parse(["1000*(y^3 + y - x) + sin(y) - sin(x)"], ["x", "y"])
 @pytest.mark.parametrize(
     "F,seed,queries",
     [
+        (_Opaque(STEEP_CURVE), SplitPoint.of([0.0], [0.0]), 300),
         (STEEP_CURVE, SplitPoint.of([0.0], [0.0]), 300),
         (QUAD, QUAD_SEED, 40),
         (CUBIC_TRIPLE, SplitPoint.of([1.0], [1.0, 1.0, 1.0]), 8),
     ],
-    ids=["steep_curve", "quad_pair", "cubic_triple"],
+    ids=["steep_curve", "steep_curve_newton", "quad_pair", "cubic_triple"],
 )
 def test_every_answer_seeds_a_new_build(F, seed, queries):
     """solve_at's answers and the seeds a build accepts share the residual
     bound tol_sys, so a build re-seeded at any answer succeeds. On the steep
-    curve the factor 1000 leaves many answers with a residual above 1e-10."""
+    curve the factor 1000 leaves many of ITP's answers (for a function
+    that is not an ExprFunction) with a residual above 1e-10; bracketed
+    Newton's answers (for the ExprFunction) lie within tol_root / 2 of the
+    root."""
     system = build_system(F, seed)
     lo, hi = system.x_box()
     rng = random.Random(1)
@@ -299,8 +336,13 @@ def test_every_answer_seeds_a_new_build(F, seed, queries):
         y = system.solve_at(x)
         residuals.append(max(abs(r) for r in F.eval(x + tuple(y))))
         build_system(F, SplitPoint.of(x, y))
+        if F is STEEP_CURVE:
+            # the root to the resolution of floats: ITP with a tol_root
+            # below every float spacing
+            root = replace(system.scalar, tol_root=1e-320).solve_at(x)
+            assert abs(y[0] - root) <= system.options.tol_root / 2
     assert max(residuals) <= system.options.tol_sys
-    if F is STEEP_CURVE:
+    if isinstance(F, _Opaque):
         assert sum(r > 1e-10 for r in residuals) > queries / 2
 
 
@@ -329,29 +371,6 @@ def test_composed_jvp_matches_partials(corpus_systems):
             assert close(got[i], sum(terms), sum(abs(t) for t in terms))
 
 
-class _Opaque:
-    """A function that is not an ExprFunction: the function protocol
-    forwarded to one, and a record of each method called."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.n_inputs = fn.n_inputs
-        self.n_outputs = fn.n_outputs
-        self.calls = []
-
-    def eval(self, p):
-        self.calls.append("eval")
-        return self.fn.eval(p)
-
-    def partial(self, p, j):
-        self.calls.append("partial")
-        return self.fn.partial(p, j)
-
-    def jacobian(self, p):
-        self.calls.append("jacobian")
-        return self.fn.jacobian(p)
-
-
 def test_systems_refuse_a_function_that_is_not_an_expression(corpus_systems):
     """At m >= 2, build_system and normalize raise TypeError on any other
     type before calling F. At m = 1 such a function builds, and its answers
@@ -368,12 +387,16 @@ def test_systems_refuse_a_function_that_is_not_an_expression(corpus_systems):
 
     problem, expr_system = {p.name: (p, s) for p, s in corpus_systems}["circle"]
     system = build_system(_Opaque(problem.F), problem.seed, problem.options)
+    scalar = build_implicit(problem.F, problem.seed, problem.options)
     assert system.box_metadata() == expr_system.box_metadata()
     lo, hi = system.x_box()
     for t in (0.1, 0.5, 0.9):
         x = (lo[0] + t * (hi[0] - lo[0]),)
-        assert system.solve_at(x) == expr_system.solve_at(x)
-        assert system.jacobian_at(x) == expr_system.jacobian_at(x)
+        y = system.solve_at(x)
+        assert y[0] == scalar.solve_at(x)
+        assert system.jacobian_at(x) == expr_system.jacobian_known(x, y)
+        closed = math.sqrt(1 - x[0] * x[0])
+        assert abs(expr_system.solve_at(x)[0] - closed) <= problem.options.tol_root / 2
 
 
 # --- well-posed systems: identity plus a small nonlinear perturbation --------
@@ -490,14 +513,240 @@ def test_outside_box_reports_level(quad_system):
     assert str(err.value).endswith(f"(recursion level {err.value.level})")
 
 
+def cubic_sheet_root(x):
+    """The real root y of y^3 + y = x, by Cardano."""
+    d = math.sqrt(x * x / 4 + 1 / 27)
+    return math.copysign(abs(x / 2 + d) ** (1 / 3), x / 2 + d) - (d - x / 2) ** (1 / 3)
+
+
 def test_assembled_residual_above_tol_sys_raises():
     """ITP returns the midpoint of a bracket no wider than tol_root, so
     where dF/dy is large the answer's residual can exceed tol_sys: here
-    dF/dy >= 1e4, and solve_at raises rather than return it."""
-    system = build_system(parse(["1e4*(y^3 + y - x)"], ["x", "y"]), SplitPoint.of([0.0], [0.0]))
+    dF/dy >= 1e4, and solve_at raises rather than return it. A function
+    that is not an ExprFunction runs ITP at m = 1; the ExprFunction's
+    bracketed Newton answers the same point within tol_root / 2."""
+    F = parse(["1e4*(y^3 + y - x)"], ["x", "y"])
+    seed = SplitPoint.of([0.0], [0.0])
     message = r"^assembled residual 1\.69587e-09 exceeds tol_sys 1e-09$"
     with pytest.raises(NoConvergence, match=message):
-        system.solve_at((-0.4625,))
+        build_system(_Opaque(F), seed).solve_at((-0.4625,))
+    system = build_system(F, seed)
+    y = system.solve_at((-0.4625,))
+    assert abs(y[0] - cubic_sheet_root(-0.4625)) <= system.options.tol_root / 2
+
+
+def test_newton_answers_a_steep_scalar_equation_everywhere():
+    """s (y^3 + y - x) with s = 1e4, where ITP's residual, up to
+    |dF/dy| tol_root / 2, exceeds tol_sys at 53 of these 400 points (for a
+    function that is not an ExprFunction): bracketed Newton answers every
+    one within tol_sys and within tol_root / 2 of the root."""
+    F = parse(["10000*(y^3 + y - x)"], ["x", "y"])
+    system = build_system(F, SplitPoint.of([0.0], [0.0]))
+    itp_system = build_system(_Opaque(F), SplitPoint.of([0.0], [0.0]))
+    (lo,), (hi,) = system.x_box()
+    itp_failures = 0
+    for i in range(400):
+        x = lo + (i + 0.5) * (hi - lo) / 400
+        y = system.solve_at((x,))
+        assert abs(F.eval((x,) + tuple(y))[0]) <= system.options.tol_sys
+        assert abs(y[0] - cubic_sheet_root(x)) <= system.options.tol_root / 2
+        try:
+            itp_system.solve_at((x,))
+        except NoConvergence:
+            itp_failures += 1
+    assert itp_failures == 53
+
+
+SPHERE_CAP = (
+    parse(["x1^2 + x2^2 + y^2 - 1"], ["x1", "x2", "y"]),
+    SplitPoint.of([0.0, 0.0], [1.0]),
+    SolverOptions(h0=0.6),
+)
+
+
+def cubic_sheet_solution(x):
+    """y^3 + y + sin(x) = 0 and dy/dx = -cos(x) / (3 y^2 + 1)."""
+    y = cubic_sheet_root(-math.sin(x[0]))
+    return y, (-math.cos(x[0]) / (3 * y * y + 1),)
+
+
+def cap_solution(x):
+    y = math.sqrt(1 - x[0] ** 2 - x[1] ** 2)
+    return y, (-x[0] / y, -x[1] / y)
+
+
+# closed forms (y, dy/dx) of the m = 1 curves
+M1_CLOSED_FORMS = {
+    "circle": lambda x: (math.sqrt(1 - x[0] ** 2), (-x[0] / math.sqrt(1 - x[0] ** 2),)),
+    "sin_cubic": cubic_sheet_solution,
+    "log_curve": lambda x: (math.exp(-x[0]), (-math.exp(-x[0]),)),
+    "sphere_cap": cap_solution,
+}
+
+
+@pytest.mark.parametrize("name", sorted(M1_CLOSED_FORMS))
+def test_m1_answers_and_jacobians_match_closed_forms(corpus_systems, name):
+    """At m = 1 an ExprFunction's answers by bracketed Newton lie within
+    tol_root / 2 of the closed form, and its Jacobians, one factorization
+    of dF/dy each, within 1e-15 of it relative to max(1, |entry|), at 200
+    points of the middle 80% of the x-box (log_curve's box holds points,
+    below x = -0.486, where sampling fooled it)."""
+    systems = {p.name: s for p, s in corpus_systems}
+    system = systems[name] if name in systems else build_system(*SPHERE_CAP)
+    closed = M1_CLOSED_FORMS[name]
+    lo, hi = system.x_box()
+    rng = random.Random(5)
+    for _ in range(200):
+        x = tuple(a + (0.1 + 0.8 * rng.random()) * (b - a) for a, b in zip(lo, hi))
+        y, jac = closed(x)
+        assert abs(system.solve_at(x)[0] - y) <= system.options.tol_root / 2
+        got = system.jacobian_at(x).rows[0]
+        assert all(abs(g - w) <= 1e-15 * max(1.0, abs(w)) for g, w in zip(got, jac))
+
+
+def counted_itp(monkeypatch):
+    """The brackets (lo, hi) of every scalar_implicit.itp call."""
+    calls = []
+    plain = scalar_implicit.itp
+
+    def counted(f, lo, hi, f_lo, f_hi, tol):
+        calls.append((lo, hi))
+        return plain(f, lo, hi, f_lo, f_hi, tol)
+
+    monkeypatch.setattr(scalar_implicit, "itp", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "expression,fallbacks",
+    [
+        # the two sheets of ITP's worst-case test: the tangent predictor
+        # y = 0.3 + x is their root, which the first pass confirms
+        ("(y - 0.3 - x)^9 + 0.001*(y - 0.3 - x)", 0),
+        ("(y - 0.3 - x)^3 + 0.000000001*(y - 0.3 - x)", 0),
+        # a flat tangent predictor y = 0.3 and a near-triple root at
+        # 0.3 + x^2: Newton's error shrinks by only a third per pass until it
+        # is near 3e-5, so at every point but x = 0 the budget runs out and
+        # ITP finishes on the bracket left (measured)
+        ("(y - 0.3 - x^2)^3 + 0.000000001*(y - 0.3 - x^2)", 8),
+    ],
+)
+def test_bracketed_newton_worst_case_is_its_budget_plus_itp(monkeypatch, expression, fallbacks):
+    """Each m = 1 query makes at most _NEWTON_MAX_ITER Jacobian passes, and
+    F.eval at most ITP's bound on the box (bisection's count plus one) plus
+    three: the two ends of the box and the residual. Its answer lies within
+    tol_root of the root."""
+    F = parse([expression], ["x", "y"])
+    system = build_system(F, SplitPoint.of([0.0], [0.3]))
+    box, tol_root = system.scalar.box, system.options.tol_root
+    bound = math.ceil(math.log2((box.y_hi - box.y_lo) / tol_root)) + 1
+    root = (lambda x: 0.3 + x * x) if "x^2" in expression else (lambda x: 0.3 + x)
+    passes, evals = count_kernel_calls(monkeypatch, F)
+    itp_calls = counted_itp(monkeypatch)
+    for i in range(9):
+        x = box.x_lo[0] + (i + 0.5) * (box.x_hi[0] - box.x_lo[0]) / 9
+        passes.clear()
+        evals.clear()
+        y = system.solve_at((x,))
+        assert len(passes) <= dini._NEWTON_MAX_ITER
+        assert len(evals) - 3 <= bound
+        assert abs(y[0] - root(x)) <= tol_root
+    assert len(itp_calls) == fallbacks
+
+
+@pytest.mark.parametrize(
+    "expression,seed,options,root,error",
+    [
+        # no bracket of floats near 1 is as narrow as 1e-320
+        (
+            "x^2 + y^2 - 1", (0.0, 1.0), SolverOptions(h0=0.8, tol_root=1e-320),
+            lambda x: math.sqrt(1 - x * x), 4 * math.ulp(1.0),
+        ),
+        # floats near the centre are spaced wider than tol_root = 1e-12
+        (
+            "(y - 10000.0)^3 + (y - 10000.0) - x", (0.0, 1e4), SolverOptions(),
+            lambda x: 1e4 + cubic_sheet_root(x), 2 * math.ulp(1e4),
+        ),
+        (
+            "(y - 1000000.0)^3 + (y - 1000000.0) - x", (0.0, 1e6), SolverOptions(),
+            lambda x: 1e6 + cubic_sheet_root(x), 2 * math.ulp(1e6),
+        ),
+    ],
+    ids=["circle_1e-320", "centre_1e4", "centre_1e6"],
+)
+def test_bracketed_newton_stops_at_float_resolution(
+    monkeypatch, expression, seed, options, root, error
+):
+    """Where tol_root is below the spacing of floats at the root, no step
+    is ever that small: the iteration settles where a step leaves y
+    unchanged, or where no float lies between the bracket's ends, within
+    its budget and without ITP, as near the root as ITP gets."""
+    F = parse([expression], ["x", "y"])
+    system = build_system(F, SplitPoint.of(seed[:1], seed[1:]), options)
+    (lo,), (hi,) = system.x_box()
+    passes, _ = count_kernel_calls(monkeypatch, F)
+    itp_calls = counted_itp(monkeypatch)
+    for i in range(1, 100):
+        x = lo + i / 100 * (hi - lo)
+        passes.clear()
+        assert abs(system.solve_at((x,))[0] - root(x)) <= error
+        assert len(passes) <= dini._NEWTON_MAX_ITER
+    assert not itp_calls
+
+
+def test_a_jacobian_pass_that_fails_hands_the_bracket_to_itp(monkeypatch):
+    """sqrt((y - 0.25)^2) has no derivative at y = 0.25, where the tangent
+    predictor lands for x = 0.5: the Jacobian pass there raises
+    DomainError, though F evaluates, so ITP finishes on the bracket and
+    answers as it does alone."""
+    F = parse(["2*y + sqrt((y - 0.25)^2) - x"], ["x", "y"])
+    system = build_system(F, SplitPoint.of([0.25], [0.0]))
+    itp_calls = counted_itp(monkeypatch)
+    assert abs(system.solve_at((0.5,))[0] - 0.25) <= system.options.tol_root
+    assert len(itp_calls) == 1
+
+
+def test_m1_errors_keep_their_messages_and_level(corpus_systems):
+    """The bracketed Newton query makes the scalar solution's checks first:
+    log_curve's box, which sampling fooled, still raises NoConvergence
+    below x = -0.486, and a point outside the circle's box OutsideBox, each
+    at level 1."""
+    systems = {p.name: s for p, s in corpus_systems}
+    with pytest.raises(NoConvergence) as err:
+        systems["log_curve"].solve_at((-0.49,))
+    assert err.value.level == 1
+    assert str(err.value) == (
+        "endpoint signs wrong at query point; box validation was fooled by sampling "
+        "(recursion level 1)"
+    )
+    with pytest.raises(OutsideBox) as err:
+        systems["circle"].solve_at((0.9,))
+    assert err.value.level == 1
+    assert str(err.value).endswith(" (recursion level 1)")
+
+
+def test_m1_tangent_is_the_implicit_derivative_at_the_seed():
+    """build_system stores Y' = -F_x / F_y at the seed for an ExprFunction
+    at m = 1, and nothing for another function: that has no Jacobian kernel."""
+    F = parse(["sin(x) + 2*y^3 + y - 0.5*x"], ["x", "y"])
+    seed = SplitPoint.of([0.0], [0.0])
+    assert build_system(F, seed).tangent.rows == ((-0.5,),)
+    assert build_system(_Opaque(F), seed).tangent is None
+
+
+def test_implicit_derivative_is_one_factorization_and_substitution():
+    """-[dF/dy]^-1 dF/dx column by column, the inverse never formed: equal
+    to -solve(dF/dy, column) entry for entry; SingularMatrix where dF/dy is
+    singular; a dependent block with no independent columns gives empty rows."""
+    rows = ((1.0, -2.0, 2.0, 1.0), (0.5, 3.0, 1.0, 4.0))
+    fy = Matrix(tuple(row[2:] for row in rows))
+    got = dini._implicit_derivative(rows, 2)
+    for j in range(2):
+        want = solve(fy, [-row[j] for row in rows])
+        assert tuple(r[j] for r in got.rows) == tuple(want)
+    with pytest.raises(SingularMatrix):
+        dini._implicit_derivative(((1.0, 1.0, 2.0), (1.0, 2.0, 4.0)), 1)
+    assert dini._implicit_derivative(((2.0, 0.0), (0.0, 3.0)), 0).rows == ((), ())
 
 
 def test_predictor_that_overflows_falls_back_to_the_nested_solve():
@@ -1143,20 +1392,34 @@ def test_verify_uniqueness_streaming_keeps_every_hit():
     assert report == two_pass_uniqueness(system, (1.0,), 5000, 3)
 
 
-def test_concurrent_evaluations_match_sequential(quad_system):
+def test_concurrent_evaluations_match_sequential(quad_system, corpus_systems):
     """Eight threads query one freshly built system, with thread switches
-    forced often; every answer equals the sequential one."""
+    forced often; every answer equals the sequential one. So do the
+    bracketed Newton answers of an m = 1 system, the circle and the sphere
+    cap, queried from eight threads at once."""
     xs = [(x,) for (x,) in interior_grid(quad_system, 16)]
     sequential = [(quad_system.solve_at(x), quad_system.jacobian_at(x)) for x in xs]
     fresh = build_system(parse(list(QUAD.source_text), list(QUAD.variables)), QUAD_SEED)
+    circle = {p.name: s for p, s in corpus_systems}["circle"]
+    # (system queried in turn, fresh system queried from threads) at m = 1
+    m1 = [
+        (circle, build_system(parse(["x^2 + y^2 - 1"], ["x", "y"]), circle.seed, circle.options)),
+        (build_system(*SPHERE_CAP), build_system(*SPHERE_CAP)),
+    ]
+    m1_queries = [(built, fresh_m1, x) for built, fresh_m1 in m1 for x in interior_grid(built, 12)]
+    sequential_m1 = [(built.solve_at(x), built.jacobian_at(x)) for built, _, x in m1_queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             concurrent = list(pool.map(lambda x: (fresh.solve_at(x), fresh.jacobian_at(x)), xs))
+            concurrent_m1 = list(
+                pool.map(lambda q: (q[1].solve_at(q[2]), q[1].jacobian_at(q[2])), m1_queries)
+            )
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential
+    assert concurrent_m1 == sequential_m1
 
 
 def test_box_metadata_shape(quad_system):
