@@ -33,6 +33,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from typing import Sequence
 
@@ -57,6 +58,11 @@ _SPEC_FIELDS = {
     "invert": ("functions", "variables", "seed", "options"),
     "verify": ("functions", "variables", "seed"),
 }
+
+
+# A token that starts with '-' and then a digit, '.', 'inf' or 'nan': a
+# negative number, point, grid axis or matrix, not a flag.
+_NEGATIVE_VALUE = re.compile(r"-(?:\d|\.|inf|nan)", re.IGNORECASE)
 
 
 class SpecError(Exception):
@@ -392,6 +398,22 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.passed else 1
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each negative value that follows a flag joined to it as
+    flag=value. argparse takes such a value for a flag unless it reads as
+    a plain number, by a test that differs between Python versions. Every
+    flag here but --help takes one value, so the value is that flag's."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and _NEGATIVE_VALUE.match(token)):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgParser(
         prog="implisolve",
@@ -429,7 +451,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             return 1
         out = sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_join_negative_values(argv))
         if args.command == "verify":
             code = _cmd_verify(args, out)
         else:

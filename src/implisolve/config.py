@@ -29,16 +29,14 @@ class SolverOptions:
     bool, in (0, sys.float_info.max], and grid_density an int in
     [2, MAX_GRID_DENSITY]; otherwise ValueError names the field.
 
-    Where a query runs ITP (at m = 1 for a function that is not an
-    ExprFunction, and in the nested solve that a system query falls back
-    to), ITP returns the midpoint of a bracket no wider than tol_root, so
-    an answer's residual can reach |dF/dy| * tol_root / 2, and solve_at
-    raises NoConvergence where that exceeds tol_sys: with the defaults,
-    once |dF/dy| passes 2 * tol_sys / tol_root = 2000. README's Options
-    paragraph gives measured failure rates; raise tol_sys or lower
-    tol_root for such an F. Newton's method at m = 1 for an ExprFunction
-    returns the root to within rounding, so there the residual is F's
-    own rounding error at the root.
+    In the nested solve that a system query falls back to, ITP returns
+    the midpoint of a bracket no wider than tol_root, so an answer's
+    residual can reach |dF/dy| * tol_root / 2, and solve_at raises
+    NoConvergence where that exceeds tol_sys: with the defaults, once
+    |dF/dy| passes 2 * tol_sys / tol_root = 2000. Raise tol_sys or lower
+    tol_root for such an F. Newton's method at m = 1 returns the root to
+    within rounding, so there the residual is F's own rounding error at
+    the root.
 
     ITP needs no iteration budget: it ends within its own step bound. The
     Newton iterations of a query, bracketed at m = 1 and the chord for

@@ -21,13 +21,12 @@ first-order term of the solution sheet, so the iteration spends no step
 recovering the slope. build_system computes Y' once, by one
 factorization of J (_implicit_derivative, which jacobian_known shares).
 
-At m = 1, for an ExprFunction F, the query makes the scalar solution's
-checks at the box's two ends, then runs Newton's method kept inside
-that bracket (scalar_implicit.bracketed_newton): each step is one pass
-of the Jacobian kernel, which gives F and dF/dy together, a step that
-would leave the bracket is replaced by bisection, and ITP finishes on
-the bracket left if _NEWTON_MAX_ITER passes do not settle it. A function
-of another type has no Jacobian kernel and runs ITP on the box.
+At m = 1 the query makes the scalar solution's checks at the box's two
+ends, then runs Newton's method kept inside that bracket
+(scalar_implicit.bracketed_newton): each step is one pass of the
+Jacobian kernel, which gives F and dF/dy together, a step that would
+leave the bracket is replaced by bisection, and ITP finishes on the
+bracket left if _NEWTON_MAX_ITER passes do not settle it.
 
 For m > 1 a query whose x lies inside the region runs the chord
 (simplified Newton) iteration on F(x, .) from the predictor. One pass of
@@ -47,7 +46,8 @@ scalar solution), so inner recursion levels operate on composed function
 objects that expose the eval/partial/jacobian surface of parsed
 expression functions, with exact chain-rule derivatives, not finite
 differences. A system's level-1 F must be an ExprFunction, so that
-normalization is a substitution on its expression trees.
+normalization is a substitution on its expression trees and m = 1 has a
+Jacobian kernel; a duck-typed scalar F is build_implicit's.
 
 A reduced function's Jacobian eliminates z1 from G's: one pivot step of
 Gaussian elimination (Neumaier, Interval Methods for Systems of
@@ -383,8 +383,7 @@ class SystemSolution:
     For m = 1 this wraps a scalar solution of F directly. For m > 1 it
     holds the scalar solution of the first dependent variable and a
     SystemSolution of size m - 1 for the reduced system. F is the function
-    this level solves: the caller's ExprFunction at level 1 when m > 1, the
-    caller's function of any type when m = 1 (see build_system), and the
+    this level solves: the caller's ExprFunction at level 1, and the
     reduced function of the level above at every inner level. region is
     the open box (lo, hi) over this level's (x, z) where the zero is
     unique: the scalar box with z_1's interval at position n, intersected
@@ -395,10 +394,9 @@ class SystemSolution:
     J = dF/dy at the seed where normalizer is set, else None:
     z = b + J (y - b) maps an answer back to z. tangent is
     Y' = -J^-1 dF/dx at the seed, the m x n derivative of the solution
-    there, at level 1 where F is an ExprFunction (every level 1 when
-    m > 1, and m = 1 for an ExprFunction), else None: the Newton
-    iterations start from b + Y' (x - a). Immutable; evaluations at
-    distinct points may run concurrently.
+    there, at level 1, else None: the Newton iterations start from
+    b + Y' (x - a). Immutable; evaluations at distinct points may run
+    concurrently.
     """
 
     F: object
@@ -428,10 +426,9 @@ class SystemSolution:
         through the level-1 normalizer, which raises OutsideBox or
         NoConvergence with the failing level. _newton runs only where x
         lies strictly inside x_box(), the only place _in_region can accept
-        its answer. At m = 1 the nested solve is the one scalar solve:
-        _bracketed_newton where tangent is set (an ExprFunction), ITP
-        otherwise. At level 1 an answer whose residual exceeds tol_sys
-        raises NoConvergence."""
+        its answer. At m = 1 the nested solve is the one scalar solve,
+        _bracketed_newton. At level 1 an answer whose residual exceeds
+        tol_sys raises NoConvergence."""
         x = tuple(map(float, x))
         if len(x) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinates, got {len(x)}")
@@ -512,7 +509,8 @@ class SystemSolution:
     def _solve(self, x: tuple[float, ...]) -> Vector:
         z_rest = () if self.child is None else tuple(self.child._solve(x))
         try:
-            if self.child is None and self.tangent is not None:
+            # level 1 of an m = 1 system
+            if self.depth == 1 and self.child is None:
                 z1 = self._bracketed_newton(x)
             else:
                 z1 = self.scalar.solve_at(x + z_rest)
@@ -522,9 +520,9 @@ class SystemSolution:
         return self._to_y((z1,) + z_rest)
 
     def _bracketed_newton(self, x: tuple[float, ...]) -> float:
-        """The root of F(x, .) at m = 1 for an ExprFunction F: the scalar
-        solution's checks (ImplicitSolution._bracket: OutsideBox, and
-        NoConvergence where the box's ends do not bracket a root), then
+        """The root of F(x, .) at m = 1: the scalar solution's checks
+        (ImplicitSolution._bracket: OutsideBox, and NoConvergence where the
+        box's ends do not bracket a root), then
         scalar_implicit.bracketed_newton from the tangent predictor
         b + Y' (x - a), each pass one pass of F's Jacobian kernel, within
         _NEWTON_MAX_ITER passes before ITP finishes on the bracket left."""
@@ -703,16 +701,14 @@ def build_system(
     is not evaluated at the seed here: that would cost a nested solve and
     check equations the levels check again.
 
-    For m > 1, F must be an ExprFunction, else TypeError before any of its
-    methods is called. For m = 1, any object with n_inputs, n_outputs,
-    eval and partial will do, plus jacobian for jacobian_at and
-    verify_uniqueness. For an ExprFunction at m = 1, once its scalar
-    solution is built, one Jacobian pass at the seed gives the tangent
-    that solve_at's bracketed Newton iteration starts from.
+    F must be an ExprFunction, else TypeError before any of its methods is
+    called; a duck-typed scalar F is build_implicit's. At m = 1, once the
+    scalar solution is built, one Jacobian pass at the seed gives the
+    tangent that solve_at's bracketed Newton iteration starts from.
     """
     n, m = seed.n, seed.m
-    if _depth == 1 and m > 1:
-        _require_expression(F, "build_system with m >= 2")
+    if _depth == 1:
+        _require_expression(F, "build_system")
     if F.n_outputs != m or F.n_inputs != n + m:
         raise DimensionMismatch(
             f"need {m} components in {n + m} variables, got "
@@ -745,7 +741,7 @@ def build_system(
     except BoxNotFound as exc:
         exc.level = exc.level if exc.level is not None else _depth
         raise
-    if m == 1 and _depth == 1 and isinstance(F, ExprFunction):
+    if m == 1 and _depth == 1:
         # the predictor of solve_at's bracketed Newton iteration
         tangent = _implicit_derivative(F.jacobian(seed.point()).rows, n)
 

@@ -9,9 +9,9 @@ ACM TOMS 47(1), 2020), which is unconditionally convergent. The gradient
 comes from the quotient formula df/dx_j = -(dF/dx_j) / (dF/dy) at
 (x, f(x)). bracketed_newton is the other root finder on such a bracket:
 Newton's method from a given start, bisection where a step would leave
-the bracket, and ITP after a budget of passes. dini uses it at m = 1 for
-an ExprFunction, whose one Jacobian pass gives F and dF/dy together;
-every other F, and every nested level of a system, runs ITP.
+the bracket, and ITP after a budget of passes. dini uses it at m = 1,
+where one Jacobian pass gives F and dF/dy together; every nested level
+of a system runs ITP.
 
 The sign of dF/dy is the Mean-Value Theorem's hypothesis. Where F offers
 an interval enclosure of its partials over a box (Moore, Interval

@@ -132,9 +132,8 @@ def test_implicit_rejects_deep_nesting(tmp_path, capsys, function):
 
 def test_implicit_grid_and_csv(tmp_path):
     spec = write_spec(tmp_path, "circle.json", CIRCLE_SPEC)
-    # leading '-' needs the '=' form so argparse does not read it as a flag
     code, text = run_main(
-        ["implicit", "--spec", spec, "--grid=-0.5:0.5:5", "--out", "csv"]
+        ["implicit", "--spec", spec, "--grid", "-0.5:0.5:5", "--out", "csv"]
     )
     assert code == 0
     lines = text.strip().split("\n")
@@ -406,6 +405,49 @@ def test_non_finite_grid_exit_1(tmp_path, capsys, axis):
     code, text = run_main(["implicit", "--spec", spec, f"--grid={axis}"])
     assert text == ""
     assert_one_line_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "spec,argv,flag,value",
+    [
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC], "--query", "-0.1,0.2,0.3"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC], "--query", "-1e-1"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC], "--query", "-.5"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC], "--grid", "-1:1:3"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC], "--grid", "-0.5:0.5:3"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC, "--query", "0"], "--tol-root", "-1e-3"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC, "--query", "0"], "--tol-sys", "-inf"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC, "--query", "0"], "--box-halfwidth", "-0.5,0.5"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC, "--query", "0"], "--grid-density", "-9e0"),
+        (CIRCLE_SPEC, ["implicit", "--spec", SPEC, "--query", "0"], "--out", "-1"),
+        (CIRCLE_SPEC, ["implicit", "--query", "0"], "--spec", "-1.json"),
+        (SQUARE_MAP_SPEC, ["invert", "--spec", SPEC], "--query", "-1e-2,2"),
+        (SQUARE_MAP_SPEC, ["invert", "--spec", SPEC, "--query", "0,2"], "--tol-root", "-NaN"),
+        (SQUARE_MAP_SPEC, ["verify"], "--lemma", "-1"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma1"], "--matrix", "-1,0;0,1"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma1", "--matrix", "1,0;0,1"], "--trials", "-5e0"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma1", "--matrix", "1,0;0,1"], "--seed", "-7"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma1", "--matrix", "1,0;0,1"], "--seed", "-7e0"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma2", "--spec", SPEC], "--samples", "-1e1"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma4", "--spec", SPEC], "--radius", "-1e-3"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma4", "--spec", SPEC], "--radius", "-Infinity"),
+        (SQUARE_MAP_SPEC, ["verify", "--lemma", "lemma4", "--spec", SPEC], "--rad", "-1e-3"),
+        (CUBIC_SPEC, ["verify", "--lemma", "lemma3", "--spec", SPEC, "--query", "1"],
+         "--query", "-1e0"),
+    ],
+)
+def test_negative_value_after_a_flag_is_its_value(tmp_path, capsys, spec, argv, flag, value):
+    """A value that starts with '-' and a digit, '.', 'inf' or 'nan' is the
+    value of the flag before it: 'flag value' runs as 'flag=value' does,
+    with the same exit code and the same output."""
+    path = write_spec(tmp_path, "spec.json", spec)
+    argv = [path if arg == SPEC else arg for arg in argv]
+    runs = []
+    for tail in ([flag, value], [f"{flag}={value}"]):
+        code, text = run_main(argv + tail)
+        runs.append((code, text, capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert "expected one argument" not in runs[0][2]
 
 
 def test_grid_too_large_exit_1(tmp_path):
@@ -967,8 +1009,9 @@ FUZZ_BUDGET_S = 20
 @st.composite
 def _fuzz_case(draw):
     """A canned argv with up to four flags added, mostly of its own
-    command, and a canned spec it reads with up to two fields dropped, set
-    to a fuzz value, or with one entry or option so set."""
+    command, each written as flag=value or as flag value, and a canned
+    spec it reads with up to two fields dropped, set to a fuzz value, or
+    with one entry or option so set."""
     base, specs = draw(st.sampled_from(FUZZ_BASES))
     spec = json.loads(json.dumps(draw(st.sampled_from(specs))))
     for field, action in draw(st.lists(st.sampled_from(SPEC_MUTATIONS), max_size=2,
@@ -996,7 +1039,7 @@ def _fuzz_case(draw):
             value = f"{draw(numbers)}:{draw(numbers)}:{steps}"
         else:
             value = draw(st.sampled_from(FUZZ_FLAGS[flag][draw(st.integers(0, 1))]))
-        argv.append(f"{flag}={value}")
+        argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
     return spec, argv
 
 
@@ -1015,9 +1058,10 @@ def _reject_constant(name):
 @given(_fuzz_case())
 def test_cli_contract_holds_on_fuzzed_input(case):
     """main returns 0, 1 or 2 within its budget; standard error is empty or
-    one error line, and then standard output is empty; output is strict
-    JSON (CSV rows of the header's width under --out=csv) wherever the
-    code is 0 or 2, and wherever verify writes a report."""
+    one error line, and then standard output is empty, and no error says a
+    flag lacks the value it was given; output is strict JSON (CSV rows of
+    the header's width under --out=csv) wherever the code is 0 or 2, and
+    wherever verify writes a report."""
     spec, argv = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
@@ -1038,12 +1082,14 @@ def test_cli_contract_holds_on_fuzzed_input(case):
     text, error = out.getvalue(), err.getvalue()
     if error:
         assert error.startswith("error: ") and error.endswith("\n") and error.count("\n") == 1
+        assert "expected one argument" not in error
         assert text == ""
     if code in (0, 2):
         assert text
     if not text:
         return
-    outs = [a.split("=", 1)[1] for a in argv if a.startswith("--out=")]
+    outs = [a.partition("=")[2] or b for a, b in zip(argv, argv[1:] + [""])
+            if a.partition("=")[0] == "--out"]
     if argv[0] != "verify" and outs and outs[-1] == "csv":
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) >= 1 and all(len(row) == len(rows[0]) for row in rows)

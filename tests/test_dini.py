@@ -127,26 +127,24 @@ def test_normalize_keeps_seed_value():
 
 
 def test_base_case_delegates_to_scalar_exactly():
-    """At m = 1 a function that is not an ExprFunction is solved by the
-    scalar solution's ITP, bit for bit. An ExprFunction is solved by
-    bracketed Newton from the tangent predictor instead, within tol_root / 2
-    of the closed form. Either Jacobian is the scalar gradient at the same
-    answer."""
+    """At m = 1 the system's scalar solution is build_implicit's, box and
+    all. Bracketed Newton from the tangent predictor answers within
+    tol_root / 2 of the closed form, and the scalar solution's ITP within
+    tol_root of it; the Jacobian is the scalar gradient at the same answer."""
     F = parse(["x^2 + y^2 - 1"], ["x", "y"])
     opts = SolverOptions(h0=0.8)
     seed = SplitPoint.of([0.0], [1.0])
-    opaque = build_system(_Opaque(F), seed, opts)
     system = build_system(F, seed, opts)
     scalar = build_implicit(F, seed, opts)
-    assert opaque.tangent is None and system.tangent is not None
+    assert system.scalar == scalar
     for x in (-0.5, 0.0, 0.25, 0.6):
-        assert opaque.solve_at((x,))[0] == scalar.solve_at((x,))
-        assert abs(system.solve_at((x,))[0] - math.sqrt(1 - x * x)) <= opts.tol_root / 2
-        for solution in (opaque, system):
-            # same value, same formula; arithmetic order differs by one rounding
-            jac = solution.jacobian_at((x,)).rows[0][0]
-            grad = scalar.gradient_known((x,), solution.solve_at((x,))[0])[0]
-            assert abs(jac - grad) <= 1e-15 * max(1.0, abs(grad))
+        y = system.solve_at((x,))[0]
+        assert abs(y - math.sqrt(1 - x * x)) <= opts.tol_root / 2
+        assert abs(scalar.solve_at((x,)) - y) <= opts.tol_root
+        # same value, same formula; arithmetic order differs by one rounding
+        jac = system.jacobian_at((x,)).rows[0][0]
+        grad = scalar.gradient_known((x,), y)[0]
+        assert abs(jac - grad) <= 1e-15 * max(1.0, abs(grad))
 
 
 def test_quad_pair_at_seed(quad_system):
@@ -311,38 +309,42 @@ STEEP_CURVE = parse(["1000*(y^3 + y - x) + sin(y) - sin(x)"], ["x", "y"])
 
 
 @pytest.mark.parametrize(
-    "F,seed,queries",
+    "build,F,seed,queries",
     [
-        (_Opaque(STEEP_CURVE), SplitPoint.of([0.0], [0.0]), 300),
-        (STEEP_CURVE, SplitPoint.of([0.0], [0.0]), 300),
-        (QUAD, QUAD_SEED, 40),
-        (CUBIC_TRIPLE, SplitPoint.of([1.0], [1.0, 1.0, 1.0]), 8),
+        (build_implicit, STEEP_CURVE, SplitPoint.of([0.0], [0.0]), 300),
+        (build_system, STEEP_CURVE, SplitPoint.of([0.0], [0.0]), 300),
+        (build_system, QUAD, QUAD_SEED, 40),
+        (build_system, CUBIC_TRIPLE, SplitPoint.of([1.0], [1.0, 1.0, 1.0]), 8),
     ],
     ids=["steep_curve", "steep_curve_newton", "quad_pair", "cubic_triple"],
 )
-def test_every_answer_seeds_a_new_build(F, seed, queries):
+def test_every_answer_seeds_a_new_build(build, F, seed, queries):
     """solve_at's answers and the seeds a build accepts share the residual
     bound tol_sys, so a build re-seeded at any answer succeeds. On the steep
-    curve the factor 1000 leaves many of ITP's answers (for a function
-    that is not an ExprFunction) with a residual above 1e-10; bracketed
-    Newton's answers (for the ExprFunction) lie within tol_root / 2 of the
-    root."""
-    system = build_system(F, seed)
-    lo, hi = system.x_box()
+    curve the factor 1000 leaves many of ITP's answers (build_implicit's)
+    with a residual above 1e-10; bracketed Newton's answers
+    (build_system's) lie within tol_root / 2 of the root."""
+    options = SolverOptions()
+    solution = build(F, seed, options)
+    if build is build_implicit:
+        lo, hi = solution.box.x_lo, solution.box.x_hi
+    else:
+        lo, hi = solution.x_box()
     rng = random.Random(1)
     residuals = []
     for _ in range(queries):
         x = tuple(rng.uniform(0.95 * a + 0.05 * b, 0.05 * a + 0.95 * b) for a, b in zip(lo, hi))
-        y = system.solve_at(x)
-        residuals.append(max(abs(r) for r in F.eval(x + tuple(y))))
-        build_system(F, SplitPoint.of(x, y))
-        if F is STEEP_CURVE:
+        y = solution.solve_at(x)
+        y = (y,) if build is build_implicit else tuple(y)
+        residuals.append(max(abs(r) for r in F.eval(x + y)))
+        build(F, SplitPoint.of(x, y), options)
+        if F is STEEP_CURVE and build is build_system:
             # the root to the resolution of floats: ITP with a tol_root
             # below every float spacing
-            root = replace(system.scalar, tol_root=1e-320).solve_at(x)
-            assert abs(y[0] - root) <= system.options.tol_root / 2
-    assert max(residuals) <= system.options.tol_sys
-    if isinstance(F, _Opaque):
+            root = replace(solution.scalar, tol_root=1e-320).solve_at(x)
+            assert abs(y[0] - root) <= options.tol_root / 2
+    assert max(residuals) <= options.tol_sys
+    if build is build_implicit:
         assert sum(r > 1e-10 for r in residuals) > queries / 2
 
 
@@ -372,31 +374,37 @@ def test_composed_jvp_matches_partials(corpus_systems):
 
 
 def test_systems_refuse_a_function_that_is_not_an_expression(corpus_systems):
-    """At m >= 2, build_system and normalize raise TypeError on any other
-    type before calling F. At m = 1 such a function builds, and its answers
-    equal the ExprFunction build's."""
-    problem = {p.name: p for p, _ in corpus_systems}["quad_pair"]
-    opaque = _Opaque(problem.F)
-    with pytest.raises(TypeError) as err:
-        build_system(opaque, problem.seed, problem.options)
-    assert str(err.value) == "build_system with m >= 2 needs an ExprFunction, got _Opaque"
-    with pytest.raises(TypeError) as err:
-        normalize(opaque, problem.seed)
-    assert str(err.value) == "normalize needs an ExprFunction, got _Opaque"
-    assert opaque.calls == []
+    """At every m, build_system and normalize raise TypeError on any other
+    type before calling F, build_system with one message."""
+    for problem, _ in corpus_systems:
+        opaque = _Opaque(problem.F)
+        with pytest.raises(TypeError) as err:
+            build_system(opaque, problem.seed, problem.options)
+        assert str(err.value) == "build_system needs an ExprFunction, got _Opaque"
+        with pytest.raises(TypeError) as err:
+            normalize(opaque, problem.seed)
+        assert str(err.value) == "normalize needs an ExprFunction, got _Opaque"
+        assert opaque.calls == []
 
-    problem, expr_system = {p.name: (p, s) for p, s in corpus_systems}["circle"]
-    system = build_system(_Opaque(problem.F), problem.seed, problem.options)
+
+def test_build_implicit_takes_a_function_that_is_not_an_expression(corpus_systems):
+    """A duck-typed scalar F is build_implicit's: it finds the box of the
+    ExprFunction's system, its ITP answers equal the ExprFunction's bit for
+    bit, and gradient_at is that system's Jacobian at the same answer."""
+    problem, system = {p.name: (p, s) for p, s in corpus_systems}["circle"]
+    opaque = build_implicit(_Opaque(problem.F), problem.seed, problem.options)
     scalar = build_implicit(problem.F, problem.seed, problem.options)
-    assert system.box_metadata() == expr_system.box_metadata()
+    assert opaque.box == system.scalar.box
     lo, hi = system.x_box()
     for t in (0.1, 0.5, 0.9):
         x = (lo[0] + t * (hi[0] - lo[0]),)
-        y = system.solve_at(x)
-        assert y[0] == scalar.solve_at(x)
-        assert system.jacobian_at(x) == expr_system.jacobian_known(x, y)
-        closed = math.sqrt(1 - x[0] * x[0])
-        assert abs(expr_system.solve_at(x)[0] - closed) <= problem.options.tol_root / 2
+        y = opaque.solve_at(x)
+        assert y == scalar.solve_at(x)
+        assert abs(y - math.sqrt(1 - x[0] * x[0])) <= problem.options.tol_root / 2
+        # same value, same formula; arithmetic order differs by one rounding
+        grad = opaque.gradient_at(x)[0]
+        jac = system.jacobian_known(x, (y,)).rows[0][0]
+        assert abs(jac - grad) <= 1e-15 * max(1.0, abs(grad))
 
 
 # --- well-posed systems: identity plus a small nonlinear perturbation --------
@@ -520,29 +528,33 @@ def cubic_sheet_root(x):
 
 
 def test_assembled_residual_above_tol_sys_raises():
-    """ITP returns the midpoint of a bracket no wider than tol_root, so
-    where dF/dy is large the answer's residual can exceed tol_sys: here
-    dF/dy >= 1e4, and solve_at raises rather than return it. A function
-    that is not an ExprFunction runs ITP at m = 1; the ExprFunction's
-    bracketed Newton answers the same point within tol_root / 2."""
-    F = parse(["1e4*(y^3 + y - x)"], ["x", "y"])
+    """solve_at raises rather than return an answer whose residual exceeds
+    tol_sys. With 1e8 (y^3 + y - x), F's own rounding at the root does.
+    With 1e4, ITP's answer (build_implicit's, which makes no residual
+    check) misses the root by up to tol_root / 2, and so its residual
+    exceeds tol_sys; bracketed Newton answers the same point within
+    tol_root / 2 of the root and within tol_sys."""
     seed = SplitPoint.of([0.0], [0.0])
-    message = r"^assembled residual 1\.69587e-09 exceeds tol_sys 1e-09$"
+    message = r"^assembled residual 5\.55112e-09 exceeds tol_sys 1e-09$"
     with pytest.raises(NoConvergence, match=message):
-        build_system(_Opaque(F), seed).solve_at((-0.4625,))
+        build_system(parse(["1e8*(y^3 + y - x)"], ["x", "y"]), seed).solve_at((-0.48625,))
+    F = parse(["1e4*(y^3 + y - x)"], ["x", "y"])
+    y_itp = build_implicit(F, seed).solve_at((-0.4625,))
+    assert f"{abs(F.eval((-0.4625, y_itp))[0]):g}" == "1.69587e-09"
     system = build_system(F, seed)
     y = system.solve_at((-0.4625,))
     assert abs(y[0] - cubic_sheet_root(-0.4625)) <= system.options.tol_root / 2
+    assert abs(F.eval((-0.4625,) + tuple(y))[0]) <= system.options.tol_sys
 
 
 def test_newton_answers_a_steep_scalar_equation_everywhere():
     """s (y^3 + y - x) with s = 1e4, where ITP's residual, up to
-    |dF/dy| tol_root / 2, exceeds tol_sys at 53 of these 400 points (for a
-    function that is not an ExprFunction): bracketed Newton answers every
-    one within tol_sys and within tol_root / 2 of the root."""
+    |dF/dy| tol_root / 2, exceeds tol_sys at 53 of these 400 points
+    (build_implicit's answers): bracketed Newton answers every one within
+    tol_sys and within tol_root / 2 of the root."""
     F = parse(["10000*(y^3 + y - x)"], ["x", "y"])
     system = build_system(F, SplitPoint.of([0.0], [0.0]))
-    itp_system = build_system(_Opaque(F), SplitPoint.of([0.0], [0.0]))
+    itp = build_implicit(F, SplitPoint.of([0.0], [0.0]))
     (lo,), (hi,) = system.x_box()
     itp_failures = 0
     for i in range(400):
@@ -550,10 +562,7 @@ def test_newton_answers_a_steep_scalar_equation_everywhere():
         y = system.solve_at((x,))
         assert abs(F.eval((x,) + tuple(y))[0]) <= system.options.tol_sys
         assert abs(y[0] - cubic_sheet_root(x)) <= system.options.tol_root / 2
-        try:
-            itp_system.solve_at((x,))
-        except NoConvergence:
-            itp_failures += 1
+        itp_failures += abs(F.eval((x, itp.solve_at((x,))))[0]) > system.options.tol_sys
     assert itp_failures == 53
 
 
@@ -726,12 +735,10 @@ def test_m1_errors_keep_their_messages_and_level(corpus_systems):
 
 
 def test_m1_tangent_is_the_implicit_derivative_at_the_seed():
-    """build_system stores Y' = -F_x / F_y at the seed for an ExprFunction
-    at m = 1, and nothing for another function: that has no Jacobian kernel."""
+    """build_system stores Y' = -F_x / F_y at the seed at m = 1."""
     F = parse(["sin(x) + 2*y^3 + y - 0.5*x"], ["x", "y"])
     seed = SplitPoint.of([0.0], [0.0])
     assert build_system(F, seed).tangent.rows == ((-0.5,),)
-    assert build_system(_Opaque(F), seed).tangent is None
 
 
 def test_implicit_derivative_is_one_factorization_and_substitution():

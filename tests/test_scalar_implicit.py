@@ -114,10 +114,13 @@ def test_find_box_refuses_a_grid_beyond_the_cap():
         "more than the cap 10000000"
     )
     options = SolverOptions(grid_density=10000)
-    for build in (find_box, build_system):
+    for build in (find_box, build_implicit):
         with pytest.raises(ValueError) as err:
             build(_SeedOnly(), SplitPoint.of([0.0], [1.0]), options)
         assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        build_system(parse(["y - 1"], ["x", "y"]), SplitPoint.of([0.0], [1.0]), options)
+    assert str(err.value) == message
     # the default density stays within the cap at n = 1 up to MAX_DEPTH,
     # whose level 1 samples over (x, z_2..z_m, z_1)
     assert 9 ** (1 + MAX_DEPTH) <= MAX_GRID_SAMPLES < 10000**2
